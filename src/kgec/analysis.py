@@ -72,13 +72,14 @@ def load_type_labels(path: str | Path, vocab: Vocab) -> TypeLabels:
 
 
 def minmax_normalize(x: np.ndarray) -> np.ndarray:
-    """Affine rescale of a vector to [0, 1]; constant vectors map to zeros."""
+    """Affine rescale of a vector, or of each row of a matrix, to [0, 1];
+    constant rows map to zeros."""
     x = np.asarray(x, dtype=float)
-    lo = x.min()
-    hi = x.max()
-    if hi == lo:
-        return np.zeros_like(x)
-    return (x - lo) / (hi - lo)
+    lo = x.min(axis=-1, keepdims=True)
+    hi = x.max(axis=-1, keepdims=True)
+    out = np.zeros_like(x)
+    np.divide(x - lo, hi - lo, out=out, where=hi != lo)
+    return out
 
 
 def shannon_entropy(counts: Sequence[int]) -> float:
@@ -147,7 +148,7 @@ def write_purity_csv(curve: PurityCurve, path: str | Path) -> None:
 
 def activation_heatmap(component: np.ndarray, entity_ids: Sequence[int]) -> np.ndarray:
     """Row-normalized activation matrix for the selected entities."""
-    return np.vstack([minmax_normalize(component[e]) for e in entity_ids])
+    return minmax_normalize(component[np.asarray(entity_ids, dtype=np.int64)])
 
 
 def write_heatmap_csv(
@@ -186,27 +187,19 @@ def relation_pair_diagnostic(
     if kind not in PAIR_KINDS:
         raise ValueError(f"kind must be one of {PAIR_KINDS}, got {kind!r}")
     p, q = pair
-    re_p, im_p = params.re_r[p].copy(), params.im_r[p].copy()
-    if premise_inverted:
-        im_p = -im_p
-    re_q, im_q = params.re_r[q], params.im_r[q]
+    rep_p = np.conj(params.rel[p]) if premise_inverted else params.rel[p]
+    rep_q = np.conj(params.rel[q]) if kind == "inversion" else params.rel[q]
+    diff = rep_p - rep_q
 
-    if kind == "equivalence":
-        residual = max(
-            float(np.abs(re_p - re_q).max()), float(np.abs(im_p - im_q).max())
-        )
-        return PairDiagnostic(kind, pair, {"max_abs_diff": residual})
-    if kind == "inversion":
-        residual = max(
-            float(np.abs(re_p - re_q).max()), float(np.abs(im_p + im_q).max())
-        )
+    if kind in ("equivalence", "inversion"):
+        residual = max(float(np.abs(diff.real).max()), float(np.abs(diff.imag).max()))
         return PairDiagnostic(kind, pair, {"max_abs_diff": residual})
     return PairDiagnostic(
         kind,
         pair,
         {
-            "re_violation": float(np.maximum(re_p - re_q, 0.0).max()),
-            "im_max_abs_diff": float(np.abs(im_p - im_q).max()),
+            "re_violation": float(np.maximum(diff.real, 0.0).max()),
+            "im_max_abs_diff": float(np.abs(diff.imag).max()),
         },
     )
 

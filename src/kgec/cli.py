@@ -39,6 +39,9 @@ from .mining import classify_pairs, mine_entailments, write_rules
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, parse_config, train, write_config, write_training_log
 
+# Files a training run writes besides manifest.json and config.cfg.
+_RUN_OUTPUTS = ("checkpoint.kgec", "log.csv", "entities.txt", "relations.txt")
+
 # Hyperparameter grid swept by `train --grid`, selected on validation MRR.
 GRID = {
     "d": (100, 150, 200),
@@ -83,12 +86,8 @@ def cmd_mine(args) -> int:
     return 0
 
 
-def _train_once(dataset, ents, config, out_dir, input_paths, precision=32):
+def _write_manifest(config, out_dir, input_paths, precision):
     out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = out_dir / "checkpoint.kgec"
-    log_path = out_dir / "log.csv"
-    ent_vocab = out_dir / "entities.txt"
-    rel_vocab = out_dir / "relations.txt"
     snapshot = dataclasses.asdict(config)
     snapshot["checkpoint_precision"] = precision
     manifest = RunManifest.create(
@@ -97,18 +96,33 @@ def _train_once(dataset, ents, config, out_dir, input_paths, precision=32):
         seed=config.seed,
         config=snapshot,
         input_paths=input_paths,
-        output_paths=[ckpt, log_path, ent_vocab, rel_vocab],
+        output_paths=[out_dir / name for name in _RUN_OUTPUTS],
     )
     manifest.write(out_dir / "manifest.json")
 
-    params, log = train(dataset, ents, config)
+
+def _write_outputs(dataset, config, params, log, out_dir, precision):
+    ckpt, log_path, ent_vocab, rel_vocab = (out_dir / name for name in _RUN_OUTPUTS)
     dataset.vocab.dump(ent_vocab, rel_vocab)
     # Training arithmetic is float64; the stored precision is a disk format.
     stored = params.astype(np.float32) if precision == 32 else params
     save_checkpoint(stored, ckpt, str(ent_vocab), str(rel_vocab))
     write_training_log(log, log_path)
     write_config(config, out_dir / "config.cfg")
-    return params, log
+
+
+def _write_grid_state(state, path):
+    """Replace the grid state file atomically: a crash leaves the old one."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(state, fh, indent=2, sort_keys=True)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _grid_configs(base: TrainConfig, grid: dict) -> list[TrainConfig]:
@@ -155,7 +169,9 @@ def cmd_train(args) -> int:
         input_paths.append(_resolve_config(args.config))
 
     if not args.grid:
-        _train_once(dataset, ents, config, out_dir, input_paths, args.precision)
+        _write_manifest(config, out_dir, input_paths, args.precision)
+        params, log = train(dataset, ents, config)
+        _write_outputs(dataset, config, params, log, out_dir, args.precision)
         print(f"training done -> {out_dir / 'checkpoint.kgec'}")
         return 0
 
@@ -182,11 +198,11 @@ def cmd_train(args) -> int:
         mrrs = [row.valid_mrr for row in log if row.valid_mrr is not None]
         valid_mrr = max(mrrs) if mrrs else evaluate(params, dataset.valid, known).mrr
         state[key] = valid_mrr
-        with open(state_path, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, indent=2, sort_keys=True)
+        _write_grid_state(state, state_path)
         if valid_mrr > best_mrr:
             best_mrr = valid_mrr
-            _train_once(dataset, ents, candidate, out_dir, input_paths, args.precision)
+            _write_manifest(candidate, out_dir, input_paths, args.precision)
+            _write_outputs(dataset, candidate, params, log, out_dir, args.precision)
         print(f"grid point valid_mrr={valid_mrr:.4f} {key}")
     print(f"grid done; best valid MRR {best_mrr:.4f} -> {out_dir / 'checkpoint.kgec'}")
     return 0

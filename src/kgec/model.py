@@ -1,9 +1,17 @@
-"""Complex-valued entity/relation embeddings: storage, the bilinear score,
-box projection, and the binary checkpoint format.
+"""Complex-valued entity/relation embeddings: storage, the ComplEx score and
+its partials, box projection, and the binary checkpoint format.
 
-Embeddings are kept as four separate real matrices (real and imaginary
-components of entities and relations) so the four-term score expansion reads
-each component contiguously.
+Entities and relations are complex arrays ``ent`` (n, d) and ``rel`` (m, d).
+The score of (h, r, t) is phi = Re(sum(h * r * conj(t))). It is linear in
+each slot, and equals the real dot product (real parts times real parts plus
+imaginary parts times imaginary parts) of any slot with that slot's partial:
+
+    head: conj(r) * t        tail: h * r        relation: conj(h) * t
+
+Every scorer here and the training gradient are built from these three
+expressions. Updates that act entrywise (projection, AdaGrad) work on the
+(rows, 2d) real view of the arrays, which interleaves real and imaginary
+parts.
 """
 
 from __future__ import annotations
@@ -21,42 +29,71 @@ _HEADER = struct.Struct("<4I")  # n, m, d, precision bits
 
 @dataclass
 class ModelParams:
-    """Entity and relation embedding matrices.
+    """Complex entity and relation embeddings.
 
-    ``re_e``/``im_e`` are (n, d) real/imaginary entity components; after any
-    projection call their entries lie in [0, 1]. ``re_r``/``im_r`` are (m, d)
-    unconstrained relation components.
+    ``ent`` is (n, d); after any projection call the real and imaginary parts
+    of its entries lie in [0, 1]. ``rel`` is (m, d) and unconstrained. The
+    ``re_e``/``im_e``/``re_r``/``im_r`` properties are writable views of the
+    real and imaginary components.
     """
 
-    re_e: np.ndarray
-    im_e: np.ndarray
-    re_r: np.ndarray
-    im_r: np.ndarray
+    ent: np.ndarray
+    rel: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not (np.iscomplexobj(self.ent) and np.iscomplexobj(self.rel)):
+            raise TypeError("entity and relation embeddings must be complex arrays")
+
+    @property
+    def re_e(self) -> np.ndarray:
+        return self.ent.real
+
+    @property
+    def im_e(self) -> np.ndarray:
+        return self.ent.imag
+
+    @property
+    def re_r(self) -> np.ndarray:
+        return self.rel.real
+
+    @property
+    def im_r(self) -> np.ndarray:
+        return self.rel.imag
 
     @property
     def n_entities(self) -> int:
-        return self.re_e.shape[0]
+        return self.ent.shape[0]
 
     @property
     def n_relations(self) -> int:
-        return self.re_r.shape[0]
+        return self.rel.shape[0]
 
     @property
     def d(self) -> int:
-        return self.re_e.shape[1]
+        return self.ent.shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.re_e.copy(), self.im_e.copy(), self.re_r.copy(), self.im_r.copy()
-        )
+        return ModelParams(self.ent.copy(), self.rel.copy())
 
     def astype(self, dtype) -> "ModelParams":
-        return ModelParams(
-            self.re_e.astype(dtype),
-            self.im_e.astype(dtype),
-            self.re_r.astype(dtype),
-            self.im_r.astype(dtype),
-        )
+        """Cast to the complex type whose components have real ``dtype``
+        (float32 gives complex64)."""
+        ctype = np.result_type(dtype, np.complex64)
+        return ModelParams(self.ent.astype(ctype), self.rel.astype(ctype))
+
+
+def real_view(z: np.ndarray) -> np.ndarray:
+    """A C-contiguous (..., d) complex array as a (..., 2d) real array sharing
+    its memory, real and imaginary parts interleaved."""
+    return z.view(z.real.dtype)
+
+
+def _from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex array with exactly the given real and imaginary components."""
+    z = np.empty(re.shape, np.result_type(re.dtype, np.complex64))
+    z.real = re
+    z.imag = im
+    return z
 
 
 def init_params(n: int, m: int, d: int, seed: int) -> ModelParams:
@@ -64,18 +101,38 @@ def init_params(n: int, m: int, d: int, seed: int) -> ModelParams:
 
     Entity components are uniform in [0, 1], so the box constraint holds from
     the first step. Relation components are zero-mean normal with scale
-    1/sqrt(d), keeping initial scores O(1).
+    1/sqrt(d), keeping initial scores O(1). Components are drawn in the order
+    entity real, entity imaginary, relation real, relation imaginary.
     """
     if n < 1 or m < 1 or d < 1:
         raise ValueError(f"sizes must be at least 1, got n={n}, m={m}, d={d}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d)
-    return ModelParams(
-        re_e=rng.uniform(0.0, 1.0, size=(n, d)),
-        im_e=rng.uniform(0.0, 1.0, size=(n, d)),
-        re_r=rng.normal(0.0, scale, size=(m, d)),
-        im_r=rng.normal(0.0, scale, size=(m, d)),
-    )
+    re_e = rng.uniform(0.0, 1.0, size=(n, d))
+    im_e = rng.uniform(0.0, 1.0, size=(n, d))
+    re_r = rng.normal(0.0, scale, size=(m, d))
+    im_r = rng.normal(0.0, scale, size=(m, d))
+    return ModelParams(_from_parts(re_e, im_e), _from_parts(re_r, im_r))
+
+
+def head_partial(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Partial of the score with respect to the head: conj(r) * t."""
+    return np.conj(r) * t
+
+
+def tail_partial(h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Partial of the score with respect to the tail: h * r."""
+    return h * r
+
+
+def rel_partial(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Partial of the score with respect to the relation: conj(h) * t."""
+    return np.conj(h) * t
+
+
+def real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real inner product over the last axis: sum(Re a Re b + Im a Im b)."""
+    return np.einsum("...k,...k->...", real_view(a), real_view(b))
 
 
 def _check_entity(params: ModelParams, idx: int) -> None:
@@ -89,25 +146,16 @@ def _check_relation(params: ModelParams, idx: int) -> None:
 
 
 def score_triple(params: ModelParams, triple) -> float:
-    """Bilinear score of one triple.
+    """Score Re(<head, rel, conj(tail)>) of one triple.
 
-    Equals Re(<head, rel, conj(tail)>), computed as the four-term expansion
-    over real and imaginary components. Higher scores mean the triple is more
-    likely to hold; the function is asymmetric in head and tail.
+    Higher scores mean the triple is more likely to hold; the function is
+    asymmetric in head and tail.
     """
     head, rel, tail = triple
     _check_entity(params, head)
     _check_relation(params, rel)
     _check_entity(params, tail)
-    h_re, h_im = params.re_e[head], params.im_e[head]
-    r_re, r_im = params.re_r[rel], params.im_r[rel]
-    t_re, t_im = params.re_e[tail], params.im_e[tail]
-    return float(
-        np.dot(h_re * r_re, t_re)
-        + np.dot(h_im * r_re, t_im)
-        + np.dot(h_re * r_im, t_im)
-        - np.dot(h_im * r_im, t_re)
-    )
+    return float(score_batch(params, head, rel, tail))
 
 
 def score_batch(
@@ -117,47 +165,35 @@ def score_batch(
     tails: np.ndarray,
 ) -> np.ndarray:
     """Vectorized :func:`score_triple` over id arrays of equal length."""
-    h_re, h_im = params.re_e[heads], params.im_e[heads]
-    r_re, r_im = params.re_r[rels], params.im_r[rels]
-    t_re, t_im = params.re_e[tails], params.im_e[tails]
-    return (
-        (h_re * r_re * t_re)
-        + (h_im * r_re * t_im)
-        + (h_re * r_im * t_im)
-        - (h_im * r_im * t_re)
-    ).sum(axis=1)
+    h, t = params.ent[heads], params.ent[tails]
+    return real_dot(params.rel[rels], rel_partial(h, t))
 
 
 def score_all_heads(params: ModelParams, rel: int, tail: int) -> np.ndarray:
     """Scores of (e, rel, tail) for every entity e, as an (n,) vector."""
     _check_relation(params, rel)
     _check_entity(params, tail)
-    r_re, r_im = params.re_r[rel], params.im_r[rel]
-    t_re, t_im = params.re_e[tail], params.im_e[tail]
-    coeff_re = r_re * t_re + r_im * t_im
-    coeff_im = r_re * t_im - r_im * t_re
-    return params.re_e @ coeff_re + params.im_e @ coeff_im
+    partial = head_partial(params.rel[rel], params.ent[tail])
+    return real_view(params.ent) @ real_view(partial)
 
 
 def score_all_tails(params: ModelParams, head: int, rel: int) -> np.ndarray:
     """Scores of (head, rel, e) for every entity e, as an (n,) vector."""
     _check_entity(params, head)
     _check_relation(params, rel)
-    h_re, h_im = params.re_e[head], params.im_e[head]
-    r_re, r_im = params.re_r[rel], params.im_r[rel]
-    coeff_re = h_re * r_re - h_im * r_im
-    coeff_im = h_im * r_re + h_re * r_im
-    return params.re_e @ coeff_re + params.im_e @ coeff_im
+    partial = tail_partial(params.ent[head], params.rel[rel])
+    return real_view(params.ent) @ real_view(partial)
 
 
 def inverse_relation_rep(params: ModelParams, rel: int) -> tuple[np.ndarray, np.ndarray]:
     """Representation of the inverse relation: the complex conjugate of ``rel``.
 
-    Returns copies of (real part, negated imaginary part); scoring a triple
-    with the conjugate and swapped entities reproduces the original score.
+    Returns (real part, imaginary part) of a new array; scoring a triple with
+    the conjugate and swapped entities reproduces the original score.
     """
     _check_relation(params, rel)
-    return params.re_r[rel].copy(), -params.im_r[rel]
+    conj = np.conj(params.rel[rel])
+    return conj.real, conj.imag
 
 
 def project_entities(params: ModelParams, rows: np.ndarray | None = None) -> ModelParams:
@@ -166,12 +202,11 @@ def project_entities(params: ModelParams, rows: np.ndarray | None = None) -> Mod
     Relation components are untouched. ``rows`` restricts the projection to a
     subset of entity ids, which is enough after a sparse gradient step.
     """
+    ent = real_view(params.ent)
     if rows is None:
-        np.clip(params.re_e, 0.0, 1.0, out=params.re_e)
-        np.clip(params.im_e, 0.0, 1.0, out=params.im_e)
+        np.clip(ent, 0.0, 1.0, out=ent)
     else:
-        params.re_e[rows] = np.clip(params.re_e[rows], 0.0, 1.0)
-        params.im_e[rows] = np.clip(params.im_e[rows], 0.0, 1.0)
+        ent[rows] = np.clip(ent[rows], 0.0, 1.0)
     return params
 
 
@@ -217,8 +252,9 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Returns the parameters in their stored precision and the sidecar manifest
-    (an empty dict when the sidecar is missing).
+    Returns the parameters in their stored precision (complex64 for float32
+    blocks, complex128 for float64) and the sidecar manifest (an empty dict
+    when the sidecar is missing).
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -235,8 +271,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
             buf = fh.read(count * dtype.itemsize)
             if len(buf) != count * dtype.itemsize:
                 raise ValueError(f"{path}: truncated checkpoint")
-            blocks.append(np.frombuffer(buf, dtype=dtype).reshape(rows, d).copy())
-    params = ModelParams(*blocks)
+            blocks.append(np.frombuffer(buf, dtype=dtype).reshape(rows, d))
+    params = ModelParams(_from_parts(*blocks[:2]), _from_parts(*blocks[2:]))
     sidecar_path = Path(str(path) + ".manifest.json")
     sidecar: dict = {}
     if sidecar_path.exists():

@@ -18,7 +18,15 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Entailment, Triple
-from .model import ModelParams
+from .model import (
+    ModelParams,
+    head_partial,
+    real_dot,
+    real_view,
+    rel_partial,
+    score_batch,
+    tail_partial,
+)
 
 
 @dataclass(frozen=True)
@@ -51,26 +59,19 @@ class LossBreakdown:
 class SparseGrads:
     """Gradients restricted to the touched entity and relation rows.
 
-    ``ent_ids``/``rel_ids`` are sorted unique id vectors; the value arrays
-    hold one gradient row per id for the real and imaginary components.
+    ``ent_ids``/``rel_ids`` are sorted unique id vectors; ``ent``/``rel`` hold
+    one complex gradient row per id, whose real and imaginary parts are the
+    derivatives with respect to the real and imaginary components.
     """
 
     ent_ids: np.ndarray
-    ent_re: np.ndarray
-    ent_im: np.ndarray
+    ent: np.ndarray
     rel_ids: np.ndarray
-    rel_re: np.ndarray
-    rel_im: np.ndarray
-
-    def blocks(self):
-        return (self.ent_re, self.ent_im, self.rel_re, self.rel_im)
+    rel: np.ndarray
 
     def global_norm(self) -> float:
         """Euclidean norm over every stored gradient entry."""
-        total = 0.0
-        for block in self.blocks():
-            total += float(np.sum(block * block))
-        return float(np.sqrt(total))
+        return float(np.sqrt(_sq_norm(self.ent) + _sq_norm(self.rel)))
 
     def clip_global_norm_(self, cap: float) -> float:
         """Rescale in place so the global norm is at most ``cap``.
@@ -80,9 +81,37 @@ class SparseGrads:
         norm = self.global_norm()
         if norm > cap:
             factor = cap / norm
-            for block in self.blocks():
-                block *= factor
+            for block in (self.ent, self.rel):
+                view = real_view(block)
+                view *= factor
         return norm
+
+
+@dataclass(frozen=True)
+class RuleArrays:
+    """Entailments packed as parallel arrays, one entry per rule.
+
+    ``sign`` is -1.0 where the premise is inverted (and so conjugated), +1.0
+    otherwise.
+    """
+
+    premise: np.ndarray
+    conclusion: np.ndarray
+    sign: np.ndarray
+    confidence: np.ndarray
+
+
+def pack_entailments(ents: Iterable[Entailment] | RuleArrays) -> RuleArrays:
+    """Pack entailments into :class:`RuleArrays`; packed rules pass through."""
+    if isinstance(ents, RuleArrays):
+        return ents
+    ents = list(ents)
+    return RuleArrays(
+        premise=np.array([e.premise_rel for e in ents], dtype=np.int64),
+        conclusion=np.array([e.conclusion_rel for e in ents], dtype=np.int64),
+        sign=np.array([-1.0 if e.premise_inverted else 1.0 for e in ents]),
+        confidence=np.array([e.confidence for e in ents], dtype=float),
+    )
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -104,30 +133,37 @@ def logistic_term(params: ModelParams, examples: Sequence[TrainingExample]) -> f
     if not examples:
         return 0.0
     heads, rels, tails, labels = _examples_to_arrays(examples)
-    phi = _scores(params, heads, rels, tails)
+    phi = score_batch(params, heads, rels, tails)
     return float(softplus(-labels * phi).sum())
 
 
-def _scores(params, heads, rels, tails):
-    h_re, h_im = params.re_e[heads], params.im_e[heads]
-    r_re, r_im = params.re_r[rels], params.im_r[rels]
-    t_re, t_im = params.re_e[tails], params.im_e[tails]
-    return (
-        h_re * r_re * t_re
-        + h_im * r_re * t_im
-        + h_re * r_im * t_im
-        - h_im * r_im * t_re
-    ).sum(axis=1)
+def _sq_norm(z: np.ndarray) -> float:
+    """Sum of squared real and imaginary parts."""
+    return float(np.vdot(z, z).real)
 
 
-def _premise_components(params: ModelParams, ent: Entailment):
-    """Real/imaginary parts of the premise representation, conjugated when
-    the premise is inverted."""
-    re_p = params.re_r[ent.premise_rel]
-    im_p = params.im_r[ent.premise_rel]
-    if ent.premise_inverted:
-        im_p = -im_p
-    return re_p, im_p
+def rule_penalty(
+    rel: np.ndarray, rules: RuleArrays
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Unweighted entailment penalty of packed rules, and its gradient.
+
+    Rule k compares its premise p (``rel[premise[k]]``, conjugated when
+    ``sign[k]`` is -1) with its conclusion q: with delta = p - q and c the
+    confidence, it costs ``c * sum(max(0, Re delta) + (Im delta)**2)``.
+    Returns the total, then relation ids ``[premise, conclusion]`` and one
+    gradient row per id, to be added at that id. The hinge's subgradient at
+    the kink is 0, so satisfied constraints stay inert.
+    """
+    sign = rules.sign[:, None]
+    delta = rel[rules.premise]
+    delta.imag *= sign
+    delta -= rel[rules.conclusion]
+    conf = rules.confidence[:, None]
+    penalty = float(np.sum(conf * (np.maximum(delta.real, 0.0) + delta.imag**2)))
+    grad = conf * ((delta.real > 0.0) + 2j * delta.imag)
+    grad_premise = np.where(sign < 0.0, np.conj(grad), grad)
+    ids = np.concatenate([rules.premise, rules.conclusion])
+    return penalty, ids, np.concatenate([grad_premise, -grad])
 
 
 def entailment_penalty(params: ModelParams, ents: Iterable[Entailment]) -> float:
@@ -137,15 +173,7 @@ def entailment_penalty(params: ModelParams, ents: Iterable[Entailment]) -> float
     condition: premise real part entrywise at most the conclusion real part,
     imaginary parts equal (after conjugating inverted premises).
     """
-    total = 0.0
-    for ent in ents:
-        re_p, im_p = _premise_components(params, ent)
-        d_re = re_p - params.re_r[ent.conclusion_rel]
-        d_im = im_p - params.im_r[ent.conclusion_rel]
-        total += ent.confidence * (
-            float(np.maximum(d_re, 0.0).sum()) + float(np.dot(d_im, d_im))
-        )
-    return total
+    return rule_penalty(params.rel, pack_entailments(ents))[0]
 
 
 def l2_term(
@@ -156,14 +184,7 @@ def l2_term(
     """Sum of squares over the given entity and relation rows (unweighted)."""
     ent_ids = np.asarray(sorted(set(entity_rows)), dtype=np.int64)
     rel_ids = np.asarray(sorted(set(relation_rows)), dtype=np.int64)
-    total = 0.0
-    if ent_ids.size:
-        total += float(np.sum(params.re_e[ent_ids] ** 2))
-        total += float(np.sum(params.im_e[ent_ids] ** 2))
-    if rel_ids.size:
-        total += float(np.sum(params.re_r[rel_ids] ** 2))
-        total += float(np.sum(params.im_r[rel_ids] ** 2))
-    return total
+    return _sq_norm(params.ent[ent_ids]) + _sq_norm(params.rel[rel_ids])
 
 
 def loss_and_gradient(
@@ -191,95 +212,43 @@ def loss_and_gradient_arrays(
     rels: np.ndarray,
     tails: np.ndarray,
     labels: np.ndarray,
-    ents: Sequence[Entailment],
+    ents: Sequence[Entailment] | RuleArrays,
     mu: float,
     eta: float,
 ) -> tuple[LossBreakdown, SparseGrads]:
-    """Array-native core of :func:`loss_and_gradient` (hot path)."""
-    d = params.d
-    ent_rel_ids = [e.premise_rel for e in ents] + [e.conclusion_rel for e in ents]
-    ent_ids = np.unique(np.concatenate([heads, tails])) if heads.size else np.empty(0, np.int64)
-    rel_ids = np.unique(
-        np.concatenate([rels, np.asarray(ent_rel_ids, dtype=np.int64)])
-        if ent_rel_ids
-        else rels
-    )
+    """Array-native core of :func:`loss_and_gradient` (hot path).
 
-    g_ent_re = np.zeros((ent_ids.size, d))
-    g_ent_im = np.zeros((ent_ids.size, d))
-    g_rel_re = np.zeros((rel_ids.size, d))
-    g_rel_im = np.zeros((rel_ids.size, d))
+    The L2 gradient is added last, so ``eta=0`` gives the gradient of the
+    logistic and entailment terms alone.
+    """
+    rules = pack_entailments(ents)
+    ent_ids = np.unique(np.concatenate([heads, tails]))
+    rel_ids = np.unique(np.concatenate([rels, rules.premise, rules.conclusion]))
+    g_ent = np.zeros((ent_ids.size, params.d), dtype=params.ent.dtype)
+    g_rel = np.zeros((rel_ids.size, params.d), dtype=params.rel.dtype)
 
-    logistic = 0.0
-    if heads.size:
-        pos_h = np.searchsorted(ent_ids, heads)
-        pos_t = np.searchsorted(ent_ids, tails)
-        pos_r = np.searchsorted(rel_ids, rels)
+    h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
+    d_rel = rel_partial(h, t)
+    z = -labels * real_dot(r, d_rel)
+    logistic = float(softplus(z).sum())
+    dphi = (-labels * expit(z))[:, None]
+    for g, ids, rows, partial in (
+        (g_ent, ent_ids, heads, head_partial(r, t)),
+        (g_ent, ent_ids, tails, tail_partial(h, r)),
+        (g_rel, rel_ids, rels, d_rel),
+    ):
+        grad_rows = real_view(partial)
+        grad_rows *= dphi
+        np.add.at(real_view(g), np.searchsorted(ids, rows), grad_rows)
 
-        h_re, h_im = params.re_e[heads], params.im_e[heads]
-        r_re, r_im = params.re_r[rels], params.im_r[rels]
-        t_re, t_im = params.re_e[tails], params.im_e[tails]
+    penalty, rule_ids, rule_grads = rule_penalty(params.rel, rules)
+    np.add.at(g_rel, np.searchsorted(rel_ids, rule_ids), mu * rule_grads)
 
-        # Per-example score derivatives; the relation pair doubles as the
-        # score itself: phi = <d_rel_re, r_re> + <d_rel_im, r_im>.
-        d_rel_re = h_re * t_re
-        d_rel_re += h_im * t_im
-        d_rel_im = h_re * t_im
-        d_rel_im -= h_im * t_re
-        phi = np.einsum("bd,bd->b", d_rel_re, r_re)
-        phi += np.einsum("bd,bd->b", d_rel_im, r_im)
-
-        z = -labels * phi
-        logistic = float(softplus(z).sum())
-        dphi = (-labels * expit(z))[:, None]
-
-        d_head_re = r_re * t_re
-        d_head_re += r_im * t_im
-        d_head_im = r_re * t_im
-        d_head_im -= r_im * t_re
-        d_tail_re = h_re * r_re
-        d_tail_re -= h_im * r_im
-        d_tail_im = h_im * r_re
-        d_tail_im += h_re * r_im
-        for block in (d_rel_re, d_rel_im, d_head_re, d_head_im, d_tail_re, d_tail_im):
-            block *= dphi
-        np.add.at(g_ent_re, pos_h, d_head_re)
-        np.add.at(g_ent_im, pos_h, d_head_im)
-        np.add.at(g_ent_re, pos_t, d_tail_re)
-        np.add.at(g_ent_im, pos_t, d_tail_im)
-        np.add.at(g_rel_re, pos_r, d_rel_re)
-        np.add.at(g_rel_im, pos_r, d_rel_im)
-
-    penalty = 0.0
-    for ent in ents:
-        sign = -1.0 if ent.premise_inverted else 1.0
-        p = int(np.searchsorted(rel_ids, ent.premise_rel))
-        q = int(np.searchsorted(rel_ids, ent.conclusion_rel))
-        d_re = params.re_r[ent.premise_rel] - params.re_r[ent.conclusion_rel]
-        d_im = sign * params.im_r[ent.premise_rel] - params.im_r[ent.conclusion_rel]
-        penalty += ent.confidence * (
-            float(np.maximum(d_re, 0.0).sum()) + float(np.dot(d_im, d_im))
-        )
-        if mu != 0.0:
-            active = (d_re > 0.0).astype(float)
-            g_rel_re[p] += mu * ent.confidence * active
-            g_rel_re[q] -= mu * ent.confidence * active
-            g_rel_im[p] += mu * ent.confidence * 2.0 * d_im * sign
-            g_rel_im[q] -= mu * ent.confidence * 2.0 * d_im
-
-    l2 = 0.0
-    if ent_ids.size:
-        l2 += float(np.sum(params.re_e[ent_ids] ** 2))
-        l2 += float(np.sum(params.im_e[ent_ids] ** 2))
-        if eta != 0.0:
-            g_ent_re += 2.0 * eta * params.re_e[ent_ids]
-            g_ent_im += 2.0 * eta * params.im_e[ent_ids]
-    if rel_ids.size:
-        l2 += float(np.sum(params.re_r[rel_ids] ** 2))
-        l2 += float(np.sum(params.im_r[rel_ids] ** 2))
-        if eta != 0.0:
-            g_rel_re += 2.0 * eta * params.re_r[rel_ids]
-            g_rel_im += 2.0 * eta * params.im_r[rel_ids]
+    ent_rows, rel_rows = params.ent[ent_ids], params.rel[rel_ids]
+    l2 = _sq_norm(ent_rows) + _sq_norm(rel_rows)
+    if eta != 0.0:
+        g_ent += 2.0 * eta * ent_rows
+        g_rel += 2.0 * eta * rel_rows
 
     breakdown = LossBreakdown(
         logistic=logistic,
@@ -287,5 +256,4 @@ def loss_and_gradient_arrays(
         l2=l2,
         total=logistic + mu * penalty + eta * l2,
     )
-    grads = SparseGrads(ent_ids, g_ent_re, g_ent_im, rel_ids, g_rel_re, g_rel_im)
-    return breakdown, grads
+    return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel)

@@ -17,13 +17,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset, Entailment, Triple, build_known_index
-from .model import ModelParams, init_params, project_entities
+from .model import ModelParams, init_params, project_entities, real_view
 from .objective import (
     LossBreakdown,
     SparseGrads,
     TrainingExample,
     l2_term,
     loss_and_gradient_arrays,
+    pack_entailments,
 )
 
 logger = logging.getLogger(__name__)
@@ -116,21 +117,21 @@ def write_config(config: TrainConfig, path: str | Path) -> None:
 
 @dataclass
 class AdaGradState:
-    """Per-entry accumulators of squared gradients; entrywise nondecreasing."""
+    """Per-entry accumulators of squared gradients; entrywise nondecreasing.
 
-    acc_re_e: np.ndarray
-    acc_im_e: np.ndarray
-    acc_re_r: np.ndarray
-    acc_im_r: np.ndarray
+    ``acc_ent``/``acc_rel`` are real and laid out like the (rows, 2d) real
+    views of the entity and relation embeddings.
+    """
+
+    acc_ent: np.ndarray
+    acc_rel: np.ndarray
     epsilon: float = 1e-8
 
     @classmethod
     def zeros_like(cls, params: ModelParams, epsilon: float = 1e-8) -> "AdaGradState":
         return cls(
-            np.zeros_like(params.re_e),
-            np.zeros_like(params.im_e),
-            np.zeros_like(params.re_r),
-            np.zeros_like(params.im_r),
+            np.zeros_like(real_view(params.ent)),
+            np.zeros_like(real_view(params.rel)),
             epsilon,
         )
 
@@ -148,14 +149,13 @@ def adagrad_step(
     """
     eps = state.epsilon
     updates = (
-        (grads.ent_ids, grads.ent_re, params.re_e, state.acc_re_e),
-        (grads.ent_ids, grads.ent_im, params.im_e, state.acc_im_e),
-        (grads.rel_ids, grads.rel_re, params.re_r, state.acc_re_r),
-        (grads.rel_ids, grads.rel_im, params.im_r, state.acc_im_r),
+        (grads.ent_ids, grads.ent, params.ent, state.acc_ent),
+        (grads.rel_ids, grads.rel, params.rel, state.acc_rel),
     )
     for ids, grad, param, acc in updates:
         if ids.size == 0:
             continue
+        grad = real_view(grad)
         acc_rows = acc[ids]
         acc_rows += grad * grad
         acc[ids] = acc_rows
@@ -163,7 +163,7 @@ def adagrad_step(
         acc_rows += eps
         step = grad / acc_rows
         step *= lr
-        param[ids] -= step
+        real_view(param)[ids] -= step
 
 
 def sample_negatives(
@@ -302,6 +302,7 @@ def train(
     for ent in ents:
         if ent.premise_rel >= m or ent.conclusion_rel >= m:
             raise ValueError(f"entailment names an unknown relation: {ent}")
+    rules = pack_entailments(ents)
 
     params = init_params(n, m, config.d, config.seed)
     state = AdaGradState.zeros_like(params)
@@ -311,8 +312,8 @@ def train(
         raise ValueError("training split is empty")
 
     known = build_known_index(dataset) if dataset.valid else None
-    all_ent_rows = np.arange(n)
-    all_rel_rows = np.arange(m)
+    # With l2_full the L2 term covers every parameter and is added afterwards.
+    batch_eta = 0.0 if config.l2_full else config.eta
 
     best_params: ModelParams | None = None
     best_mrr = -np.inf
@@ -334,12 +335,10 @@ def train(
                 [np.ones(pos_h.size), -np.ones(neg_h.size)]
             )
             breakdown, grads = loss_and_gradient_arrays(
-                params, heads, rels, tails, labels, ents, config.mu, config.eta
+                params, heads, rels, tails, labels, rules, config.mu, batch_eta
             )
             if config.l2_full:
-                breakdown, grads = _with_full_l2(
-                    params, breakdown, grads, config.eta, all_ent_rows, all_rel_rows
-                )
+                breakdown, grads = _with_full_l2(params, breakdown, grads, config.eta)
             if not np.isfinite(breakdown.total):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}: "
@@ -369,40 +368,20 @@ def train(
     return (best_params if best_params is not None else params), log
 
 
-def _with_full_l2(params, breakdown, grads, eta, all_ent_rows, all_rel_rows):
-    """Replace the batch-local L2 term with one over all parameters."""
-    # Remove the batch-local contribution already baked in.
-    local_l2 = l2_term(params, grads.ent_ids, grads.rel_ids)
-    full_l2 = l2_term(params, all_ent_rows, all_rel_rows)
-    if grads.ent_ids.size:
-        grads.ent_re -= 2.0 * eta * params.re_e[grads.ent_ids]
-        grads.ent_im -= 2.0 * eta * params.im_e[grads.ent_ids]
-    if grads.rel_ids.size:
-        grads.rel_re -= 2.0 * eta * params.re_r[grads.rel_ids]
-        grads.rel_im -= 2.0 * eta * params.im_r[grads.rel_ids]
-    new_grads = SparseGrads(
-        ent_ids=all_ent_rows,
-        ent_re=_scatter(grads.ent_ids, grads.ent_re, all_ent_rows.size, params.d)
-        + 2.0 * eta * params.re_e,
-        ent_im=_scatter(grads.ent_ids, grads.ent_im, all_ent_rows.size, params.d)
-        + 2.0 * eta * params.im_e,
-        rel_ids=all_rel_rows,
-        rel_re=_scatter(grads.rel_ids, grads.rel_re, all_rel_rows.size, params.d)
-        + 2.0 * eta * params.re_r,
-        rel_im=_scatter(grads.rel_ids, grads.rel_im, all_rel_rows.size, params.d)
-        + 2.0 * eta * params.im_r,
-    )
+def _with_full_l2(params, breakdown, grads, eta):
+    """Add an L2 term over all parameters to the loss and the gradient of the
+    data terms (computed with ``eta=0``); the gradient becomes dense."""
+    ent = 2.0 * eta * params.ent
+    ent[grads.ent_ids] += grads.ent
+    rel = 2.0 * eta * params.rel
+    rel[grads.rel_ids] += grads.rel
+    full_l2 = l2_term(params, range(params.n_entities), range(params.n_relations))
     new_breakdown = LossBreakdown(
         logistic=breakdown.logistic,
         entailment_penalty=breakdown.entailment_penalty,
         l2=full_l2,
-        total=breakdown.total - eta * local_l2 + eta * full_l2,
+        total=breakdown.total + eta * full_l2,
     )
-    return new_breakdown, new_grads
-
-
-def _scatter(ids, values, n_rows, d):
-    dense = np.zeros((n_rows, d))
-    if ids.size:
-        dense[ids] = values
-    return dense
+    return new_breakdown, SparseGrads(
+        np.arange(params.n_entities), ent, np.arange(params.n_relations), rel
+    )

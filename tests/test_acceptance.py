@@ -65,10 +65,10 @@ def test_c01_gradient_matches_finite_differences():
 
         worst = 0.0
         blocks = (
-            (params.re_e, grads.ent_ids, grads.ent_re),
-            (params.im_e, grads.ent_ids, grads.ent_im),
-            (params.re_r, grads.rel_ids, grads.rel_re),
-            (params.im_r, grads.rel_ids, grads.rel_im),
+            (params.re_e, grads.ent_ids, grads.ent.real),
+            (params.im_e, grads.ent_ids, grads.ent.imag),
+            (params.re_r, grads.rel_ids, grads.rel.real),
+            (params.im_r, grads.rel_ids, grads.rel.imag),
         )
         for matrix, ids, grad in blocks:
             for pos, row in enumerate(ids):
@@ -91,7 +91,7 @@ def test_c02_sufficient_condition_orders_scores():
             re_q = rng.normal(size=d)
             re_p = re_q - rng.uniform(0.0, 1.0, size=d)
             im = rng.normal(size=d)
-            params = ModelParams(re_e, im_e, np.vstack([re_p, re_q]), np.vstack([im, im]))
+            params = ModelParams(re_e + 1j * im_e, np.vstack([re_p, re_q]) + 1j * np.vstack([im, im]))
             heads = rng.integers(0, n, size=100)
             tails = rng.integers(0, n, size=100)
             low = score_batch(params, heads, np.zeros(100, int), tails)
@@ -106,8 +106,8 @@ def test_c03_penalty_equals_grid_minimized_slack():
         d, step = 4, 1e-3
         for _ in range(100):
             params = ModelParams(
-                np.zeros((2, d)), np.zeros((2, d)),
-                rng.normal(size=(2, d)), rng.normal(size=(2, d)),
+                np.zeros((2, d), complex),
+                rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d)),
             )
             inverted = bool(rng.integers(2))
             conf = float(rng.uniform(0.05, 1.0))

@@ -206,6 +206,20 @@ class TestExports:
         assert lines[0] == "k_percent,mean_entropy_nats"
         assert lines[1] == "5,0.693147"
 
+    def test_heatmap_matches_row_by_row_reference(self, rng):
+        # Strided float32 components of a complex64 checkpoint, with a
+        # constant row and box-clamped entries, as analyze sees them.
+        params = init_params(30, 2, 6, seed=3).astype(np.float32)
+        params.re_e[4] = 0.5
+        params.re_e[7, :3] = 1.0
+        ids = rng.permutation(30)[:20]
+        expected = []
+        for e in ids:
+            x = params.re_e[e].astype(float)
+            lo, hi = x.min(), x.max()
+            expected.append(np.zeros_like(x) if hi == lo else (x - lo) / (hi - lo))
+        np.testing.assert_array_equal(activation_heatmap(params.re_e, ids), np.vstack(expected))
+
     def test_heatmap_rows_are_normalized(self, tmp_path):
         component = np.array([[1.0, 3.0, 5.0], [2.0, 2.0, 2.0]])
         matrix = activation_heatmap(component, [0, 1])

@@ -208,6 +208,74 @@ def test_grid_mode_is_resumable(data_dir, config_file, tmp_path):
     assert json.loads((out / "grid_state.json").read_text()) == state
 
 
+def _counting_train(monkeypatch):
+    import kgec.cli
+
+    calls = []
+    real_train = kgec.cli.train
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(kgec.cli, "train", counting)
+    return calls
+
+
+def test_grid_trains_each_point_once(data_dir, config_file, tmp_path, monkeypatch):
+    from kgec.cli import _grid_key
+    from kgec.trainer import parse_config
+
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps({"d": [4, 8], "lr": [0.5]}))
+    out = tmp_path / "grid"
+    calls = _counting_train(monkeypatch)
+    argv = ["train", "--data", str(data_dir), "--config", str(config_file),
+            "--grid", "--grid-file", str(grid_file), "--out", str(out)]
+    assert main(argv) == 0
+    assert len(calls) == 2
+    # The written outputs are those of the best point, as a single run gives them.
+    state = json.loads((out / "grid_state.json").read_text())
+    best = parse_config(out / "config.cfg")
+    assert state[_grid_key(best)] == max(state.values())
+    single = tmp_path / "single"
+    argv = ["train", "--data", str(data_dir), "--config", str(out / "config.cfg"), "--out", str(single)]
+    assert main(argv) == 0
+    assert (out / "checkpoint.kgec").read_bytes() == (single / "checkpoint.kgec").read_bytes()
+
+
+def test_grid_state_survives_a_crash_during_write(data_dir, config_file, tmp_path, monkeypatch):
+    import kgec.cli
+
+    class Crash(Exception):
+        pass
+
+    real_dump = json.dump
+
+    def crashing_dump(obj, fh, **kwargs):
+        # Fail while writing the second grid point's state, mid-file.
+        if "grid_state" in fh.name and len(obj) == 2:
+            fh.write('{\n  "partial')
+            raise Crash
+        real_dump(obj, fh, **kwargs)
+
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps({"d": [4, 8], "lr": [0.5]}))
+    out = tmp_path / "grid"
+    argv = ["train", "--data", str(data_dir), "--config", str(config_file),
+            "--grid", "--grid-file", str(grid_file), "--out", str(out)]
+    monkeypatch.setattr(kgec.cli.json, "dump", crashing_dump)
+    with pytest.raises(Crash):
+        main(argv)
+    monkeypatch.setattr(kgec.cli.json, "dump", real_dump)
+    assert len(json.loads((out / "grid_state.json").read_text())) == 1
+    assert sorted(p.name for p in out.iterdir() if "grid_state" in p.name) == ["grid_state.json"]
+    calls = _counting_train(monkeypatch)
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert len(json.loads((out / "grid_state.json").read_text())) == 2
+
+
 def test_workers_env_fallback(monkeypatch):
     from kgec.cli import _workers
 

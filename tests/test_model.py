@@ -1,5 +1,7 @@
 """Tests for embedding storage, the bilinear score, projection, and checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -27,16 +29,14 @@ def complex_score_oracle(params: ModelParams, head: int, rel: int, tail: int) ->
 
 def params_d1(e_values, r_values) -> ModelParams:
     """d=1 parameters from lists of complex entity/relation values."""
-    re_e = np.array([[z.real] for z in e_values])
-    im_e = np.array([[z.imag] for z in e_values])
-    re_r = np.array([[z.real] for z in r_values])
-    im_r = np.array([[z.imag] for z in r_values])
-    return ModelParams(re_e, im_e, re_r, im_r)
+    ent = np.array([[z] for z in e_values], dtype=complex)
+    rel = np.array([[z] for z in r_values], dtype=complex)
+    return ModelParams(ent, rel)
 
 
 class TestScore:
     def test_all_zero_params(self):
-        params = ModelParams(*(np.zeros((2, 3)) for _ in range(2)), *(np.zeros((1, 3)) for _ in range(2)))
+        params = ModelParams(np.zeros((2, 3), complex), np.zeros((1, 3), complex))
         assert score_triple(params, (0, 0, 1)) == 0.0
 
     def test_d1_hand_case(self):
@@ -125,7 +125,7 @@ class TestInverseRelation:
         params = params_d1([0.5 + 0.5j, 1.0 + 0.0j], [0.3 + 0.2j])
         forward = score_triple(params, (0, 0, 1))
         re, im = inverse_relation_rep(params, 0)
-        swapped = ModelParams(params.re_e, params.im_e, re[None, :], im[None, :])
+        swapped = ModelParams(params.ent, re[None, :] + 1j * im[None, :])
         backward = score_triple(swapped, (1, 0, 0))
         assert forward == pytest.approx(0.05, abs=1e-15)
         assert backward == pytest.approx(forward, abs=1e-15)
@@ -136,7 +136,7 @@ class TestInverseRelation:
         params = init_params(20, 6, 8, seed=5)
         params.re_r[:] = rng.normal(size=params.re_r.shape)
         params.im_r[:] = rng.normal(size=params.im_r.shape)
-        conj = ModelParams(params.re_e, params.im_e, params.re_r, -params.im_r)
+        conj = ModelParams(params.ent, params.re_r - 1j * params.im_r)
         heads = rng.integers(0, 20, size=1000)
         rels = rng.integers(0, 6, size=1000)
         tails = rng.integers(0, 20, size=1000)
@@ -187,7 +187,7 @@ class TestSufficiency:
             re_q = rng.normal(size=d)
             re_p = re_q - rng.uniform(0, 1, size=d)
             im = rng.normal(size=d)
-            params = ModelParams(re_e, im_e, np.vstack([re_p, re_q]), np.vstack([im, im]))
+            params = ModelParams(re_e + 1j * im_e, np.vstack([re_p, re_q]) + 1j * np.vstack([im, im]))
             heads = rng.integers(0, n, size=100)
             tails = rng.integers(0, n, size=100)
             lo = score_batch(params, heads, np.zeros(100, int), tails)
@@ -255,3 +255,22 @@ class TestCheckpoint:
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("bits, dtype", [(64, "<f8"), (32, "<f4")])
+    def test_golden_layout(self, tmp_path, bits, dtype):
+        # KGEC1 built by hand: magic, n/m/d/bits as <u4, then entity real,
+        # entity imaginary, relation real, relation imaginary, row-major.
+        n, m, d = 3, 2, 4
+        rng = np.random.default_rng(5)
+        blocks = [rng.normal(size=(rows, d)).astype(dtype) for rows in (n, n, m, m)]
+        raw = b"KGEC1" + struct.pack("<4I", n, m, d, bits) + b"".join(b.tobytes() for b in blocks)
+        path = tmp_path / "golden.kgec"
+        path.write_bytes(raw)
+        loaded, sidecar = load_checkpoint(path)
+        assert sidecar == {}
+        for got, want in zip((loaded.re_e, loaded.im_e, loaded.re_r, loaded.im_r), blocks):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        resaved = tmp_path / "resaved.kgec"
+        save_checkpoint(loaded, resaved)
+        assert resaved.read_bytes() == raw

@@ -18,9 +18,7 @@ from oracles import central_difference, slack_grid_minimum
 
 
 def zero_params(n=2, m=1, d=2) -> ModelParams:
-    return ModelParams(
-        np.zeros((n, d)), np.zeros((n, d)), np.zeros((m, d)), np.zeros((m, d))
-    )
+    return ModelParams(np.zeros((n, d), complex), np.zeros((m, d), complex))
 
 
 def example(h, r, t, label=1) -> TrainingExample:
@@ -132,7 +130,7 @@ class TestEntailmentPenalty:
             re_p = re_q - rng.uniform(0, 1, size=d)
             im = rng.normal(size=d)
             params = ModelParams(
-                re_e, im_e, np.vstack([re_p, re_q]), np.vstack([im, im])
+                re_e + 1j * im_e, np.vstack([re_p, re_q]) + 1j * np.vstack([im, im])
             )
             assert entailment_penalty(params, [Entailment(0, False, 1, 1.0)]) == 0.0
             heads = rng.integers(0, n, size=50)
@@ -185,7 +183,7 @@ class TestLossAndGradient:
         head_row = np.where(grads.ent_ids == 0)[0][0]
         dphi_dre_head = params.re_r[0] * params.re_e[1]
         np.testing.assert_allclose(
-            grads.ent_re[head_row], -0.5 * dphi_dre_head, atol=1e-12
+            grads.ent.real[head_row], -0.5 * dphi_dre_head, atol=1e-12
         )
 
     def test_untouched_rows_absent(self):
@@ -230,10 +228,10 @@ class TestLossAndGradient:
 
         worst = 0.0
         blocks = (
-            (params.re_e, grads.ent_ids, grads.ent_re),
-            (params.im_e, grads.ent_ids, grads.ent_im),
-            (params.re_r, grads.rel_ids, grads.rel_re),
-            (params.im_r, grads.rel_ids, grads.rel_im),
+            (params.re_e, grads.ent_ids, grads.ent.real),
+            (params.im_e, grads.ent_ids, grads.ent.imag),
+            (params.re_r, grads.rel_ids, grads.rel.real),
+            (params.im_r, grads.rel_ids, grads.rel.imag),
         )
         for matrix, ids, grad in blocks:
             for pos, row in enumerate(ids):
@@ -249,8 +247,8 @@ class TestLossAndGradient:
         params.re_r[0] = params.re_r[1] = [0.4, -0.2]
         params.im_r[0] = params.im_r[1] = [0.1, 0.1]
         _, grads = loss_and_gradient(params, [], [Entailment(0, False, 1, 1.0)], 5.0, 0.0)
-        np.testing.assert_array_equal(grads.rel_re, 0.0)
-        np.testing.assert_array_equal(grads.rel_im, 0.0)
+        np.testing.assert_array_equal(grads.rel.real, 0.0)
+        np.testing.assert_array_equal(grads.rel.imag, 0.0)
 
     def test_slack_grid_equivalence_randomized(self, rng):
         # Closed-form penalty == grid-minimized slack objective, 20 draws.

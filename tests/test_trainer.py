@@ -106,9 +106,7 @@ class TestAdagradStep:
         d = params.d
         ids = np.asarray(ent_ids)
         g = np.full((ids.size, d), value)
-        return SparseGrads(
-            ids, g.copy(), g.copy(), np.empty(0, np.int64), np.empty((0, d)), np.empty((0, d))
-        )
+        return SparseGrads(ids, g + 1j * g, np.empty(0, np.int64), np.empty((0, d), complex))
 
     def test_first_step_size(self):
         params = init_params(2, 1, 1, seed=0)
@@ -119,7 +117,7 @@ class TestAdagradStep:
         adagrad_step(params, grads, state, lr=0.1)
         step = before - params.re_e[0, 0]
         assert step == pytest.approx(0.1 * 0.5 / (0.5 + 1e-8), abs=1e-12)
-        assert state.acc_re_e[0, 0] == pytest.approx(0.25)
+        assert state.acc_ent[0, 0] == pytest.approx(0.25)
 
     def test_zero_gradient_is_inert(self):
         params = init_params(2, 1, 3, seed=0)
@@ -128,7 +126,7 @@ class TestAdagradStep:
         grads = self.grads_for(params, [1], 0.0)
         adagrad_step(params, grads, state, lr=0.5)
         np.testing.assert_array_equal(params.re_e, before.re_e)
-        np.testing.assert_array_equal(state.acc_re_e, 0.0)
+        np.testing.assert_array_equal(state.acc_ent, 0.0)
 
     def test_second_identical_step_is_smaller(self):
         params = init_params(1, 1, 1, seed=0)
@@ -145,37 +143,34 @@ class TestAdagradStep:
     def test_accumulators_nondecreasing(self, rng):
         params = init_params(4, 2, 3, seed=1)
         state = AdaGradState.zeros_like(params)
-        previous = state.acc_re_e.copy()
+        previous = state.acc_ent.copy()
         for _ in range(5):
             grads = self.grads_for(params, [0, 2], float(rng.normal()))
             adagrad_step(params, grads, state, lr=0.05)
-            assert np.all(state.acc_re_e >= previous)
-            previous = state.acc_re_e.copy()
+            assert np.all(state.acc_ent >= previous)
+            previous = state.acc_ent.copy()
 
 
 class TestGradNormCap:
     def test_clip_rescales_proportionally(self):
         ids = np.array([0, 1])
         block = np.full((2, 2), 3.0)
-        grads = SparseGrads(
-            ids, block.copy(), block.copy(), np.array([0]), np.full((1, 2), 3.0), np.full((1, 2), 3.0)
-        )
+        grads = SparseGrads(ids, block + 1j * block, np.array([0]), np.full((1, 2), 3.0 + 3.0j))
         norm = grads.global_norm()
         assert norm == pytest.approx(np.sqrt(12 * 9.0))
         grads.clip_global_norm_(1.0)
         assert grads.global_norm() == pytest.approx(1.0, rel=1e-12)
         # Direction preserved: all entries still equal.
-        assert np.allclose(grads.ent_re, grads.ent_re[0, 0])
+        assert np.allclose(grads.ent.real, grads.ent.real[0, 0])
 
     def test_small_gradients_untouched(self):
         ids = np.array([0])
         grads = SparseGrads(
-            ids, np.full((1, 2), 0.1), np.full((1, 2), 0.1),
-            np.empty(0, np.int64), np.empty((0, 2)), np.empty((0, 2)),
+            ids, np.full((1, 2), 0.1 + 0.1j), np.empty(0, np.int64), np.empty((0, 2), complex)
         )
-        before = grads.ent_re.copy()
+        before = grads.ent.real.copy()
         grads.clip_global_norm_(1.0)
-        np.testing.assert_array_equal(grads.ent_re, before)
+        np.testing.assert_array_equal(grads.ent.real, before)
 
 
 class TestConfig:
@@ -330,11 +325,9 @@ class TestTrain:
         labels = np.array([1.0, -1.0, 1.0])
         eta = 0.05
         breakdown, grads = loss_and_gradient_arrays(
-            params, heads, rels, tails, labels, [], 0.0, eta
+            params, heads, rels, tails, labels, [], 0.0, 0.0
         )
-        breakdown, grads = _with_full_l2(
-            params, breakdown, grads, eta, np.arange(5), np.arange(3)
-        )
+        breakdown, grads = _with_full_l2(params, breakdown, grads, eta)
         assert breakdown.l2 == pytest.approx(
             l2_term(params, range(5), range(3)), abs=1e-12
         )
@@ -350,10 +343,10 @@ class TestTrain:
             )
 
         for matrix, grad in (
-            (params.re_e, grads.ent_re),
-            (params.im_e, grads.ent_im),
-            (params.re_r, grads.rel_re),
-            (params.im_r, grads.rel_im),
+            (params.re_e, grads.ent.real),
+            (params.im_e, grads.ent.imag),
+            (params.re_r, grads.rel.real),
+            (params.im_r, grads.rel.imag),
         ):
             for row in range(matrix.shape[0]):
                 for col in range(matrix.shape[1]):
