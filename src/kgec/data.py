@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -348,23 +349,26 @@ class KnownIndex:
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._all: set[Triple] = set()
         self._heads: dict[tuple[int, int], set[int]] = defaultdict(set)
         self._tails: dict[tuple[int, int], set[int]] = defaultdict(set)
+        self._size = 0
         for triple in triples:
             self.add(triple)
 
     def add(self, triple: Triple) -> None:
-        triple = Triple(*triple)
-        self._all.add(triple)
-        self._heads[(triple.rel, triple.tail)].add(triple.head)
-        self._tails[(triple.head, triple.rel)].add(triple.tail)
+        head, rel, tail = triple
+        tails = self._tails[(head, rel)]
+        if tail not in tails:
+            tails.add(tail)
+            self._heads[(rel, tail)].add(head)
+            self._size += 1
 
     def __contains__(self, triple: tuple[int, int, int]) -> bool:
-        return Triple(*triple) in self._all
+        head, rel, tail = triple
+        return tail in self._tails.get((head, rel), ())
 
     def __len__(self) -> int:
-        return len(self._all)
+        return self._size
 
     def heads(self, rel: int, tail: int) -> set[int]:
         """Entity ids h such that (h, rel, tail) is a known triple."""
@@ -377,9 +381,4 @@ class KnownIndex:
 
 def build_known_index(dataset: Dataset) -> KnownIndex:
     """Index the union of train, valid, and test for filtered ranking."""
-    index = KnownIndex(dataset.train)
-    for triple in dataset.valid:
-        index.add(triple)
-    for triple in dataset.test:
-        index.add(triple)
-    return index
+    return KnownIndex(chain(dataset.train, dataset.valid, dataset.test))

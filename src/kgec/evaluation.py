@@ -1,8 +1,10 @@
 """Filtered link-prediction evaluation (MRR, HITS@N) and paired significance
 testing between runs.
 
-Ranks are "optimistic": only candidates scoring strictly higher than the
-gold entity count, which makes the result independent of candidate
+Test triples are ranked in chunks. Each side of a chunk is scored against
+every entity with one matrix product and ranked with one vectorised
+comparison. Ranks are "optimistic": only candidates scoring strictly higher
+than the gold entity count, which makes the result independent of candidate
 enumeration order. Corrupted candidates that are known true triples are
 removed, except the gold triple itself.
 """
@@ -12,14 +14,18 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 from scipy import stats
 
 from .data import KnownIndex, Triple
 from .model import ModelParams, score_all_heads, score_all_tails
+
+# Size of one chunk's score matrix; its row count follows from the entity count.
+_CHUNK_BYTES = 32 * 2**20
 
 
 @dataclass
@@ -30,55 +36,50 @@ class EvalResult:
     mrr: float
     hits: dict[int, float]
 
-    def reciprocal_ranks(self) -> np.ndarray:
-        """All head-direction reciprocal ranks, then all tail-direction ones."""
-        ranks = np.asarray(self.per_triple, dtype=float)
-        return np.concatenate([1.0 / ranks[:, 0], 1.0 / ranks[:, 1]])
-
-    def ranks(self) -> np.ndarray:
-        ranks = np.asarray(self.per_triple, dtype=float)
-        return np.concatenate([ranks[:, 0], ranks[:, 1]])
-
 
 def rank_from_scores(
     scores: np.ndarray,
-    gold: int,
-    filtered: Sequence[int] = (),
-) -> int:
-    """Optimistic filtered rank of ``gold`` within a candidate score vector.
+    gold: Sequence[int],
+    filtered: Sequence[Collection[int]] | None = None,
+) -> np.ndarray:
+    """Optimistic filtered ranks of a batch of gold candidates, as a (B,) array.
 
-    Counts candidates with a strictly higher score than the gold one, after
-    removing the ``filtered`` candidate ids. The gold entity itself never
-    competes and is never filtered out.
+    Row i of the (B, n) ``scores`` scores every candidate of query i, whose
+    gold id is ``gold[i]`` and whose removed candidate ids are
+    ``filtered[i]``. Its rank counts the candidates scoring strictly higher
+    than the gold one, after removing the filtered ids. The gold entity itself
+    never competes and is never filtered out. ``scores`` is not modified.
     """
-    gold_score = scores[gold]
-    competing = scores > gold_score
-    filtered = np.asarray(list(filtered), dtype=np.int64)
-    if filtered.size:
-        competing[filtered] = False
-    competing[gold] = False
-    return 1 + int(np.count_nonzero(competing))
+    rows = np.arange(len(scores))
+    gold = np.asarray(gold, dtype=np.int64)
+    competing = scores > scores[rows, gold][:, None]
+    if filtered is not None:
+        sizes = [len(ids) for ids in filtered]
+        cols = np.fromiter(chain.from_iterable(filtered), dtype=np.int64, count=sum(sizes))
+        competing[np.repeat(rows, sizes), cols] = False
+    competing[rows, gold] = False
+    return 1 + np.count_nonzero(competing, axis=1)
 
 
-def filtered_rank(
-    params: ModelParams,
-    triple: Triple,
-    side: str,
-    known: KnownIndex,
-) -> int:
-    """Filtered rank of the gold entity when corrupting one side of ``triple``.
-
-    ``side`` is ``"head"`` or ``"tail"``. Candidates forming known true
-    triples are excluded from the ranking.
-    """
-    head, rel, tail = triple
+def _filtered_ranks(
+    params: ModelParams, triples: np.ndarray, side: str, known: KnownIndex
+) -> np.ndarray:
+    """Filtered ranks of the gold entities of a (B, 3) id array when
+    corrupting ``side``: one scoring call and one ranking call."""
+    heads, rels, tails = triples.T
     if side == "head":
-        scores = score_all_heads(params, rel, tail)
-        return rank_from_scores(scores, head, known.heads(rel, tail))
+        filtered = [known.heads(r, t) for r, t in zip(rels.tolist(), tails.tolist())]
+        return rank_from_scores(score_all_heads(params, rels, tails), heads, filtered)
     if side == "tail":
-        scores = score_all_tails(params, head, rel)
-        return rank_from_scores(scores, tail, known.tails(head, rel))
+        filtered = [known.tails(h, r) for h, r in zip(heads.tolist(), rels.tolist())]
+        return rank_from_scores(score_all_tails(params, heads, rels), tails, filtered)
     raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
+
+
+def filtered_rank(params: ModelParams, triple: Triple, side: str, known: KnownIndex) -> int:
+    """Filtered rank of the gold entity when corrupting the ``side`` ("head" or
+    "tail") of ``triple``; candidates forming known triples are excluded."""
+    return int(_filtered_ranks(params, np.asarray([triple]), side, known)[0])
 
 
 def evaluate(
@@ -91,39 +92,31 @@ def evaluate(
     """Rank both directions of every test triple and aggregate MRR/HITS.
 
     MRR and HITS@N are averaged over 2 * len(test) ranks (head and tail
-    directions contribute separately). Scoring is read-only, so ``workers``
-    threads may rank disjoint chunks; aggregation stays deterministic.
+    directions contribute separately). The test set is ranked in chunks whose
+    score matrix holds about ``_CHUNK_BYTES``. Scoring is read-only, so
+    ``workers`` threads may rank chunks in parallel; aggregation stays
+    deterministic.
     """
     if len(test) == 0:
         raise ValueError("test set is empty")
-    head_ranks = np.zeros(len(test), dtype=np.int64)
-    tail_ranks = np.zeros(len(test), dtype=np.int64)
+    triples = np.asarray(test, dtype=np.int64)
+    per_chunk = max(1, _CHUNK_BYTES // (params.n_entities * params.ent.real.itemsize))
 
-    def rank_range(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            head_ranks[i] = filtered_rank(params, test[i], "head", known)
-            tail_ranks[i] = filtered_rank(params, test[i], "tail", known)
+    def rank_chunk(lo: int) -> list[np.ndarray]:
+        chunk = triples[lo : lo + per_chunk]
+        return [_filtered_ranks(params, chunk, side, known) for side in ("head", "tail")]
 
+    starts = range(0, len(triples), per_chunk)
     if workers <= 1:
-        rank_range(0, len(test))
+        parts = [rank_chunk(lo) for lo in starts]
     else:
-        bounds = np.linspace(0, len(test), workers + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(rank_range, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            for future in futures:
-                future.result()
-
+            parts = list(pool.map(rank_chunk, starts))
+    head_ranks, tail_ranks = map(np.concatenate, zip(*parts))
     all_ranks = np.concatenate([head_ranks, tail_ranks])
     mrr = float(np.mean(1.0 / all_ranks))
     hits = {int(k): float(np.mean(all_ranks <= k)) for k in hits_at}
-    return EvalResult(
-        per_triple=list(zip(head_ranks.tolist(), tail_ranks.tolist())),
-        mrr=mrr,
-        hits=hits,
-    )
+    return EvalResult(list(zip(head_ranks.tolist(), tail_ranks.tolist())), mrr, hits)
 
 
 def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:

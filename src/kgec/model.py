@@ -17,6 +17,7 @@ parts.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -135,14 +136,12 @@ def real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k->...", real_view(a), real_view(b))
 
 
-def _check_entity(params: ModelParams, idx: int) -> None:
-    if not 0 <= idx < params.n_entities:
-        raise IndexError(f"entity id {idx} out of range [0, {params.n_entities})")
-
-
-def _check_relation(params: ModelParams, idx: int) -> None:
-    if not 0 <= idx < params.n_relations:
-        raise IndexError(f"relation id {idx} out of range [0, {params.n_relations})")
+def _check_ids(ids, count: int, kind: str) -> None:
+    """Raise IndexError unless every id in the scalar or array is in [0, count)."""
+    ids = np.asarray(ids)
+    bad = (ids < 0) | (ids >= count)
+    if bad.any():
+        raise IndexError(f"{kind} id {ids[bad].flat[0]} out of range [0, {count})")
 
 
 def score_triple(params: ModelParams, triple) -> float:
@@ -152,9 +151,8 @@ def score_triple(params: ModelParams, triple) -> float:
     asymmetric in head and tail.
     """
     head, rel, tail = triple
-    _check_entity(params, head)
-    _check_relation(params, rel)
-    _check_entity(params, tail)
+    _check_ids([head, tail], params.n_entities, "entity")
+    _check_ids(rel, params.n_relations, "relation")
     return float(score_batch(params, head, rel, tail))
 
 
@@ -169,20 +167,22 @@ def score_batch(
     return real_dot(params.rel[rels], rel_partial(h, t))
 
 
-def score_all_heads(params: ModelParams, rel: int, tail: int) -> np.ndarray:
-    """Scores of (e, rel, tail) for every entity e, as an (n,) vector."""
-    _check_relation(params, rel)
-    _check_entity(params, tail)
+def score_all_heads(params: ModelParams, rel, tail) -> np.ndarray:
+    """Scores of (e, rel, tail) for every entity e, from one matrix product: an
+    (n,) vector for scalar ids, a (B, n) matrix for B-long id arrays."""
+    _check_ids(rel, params.n_relations, "relation")
+    _check_ids(tail, params.n_entities, "entity")
     partial = head_partial(params.rel[rel], params.ent[tail])
-    return real_view(params.ent) @ real_view(partial)
+    return real_view(partial) @ real_view(params.ent).T
 
 
-def score_all_tails(params: ModelParams, head: int, rel: int) -> np.ndarray:
-    """Scores of (head, rel, e) for every entity e, as an (n,) vector."""
-    _check_entity(params, head)
-    _check_relation(params, rel)
+def score_all_tails(params: ModelParams, head, rel) -> np.ndarray:
+    """Scores of (head, rel, e) for every entity e, from one matrix product: an
+    (n,) vector for scalar ids, a (B, n) matrix for B-long id arrays."""
+    _check_ids(head, params.n_entities, "entity")
+    _check_ids(rel, params.n_relations, "relation")
     partial = tail_partial(params.ent[head], params.rel[rel])
-    return real_view(params.ent) @ real_view(partial)
+    return real_view(partial) @ real_view(params.ent).T
 
 
 def inverse_relation_rep(params: ModelParams, rel: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +191,7 @@ def inverse_relation_rep(params: ModelParams, rel: int) -> tuple[np.ndarray, np.
     Returns (real part, imaginary part) of a new array; scoring a triple with
     the conjugate and swapped entities reproduces the original score.
     """
-    _check_relation(params, rel)
+    _check_ids(rel, params.n_relations, "relation")
     conj = np.conj(params.rel[rel])
     return conj.real, conj.imag
 
@@ -254,25 +254,32 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
 
     Returns the parameters in their stored precision (complex64 for float32
     blocks, complex128 for float64) and the sidecar manifest (an empty dict
-    when the sidecar is missing).
+    when the sidecar is missing). A file whose size differs from the one its
+    header implies, or that holds NaN or Inf, raises ValueError naming it.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a kgec checkpoint (bad magic {magic!r})")
-        n, m, d, precision = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        n, m, d, precision = _HEADER.unpack(header)
         if precision not in _PRECISION_DTYPES:
             raise ValueError(f"{path}: unsupported precision flag {precision}")
         dtype = _PRECISION_DTYPES[precision]
-        blocks = []
-        for rows in (n, n, m, m):
-            count = rows * d
-            buf = fh.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
-                raise ValueError(f"{path}: truncated checkpoint")
-            blocks.append(np.frombuffer(buf, dtype=dtype).reshape(rows, d))
-    params = ModelParams(_from_parts(*blocks[:2]), _from_parts(*blocks[2:]))
+        size = os.fstat(fh.fileno()).st_size
+        expected = fh.tell() + 2 * (n + m) * d * dtype.itemsize
+        if size != expected:
+            problem = "truncated" if size < expected else "has trailing bytes"
+            raise ValueError(f"{path}: checkpoint {problem}: {size} bytes, header implies {expected}")
+        values = np.frombuffer(fh.read(), dtype=dtype)
+    # min and max propagate NaN, and need no temporary array.
+    if values.size and not np.isfinite([values.min(), values.max()]).all():
+        raise ValueError(f"{path}: checkpoint holds NaN or infinite values")
+    ent, rel = np.split(values, [2 * n * d])
+    params = ModelParams(_from_parts(*ent.reshape(2, n, d)), _from_parts(*rel.reshape(2, m, d)))
     sidecar_path = Path(str(path) + ".manifest.json")
     sidecar: dict = {}
     if sidecar_path.exists():

@@ -22,7 +22,7 @@ from .objective import (
     LossBreakdown,
     SparseGrads,
     TrainingExample,
-    l2_term,
+    _sq_norm,
     loss_and_gradient_arrays,
     pack_entailments,
 )
@@ -375,7 +375,7 @@ def _with_full_l2(params, breakdown, grads, eta):
     ent[grads.ent_ids] += grads.ent
     rel = 2.0 * eta * params.rel
     rel[grads.rel_ids] += grads.rel
-    full_l2 = l2_term(params, range(params.n_entities), range(params.n_relations))
+    full_l2 = _sq_norm(params.ent) + _sq_norm(params.rel)
     new_breakdown = LossBreakdown(
         logistic=breakdown.logistic,
         entailment_penalty=breakdown.entailment_penalty,

@@ -8,7 +8,7 @@ import pytest
 from kgec.cli import main
 from kgec.data import Triple, write_triples
 from kgec.manifest import RunManifest, sha256_file
-from kgec.model import load_checkpoint
+from kgec.model import init_params, load_checkpoint, save_checkpoint
 
 from conftest import make_vocab
 
@@ -302,6 +302,24 @@ def test_eval_missing_checkpoint_fails_with_message(data_dir, tmp_path, capsys):
     assert code != 0
     err = capsys.readouterr().err
     assert "missing.bin" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_corrupt_checkpoint_fails_with_message(data_dir, tmp_path, capsys):
+    path = tmp_path / "corrupt.kgec"
+    save_checkpoint(init_params(12, 3, 4, seed=0), path)
+    path.write_bytes(path.read_bytes()[:-3])
+    code = main(
+        [
+            "eval",
+            "--data", str(data_dir),
+            "--checkpoint", str(path),
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "corrupt.kgec" in err and "truncated" in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -22,34 +22,45 @@ from oracles import oracle_filtered_rank
 
 class TestRankFromScores:
     def test_counts_strictly_greater(self):
-        scores = np.array([0.9, 0.95, 0.8])
-        assert rank_from_scores(scores, gold=0) == 2
+        scores = np.array([[0.9, 0.95, 0.8]])
+        assert rank_from_scores(scores, gold=[0]).tolist() == [2]
 
     def test_filtering_removes_competitor(self):
-        scores = np.array([0.9, 0.95, 0.8])
-        assert rank_from_scores(scores, gold=0, filtered=[1]) == 1
+        scores = np.array([[0.9, 0.95, 0.8]])
+        assert rank_from_scores(scores, gold=[0], filtered=[[1]]).tolist() == [1]
 
     def test_gold_highest(self):
-        scores = np.array([0.99, 0.95, 0.8])
-        assert rank_from_scores(scores, gold=0) == 1
+        scores = np.array([[0.99, 0.95, 0.8]])
+        assert rank_from_scores(scores, gold=[0]).tolist() == [1]
 
     def test_gold_never_filtered_out(self):
-        scores = np.array([0.9, 0.95])
+        scores = np.array([[0.9, 0.95]])
         # Filtering the gold itself must not change its rank.
-        assert rank_from_scores(scores, gold=0, filtered=[0, 1]) == 1
+        assert rank_from_scores(scores, gold=[0], filtered=[[0, 1]]).tolist() == [1]
 
     def test_ties_rank_optimistically(self):
-        scores = np.array([0.5, 0.5, 0.5, 0.9])
-        assert rank_from_scores(scores, gold=0) == 2
+        scores = np.array([[0.5, 0.5, 0.5, 0.9]])
+        assert rank_from_scores(scores, gold=[0]).tolist() == [2]
 
     def test_invariant_under_monotone_transforms(self, rng):
         for _ in range(50):
-            scores = rng.normal(size=30)
-            gold = int(rng.integers(30))
-            filtered = rng.choice(30, size=5, replace=False).tolist()
-            base = rank_from_scores(scores, gold, filtered)
-            assert rank_from_scores(3.0 * scores + 1.0, gold, filtered) == base
-            assert rank_from_scores(np.exp(scores), gold, filtered) == base
+            scores = rng.normal(size=(1, 30))
+            gold = [int(rng.integers(30))]
+            filtered = [rng.choice(30, size=5, replace=False).tolist()]
+            base = rank_from_scores(scores, gold, filtered).tolist()
+            assert rank_from_scores(3.0 * scores + 1.0, gold, filtered).tolist() == base
+            assert rank_from_scores(np.exp(scores), gold, filtered).tolist() == base
+
+    def test_rows_rank_independently(self):
+        scores = np.array([
+            [0.9, 0.95, 0.8, 0.99],
+            [0.9, 0.95, 0.8, 0.99],
+            [0.1, 0.2, 0.3, 0.4],
+        ])
+        before = scores.copy()
+        ranks = rank_from_scores(scores, [0, 2, 3], [{1}, {0, 2}, set()])
+        assert ranks.tolist() == [2, 3, 1]
+        np.testing.assert_array_equal(scores, before)
 
 
 class TestFilteredRank:
@@ -105,9 +116,10 @@ class TestEvaluate:
 
         ranks = {"head": 2, "tail": 1}
         monkeypatch.setattr(
-            evaluation, "filtered_rank", lambda p, t, side, k: ranks[side]
+            evaluation, "_filtered_ranks", lambda p, t, side, k: np.full(len(t), ranks[side])
         )
-        result = evaluation.evaluate(None, [Triple(0, 0, 1)], KnownIndex())
+        params = init_params(2, 1, 1, seed=0)
+        result = evaluation.evaluate(params, [Triple(0, 0, 1)], KnownIndex())
         assert result.mrr == pytest.approx(0.75)
         assert result.hits[1] == pytest.approx(0.5)
         assert result.hits[3] == pytest.approx(1.0)
@@ -117,8 +129,9 @@ class TestEvaluate:
     def test_all_rank_one(self, monkeypatch):
         import kgec.evaluation as evaluation
 
-        monkeypatch.setattr(evaluation, "filtered_rank", lambda p, t, side, k: 1)
-        result = evaluation.evaluate(None, [Triple(0, 0, 1)] * 4, KnownIndex())
+        monkeypatch.setattr(evaluation, "_filtered_ranks", lambda p, t, side, k: np.ones(len(t)))
+        params = init_params(2, 1, 1, seed=0)
+        result = evaluation.evaluate(params, [Triple(0, 0, 1)] * 4, KnownIndex())
         assert result.mrr == 1.0
         assert all(v == 1.0 for v in result.hits.values())
 
@@ -143,6 +156,28 @@ class TestEvaluate:
         threaded = evaluate(params, dataset.test, known, workers=4)
         assert sequential.per_triple == threaded.per_triple
         assert sequential.mrr == threaded.mrr
+
+    def test_chunks_match_oracle(self, monkeypatch):
+        import kgec.evaluation as evaluation
+
+        n = 16
+        dataset = random_dataset(n, 3, 40, 5, 10, seed=16)
+        params = init_params(n, 3, 4, seed=17)
+        # Test triples 3 and 4 fall in the same chunk and share (rel, tail).
+        h, r, t = dataset.test[3]
+        test = dataset.test[:4] + [Triple((h + 1) % n, r, t)] + dataset.test[4:]
+        known = build_known_index(dataset)
+        for triple in test:
+            known.add(triple)
+        # Three test triples per chunk, so the test set spans several chunks.
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", 3 * n * 8)
+        result = evaluate(params, test, known, workers=3)
+        expected = [
+            (oracle_filtered_rank(params, triple, "head", known),
+             oracle_filtered_rank(params, triple, "tail", known))
+            for triple in test
+        ]
+        assert result.per_triple == expected
 
 
 class TestPairedTTest:

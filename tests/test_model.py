@@ -74,6 +74,12 @@ class TestScore:
             score_triple(params, (0, 2, 0))
         with pytest.raises(IndexError):
             score_triple(params, (0, 0, -1))
+        with pytest.raises(IndexError):
+            score_all_heads(params, np.array([0, 1]), np.array([0, -1]))
+        with pytest.raises(IndexError):
+            score_all_tails(params, np.array([0, 3]), np.array([0, 1]))
+        with pytest.raises(IndexError):
+            score_all_tails(params, np.array([0, 1]), np.array([2, 0]))
 
     def test_batch_and_candidate_scorers_agree(self, rng):
         params = init_params(9, 4, 6, seed=3)
@@ -90,6 +96,9 @@ class TestScore:
             assert score_all_tails(params, heads[i], rels[i])[tails[i]] == pytest.approx(
                 single, abs=1e-12
             )
+        rows = np.arange(30)
+        np.testing.assert_allclose(score_all_heads(params, rels, tails)[rows, heads], batch, atol=1e-12)
+        np.testing.assert_allclose(score_all_tails(params, heads, rels)[rows, tails], batch, atol=1e-12)
 
     def test_score_is_affine_in_each_component_row(self, rng):
         params = init_params(5, 2, 4, seed=8)
@@ -254,6 +263,31 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [1, 36 * 8 + 10])
+    def test_truncated_file_names_it(self, tmp_path, cut):
+        # Cut one byte, or all 36 values and part of the header.
+        path = tmp_path / "model.kgec"
+        save_checkpoint(init_params(4, 2, 3, seed=1), path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match="model.kgec.*truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_byte_is_rejected(self, tmp_path):
+        path = tmp_path / "model.kgec"
+        save_checkpoint(init_params(4, 2, 3, seed=1), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="model.kgec.*trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_rejected(self, tmp_path, value):
+        params = init_params(4, 2, 3, seed=1)
+        params.im_r[1, 2] = value
+        path = tmp_path / "model.kgec"
+        save_checkpoint(params, path)
+        with pytest.raises(ValueError, match="model.kgec.*NaN or infinite"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("bits, dtype", [(64, "<f8"), (32, "<f4")])

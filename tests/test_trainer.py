@@ -331,6 +331,7 @@ class TestTrain:
         assert breakdown.l2 == pytest.approx(
             l2_term(params, range(5), range(3)), abs=1e-12
         )
+        assert breakdown.l2 == l2_term(params, range(5), range(3))
 
         examples = [
             TrainingExample(Triple(int(h), int(r), int(t)), int(y))
