@@ -34,7 +34,7 @@ from .evaluation import (
     write_metrics_csv,
     write_rank_dump,
 )
-from .manifest import RunManifest
+from .manifest import RunManifest, atomic_write
 from .mining import classify_pairs, mine_entailments, write_rules
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, parse_config, train, write_config, write_training_log
@@ -113,16 +113,8 @@ def _write_outputs(dataset, config, params, log, out_dir, precision):
 
 def _write_grid_state(state, path):
     """Replace the grid state file atomically: a crash leaves the old one."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, indent=2, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, encoding="utf-8") as fh:
+        json.dump(state, fh, indent=2, sort_keys=True)
 
 
 def _grid_configs(base: TrainConfig, grid: dict) -> list[TrainConfig]:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import stats
 
 from .data import KnownIndex, Triple
-from .model import ModelParams, score_all_heads, score_all_tails
+from .model import ModelParams, _check_ids, score_all_heads, score_all_tails
 
 # Size of one chunk's score matrix; its row count follows from the entity count.
 _CHUNK_BYTES = 32 * 2**20
@@ -68,9 +68,11 @@ def _filtered_ranks(
     corrupting ``side``: one scoring call and one ranking call."""
     heads, rels, tails = triples.T
     if side == "head":
+        _check_ids(heads, params.n_entities, "entity")
         filtered = [known.heads(r, t) for r, t in zip(rels.tolist(), tails.tolist())]
         return rank_from_scores(score_all_heads(params, rels, tails), heads, filtered)
     if side == "tail":
+        _check_ids(tails, params.n_entities, "entity")
         filtered = [known.tails(h, r) for h, r in zip(heads.tolist(), rels.tolist())]
         return rank_from_scores(score_all_tails(params, heads, rels), tails, filtered)
     raise ValueError(f"side must be 'head' or 'tail', got {side!r}")

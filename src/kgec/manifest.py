@@ -1,13 +1,35 @@
 """Run manifests: a JSON snapshot of everything needed to reproduce a run,
-written before the run starts."""
+written before the run starts; and atomic replacement of run output files."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
+    """Open ``<path>.tmp`` for writing, then fsync it and move it onto ``path``.
+
+    If the body raises, the temp file is deleted and ``path`` keeps its old
+    content, so a crash never leaves a truncated output behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def sha256_file(path: str | Path) -> str:

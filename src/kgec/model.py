@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .manifest import atomic_write
+
 CHECKPOINT_MAGIC = b"KGEC1"
 _HEADER = struct.Struct("<4I")  # n, m, d, precision bits
 
@@ -116,19 +118,19 @@ def init_params(n: int, m: int, d: int, seed: int) -> ModelParams:
     return ModelParams(_from_parts(re_e, im_e), _from_parts(re_r, im_r))
 
 
-def head_partial(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+def head_partial(r: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Partial of the score with respect to the head: conj(r) * t."""
-    return np.conj(r) * t
+    return np.multiply(np.conj(r), t, out=out)
 
 
-def tail_partial(h: np.ndarray, r: np.ndarray) -> np.ndarray:
+def tail_partial(h: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Partial of the score with respect to the tail: h * r."""
-    return h * r
+    return np.multiply(h, r, out=out)
 
 
-def rel_partial(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+def rel_partial(h: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Partial of the score with respect to the relation: conj(h) * t."""
-    return np.conj(h) * t
+    return np.multiply(np.conj(h), t, out=out)
 
 
 def real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -233,7 +235,7 @@ def save_checkpoint(
         raise ValueError(f"unsupported parameter dtype {params.re_e.dtype}")
     dtype = _PRECISION_DTYPES[precision]
     path = Path(path)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(_HEADER.pack(params.n_entities, params.n_relations, params.d, precision))
         for block in (params.re_e, params.im_e, params.re_r, params.im_r):
@@ -244,7 +246,7 @@ def save_checkpoint(
         "entity_vocab": entity_vocab_path,
         "relation_vocab": relation_vocab_path,
     }
-    with open(str(path) + ".manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_write(str(path) + ".manifest.json", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
 

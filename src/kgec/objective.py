@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 from .data import Entailment, Triple
@@ -222,27 +223,33 @@ def loss_and_gradient_arrays(
     logistic and entailment terms alone.
     """
     rules = pack_entailments(ents)
-    ent_ids = np.unique(np.concatenate([heads, tails]))
-    rel_ids = np.unique(np.concatenate([rels, rules.premise, rules.conclusion]))
-    g_ent = np.zeros((ent_ids.size, params.d), dtype=params.ent.dtype)
-    g_rel = np.zeros((rel_ids.size, params.d), dtype=params.rel.dtype)
+    b = heads.size
+    ent_ids, ent_pos = np.unique(np.concatenate([heads, tails]), return_inverse=True)
+    rel_ids, rel_pos = np.unique(
+        np.concatenate([rels, rules.premise, rules.conclusion]), return_inverse=True
+    )
 
     h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
-    d_rel = rel_partial(h, t)
+    # Relation rows: the data partials, then the rule rows in the
+    # [premise, conclusion] order of rule_penalty, as rel_pos has them.
+    rel_rows = np.empty((rel_pos.size, params.d), dtype=params.rel.dtype)
+    d_rel = rel_partial(h, t, out=rel_rows[:b])
     z = -labels * real_dot(r, d_rel)
     logistic = float(softplus(z).sum())
     dphi = (-labels * expit(z))[:, None]
-    for g, ids, rows, partial in (
-        (g_ent, ent_ids, heads, head_partial(r, t)),
-        (g_ent, ent_ids, tails, tail_partial(h, r)),
-        (g_rel, rel_ids, rels, d_rel),
-    ):
-        grad_rows = real_view(partial)
-        grad_rows *= dphi
-        np.add.at(real_view(g), np.searchsorted(ids, rows), grad_rows)
+    # Entity rows: head partials, then tail partials.
+    ent_rows = np.empty((2 * b, params.d), dtype=params.ent.dtype)
+    head_partial(r, t, out=ent_rows[:b])
+    tail_partial(h, r, out=ent_rows[b:])
+    del h, r, t
+    for block in (real_view(ent_rows).reshape(2, b, 2 * params.d), real_view(d_rel)):
+        block *= dphi
 
-    penalty, rule_ids, rule_grads = rule_penalty(params.rel, rules)
-    np.add.at(g_rel, np.searchsorted(rel_ids, rule_ids), mu * rule_grads)
+    penalty, _, rule_grads = rule_penalty(params.rel, rules)
+    np.multiply(mu, rule_grads, out=rel_rows[b:])
+    g_ent = _segment_sum(ent_pos, ent_rows, ent_ids.size)
+    g_rel = _segment_sum(rel_pos, rel_rows, rel_ids.size)
+    del ent_rows, rel_rows, d_rel
 
     ent_rows, rel_rows = params.ent[ent_ids], params.rel[rel_ids]
     l2 = _sq_norm(ent_rows) + _sq_norm(rel_rows)
@@ -257,3 +264,17 @@ def loss_and_gradient_arrays(
         total=logistic + mu * penalty + eta * l2,
     )
     return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel)
+
+
+def _segment_sum(pos: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """Complex (size, d) sums ``out[k] = sum(rows[pos == k])``.
+
+    One product of a one-hot CSR matrix with the real view of ``rows``. Each
+    output row adds its terms in the order of ``rows``, as ``np.add.at``
+    does on a zeroed array, so the sums are the same to the bit.
+    """
+    real = real_view(rows)
+    one_hot = sparse.csr_array(
+        (np.ones(pos.size, real.dtype), (pos, np.arange(pos.size))), shape=(size, pos.size)
+    )
+    return (one_hot @ real).view(rows.dtype)

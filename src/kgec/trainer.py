@@ -17,11 +17,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset, Entailment, Triple, build_known_index
-from .model import ModelParams, init_params, project_entities, real_view
+from .manifest import atomic_write
+from .model import ModelParams, init_params, real_view
 from .objective import (
     LossBreakdown,
     SparseGrads,
-    TrainingExample,
     _sq_norm,
     loss_and_gradient_arrays,
     pack_entailments,
@@ -141,56 +141,37 @@ def adagrad_step(
     grads: SparseGrads,
     state: AdaGradState,
     lr: float,
+    project: bool = False,
 ) -> None:
     """Apply one sparse AdaGrad update in place.
 
     For each touched entry: accumulator += g**2, then
-    param -= lr * g / (sqrt(accumulator) + epsilon).
+    param -= lr * g / (sqrt(accumulator) + epsilon). With ``project`` the
+    updated entity rows are clamped into [0, 1] before they are written back,
+    which equals :func:`project_entities` on the touched rows afterwards.
     """
     eps = state.epsilon
     updates = (
-        (grads.ent_ids, grads.ent, params.ent, state.acc_ent),
-        (grads.rel_ids, grads.rel, params.rel, state.acc_rel),
+        (grads.ent_ids, grads.ent, params.ent, state.acc_ent, project),
+        (grads.rel_ids, grads.rel, params.rel, state.acc_rel, False),
     )
-    for ids, grad, param, acc in updates:
+    for ids, grad, param, acc, clamp in updates:
         if ids.size == 0:
             continue
         grad = real_view(grad)
-        acc_rows = acc[ids]
-        acc_rows += grad * grad
-        acc[ids] = acc_rows
-        np.sqrt(acc_rows, out=acc_rows)
-        acc_rows += eps
-        step = grad / acc_rows
+        step = acc[ids]
+        step += grad * grad
+        acc[ids] = step
+        np.sqrt(step, out=step)
+        step += eps
+        np.divide(grad, step, out=step)
         step *= lr
-        real_view(param)[ids] -= step
-
-
-def sample_negatives(
-    positive: Triple,
-    k: int,
-    n: int,
-    rng: np.random.Generator,
-) -> list[TrainingExample]:
-    """Draw ``k`` corrupted variants of ``positive`` with label -1.
-
-    Each negative replaces exactly one of head/tail (side chosen uniformly
-    per sample) by a uniform random entity id different from the original.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    heads, rels, tails = _corrupt_batch(
-        np.asarray([positive.head]),
-        np.asarray([positive.rel]),
-        np.asarray([positive.tail]),
-        k,
-        n,
-        rng,
-    )
-    return [
-        TrainingExample(Triple(int(h), int(r), int(t)), -1)
-        for h, r, t in zip(heads, rels, tails)
-    ]
+        param = real_view(param)
+        rows = param[ids]
+        rows -= step
+        if clamp:
+            np.clip(rows, 0.0, 1.0, out=rows)
+        param[ids] = rows
 
 
 def _corrupt_batch(
@@ -257,7 +238,7 @@ class EpochStats:
 
 def write_training_log(log: Sequence[EpochStats], path: str | Path) -> None:
     """Write the per-epoch log as CSV (valid_mrr empty when not evaluated)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "logistic", "penalty", "l2", "total", "valid_mrr"])
         for row in log:
@@ -282,8 +263,8 @@ def train(
     """Run the constrained training loop.
 
     Per step: sample ``neg_ratio`` negatives per positive, compute the batch
-    loss and sparse gradient, cap the gradient's global norm, apply AdaGrad,
-    then project the touched entity rows back into the box (unless projection
+    loss and sparse gradient, cap the gradient's global norm, apply AdaGrad
+    and clamp the touched entity rows back into the box (unless projection
     is disabled). Filtered MRR on the validation split is computed every
     ``eval_every`` epochs and the best-scoring parameters are kept; without a
     validation split the final parameters are returned.
@@ -291,8 +272,10 @@ def train(
     ``on_step(params, epoch, batch_index)`` is invoked after each update,
     mainly for tests and diagnostics.
 
-    Raises ``RuntimeError`` naming the offending epoch/batch if the loss
-    turns non-finite.
+    Raises ``RuntimeError`` naming the offending epoch/batch, before any
+    update, if the loss or the gradient norm turns non-finite. A finite
+    gradient moves each entry by at most ``lr`` per step, so the parameters
+    then stay finite too.
     """
     from .evaluation import evaluate  # local import to avoid a module cycle
 
@@ -344,10 +327,12 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}: "
                     f"{breakdown}"
                 )
-            grads.clip_global_norm_(config.grad_norm_cap)
-            adagrad_step(params, grads, state, config.lr)
-            if config.project:
-                project_entities(params, rows=grads.ent_ids)
+            norm = grads.clip_global_norm_(config.grad_norm_cap)
+            if not np.isfinite(norm):
+                raise RuntimeError(
+                    f"non-finite gradient norm {norm} at epoch {epoch}, batch {batch_index}"
+                )
+            adagrad_step(params, grads, state, config.lr, config.project)
             if on_step is not None:
                 on_step(params, epoch, batch_index)
             sums += (

@@ -1,13 +1,29 @@
 """Independent brute-force oracles used to cross-check the implementation.
 
-Everything here recomputes results from first principles (complex arithmetic,
-explicit enumeration, sorting, grid search) and deliberately avoids the code
-paths under test.
+The oracles recompute results from first principles (complex arithmetic,
+explicit enumeration, sorting, grid search) and deliberately avoid the code
+paths under test. The last two functions are reference forms of training
+code: the list API of negative sampling, and the gradient scattered with
+``np.add.at`` that the training kernel replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
+
+from kgec.data import Triple
+from kgec.model import real_dot, real_view
+from kgec.objective import (
+    LossBreakdown,
+    SparseGrads,
+    TrainingExample,
+    _sq_norm,
+    pack_entailments,
+    rule_penalty,
+    softplus,
+)
+from kgec.trainer import _corrupt_batch
 
 
 def oracle_score(params, head: int, rel: int, tail: int) -> float:
@@ -115,3 +131,68 @@ def central_difference(loss_fn, matrix, row: int, col: int, h: float = 1e-6) -> 
     f_minus = loss_fn()
     matrix[row, col] = original
     return (f_plus - f_minus) / (2.0 * h)
+
+
+def sample_negatives(positive, k: int, n: int, rng):
+    """Draw ``k`` corrupted variants of ``positive`` as -1 training examples.
+
+    A list-form wrapper of the trainer's batched corruption: each negative
+    replaces exactly one of head/tail (side chosen uniformly per sample) by a
+    uniform random entity id different from the original.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    heads, rels, tails = _corrupt_batch(
+        np.asarray([positive.head]),
+        np.asarray([positive.rel]),
+        np.asarray([positive.tail]),
+        k,
+        n,
+        rng,
+    )
+    return [
+        TrainingExample(Triple(int(h), int(r), int(t)), -1)
+        for h, r, t in zip(heads, rels, tails)
+    ]
+
+
+def oracle_scatter_gradients(params, heads, rels, tails, labels, rules, mu: float, eta: float):
+    """Reference form of ``loss_and_gradient_arrays``: every gradient term is
+    scattered into its row with ``np.add.at`` at the ``searchsorted`` position
+    of its id, data terms first (heads, tails, relations), then the rules."""
+    rules = pack_entailments(rules)
+    ent_ids = np.unique(np.concatenate([heads, tails]))
+    rel_ids = np.unique(np.concatenate([rels, rules.premise, rules.conclusion]))
+    g_ent = np.zeros((ent_ids.size, params.d), dtype=params.ent.dtype)
+    g_rel = np.zeros((rel_ids.size, params.d), dtype=params.rel.dtype)
+
+    h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
+    d_rel = np.conj(h) * t
+    z = -labels * real_dot(r, d_rel)
+    logistic = float(softplus(z).sum())
+    dphi = (-labels * expit(z))[:, None]
+    for g, ids, rows, partial in (
+        (g_ent, ent_ids, heads, np.conj(r) * t),
+        (g_ent, ent_ids, tails, h * r),
+        (g_rel, rel_ids, rels, d_rel),
+    ):
+        grad_rows = real_view(partial)
+        grad_rows *= dphi
+        np.add.at(real_view(g), np.searchsorted(ids, rows), grad_rows)
+
+    penalty, rule_ids, rule_grads = rule_penalty(params.rel, rules)
+    np.add.at(g_rel, np.searchsorted(rel_ids, rule_ids), mu * rule_grads)
+
+    ent_rows, rel_rows = params.ent[ent_ids], params.rel[rel_ids]
+    l2 = _sq_norm(ent_rows) + _sq_norm(rel_rows)
+    if eta != 0.0:
+        g_ent += 2.0 * eta * ent_rows
+        g_rel += 2.0 * eta * rel_rows
+
+    breakdown = LossBreakdown(
+        logistic=logistic,
+        entailment_penalty=penalty,
+        l2=l2,
+        total=logistic + mu * penalty + eta * l2,
+    )
+    return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel)

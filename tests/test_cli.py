@@ -9,6 +9,7 @@ from kgec.cli import main
 from kgec.data import Triple, write_triples
 from kgec.manifest import RunManifest, sha256_file
 from kgec.model import init_params, load_checkpoint, save_checkpoint
+from kgec.trainer import EpochStats, write_training_log
 
 from conftest import make_vocab
 
@@ -274,6 +275,57 @@ def test_grid_state_survives_a_crash_during_write(data_dir, config_file, tmp_pat
     assert main(argv) == 0
     assert len(calls) == 1
     assert len(json.loads((out / "grid_state.json").read_text())) == 2
+
+
+class _Crash(Exception):
+    pass
+
+
+def _crash_in_checkpoint(params, path, monkeypatch):
+    class Exploding(type(params)):
+        @property
+        def im_r(self):  # read after the header is written
+            raise _Crash
+
+    save_checkpoint(Exploding(params.ent, params.rel), path)
+
+
+def _crash_in_sidecar(params, path, monkeypatch):
+    import kgec.model
+
+    def crashing_dump(obj, fh, **kwargs):
+        fh.write('{\n  "partial')
+        raise _Crash
+
+    monkeypatch.setattr(kgec.model.json, "dump", crashing_dump)
+    save_checkpoint(params, path)
+
+
+def _crash_in_log(params, path, monkeypatch):
+    # The second row fails to format after the first one is written.
+    write_training_log([EpochStats(1, 1.0, 0.0, 0.5, 1.5), EpochStats(2, "bad", 0, 0, 0)], path)
+
+
+@pytest.mark.parametrize(
+    "crash, target",
+    [
+        (_crash_in_checkpoint, "ckpt.kgec"),
+        (_crash_in_sidecar, "ckpt.kgec.manifest.json"),
+        (_crash_in_log, "log.csv"),
+    ],
+    ids=["checkpoint", "sidecar", "log"],
+)
+def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch, crash, target):
+    params = init_params(4, 2, 3, seed=0)
+    save_checkpoint(params, tmp_path / "ckpt.kgec")
+    write_training_log([EpochStats(1, 2.0, 0.0, 1.0, 3.0)], tmp_path / "log.csv")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    path = tmp_path / ("log.csv" if target == "log.csv" else "ckpt.kgec")
+    with pytest.raises((_Crash, ValueError)):
+        crash(init_params(4, 2, 3, seed=1), path, monkeypatch)
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert after[target] == before[target]
+    assert not [name for name in after if name.endswith(".tmp")]
 
 
 def test_workers_env_fallback(monkeypatch):

@@ -109,6 +109,14 @@ class TestFilteredRank:
         with pytest.raises(ValueError):
             filtered_rank(params, Triple(0, 0, 1), "both", KnownIndex())
 
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    @pytest.mark.parametrize("gold", [-1, 5])
+    def test_out_of_range_gold_id(self, side, gold):
+        # A negative id would otherwise index the last entity and rank it.
+        triple = (gold, 0, 1) if side == "head" else (1, 0, gold)
+        with pytest.raises(IndexError, match="entity id"):
+            filtered_rank(init_params(5, 1, 3, seed=0), triple, side, KnownIndex())
+
 
 class TestEvaluate:
     def test_aggregation_arithmetic(self, monkeypatch):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgec.data import Entailment, Triple
 from kgec.model import ModelParams, init_params
@@ -11,10 +13,12 @@ from kgec.objective import (
     l2_term,
     logistic_term,
     loss_and_gradient,
+    loss_and_gradient_arrays,
     softplus,
 )
+from kgec.trainer import _with_full_l2
 
-from oracles import central_difference, slack_grid_minimum
+from oracles import central_difference, oracle_scatter_gradients, slack_grid_minimum
 
 
 def zero_params(n=2, m=1, d=2) -> ModelParams:
@@ -269,3 +273,43 @@ class TestLossAndGradient:
             )
             assert closed <= grid + 1e-12
             assert abs(closed - grid) <= 8 * 1e-3
+
+
+@st.composite
+def kernel_instances(draw):
+    """Small batches over few ids (so ids repeat), with 0-5 rules."""
+    n, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    b = draw(st.integers(0, 30))
+
+    def ids(count):
+        return np.array(draw(st.lists(st.integers(0, count - 1), min_size=b, max_size=b)), np.int64)
+
+    heads, rels, tails = ids(n), ids(m), ids(n)
+    labels = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=b, max_size=b)))
+    rule = st.tuples(
+        st.integers(0, m - 1), st.booleans(), st.integers(0, m - 1), st.floats(0.05, 1.0)
+    ).filter(lambda x: x[1] or x[0] != x[2])
+    rules = [Entailment(*x) for x in draw(st.lists(rule, max_size=5))]
+    params = init_params(n, m, d, seed=draw(st.integers(0, 2**31 - 1)))
+    params.ent[:] *= 1.5  # some entries outside the box
+    mu = draw(st.sampled_from([0.0, 0.1, 10.0]))
+    eta = draw(st.sampled_from([0.0, 0.03]))
+    return params, (heads, rels, tails, labels, rules, mu, eta), draw(st.booleans())
+
+
+class TestScatterKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_instances())
+    def test_matches_scatter_oracle_exactly(self, instance):
+        params, args, l2_full = instance
+        results = []
+        for kernel in (loss_and_gradient_arrays, oracle_scatter_gradients):
+            if l2_full:
+                eta = args[-1]
+                results.append(_with_full_l2(params, *kernel(params, *args[:-1], 0.0), eta))
+            else:
+                results.append(kernel(params, *args))
+        (got_loss, got), (want_loss, want) = results
+        assert got_loss == want_loss
+        for name in ("ent_ids", "ent", "rel_ids", "rel"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kgec.data import Dataset, Entailment, Triple
-from kgec.model import init_params, score_batch
+from kgec.model import init_params, project_entities, score_batch
 from kgec.objective import (
     SparseGrads,
     TrainingExample,
@@ -21,7 +21,6 @@ from kgec.trainer import (
     adagrad_step,
     make_batches,
     parse_config,
-    sample_negatives,
     train,
     write_config,
     write_training_log,
@@ -30,6 +29,7 @@ from kgec.evaluation import evaluate
 from kgec.data import build_known_index
 
 from conftest import make_vocab
+from oracles import sample_negatives
 
 
 def tiny_kg(n_entities=8, n_relations=2, n_triples=20, seed=0) -> Dataset:
@@ -149,6 +149,27 @@ class TestAdagradStep:
             adagrad_step(params, grads, state, lr=0.05)
             assert np.all(state.acc_ent >= previous)
             previous = state.acc_ent.copy()
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fused_clamp_equals_projection_after_the_step(self, seed):
+        rng = np.random.default_rng(seed)
+        fused = init_params(6, 3, 4, seed=seed)
+        state = AdaGradState.zeros_like(fused)
+        state.acc_ent[:] = rng.uniform(0.0, 0.1, size=state.acc_ent.shape)
+        separate = fused.copy()
+        separate_state = AdaGradState(state.acc_ent.copy(), state.acc_rel.copy())
+        ent_ids, rel_ids = np.array([0, 2, 3, 5]), np.array([1, 2])
+        normal = lambda rows: rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4))
+        grads = SparseGrads(ent_ids, normal(4), rel_ids, normal(2))
+        adagrad_step(fused, grads, state, lr=0.5, project=True)
+        adagrad_step(separate, grads, separate_state, lr=0.5)
+        project_entities(separate, rows=ent_ids)
+        assert (fused.re_e == 0.0).any() and (fused.re_e == 1.0).any()
+        np.testing.assert_array_equal(fused.ent, separate.ent)
+        np.testing.assert_array_equal(fused.rel, separate.rel)
+        np.testing.assert_array_equal(state.acc_ent, separate_state.acc_ent)
+        np.testing.assert_array_equal(state.acc_rel, separate_state.acc_rel)
 
 
 class TestGradNormCap:
@@ -304,6 +325,27 @@ class TestTrain:
         config = fast_config(max_iters=3, lr=1e200, eta=0.01)
         with pytest.raises(RuntimeError, match="epoch"):
             train(dataset, [], config)
+
+    def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
+        import kgec.trainer
+
+        real = kgec.trainer.loss_and_gradient_arrays
+        seen = []
+
+        def poisoned(params, *args):
+            breakdown, grads = real(params, *args)
+            seen.append((params, params.copy()))
+            if len(seen) == 4:  # epoch 2, batch 1
+                grads.ent[0, 0] = np.nan
+            return breakdown, grads
+
+        monkeypatch.setattr(kgec.trainer, "loss_and_gradient_arrays", poisoned)
+        with pytest.raises(RuntimeError, match="epoch 2, batch 1"):
+            train(tiny_kg(), [], fast_config(max_iters=3, n_batches=2))
+        params, before = seen[-1]
+        assert len(seen) == 4
+        np.testing.assert_array_equal(params.ent, before.ent)
+        np.testing.assert_array_equal(params.rel, before.rel)
 
     def test_rejects_entailment_with_unknown_relation(self):
         dataset = tiny_kg(n_relations=2)
