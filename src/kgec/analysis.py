@@ -8,7 +8,6 @@ entropies use the natural log (declared in output headers).
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -17,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import IdMap, Vocab, VocabularyError
+from .data import IdMap, Vocab, VocabularyError, read_tsv
+from .manifest import write_csv
 from .model import ModelParams
 
 logger = logging.getLogger(__name__)
@@ -47,25 +47,13 @@ def load_type_labels(path: str | Path, vocab: Vocab) -> TypeLabels:
     labels: dict[int, int] = {}
     type_names = IdMap()
     skipped = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line.endswith("\r"):
-                line = line[:-1]
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
-                )
-            entity_name, type_name = fields
-            try:
-                entity = vocab.entities.id(entity_name)
-            except VocabularyError:
-                skipped += 1
-                continue
-            labels[entity] = type_names.add(type_name)
+    for _, (entity_name, type_name) in read_tsv(path, 2):
+        try:
+            entity = vocab.entities.id(entity_name)
+        except VocabularyError:
+            skipped += 1
+            continue
+        labels[entity] = type_names.add(type_name)
     if skipped:
         logger.warning("skipped %d type labels for entities not in the vocabulary", skipped)
     return TypeLabels(labels, type_names)
@@ -82,12 +70,16 @@ def minmax_normalize(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def shannon_entropy(counts: Sequence[int]) -> float:
-    """Natural-log entropy of a count distribution."""
+def shannon_entropy(counts: Sequence[int] | np.ndarray) -> float | np.ndarray:
+    """Natural-log entropy of a count distribution, or of each row of a
+    count matrix."""
     counts = np.asarray(counts, dtype=float)
-    total = counts.sum()
-    p = counts[counts > 0] / total
-    return float(-(p * np.log(p)).sum())
+    seen = counts > 0
+    total = counts.sum(axis=-1, keepdims=True)
+    p = np.divide(counts, total, out=np.zeros_like(counts), where=seen)
+    log_p = np.log(p, out=np.zeros_like(p), where=seen)
+    entropy = -(p * log_p).sum(axis=-1)
+    return float(entropy) if entropy.ndim == 0 else entropy
 
 
 @dataclass
@@ -97,53 +89,54 @@ class PurityCurve:
     points: list[tuple[float, float]]
 
 
-def dimension_purity(
-    component: np.ndarray,
-    labels: TypeLabels,
-    k_percent: float,
-) -> tuple[float, float]:
-    """Mean type entropy across dimensions at one top-K percentage.
-
-    For each dimension, the ceil(K/100 * n_labeled) labeled entities with the
-    highest activation are selected (ties broken toward the lower entity id)
-    and the natural-log entropy of their type distribution is computed; the
-    mean over dimensions is returned as a (K, entropy) point. Low entropy
-    means the dimension is semantically pure.
-    """
-    if not 0.0 < k_percent <= 100.0:
-        raise ValueError(f"k_percent must lie in (0, 100], got {k_percent}")
-    if labels.n_labeled == 0:
-        raise ValueError("no labeled entities")
-    labeled_ids = np.asarray(sorted(labels.labels), dtype=np.int64)
-    type_ids = np.asarray([labels.labels[i] for i in labeled_ids], dtype=np.int64)
-    k = math.ceil(k_percent / 100.0 * labeled_ids.size)
-
-    activations = np.asarray(component, dtype=float)[labeled_ids, :]
-    n_types = labels.n_types
-    entropies = np.empty(activations.shape[1])
-    for dim in range(activations.shape[1]):
-        # lexsort: last key is primary -> descending activation, then id.
-        order = np.lexsort((labeled_ids, -activations[:, dim]))
-        top_types = type_ids[order[:k]]
-        entropies[dim] = shannon_entropy(np.bincount(top_types, minlength=n_types))
-    return (k_percent, float(entropies.mean()))
-
-
 def purity_curve(
     component: np.ndarray,
     labels: TypeLabels,
     k_percents: Sequence[float] = (1, 2, 5, 10, 20, 50, 100),
 ) -> PurityCurve:
-    """Purity entropy swept over several top-K percentages."""
-    return PurityCurve([dimension_purity(component, labels, k) for k in k_percents])
+    """Mean type entropy across dimensions at each top-K percentage.
+
+    For each dimension, the ceil(K/100 * n_labeled) labeled entities with the
+    highest activation are selected (ties broken toward the lower entity id)
+    and the natural-log entropy of their type distribution is computed; the
+    mean over dimensions is the (K, entropy) point. Low entropy means the
+    dimension is semantically pure.
+    """
+    for k_percent in k_percents:
+        if not 0.0 < k_percent <= 100.0:
+            raise ValueError(f"k_percent must lie in (0, 100], got {k_percent}")
+    if labels.n_labeled == 0:
+        raise ValueError("no labeled entities")
+    labeled_ids = np.asarray(sorted(labels.labels), dtype=np.int64)
+    type_ids = np.asarray([labels.labels[i] for i in labeled_ids], dtype=np.int64)
+    activations = np.asarray(component, dtype=float)[labeled_ids, :]
+    n_dims, n_types = activations.shape[1], labels.n_types
+    # One stable sort per column: rows are in ascending id, so ties keep the
+    # lower id first. Row i of `ranked` holds each dimension's i-th type,
+    # offset by n_types * dim so one bincount counts every dimension.
+    order = np.argsort(-activations, axis=0, kind="stable")
+    ranked = type_ids[order] + n_types * np.arange(n_dims)
+    points = []
+    for k_percent in k_percents:
+        k = math.ceil(k_percent / 100.0 * labeled_ids.size)
+        counts = np.bincount(ranked[:k].ravel(), minlength=n_dims * n_types)
+        entropies = shannon_entropy(counts.reshape(n_dims, n_types))
+        points.append((k_percent, float(entropies.mean())))
+    return PurityCurve(points)
+
+
+def dimension_purity(
+    component: np.ndarray,
+    labels: TypeLabels,
+    k_percent: float,
+) -> tuple[float, float]:
+    """The (K, mean entropy) point of :func:`purity_curve` at one K."""
+    return purity_curve(component, labels, (k_percent,)).points[0]
 
 
 def write_purity_csv(curve: PurityCurve, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k_percent", "mean_entropy_nats"])
-        for k, entropy in curve.points:
-            writer.writerow([f"{k:g}", f"{entropy:.6f}"])
+    rows = ([f"{k:g}", f"{entropy:.6f}"] for k, entropy in curve.points)
+    write_csv(path, ["k_percent", "mean_entropy_nats"], rows)
 
 
 def activation_heatmap(component: np.ndarray, entity_ids: Sequence[int]) -> np.ndarray:
@@ -155,11 +148,9 @@ def write_heatmap_csv(
     matrix: np.ndarray, row_names: Sequence[str], path: str | Path
 ) -> None:
     """Matrix of normalized activations; rows are entities, columns dimensions."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity"] + [f"dim_{j}" for j in range(matrix.shape[1])])
-        for name, row in zip(row_names, matrix):
-            writer.writerow([name] + [f"{v:.6f}" for v in row])
+    header = ["entity"] + [f"dim_{j}" for j in range(matrix.shape[1])]
+    rows = ([name] + [f"{v:.6f}" for v in row] for name, row in zip(row_names, matrix))
+    write_csv(path, header, rows)
 
 
 @dataclass
@@ -207,15 +198,13 @@ def relation_pair_diagnostic(
 def write_pair_diagnostics_csv(
     diagnostics: Sequence[PairDiagnostic], vocab: Vocab, path: str | Path
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["class", "rel_p", "rel_q", "max_abs_diff", "re_violation", "im_max_abs_diff"]
+    keys = ("max_abs_diff", "re_violation", "im_max_abs_diff")
+    rows = []
+    for diag in diagnostics:
+        p, q = diag.rels
+        values = (diag.residuals.get(key) for key in keys)
+        rows.append(
+            [diag.kind, vocab.relations.name(p), vocab.relations.name(q)]
+            + ["" if value is None else f"{value:.6f}" for value in values]
         )
-        for diag in diagnostics:
-            p, q = diag.rels
-            row = [diag.kind, vocab.relations.name(p), vocab.relations.name(q)]
-            for key in ("max_abs_diff", "re_violation", "im_max_abs_diff"):
-                value = diag.residuals.get(key)
-                row.append("" if value is None else f"{value:.6f}")
-            writer.writerow(row)
+    write_csv(path, ["class", "rel_p", "rel_q", *keys], rows)

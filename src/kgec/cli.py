@@ -34,7 +34,7 @@ from .evaluation import (
     write_metrics_csv,
     write_rank_dump,
 )
-from .manifest import RunManifest, atomic_write
+from .manifest import RunManifest, atomic_write, read_json
 from .mining import classify_pairs, mine_entailments, write_rules
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, parse_config, train, write_config, write_training_log
@@ -111,19 +111,19 @@ def _write_outputs(dataset, config, params, log, out_dir, precision):
     write_config(config, out_dir / "config.cfg")
 
 
-def _write_grid_state(state, path):
-    """Replace the grid state file atomically: a crash leaves the old one."""
-    with atomic_write(path, encoding="utf-8") as fh:
-        json.dump(state, fh, indent=2, sort_keys=True)
-
-
-def _grid_configs(base: TrainConfig, grid: dict) -> list[TrainConfig]:
-    keys = sorted(grid)
-    configs = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        overrides = dict(zip(keys, combo))
-        configs.append(dataclasses.replace(base, **overrides))
-    return configs
+def _grid_configs(base: TrainConfig, grid: dict, source: str) -> list[TrainConfig]:
+    """Every combination of the grid's value lists over ``base``; an unknown
+    key or a bad value raises ValueError naming ``source``."""
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    try:
+        keys = sorted(grid)
+        for key in keys:
+            if key not in fields:
+                raise ValueError(f"unknown grid key {key!r}")
+        combos = itertools.product(*(grid[k] for k in keys))
+        return [dataclasses.replace(base, **dict(zip(keys, combo))) for combo in combos]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _grid_key(config: TrainConfig) -> str:
@@ -168,21 +168,16 @@ def cmd_train(args) -> int:
         return 0
 
     # Grid sweep: sequential, resumable through the state file.
-    grid = GRID
-    if args.grid_file:
-        with open(args.grid_file, "r", encoding="utf-8") as fh:
-            grid = {k: tuple(v) for k, v in json.load(fh).items()}
+    grid = read_json(args.grid_file) if args.grid_file else GRID
+    candidates = _grid_configs(config, grid, args.grid_file or "the default grid")
     out_dir.mkdir(parents=True, exist_ok=True)
     state_path = out_dir / "grid_state.json"
-    state = {}
-    if state_path.exists():
-        with open(state_path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
+    state = read_json(state_path) if state_path.exists() else {}
 
     known = build_known_index(dataset)
     best_key = max(state, key=lambda k: state[k], default=None)
     best_mrr = state.get(best_key, -np.inf) if best_key else -np.inf
-    for candidate in _grid_configs(config, grid):
+    for candidate in candidates:
         key = _grid_key(candidate)
         if key in state:
             continue
@@ -190,7 +185,8 @@ def cmd_train(args) -> int:
         mrrs = [row.valid_mrr for row in log if row.valid_mrr is not None]
         valid_mrr = max(mrrs) if mrrs else evaluate(params, dataset.valid, known).mrr
         state[key] = valid_mrr
-        _write_grid_state(state, state_path)
+        with atomic_write(state_path, encoding="utf-8") as fh:
+            json.dump(state, fh, indent=2, sort_keys=True)
         if valid_mrr > best_mrr:
             best_mrr = valid_mrr
             _write_manifest(candidate, out_dir, input_paths, args.precision)
@@ -287,7 +283,8 @@ def cmd_significance(args) -> int:
     print(text)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with atomic_write(args.out, encoding="utf-8") as fh:
+            fh.write(text + "\n")
     return 0
 
 

@@ -15,7 +15,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+from .manifest import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -32,6 +34,33 @@ class VocabularyError(ValueError):
 
 class RangeError(ValueError):
     """A numeric field falls outside its allowed range."""
+
+
+def read_tsv(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, fields)`` for each non-blank line of a TSV file.
+
+    Only the line terminator (LF or CRLF) is removed, so fields keep any
+    other whitespace. A line with another number of fields raises
+    :class:`ParseError` naming the file and line.
+    """
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.removesuffix("\n").removesuffix("\r")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise ParseError(
+                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
+                    f"got {len(fields)}"
+                )
+            yield lineno, fields
+
+
+def write_tsv(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
+    """Replace ``path`` atomically by one tab-joined line per row."""
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.writelines("\t".join(row) + "\n" for row in rows)
 
 
 class Triple(NamedTuple):
@@ -110,17 +139,14 @@ class IdMap:
 
     def save(self, path: str | Path) -> None:
         """Write one name per line; the line number is the id."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for name in self._id_to_name:
-                fh.write(name + "\n")
+        write_tsv(path, ((name,) for name in self._id_to_name))
 
     @classmethod
     def load(cls, path: str | Path) -> "IdMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            names = fh.read().split("\n")
-        if names and names[-1] == "":
-            names.pop()
-        return cls(names)
+        """Read a dump written by :meth:`save`; as in :func:`read_tsv`, only
+        the LF or CRLF terminator is removed, and a blank line is an empty name."""
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+            return cls(line.removesuffix("\n").removesuffix("\r") for line in fh)
 
 
 @dataclass
@@ -145,16 +171,6 @@ class Vocab:
     @classmethod
     def load(cls, entities_path: str | Path, relations_path: str | Path) -> "Vocab":
         return cls(IdMap.load(entities_path), IdMap.load(relations_path))
-
-
-def _split_line(line: str, path: str | Path, lineno: int, n_fields: int) -> list[str]:
-    fields = line.split("\t")
-    if len(fields) != n_fields:
-        raise ParseError(
-            f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
-            f"got {len(fields)}"
-        )
-    return fields
 
 
 def load_triples(
@@ -187,37 +203,26 @@ def load_triples(
     if vocab is None:
         vocab = Vocab()
     triples: list[Triple] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line.endswith("\r"):
-                line = line[:-1]
-            if not line:
-                continue
-            head_name, rel_name, tail_name = _split_line(line, path, lineno, 3)
-            if grow:
-                head = vocab.entities.add(head_name)
-                rel = vocab.relations.add(rel_name)
-                tail = vocab.entities.add(tail_name)
-            else:
-                try:
-                    head = vocab.entities.id(head_name)
-                    rel = vocab.relations.id(rel_name)
-                    tail = vocab.entities.id(tail_name)
-                except VocabularyError as exc:
-                    raise VocabularyError(f"{path}:{lineno}: {exc}") from None
-            triples.append(Triple(head, rel, tail))
+    for lineno, (head_name, rel_name, tail_name) in read_tsv(path, 3):
+        if grow:
+            head = vocab.entities.add(head_name)
+            rel = vocab.relations.add(rel_name)
+            tail = vocab.entities.add(tail_name)
+        else:
+            try:
+                head = vocab.entities.id(head_name)
+                rel = vocab.relations.id(rel_name)
+                tail = vocab.entities.id(tail_name)
+            except VocabularyError as exc:
+                raise VocabularyError(f"{path}:{lineno}: {exc}") from None
+        triples.append(Triple(head, rel, tail))
     return triples, vocab
 
 
 def write_triples(path: str | Path, triples: Iterable[Triple], vocab: Vocab) -> None:
     """Write triples back to the TSV format accepted by :func:`load_triples`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for head, rel, tail in triples:
-            fh.write(
-                f"{vocab.entities.name(head)}\t{vocab.relations.name(rel)}\t"
-                f"{vocab.entities.name(tail)}\n"
-            )
+    entity, relation = vocab.entities.name, vocab.relations.name
+    write_tsv(path, ((entity(h), relation(r), entity(t)) for h, r, t in triples))
 
 
 def load_entailments(path: str | Path, vocab: Vocab) -> list[Entailment]:
@@ -228,36 +233,25 @@ def load_entailments(path: str | Path, vocab: Vocab) -> list[Entailment]:
     be present in ``vocab``; the confidence must lie in (0, 1].
     """
     entailments: list[Entailment] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line.endswith("\r"):
-                line = line[:-1]
-            if not line:
-                continue
-            premise_name, conclusion_name, conf_text = _split_line(
-                line, path, lineno, 3
-            )
-            inverted = premise_name.endswith(_INVERSE_SUFFIX)
-            if inverted:
-                premise_name = premise_name[: -len(_INVERSE_SUFFIX)]
-            try:
-                premise = vocab.relations.id(premise_name)
-                conclusion = vocab.relations.id(conclusion_name)
-            except VocabularyError as exc:
-                raise VocabularyError(f"{path}:{lineno}: {exc}") from None
-            try:
-                confidence = float(conf_text)
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: confidence is not a number: {conf_text!r}"
-                ) from None
-            try:
-                entailments.append(
-                    Entailment(premise, inverted, conclusion, confidence)
-                )
-            except ValueError as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from None
+    for lineno, (premise_name, conclusion_name, conf_text) in read_tsv(path, 3):
+        inverted = premise_name.endswith(_INVERSE_SUFFIX)
+        if inverted:
+            premise_name = premise_name[: -len(_INVERSE_SUFFIX)]
+        try:
+            premise = vocab.relations.id(premise_name)
+            conclusion = vocab.relations.id(conclusion_name)
+        except VocabularyError as exc:
+            raise VocabularyError(f"{path}:{lineno}: {exc}") from None
+        try:
+            confidence = float(conf_text)
+        except ValueError:
+            raise ParseError(
+                f"{path}:{lineno}: confidence is not a number: {conf_text!r}"
+            ) from None
+        try:
+            entailments.append(Entailment(premise, inverted, conclusion, confidence))
+        except ValueError as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
     return entailments
 
 
@@ -265,15 +259,13 @@ def write_entailments(
     path: str | Path, entailments: Iterable[Entailment], vocab: Vocab
 ) -> None:
     """Write entailments to the TSV format accepted by :func:`load_entailments`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ent in entailments:
-            premise = vocab.relations.name(ent.premise_rel)
-            if ent.premise_inverted:
-                premise += _INVERSE_SUFFIX
-            fh.write(
-                f"{premise}\t{vocab.relations.name(ent.conclusion_rel)}\t"
-                f"{ent.confidence:.6f}\n"
-            )
+    def row(ent: Entailment) -> tuple[str, str, str]:
+        premise = vocab.relations.name(ent.premise_rel)
+        if ent.premise_inverted:
+            premise += _INVERSE_SUFFIX
+        return premise, vocab.relations.name(ent.conclusion_rel), f"{ent.confidence:.6f}"
+
+    write_tsv(path, map(row, entailments))
 
 
 @dataclass

@@ -22,10 +22,13 @@ import numpy as np
 from scipy import stats
 
 from .data import KnownIndex, Triple
+from .manifest import write_csv
 from .model import ModelParams, _check_ids, score_all_heads, score_all_tails
 
 # Size of one chunk's score matrix; its row count follows from the entity count.
 _CHUNK_BYTES = 32 * 2**20
+
+_RANK_DUMP_HEADER = ["head", "rel", "tail", "head_rank", "tail_rank"]
 
 
 @dataclass
@@ -144,23 +147,17 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
 
 def write_metrics_csv(result: EvalResult, path: str | Path) -> None:
     """Write the aggregate metrics as ``metric,value`` rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        writer.writerow(["mrr", f"{result.mrr:.6f}"])
-        for k in sorted(result.hits):
-            writer.writerow([f"hits@{k}", f"{result.hits[k]:.6f}"])
+    rows = [["mrr", f"{result.mrr:.6f}"]]
+    rows += [[f"hits@{k}", f"{result.hits[k]:.6f}"] for k in sorted(result.hits)]
+    write_csv(path, ["metric", "value"], rows)
 
 
 def write_rank_dump(
     test: Sequence[Triple], result: EvalResult, path: str | Path
 ) -> None:
     """Per-triple rank dump for later significance testing between runs."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["head", "rel", "tail", "head_rank", "tail_rank"])
-        for triple, (head_rank, tail_rank) in zip(test, result.per_triple):
-            writer.writerow([triple.head, triple.rel, triple.tail, head_rank, tail_rank])
+    rows = ([*triple, *ranks] for triple, ranks in zip(test, result.per_triple))
+    write_csv(path, _RANK_DUMP_HEADER, rows)
 
 
 def load_rank_dump(path: str | Path) -> tuple[list[Triple], np.ndarray, np.ndarray]:
@@ -171,10 +168,13 @@ def load_rank_dump(path: str | Path) -> tuple[list[Triple], np.ndarray, np.ndarr
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["head", "rel", "tail", "head_rank", "tail_rank"]:
+        if header != _RANK_DUMP_HEADER:
             raise ValueError(f"{path}: not a rank dump (bad header {header})")
         for row in reader:
-            h, r, t, hr, tr = (int(x) for x in row)
+            try:
+                h, r, t, hr, tr = (int(x) for x in row)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             triples.append(Triple(h, r, t))
             head_ranks.append(hr)
             tail_ranks.append(tr)

@@ -1,8 +1,11 @@
-"""Run manifests: a JSON snapshot of everything needed to reproduce a run,
-written before the run starts; and atomic replacement of run output files."""
+"""How kgec reads and writes files: every output is replaced atomically
+through :func:`atomic_write`, CSV outputs go through :func:`write_csv` and
+JSON inputs through :func:`read_json`. Also run manifests: a JSON snapshot of
+everything needed to reproduce a run, written before the run starts."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -10,6 +13,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable, Sequence
 
 
 @contextmanager
@@ -30,6 +34,23 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Replace ``path`` atomically by a CSV file whose lines end in CRLF."""
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_json(path: str | Path):
+    """Parse a JSON file; a malformed one raises ValueError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
 def sha256_file(path: str | Path) -> str:
@@ -73,14 +94,13 @@ class RunManifest:
         )
 
     def write(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, encoding="utf-8") as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+        return cls(**read_json(path))
 
     def verify_inputs(self) -> None:
         """Recompute input hashes; raise ValueError on any mismatch."""

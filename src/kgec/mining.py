@@ -9,13 +9,13 @@ assumption), so confidence = support / pca_body.
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .data import Entailment, Triple, Vocab, write_entailments
+from .manifest import write_csv
 
 
 @dataclass(frozen=True)
@@ -154,20 +154,12 @@ def write_rules(
     write_entailments(rules_path, [r.entailment for r in rules], vocab)
     if diagnostics_path is None:
         return
-    with open(diagnostics_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["premise", "premise_inverted", "conclusion", "support", "pca_body", "pca_confidence"]
-        )
-        for rule in rules:
-            ent = rule.entailment
-            writer.writerow(
-                [
-                    vocab.relations.name(ent.premise_rel),
-                    int(ent.premise_inverted),
-                    vocab.relations.name(ent.conclusion_rel),
-                    rule.support,
-                    rule.pca_body,
-                    f"{rule.pca_confidence:.6f}",
-                ]
-            )
+    name = vocab.relations.name
+    rows = (
+        [name(rule.entailment.premise_rel), int(rule.entailment.premise_inverted),
+         name(rule.entailment.conclusion_rel), rule.support, rule.pca_body,
+         f"{rule.pca_confidence:.6f}"]
+        for rule in rules
+    )
+    header = ["premise", "premise_inverted", "conclusion", "support", "pca_body", "pca_confidence"]
+    write_csv(diagnostics_path, header, rows)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .manifest import atomic_write
+from .manifest import atomic_write, read_json
 
 CHECKPOINT_MAGIC = b"KGEC1"
 _HEADER = struct.Struct("<4I")  # n, m, d, precision bits
@@ -282,9 +282,5 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         raise ValueError(f"{path}: checkpoint holds NaN or infinite values")
     ent, rel = np.split(values, [2 * n * d])
     params = ModelParams(_from_parts(*ent.reshape(2, n, d)), _from_parts(*rel.reshape(2, m, d)))
-    sidecar_path = Path(str(path) + ".manifest.json")
-    sidecar: dict = {}
-    if sidecar_path.exists():
-        with open(sidecar_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    return params, sidecar
+    sidecar = Path(str(path) + ".manifest.json")
+    return params, (read_json(sidecar) if sidecar.exists() else {})

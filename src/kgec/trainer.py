@@ -7,7 +7,6 @@ and negative sampling, and parameter updates are applied sequentially.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import logging
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset, Entailment, Triple, build_known_index
-from .manifest import atomic_write
+from .manifest import atomic_write, write_csv
 from .model import ModelParams, init_params, real_view
 from .objective import (
     LossBreakdown,
@@ -71,13 +70,15 @@ class TrainConfig:
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_CASTS = {"bool": lambda text: _BOOL_WORDS[text.lower()], "int": int, "float": float}
 
 
 def parse_config(path: str | Path) -> TrainConfig:
     """Read a ``key = value`` config file into a :class:`TrainConfig`.
 
     Lines starting with ``#`` and blank lines are ignored. Keys must match
-    TrainConfig field names; values are cast to the field type.
+    TrainConfig field names; values are cast to the field type. Errors name
+    the file, and the line where there is one.
     """
     field_types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     values: dict = {}
@@ -93,21 +94,20 @@ def parse_config(path: str | Path) -> TrainConfig:
             if key not in field_types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             kind = field_types[key]
-            if kind in ("bool", bool):
-                try:
-                    values[key] = _BOOL_WORDS[value.lower()]
-                except KeyError:
-                    raise ValueError(f"{path}:{lineno}: bad boolean {value!r}") from None
-            elif kind in ("int", int):
-                values[key] = int(value)
-            else:
-                values[key] = float(value)
-    return TrainConfig(**values)
+            try:
+                values[key] = _CASTS[kind](value)
+            except (KeyError, ValueError):
+                message = f"bad {kind} value for {key}: {value!r}"
+                raise ValueError(f"{path}:{lineno}: {message}") from None
+    try:
+        return TrainConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_config(config: TrainConfig, path: str | Path) -> None:
     """Write a config in the format accepted by :func:`parse_config`."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         for f in dataclasses.fields(TrainConfig):
             value = getattr(config, f.name)
             if isinstance(value, bool):
@@ -238,20 +238,12 @@ class EpochStats:
 
 def write_training_log(log: Sequence[EpochStats], path: str | Path) -> None:
     """Write the per-epoch log as CSV (valid_mrr empty when not evaluated)."""
-    with atomic_write(path, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "logistic", "penalty", "l2", "total", "valid_mrr"])
-        for row in log:
-            writer.writerow(
-                [
-                    row.epoch,
-                    f"{row.logistic:.6f}",
-                    f"{row.penalty:.6f}",
-                    f"{row.l2:.6f}",
-                    f"{row.total:.6f}",
-                    "" if row.valid_mrr is None else f"{row.valid_mrr:.6f}",
-                ]
-            )
+    rows = (
+        [row.epoch, *(f"{v:.6f}" for v in (row.logistic, row.penalty, row.l2, row.total)),
+         "" if row.valid_mrr is None else f"{row.valid_mrr:.6f}"]
+        for row in log
+    )
+    write_csv(path, ["epoch", "logistic", "penalty", "l2", "total", "valid_mrr"], rows)
 
 
 def train(

@@ -2,12 +2,15 @@
 
 The oracles recompute results from first principles (complex arithmetic,
 explicit enumeration, sorting, grid search) and deliberately avoid the code
-paths under test. The last two functions are reference forms of training
-code: the list API of negative sampling, and the gradient scattered with
-``np.add.at`` that the training kernel replaced.
+paths under test. The last three functions are reference forms of code
+that was rewritten: the list API of negative sampling, the gradient
+scattered with ``np.add.at`` that the training kernel replaced, and the
+per-dimension purity loop.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import expit
@@ -196,3 +199,21 @@ def oracle_scatter_gradients(params, heads, rels, tails, labels, rules, mu: floa
         total=logistic + mu * penalty + eta * l2,
     )
     return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel)
+
+
+def oracle_dimension_purity(component, labels, k_percent: float) -> float:
+    """Reference form of one purity point: per dimension, sort the labeled
+    entities by descending activation then ascending id, take the top
+    ceil(K/100 * n_labeled), and average the entropies of their types."""
+    labeled_ids = np.asarray(sorted(labels.labels), dtype=np.int64)
+    type_ids = np.asarray([labels.labels[i] for i in labeled_ids], dtype=np.int64)
+    k = math.ceil(k_percent / 100.0 * labeled_ids.size)
+    activations = np.asarray(component, dtype=float)[labeled_ids, :]
+    entropies = []
+    for dim in range(activations.shape[1]):
+        # lexsort: the last key is primary.
+        order = np.lexsort((labeled_ids, -activations[:, dim]))
+        counts = np.bincount(type_ids[order[:k]], minlength=labels.n_types)
+        p = counts[counts > 0] / k
+        entropies.append(float(-(p * np.log(p)).sum()))
+    return float(np.mean(entropies))

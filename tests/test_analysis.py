@@ -1,5 +1,7 @@
 """Tests for normalization, dimension purity entropy, and pair diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,11 @@ from kgec.analysis import (
     write_heatmap_csv,
     write_purity_csv,
 )
-from kgec.data import IdMap
+from kgec.data import IdMap, ParseError
 from kgec.model import init_params
 
 from conftest import make_vocab
+from oracles import oracle_dimension_purity
 
 
 def labels_of(assignments) -> TypeLabels:
@@ -119,11 +122,31 @@ class TestDimensionPurity:
         assert all(e >= 0 for _, e in curve.points)
 
 
+    def test_curve_matches_per_dimension_oracle(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n, d, n_types = rng.integers(2, 60), rng.integers(1, 8), rng.integers(1, 6)
+            # Rounded activations tie often; about a third of the rows are unlabeled.
+            component = rng.normal(size=(n, d)).round(1)
+            labeled = np.flatnonzero(rng.random(n) < 0.67)
+            if labeled.size == 0:
+                continue
+            labels = labels_of({int(i): f"T{rng.integers(n_types)}" for i in labeled})
+            curve = purity_curve(component, labels, (1, 5, 100))
+            for k, entropy in curve.points:
+                assert entropy == pytest.approx(
+                    oracle_dimension_purity(component, labels, k), abs=1e-12
+                )
+
+
 class TestShannonEntropy:
     def test_known_values(self):
         assert shannon_entropy([4, 0]) == 0.0
         assert shannon_entropy([2, 2]) == pytest.approx(np.log(2))
         assert shannon_entropy([1, 1, 1, 1]) == pytest.approx(np.log(4))
+        np.testing.assert_allclose(
+            shannon_entropy([[4, 0], [2, 2], [0, 0]]), [0.0, np.log(2), 0.0]
+        )
 
 
 class TestPairDiagnostics:
@@ -192,7 +215,8 @@ class TestTypeLabelIO:
         vocab = make_vocab(1, 0)
         path = tmp_path / "types.tsv"
         path.write_text("e0\n")
-        with pytest.raises(ValueError):
+        message = f"{path}:1: expected 2 tab-separated fields, got 1"
+        with pytest.raises(ParseError, match=re.escape(message)):
             load_type_labels(path, vocab)
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from kgec.cli import main
-from kgec.data import Triple, write_triples
-from kgec.manifest import RunManifest, sha256_file
+from kgec.data import Triple, write_triples, write_tsv
+from kgec.manifest import RunManifest, sha256_file, write_csv
 from kgec.model import init_params, load_checkpoint, save_checkpoint
 from kgec.trainer import EpochStats, write_training_log
 
@@ -188,7 +188,7 @@ def test_train_mu_and_projection_flags(data_dir, config_file, tmp_path):
     assert params.re_e.min() >= 0 and params.re_e.max() <= 1
 
 
-def test_grid_mode_is_resumable(data_dir, config_file, tmp_path):
+def test_grid_mode_is_resumable(data_dir, config_file, tmp_path, capsys):
     grid_file = tmp_path / "grid.json"
     grid_file.write_text(json.dumps({"d": [4, 8], "lr": [0.5]}))
     out = tmp_path / "grid"
@@ -207,6 +207,13 @@ def test_grid_mode_is_resumable(data_dir, config_file, tmp_path):
     # Resuming with a completed state re-trains nothing and keeps the state.
     assert main(argv) == 0
     assert json.loads((out / "grid_state.json").read_text()) == state
+    # A corrupt state file stops the sweep with one line naming it.
+    (out / "grid_state.json").write_text('{\n  "partial')
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{out / 'grid_state.json'}: invalid JSON" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def _counting_train(monkeypatch):
@@ -290,14 +297,15 @@ def _crash_in_checkpoint(params, path, monkeypatch):
     save_checkpoint(Exploding(params.ent, params.rel), path)
 
 
+def _partial_json_dump(obj, fh, **kwargs):
+    fh.write('{\n  "partial')
+    raise _Crash
+
+
 def _crash_in_sidecar(params, path, monkeypatch):
     import kgec.model
 
-    def crashing_dump(obj, fh, **kwargs):
-        fh.write('{\n  "partial')
-        raise _Crash
-
-    monkeypatch.setattr(kgec.model.json, "dump", crashing_dump)
+    monkeypatch.setattr(kgec.model.json, "dump", _partial_json_dump)
     save_checkpoint(params, path)
 
 
@@ -306,21 +314,47 @@ def _crash_in_log(params, path, monkeypatch):
     write_training_log([EpochStats(1, 1.0, 0.0, 0.5, 1.5), EpochStats(2, "bad", 0, 0, 0)], path)
 
 
+def _row_then_crash():
+    yield ["new", "row"]
+    raise _Crash
+
+
+def _crash_in_csv(params, path, monkeypatch):
+    write_csv(path, ["a", "b"], _row_then_crash())
+
+
+def _crash_in_tsv(params, path, monkeypatch):
+    write_tsv(path, _row_then_crash())
+
+
+def _crash_in_manifest(params, path, monkeypatch):
+    import kgec.manifest
+
+    monkeypatch.setattr(kgec.manifest.json, "dump", _partial_json_dump)
+    RunManifest("train", "0.1.0", 1, {"d": 3}).write(path)
+
+
 @pytest.mark.parametrize(
     "crash, target",
     [
         (_crash_in_checkpoint, "ckpt.kgec"),
         (_crash_in_sidecar, "ckpt.kgec.manifest.json"),
         (_crash_in_log, "log.csv"),
+        (_crash_in_csv, "table.csv"),
+        (_crash_in_tsv, "table.tsv"),
+        (_crash_in_manifest, "manifest.json"),
     ],
-    ids=["checkpoint", "sidecar", "log"],
+    ids=["checkpoint", "sidecar", "log", "csv", "tsv", "manifest"],
 )
 def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch, crash, target):
     params = init_params(4, 2, 3, seed=0)
     save_checkpoint(params, tmp_path / "ckpt.kgec")
     write_training_log([EpochStats(1, 2.0, 0.0, 1.0, 3.0)], tmp_path / "log.csv")
+    write_csv(tmp_path / "table.csv", ["a", "b"], [["old", "row"]])
+    write_tsv(tmp_path / "table.tsv", [["old", "row"]])
+    RunManifest("train", "0.1.0", 0, {"d": 2}).write(tmp_path / "manifest.json")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    path = tmp_path / ("log.csv" if target == "log.csv" else "ckpt.kgec")
+    path = tmp_path / ("ckpt.kgec" if target == "ckpt.kgec.manifest.json" else target)
     with pytest.raises((_Crash, ValueError)):
         crash(init_params(4, 2, 3, seed=1), path, monkeypatch)
     after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -359,19 +393,50 @@ def test_eval_missing_checkpoint_fails_with_message(data_dir, tmp_path, capsys):
 
 def test_eval_corrupt_checkpoint_fails_with_message(data_dir, tmp_path, capsys):
     path = tmp_path / "corrupt.kgec"
+    out = tmp_path / "out"
+    argv = ["eval", "--data", str(data_dir), "--checkpoint", str(path), "--out", str(out)]
     save_checkpoint(init_params(12, 3, 4, seed=0), path)
     path.write_bytes(path.read_bytes()[:-3])
-    code = main(
-        [
-            "eval",
-            "--data", str(data_dir),
-            "--checkpoint", str(path),
-            "--out", str(tmp_path / "out"),
-        ]
-    )
-    assert code == 1
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert "corrupt.kgec" in err and "truncated" in err
+    assert len(err.strip().splitlines()) == 1
+    # A whole checkpoint whose sidecar holds a raw control character.
+    save_checkpoint(init_params(12, 3, 4, seed=0), path)
+    sidecar = tmp_path / "corrupt.kgec.manifest.json"
+    sidecar.write_text('{"checkpoint": "a\x01b"}')
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{sidecar}: invalid JSON: Invalid control character" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "name, content, command, message",
+    [
+        ("bad.cfg", "seed = 0\nd = abc\n", "train --data {data} --config {file} --out {out}",
+         ":2: bad int value for d: 'abc'"),
+        ("bad.cfg", "d = 0\n", "train --data {data} --config {file} --out {out}",
+         ": d must be at least 1"),
+        ("grid.json", '{"d": [4], "depth": [2]}',
+         "train --data {data} --config {config} --grid --grid-file {file} --out {out}",
+         ": unknown grid key 'depth'"),
+        ("ranks.csv", "head,rel,tail,head_rank,tail_rank\n0,0,1,1,1\n0,0,1\n",
+         "significance --ranks-a {file} --ranks-b {file}",
+         ":3: not enough values to unpack (expected 5, got 3)"),
+    ],
+    ids=["config-cast", "config-value", "grid-key", "rank-dump"],
+)
+def test_bad_input_fails_naming_the_file(
+    data_dir, config_file, tmp_path, capsys, name, content, command, message
+):
+    path = tmp_path / name
+    path.write_text(content)
+    fill = dict(data=data_dir, config=config_file, file=path, out=tmp_path / "out")
+    argv = command.format(**fill).split()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{path}{message}" in err
     assert len(err.strip().splitlines()) == 1
 
 

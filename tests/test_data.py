@@ -1,15 +1,18 @@
 """Tests for dataset loading, vocabularies, entailments, and the known-triple index."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgec.analysis import load_type_labels
 from kgec.data import (
     Dataset,
     Entailment,
+    IdMap,
     KnownIndex,
     ParseError,
     RangeError,
@@ -25,6 +28,17 @@ from kgec.data import (
 )
 
 from conftest import make_vocab, wn18_train_path
+
+# Each TSV reader with one valid line of its format and its field count.
+TSV_READERS = [
+    (load_triples, "a\tp\tb", 3),
+    (lambda path: load_entailments(path, make_vocab(0, 2)), "r0\tr1\t0.5", 3),
+    (lambda path: load_type_labels(path, make_vocab(1, 0)), "e0\tT0", 2),
+]
+
+
+def _field_count_error(path, lineno, expected, got):
+    return re.escape(f"{path}:{lineno}: expected {expected} tab-separated fields, got {got}")
 
 
 class TestLoadTriples:
@@ -51,12 +65,22 @@ class TestLoadTriples:
         path.write_text("a\tp\n")
         with pytest.raises(ParseError, match="1"):
             load_triples(path)
+        for read, _, n_fields in TSV_READERS:
+            path.write_text("a\tp\tb\tc\n")
+            with pytest.raises(ParseError, match=_field_count_error(path, 1, n_fields, 4)):
+                read(path)
 
     def test_malformed_line_later_in_file(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("a\tp\tb\nx\ty\n")
         with pytest.raises(ParseError, match="2"):
             load_triples(path)
+        # Blank lines are skipped but still counted, with either terminator.
+        for read, line, n_fields in TSV_READERS:
+            for eol in ("\n", "\r\n"):
+                path.write_text(f"{line}{eol}{eol}x{eol}")
+                with pytest.raises(ParseError, match=_field_count_error(path, 3, n_fields, 1)):
+                    read(path)
 
     def test_grow_false_rejects_unseen_name(self, tmp_path):
         path = tmp_path / "t.tsv"
@@ -73,6 +97,15 @@ class TestLoadTriples:
         path.write_text(" a \tp\tb\n")
         triples, vocab = load_triples(path)
         assert vocab.entities.name(triples[0].head) == " a "
+        # Only the LF or CRLF terminator is removed; a lone CR ends no line.
+        path.write_text(" a \tp\t b \r\n a \tp\tb\rc\n")
+        triples, vocab = load_triples(path)
+        assert [vocab.entities.name(t.tail) for t in triples] == [" b ", "b\rc"]
+        lf = tmp_path / "lf.tsv"
+        for read, line, _ in TSV_READERS:
+            lf.write_text(f"{line}\n")
+            path.write_text(f"\r\n\n{line}\r\n\r\n")
+            assert read(path) == read(lf)
 
     def test_round_trip_preserves_ids(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -101,6 +134,11 @@ class TestVocab:
         assert reloaded.entities == vocab.entities
         assert reloaded.relations == vocab.relations
         assert (tmp_path / "ent.txt").read_text().splitlines()[2] == "e2"
+        # Names are opaque: empty, padded, or holding a lone CR.
+        vocab = Vocab(IdMap(["", " a ", "b\rc"]), IdMap(["r"]))
+        vocab.dump(tmp_path / "ent.txt", tmp_path / "rel.txt")
+        reloaded = Vocab.load(tmp_path / "ent.txt", tmp_path / "rel.txt")
+        assert list(reloaded.entities) == ["", " a ", "b\rc"]
 
     def test_ids_dense_and_stable(self):
         vocab = Vocab()
