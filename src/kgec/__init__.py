@@ -15,16 +15,8 @@ from .data import (
     load_entailments,
     load_triples,
 )
-from .model import (
-    ModelParams,
-    init_params,
-    inverse_relation_rep,
-    load_checkpoint,
-    project_entities,
-    save_checkpoint,
-    score_triple,
-)
-from .objective import LossBreakdown, TrainingExample, loss_and_gradient
+from .model import ModelParams, init_params, load_checkpoint, save_checkpoint
+from .objective import LossBreakdown
 from .trainer import TrainConfig, train
 from .evaluation import EvalResult, evaluate, filtered_rank, paired_ttest
 from .mining import MinedRule, classify_pairs, mine_entailments
@@ -38,7 +30,6 @@ __all__ = [
     "MinedRule",
     "ModelParams",
     "TrainConfig",
-    "TrainingExample",
     "Triple",
     "Vocab",
     "build_known_index",
@@ -46,16 +37,12 @@ __all__ = [
     "evaluate",
     "filtered_rank",
     "init_params",
-    "inverse_relation_rep",
     "load_checkpoint",
     "load_dataset",
     "load_entailments",
     "load_triples",
-    "loss_and_gradient",
     "mine_entailments",
     "paired_ttest",
-    "project_entities",
     "save_checkpoint",
-    "score_triple",
     "train",
 ]

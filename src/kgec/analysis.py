@@ -125,15 +125,6 @@ def purity_curve(
     return PurityCurve(points)
 
 
-def dimension_purity(
-    component: np.ndarray,
-    labels: TypeLabels,
-    k_percent: float,
-) -> tuple[float, float]:
-    """The (K, mean entropy) point of :func:`purity_curve` at one K."""
-    return purity_curve(component, labels, (k_percent,)).points[0]
-
-
 def write_purity_csv(curve: PurityCurve, path: str | Path) -> None:
     rows = ([f"{k:g}", f"{entropy:.6f}"] for k, entropy in curve.points)
     write_csv(path, ["k_percent", "mean_entropy_nats"], rows)

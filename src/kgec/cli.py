@@ -173,6 +173,8 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     state_path = out_dir / "grid_state.json"
     state = read_json(state_path) if state_path.exists() else {}
+    if not isinstance(state, dict) or not all(type(mrr) in (int, float) for mrr in state.values()):
+        raise ValueError(f"{state_path}: expected a JSON object mapping grid points to numbers")
 
     known = build_known_index(dataset)
     best_key = max(state, key=lambda k: state[k], default=None)

@@ -17,7 +17,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .manifest import atomic_write
+from .manifest import atomic_write, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -43,18 +43,16 @@ def read_tsv(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]
     other whitespace. A line with another number of fields raises
     :class:`ParseError` naming the file and line.
     """
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.removesuffix("\n").removesuffix("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            yield lineno, fields
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise ParseError(
+                f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        yield lineno, fields
 
 
 def write_tsv(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
@@ -145,8 +143,7 @@ class IdMap:
     def load(cls, path: str | Path) -> "IdMap":
         """Read a dump written by :meth:`save`; as in :func:`read_tsv`, only
         the LF or CRLF terminator is removed, and a blank line is an empty name."""
-        with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            return cls(line.removesuffix("\n").removesuffix("\r") for line in fh)
+        return cls(line for _, line in read_lines(path))
 
 
 @dataclass

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import stats
 
 from .data import KnownIndex, Triple
-from .manifest import write_csv
+from .manifest import read_lines, write_csv
 from .model import ModelParams, _check_ids, score_all_heads, score_all_tails
 
 # Size of one chunk's score matrix; its row count follows from the entity count.
@@ -165,19 +165,18 @@ def load_rank_dump(path: str | Path) -> tuple[list[Triple], np.ndarray, np.ndarr
     triples: list[Triple] = []
     head_ranks: list[int] = []
     tail_ranks: list[int] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _RANK_DUMP_HEADER:
-            raise ValueError(f"{path}: not a rank dump (bad header {header})")
-        for row in reader:
-            try:
-                h, r, t, hr, tr = (int(x) for x in row)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            triples.append(Triple(h, r, t))
-            head_ranks.append(hr)
-            tail_ranks.append(tr)
+    reader = csv.reader(line for _, line in read_lines(path))
+    header = next(reader, None)
+    if header != _RANK_DUMP_HEADER:
+        raise ValueError(f"{path}: not a rank dump (bad header {header})")
+    for row in reader:
+        try:
+            h, r, t, hr, tr = (int(x) for x in row)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        triples.append(Triple(h, r, t))
+        head_ranks.append(hr)
+        tail_ranks.append(tr)
     return triples, np.asarray(head_ranks), np.asarray(tail_ranks)
 
 

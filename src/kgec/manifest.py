@@ -1,7 +1,8 @@
 """How kgec reads and writes files: every output is replaced atomically
-through :func:`atomic_write`, CSV outputs go through :func:`write_csv` and
-JSON inputs through :func:`read_json`. Also run manifests: a JSON snapshot of
-everything needed to reproduce a run, written before the run starts."""
+through :func:`atomic_write`, CSV outputs go through :func:`write_csv`, text
+inputs through :func:`read_lines` and JSON inputs through :func:`read_json`.
+Also run manifests: a JSON snapshot of everything needed to reproduce a run,
+written before the run starts."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @contextmanager
@@ -42,6 +43,22 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, line)`` for each line of a UTF-8 text file.
+
+    Only the LF or CRLF terminator is removed; a lone CR stays in the line.
+    Each line is decoded on its own, so a byte that is not UTF-8 raises
+    ValueError naming the file and line.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            yield lineno, line.removesuffix("\n").removesuffix("\r")
 
 
 def read_json(path: str | Path):

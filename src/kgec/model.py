@@ -1,5 +1,5 @@
 """Complex-valued entity/relation embeddings: storage, the ComplEx score and
-its partials, box projection, and the binary checkpoint format.
+its partials, and the binary checkpoint format.
 
 Entities and relations are complex arrays ``ent`` (n, d) and ``rel`` (m, d).
 The score of (h, r, t) is phi = Re(sum(h * r * conj(t))). It is linear in
@@ -8,10 +8,10 @@ imaginary parts times imaginary parts) of any slot with that slot's partial:
 
     head: conj(r) * t        tail: h * r        relation: conj(h) * t
 
-Every scorer here and the training gradient are built from these three
-expressions. Updates that act entrywise (projection, AdaGrad) work on the
-(rows, 2d) real view of the arrays, which interleaves real and imaginary
-parts.
+The candidate scorers here (``score_all_heads``/``score_all_tails``) and the
+training gradient are built from these three expressions. AdaGrad and its
+box clamp act entrywise on the (rows, 2d) real view of the arrays, which
+interleaves real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ _HEADER = struct.Struct("<4I")  # n, m, d, precision bits
 class ModelParams:
     """Complex entity and relation embeddings.
 
-    ``ent`` is (n, d); after any projection call the real and imaginary parts
-    of its entries lie in [0, 1]. ``rel`` is (m, d) and unconstrained. The
+    ``ent`` is (n, d); training with projection keeps the real and imaginary
+    parts of its entries in [0, 1]. ``rel`` is (m, d) and unconstrained. The
     ``re_e``/``im_e``/``re_r``/``im_r`` properties are writable views of the
     real and imaginary components.
     """
@@ -146,29 +146,6 @@ def _check_ids(ids, count: int, kind: str) -> None:
         raise IndexError(f"{kind} id {ids[bad].flat[0]} out of range [0, {count})")
 
 
-def score_triple(params: ModelParams, triple) -> float:
-    """Score Re(<head, rel, conj(tail)>) of one triple.
-
-    Higher scores mean the triple is more likely to hold; the function is
-    asymmetric in head and tail.
-    """
-    head, rel, tail = triple
-    _check_ids([head, tail], params.n_entities, "entity")
-    _check_ids(rel, params.n_relations, "relation")
-    return float(score_batch(params, head, rel, tail))
-
-
-def score_batch(
-    params: ModelParams,
-    heads: np.ndarray,
-    rels: np.ndarray,
-    tails: np.ndarray,
-) -> np.ndarray:
-    """Vectorized :func:`score_triple` over id arrays of equal length."""
-    h, t = params.ent[heads], params.ent[tails]
-    return real_dot(params.rel[rels], rel_partial(h, t))
-
-
 def score_all_heads(params: ModelParams, rel, tail) -> np.ndarray:
     """Scores of (e, rel, tail) for every entity e, from one matrix product: an
     (n,) vector for scalar ids, a (B, n) matrix for B-long id arrays."""
@@ -185,31 +162,6 @@ def score_all_tails(params: ModelParams, head, rel) -> np.ndarray:
     _check_ids(rel, params.n_relations, "relation")
     partial = tail_partial(params.ent[head], params.rel[rel])
     return real_view(partial) @ real_view(params.ent).T
-
-
-def inverse_relation_rep(params: ModelParams, rel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Representation of the inverse relation: the complex conjugate of ``rel``.
-
-    Returns (real part, imaginary part) of a new array; scoring a triple with
-    the conjugate and swapped entities reproduces the original score.
-    """
-    _check_ids(rel, params.n_relations, "relation")
-    conj = np.conj(params.rel[rel])
-    return conj.real, conj.imag
-
-
-def project_entities(params: ModelParams, rows: np.ndarray | None = None) -> ModelParams:
-    """Clamp entity components into [0, 1] in place (truncation projection).
-
-    Relation components are untouched. ``rows`` restricts the projection to a
-    subset of entity ids, which is enough after a sparse gradient step.
-    """
-    ent = real_view(params.ent)
-    if rows is None:
-        np.clip(ent, 0.0, 1.0, out=ent)
-    else:
-        ent[rows] = np.clip(ent[rows], 0.0, 1.0)
-    return params
 
 
 _PRECISION_DTYPES = {64: np.dtype("<f8"), 32: np.dtype("<f4")}

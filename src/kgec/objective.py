@@ -12,34 +12,14 @@ variables are materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .data import Entailment, Triple
-from .model import (
-    ModelParams,
-    head_partial,
-    real_dot,
-    real_view,
-    rel_partial,
-    score_batch,
-    tail_partial,
-)
-
-
-@dataclass(frozen=True)
-class TrainingExample:
-    """A triple with a +1 (observed) or -1 (corrupted) label."""
-
-    triple: Triple
-    label: int
-
-    def __post_init__(self) -> None:
-        if self.label not in (1, -1):
-            raise ValueError(f"label must be +1 or -1, got {self.label}")
+from .data import Entailment
+from .model import ModelParams, head_partial, real_dot, real_view, rel_partial, tail_partial
 
 
 @dataclass
@@ -70,16 +50,11 @@ class SparseGrads:
     rel_ids: np.ndarray
     rel: np.ndarray
 
-    def global_norm(self) -> float:
-        """Euclidean norm over every stored gradient entry."""
-        return float(np.sqrt(_sq_norm(self.ent) + _sq_norm(self.rel)))
-
     def clip_global_norm_(self, cap: float) -> float:
-        """Rescale in place so the global norm is at most ``cap``.
-
-        Returns the norm before clipping.
+        """Rescale in place so the Euclidean norm over every stored entry is
+        at most ``cap``. Returns the norm before clipping.
         """
-        norm = self.global_norm()
+        norm = float(np.sqrt(_sq_norm(self.ent) + _sq_norm(self.rel)))
         if norm > cap:
             factor = cap / norm
             for block in (self.ent, self.rel):
@@ -102,10 +77,8 @@ class RuleArrays:
     confidence: np.ndarray
 
 
-def pack_entailments(ents: Iterable[Entailment] | RuleArrays) -> RuleArrays:
-    """Pack entailments into :class:`RuleArrays`; packed rules pass through."""
-    if isinstance(ents, RuleArrays):
-        return ents
+def pack_entailments(ents: Iterable[Entailment]) -> RuleArrays:
+    """Pack entailments into :class:`RuleArrays`."""
     ents = list(ents)
     return RuleArrays(
         premise=np.array([e.premise_rel for e in ents], dtype=np.int64),
@@ -119,23 +92,6 @@ def softplus(z: np.ndarray) -> np.ndarray:
     """log(1 + exp(z)) without overflow for large |z|."""
     z = np.asarray(z, dtype=float)
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def _examples_to_arrays(examples: Sequence[TrainingExample]):
-    heads = np.fromiter((ex.triple.head for ex in examples), dtype=np.int64, count=len(examples))
-    rels = np.fromiter((ex.triple.rel for ex in examples), dtype=np.int64, count=len(examples))
-    tails = np.fromiter((ex.triple.tail for ex in examples), dtype=np.int64, count=len(examples))
-    labels = np.fromiter((ex.label for ex in examples), dtype=np.float64, count=len(examples))
-    return heads, rels, tails, labels
-
-
-def logistic_term(params: ModelParams, examples: Sequence[TrainingExample]) -> float:
-    """Sum of log(1 + exp(-label * score)) over the examples."""
-    if not examples:
-        return 0.0
-    heads, rels, tails, labels = _examples_to_arrays(examples)
-    phi = score_batch(params, heads, rels, tails)
-    return float(softplus(-labels * phi).sum())
 
 
 def _sq_norm(z: np.ndarray) -> float:
@@ -167,62 +123,25 @@ def rule_penalty(
     return penalty, ids, np.concatenate([grad_premise, -grad])
 
 
-def entailment_penalty(params: ModelParams, ents: Iterable[Entailment]) -> float:
-    """Total constraint violation over the entailment set (unweighted).
-
-    Zero exactly when every constraint satisfies the sufficient ordering
-    condition: premise real part entrywise at most the conclusion real part,
-    imaginary parts equal (after conjugating inverted premises).
-    """
-    return rule_penalty(params.rel, pack_entailments(ents))[0]
-
-
-def l2_term(
-    params: ModelParams,
-    entity_rows: Iterable[int],
-    relation_rows: Iterable[int],
-) -> float:
-    """Sum of squares over the given entity and relation rows (unweighted)."""
-    ent_ids = np.asarray(sorted(set(entity_rows)), dtype=np.int64)
-    rel_ids = np.asarray(sorted(set(relation_rows)), dtype=np.int64)
-    return _sq_norm(params.ent[ent_ids]) + _sq_norm(params.rel[rel_ids])
-
-
-def loss_and_gradient(
-    params: ModelParams,
-    batch: Sequence[TrainingExample],
-    ents: Sequence[Entailment],
-    mu: float,
-    eta: float,
-) -> tuple[LossBreakdown, SparseGrads]:
-    """Batch loss and its exact gradient over the touched parameter rows.
-
-    The touched set is every entity/relation row appearing in the batch plus
-    every relation row named by an entailment; L2 regularization covers
-    exactly that set. Rows outside it are absent from the sparse gradient.
-    The hinge-like real-part penalty uses subgradient 0 at the kink, so
-    satisfied constraints stay inert.
-    """
-    heads, rels, tails, labels = _examples_to_arrays(batch)
-    return loss_and_gradient_arrays(params, heads, rels, tails, labels, ents, mu, eta)
-
-
 def loss_and_gradient_arrays(
     params: ModelParams,
     heads: np.ndarray,
     rels: np.ndarray,
     tails: np.ndarray,
     labels: np.ndarray,
-    ents: Sequence[Entailment] | RuleArrays,
+    rules: RuleArrays,
     mu: float,
     eta: float,
 ) -> tuple[LossBreakdown, SparseGrads]:
-    """Array-native core of :func:`loss_and_gradient` (hot path).
+    """Batch loss and its exact gradient over the touched parameter rows.
 
-    The L2 gradient is added last, so ``eta=0`` gives the gradient of the
-    logistic and entailment terms alone.
+    Triple i is (heads[i], rels[i], tails[i]) with label +1 (observed) or
+    -1 (corrupted). The touched set is every entity/relation row appearing in
+    the batch plus every relation row named by a rule; L2 regularization
+    covers exactly that set, and rows outside it are absent from the sparse
+    gradient. The L2 gradient is added last, so ``eta=0`` gives the gradient
+    of the logistic and entailment terms alone.
     """
-    rules = pack_entailments(ents)
     b = heads.size
     ent_ids, ent_pos = np.unique(np.concatenate([heads, tails]), return_inverse=True)
     rel_ids, rel_pos = np.unique(

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset, Entailment, Triple, build_known_index
-from .manifest import atomic_write, write_csv
+from .manifest import atomic_write, read_lines, write_csv
 from .model import ModelParams, init_params, real_view
 from .objective import (
     LossBreakdown,
@@ -27,6 +27,8 @@ from .objective import (
 )
 
 logger = logging.getLogger(__name__)
+
+_ADAGRAD_EPSILON = 1e-8  # keeps the first AdaGrad step finite
 
 
 @dataclass
@@ -82,23 +84,22 @@ def parse_config(path: str | Path) -> TrainConfig:
     """
     field_types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in field_types:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = field_types[key]
-            try:
-                values[key] = _CASTS[kind](value)
-            except (KeyError, ValueError):
-                message = f"bad {kind} value for {key}: {value!r}"
-                raise ValueError(f"{path}:{lineno}: {message}") from None
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in field_types:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        kind = field_types[key]
+        try:
+            values[key] = _CASTS[kind](value)
+        except (KeyError, ValueError):
+            message = f"bad {kind} value for {key}: {value!r}"
+            raise ValueError(f"{path}:{lineno}: {message}") from None
     try:
         return TrainConfig(**values)
     except ValueError as exc:
@@ -125,15 +126,10 @@ class AdaGradState:
 
     acc_ent: np.ndarray
     acc_rel: np.ndarray
-    epsilon: float = 1e-8
 
     @classmethod
-    def zeros_like(cls, params: ModelParams, epsilon: float = 1e-8) -> "AdaGradState":
-        return cls(
-            np.zeros_like(real_view(params.ent)),
-            np.zeros_like(real_view(params.rel)),
-            epsilon,
-        )
+    def zeros_like(cls, params: ModelParams) -> "AdaGradState":
+        return cls(np.zeros_like(real_view(params.ent)), np.zeros_like(real_view(params.rel)))
 
 
 def adagrad_step(
@@ -146,11 +142,10 @@ def adagrad_step(
     """Apply one sparse AdaGrad update in place.
 
     For each touched entry: accumulator += g**2, then
-    param -= lr * g / (sqrt(accumulator) + epsilon). With ``project`` the
-    updated entity rows are clamped into [0, 1] before they are written back,
-    which equals :func:`project_entities` on the touched rows afterwards.
+    param -= lr * g / (sqrt(accumulator) + 1e-8). With ``project`` the
+    updated entity rows are clamped into [0, 1] (the box projection) before
+    they are written back.
     """
-    eps = state.epsilon
     updates = (
         (grads.ent_ids, grads.ent, params.ent, state.acc_ent, project),
         (grads.rel_ids, grads.rel, params.rel, state.acc_rel, False),
@@ -163,7 +158,7 @@ def adagrad_step(
         step += grad * grad
         acc[ids] = step
         np.sqrt(step, out=step)
-        step += eps
+        step += _ADAGRAD_EPSILON
         np.divide(grad, step, out=step)
         step *= lr
         param = real_view(param)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kgec.data import Dataset, Triple, Vocab
+from kgec.model import score_all_tails
 
 
 def make_vocab(n_entities: int, n_relations: int) -> Vocab:
@@ -18,6 +19,12 @@ def make_vocab(n_entities: int, n_relations: int) -> Vocab:
     for k in range(n_relations):
         vocab.relations.add(f"r{k}")
     return vocab
+
+
+def triple_scores(params, heads, rels, tails) -> np.ndarray:
+    """Scores of the triples (heads[i], rels[i], tails[i]), read off the
+    (B, n) matrix that ``score_all_tails`` computes."""
+    return score_all_tails(params, heads, rels)[np.arange(len(heads)), tails]
 
 
 def random_dataset(

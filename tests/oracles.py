@@ -3,9 +3,9 @@
 The oracles recompute results from first principles (complex arithmetic,
 explicit enumeration, sorting, grid search) and deliberately avoid the code
 paths under test. The last three functions are reference forms of code
-that was rewritten: the list API of negative sampling, the gradient
-scattered with ``np.add.at`` that the training kernel replaced, and the
-per-dimension purity loop.
+that was rewritten: negative sampling of one positive as a list of
+``Triple``s, the gradient scattered with ``np.add.at`` that the training
+kernel replaced, and the per-dimension purity loop.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from kgec.model import real_dot, real_view
 from kgec.objective import (
     LossBreakdown,
     SparseGrads,
-    TrainingExample,
     _sq_norm,
-    pack_entailments,
     rule_penalty,
     softplus,
 )
@@ -137,7 +135,7 @@ def central_difference(loss_fn, matrix, row: int, col: int, h: float = 1e-6) -> 
 
 
 def sample_negatives(positive, k: int, n: int, rng):
-    """Draw ``k`` corrupted variants of ``positive`` as -1 training examples.
+    """Draw ``k`` corrupted variants of ``positive`` as ``Triple``s.
 
     A list-form wrapper of the trainer's batched corruption: each negative
     replaces exactly one of head/tail (side chosen uniformly per sample) by a
@@ -153,17 +151,13 @@ def sample_negatives(positive, k: int, n: int, rng):
         n,
         rng,
     )
-    return [
-        TrainingExample(Triple(int(h), int(r), int(t)), -1)
-        for h, r, t in zip(heads, rels, tails)
-    ]
+    return [Triple(int(h), int(r), int(t)) for h, r, t in zip(heads, rels, tails)]
 
 
 def oracle_scatter_gradients(params, heads, rels, tails, labels, rules, mu: float, eta: float):
     """Reference form of ``loss_and_gradient_arrays``: every gradient term is
     scattered into its row with ``np.add.at`` at the ``searchsorted`` position
     of its id, data terms first (heads, tails, relations), then the rules."""
-    rules = pack_entailments(rules)
     ent_ids = np.unique(np.concatenate([heads, tails]))
     rel_ids = np.unique(np.concatenate([rels, rules.premise, rules.conclusion]))
     g_ent = np.zeros((ent_ids.size, params.d), dtype=params.ent.dtype)

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from kgec.analysis import TypeLabels, activation_heatmap, dimension_purity
+from kgec.analysis import TypeLabels, activation_heatmap, purity_curve
 from kgec.data import (
     Dataset,
     Entailment,
@@ -27,11 +27,11 @@ from kgec.data import (
 )
 from kgec.evaluation import evaluate, filtered_rank
 from kgec.mining import mine_entailments
-from kgec.model import ModelParams, init_params, save_checkpoint, score_batch
-from kgec.objective import entailment_penalty, l2_term, logistic_term, loss_and_gradient
+from kgec.model import ModelParams, init_params, save_checkpoint
+from kgec.objective import loss_and_gradient_arrays, pack_entailments, rule_penalty
 from kgec.trainer import TrainConfig, parse_config, train
 
-from conftest import make_vocab, random_dataset, wn18_train_path
+from conftest import make_vocab, random_dataset, triple_scores, wn18_train_path
 from oracles import central_difference, oracle_filtered_rank, oracle_mine, slack_grid_minimum
 from test_objective import random_instance
 
@@ -51,17 +51,12 @@ def report(name: str, budget_seconds: float):
 
 def test_c01_gradient_matches_finite_differences():
     with report("C01 gradient correctness vs central differences", 10.0):
-        params, batch, ents = random_instance(seed=2024, n=6, m=3, d=4, n_triples=20)
+        params, batch, rules = random_instance(seed=2024, n=6, m=3, d=4, n_triples=20)
         mu, eta = 0.7, 0.01
-        _, grads = loss_and_gradient(params, batch, ents, mu, eta)
-        ent_rows, rel_rows = grads.ent_ids, grads.rel_ids
+        _, grads = loss_and_gradient_arrays(params, *batch, rules, mu, eta)
 
         def loss():
-            return (
-                logistic_term(params, batch)
-                + mu * entailment_penalty(params, ents)
-                + eta * l2_term(params, ent_rows, rel_rows)
-            )
+            return loss_and_gradient_arrays(params, *batch, rules, mu, eta)[0].total
 
         worst = 0.0
         blocks = (
@@ -94,8 +89,8 @@ def test_c02_sufficient_condition_orders_scores():
             params = ModelParams(re_e + 1j * im_e, np.vstack([re_p, re_q]) + 1j * np.vstack([im, im]))
             heads = rng.integers(0, n, size=100)
             tails = rng.integers(0, n, size=100)
-            low = score_batch(params, heads, np.zeros(100, int), tails)
-            high = score_batch(params, heads, np.ones(100, int), tails)
+            low = triple_scores(params, heads, np.zeros(100, int), tails)
+            high = triple_scores(params, heads, np.ones(100, int), tails)
             worst = max(worst, float((low - high).max()))
         assert worst <= 1e-12, f"worst ordering violation {worst:.2e}"
 
@@ -112,7 +107,7 @@ def test_c03_penalty_equals_grid_minimized_slack():
             inverted = bool(rng.integers(2))
             conf = float(rng.uniform(0.05, 1.0))
             ent = Entailment(0, inverted, 1, conf)
-            closed = entailment_penalty(params, [ent])
+            closed = rule_penalty(params.rel, pack_entailments([ent]))[0]
             im_p = -params.im_r[0] if inverted else params.im_r[0]
             grid = slack_grid_minimum(
                 params.re_r[0] - params.re_r[1], im_p - params.im_r[1], conf, step=step
@@ -278,7 +273,7 @@ def test_c07_purity_entropy_ordering():
             for name, config, constraint_set in variants:
                 params, _ = train(dataset, constraint_set, config)
                 normalized = activation_heatmap(params.re_e, range(dataset.n_entities))
-                entropies[name].append(dimension_purity(normalized, labels, 5.0)[1])
+                entropies[name].append(purity_curve(normalized, labels, (5.0,)).points[0][1])
         means = {name: float(np.mean(vals)) for name, vals in entropies.items()}
         print(
             f"    mean entropy at K=5: ComplEx {means['complex']:.3f}, "

@@ -8,7 +8,6 @@ import pytest
 from kgec.analysis import (
     TypeLabels,
     activation_heatmap,
-    dimension_purity,
     load_type_labels,
     minmax_normalize,
     purity_curve,
@@ -59,7 +58,7 @@ class TestDimensionPurity:
         component[0, 0] = component[1, 0] = 1.0  # type A entities on top of dim 0
         component[0, 1] = component[1, 1] = 1.0
         labels = labels_of({0: "A", 1: "A", 2: "B", 3: "B"})
-        k, entropy = dimension_purity(component, labels, 50.0)
+        k, entropy = purity_curve(component, labels, (50.0,)).points[0]
         assert k == 50.0
         assert entropy == 0.0
 
@@ -67,21 +66,21 @@ class TestDimensionPurity:
         # Top-4 of each dimension covers 2 As and 2 Bs.
         component = np.arange(8, dtype=float)[::-1].reshape(-1, 1) * np.ones((8, 3))
         labels = labels_of({i: ("A" if i % 2 == 0 else "B") for i in range(8)})
-        _, entropy = dimension_purity(component, labels, 50.0)
+        _, entropy = purity_curve(component, labels, (50.0,)).points[0]
         assert entropy == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_all_distinct_types_gives_log_n(self):
         n = 5
         component = np.ones((n, 2))
         labels = labels_of({i: f"T{i}" for i in range(n)})
-        _, entropy = dimension_purity(component, labels, 100.0)
+        _, entropy = purity_curve(component, labels, (100.0,)).points[0]
         assert entropy == pytest.approx(np.log(n), abs=1e-12)
 
     def test_bounded_by_log_number_of_types(self, rng):
         component = rng.normal(size=(40, 6))
         labels = labels_of({i: f"T{i % 3}" for i in range(40)})
         for k in (5.0, 20.0, 100.0):
-            _, entropy = dimension_purity(component, labels, k)
+            _, entropy = purity_curve(component, labels, (k,)).points[0]
             assert 0.0 <= entropy <= np.log(3) + 1e-12
 
     def test_invariant_under_increasing_transform(self, rng):
@@ -89,14 +88,12 @@ class TestDimensionPurity:
         labels = labels_of({i: f"T{i % 4}" for i in range(25)})
         transformed = np.exp(component)  # strictly increasing, applied uniformly
         for k in (10.0, 40.0):
-            assert dimension_purity(component, labels, k) == dimension_purity(
-                transformed, labels, k
-            )
+            assert purity_curve(component, labels, (k,)) == purity_curve(transformed, labels, (k,))
 
     def test_ties_break_toward_lower_entity_id(self):
         component = np.zeros((4, 1))  # every activation ties
         labels = labels_of({0: "A", 1: "A", 2: "B", 3: "B"})
-        _, entropy = dimension_purity(component, labels, 50.0)
+        _, entropy = purity_curve(component, labels, (50.0,)).points[0]
         # Selection must be {0, 1}: pure type A.
         assert entropy == 0.0
 
@@ -104,15 +101,15 @@ class TestDimensionPurity:
         component = np.zeros((6, 1))
         component[4, 0] = component[5, 0] = 10.0  # unlabeled entities dominate
         labels = labels_of({0: "A", 1: "A", 2: "B", 3: "B"})
-        _, entropy = dimension_purity(component, labels, 25.0)
+        _, entropy = purity_curve(component, labels, (25.0,)).points[0]
         assert entropy == 0.0  # ceil(0.25 * 4) = 1 labeled entity
 
     def test_validates_inputs(self):
         labels = labels_of({0: "A"})
         with pytest.raises(ValueError):
-            dimension_purity(np.ones((2, 2)), labels, 0.0)
+            purity_curve(np.ones((2, 2)), labels, (0.0,))
         with pytest.raises(ValueError):
-            dimension_purity(np.ones((2, 2)), labels_of({}), 10.0)
+            purity_curve(np.ones((2, 2)), labels_of({}), (10.0,))
 
     def test_curve_collects_points(self):
         component = np.random.default_rng(0).normal(size=(20, 3))

@@ -1,10 +1,14 @@
-"""End-to-end tests of the command-line interface and run manifests."""
+"""End-to-end tests of the command-line interface, run manifests, and the
+package surface the README documents."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kgec
 from kgec.cli import main
 from kgec.data import Triple, write_triples, write_tsv
 from kgec.manifest import RunManifest, sha256_file, write_csv
@@ -424,14 +428,26 @@ def test_eval_corrupt_checkpoint_fails_with_message(data_dir, tmp_path, capsys):
         ("ranks.csv", "head,rel,tail,head_rank,tail_rank\n0,0,1,1,1\n0,0,1\n",
          "significance --ranks-a {file} --ranks-b {file}",
          ":3: not enough values to unpack (expected 5, got 3)"),
+        ("train.txt", b"a\tr\tb\nc\tr\xff\td\n", "mine --train-file {file} --out {out}",
+         ":2: 'utf-8' codec can't decode byte 0xff in position 3"),
+        ("bad.cfg", b"d = 8\nlr = 0.\xff\n", "train --data {data} --config {file} --out {out}",
+         ":2: 'utf-8' codec can't decode byte 0xff in position 7"),
+        ("ranks.csv", b"head,rel,tail,head_rank,tail_rank\n0,0,1,1,\xff\n",
+         "significance --ranks-a {file} --ranks-b {file}",
+         ":2: 'utf-8' codec can't decode byte 0xff in position 8"),
+        ("out/grid_state.json", '["x"]',
+         "train --data {data} --config {config} --grid --out {out}",
+         ": expected a JSON object mapping grid points to numbers"),
     ],
-    ids=["config-cast", "config-value", "grid-key", "rank-dump"],
+    ids=["config-cast", "config-value", "grid-key", "rank-dump", "tsv-utf8", "config-utf8",
+         "rank-dump-utf8", "grid-state-shape"],
 )
 def test_bad_input_fails_naming_the_file(
     data_dir, config_file, tmp_path, capsys, name, content, command, message
 ):
     path = tmp_path / name
-    path.write_text(content)
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     fill = dict(data=data_dir, config=config_file, file=path, out=tmp_path / "out")
     argv = command.format(**fill).split()
     assert main(argv) == 1
@@ -462,6 +478,15 @@ def test_shipped_presets_resolve():
         assert config.lr == lr
         assert config.n_batches == 100
         assert config.max_iters == 1000
+
+
+def test_public_api_resolves_and_covers_the_readme():
+    missing = [name for name in kgec.__all__ if not hasattr(kgec, name)]
+    assert missing == []
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"from kgec import \(([^)]*)\)", readme)
+    documented = {name.strip() for name in block.split(",")} - {""}
+    assert documented and documented <= set(kgec.__all__)
 
 
 def test_manifest_detects_tampered_inputs(tmp_path):

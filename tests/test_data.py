@@ -81,6 +81,12 @@ class TestLoadTriples:
                 path.write_text(f"{line}{eol}{eol}x{eol}")
                 with pytest.raises(ParseError, match=_field_count_error(path, 3, n_fields, 1)):
                     read(path)
+        # A byte that is not UTF-8 names its file and line, also in a vocabulary dump.
+        not_utf8 = re.escape(f"{path}:2: 'utf-8' codec can't decode byte 0xff")
+        for read, line, _ in TSV_READERS + [(IdMap.load, "a", 1)]:
+            path.write_bytes(line.encode() + b"\nx\xff\n")
+            with pytest.raises(ValueError, match=not_utf8):
+                read(path)
 
     def test_grow_false_rejects_unseen_name(self, tmp_path):
         path = tmp_path / "t.tsv"

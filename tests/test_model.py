@@ -1,30 +1,39 @@
-"""Tests for embedding storage, the bilinear score, projection, and checkpoints."""
+"""Tests for embedding storage, the bilinear score, the box clamp, and checkpoints."""
 
 import struct
 
 import numpy as np
 import pytest
 
+from kgec.data import Entailment
 from kgec.model import (
     ModelParams,
     init_params,
-    inverse_relation_rep,
     load_checkpoint,
-    project_entities,
     save_checkpoint,
     score_all_heads,
     score_all_tails,
-    score_batch,
-    score_triple,
 )
+from kgec.objective import SparseGrads, pack_entailments, rule_penalty
+from kgec.trainer import AdaGradState, adagrad_step
+
+from conftest import triple_scores
+from oracles import oracle_score
 
 
-def complex_score_oracle(params: ModelParams, head: int, rel: int, tail: int) -> float:
-    """Independent route: assemble complex vectors and take Re(<h, r, conj(t)>)."""
-    h = params.re_e[head] + 1j * params.im_e[head]
-    r = params.re_r[rel] + 1j * params.im_r[rel]
-    t = params.re_e[tail] + 1j * params.im_e[tail]
-    return float(np.real(np.sum(h * r * np.conj(t))))
+def score(params: ModelParams, triple) -> float:
+    """One triple's score, read off the candidate vector of its tail."""
+    head, rel, tail = triple
+    return float(score_all_tails(params, head, rel)[tail])
+
+
+def clamp(params: ModelParams, rows) -> None:
+    """The box clamp as training runs it: an AdaGrad step with ``project``,
+    here with a zero gradient on the entity ``rows`` so only the clamp acts."""
+    ids = np.asarray(rows)
+    zeros = np.zeros((ids.size, params.d), complex)
+    grads = SparseGrads(ids, zeros, np.empty(0, np.int64), np.empty((0, params.d), complex))
+    adagrad_step(params, grads, AdaGradState.zeros_like(params), lr=1.0, project=True)
 
 
 def params_d1(e_values, r_values) -> ModelParams:
@@ -37,23 +46,23 @@ def params_d1(e_values, r_values) -> ModelParams:
 class TestScore:
     def test_all_zero_params(self):
         params = ModelParams(np.zeros((2, 3), complex), np.zeros((1, 3), complex))
-        assert score_triple(params, (0, 0, 1)) == 0.0
+        assert score(params, (0, 0, 1)) == 0.0
 
     def test_d1_hand_case(self):
         params = params_d1([0.5 + 0.5j, 1.0 + 0.0j], [0.3 + 0.2j])
-        expected = complex_score_oracle(params, 0, 0, 1)
+        expected = oracle_score(params, 0, 0, 1)
         assert expected == pytest.approx(0.05, abs=1e-15)
-        assert score_triple(params, (0, 0, 1)) == pytest.approx(expected, abs=1e-15)
+        assert score(params, (0, 0, 1)) == pytest.approx(expected, abs=1e-15)
 
     def test_asymmetric_relation(self):
         # Purely imaginary relation between real and imaginary unit entities.
         params = params_d1([1.0 + 0.0j, 0.0 + 1.0j], [0.0 + 1.0j])
-        assert score_triple(params, (0, 0, 0)) == pytest.approx(0.0, abs=1e-15)
-        assert score_triple(params, (0, 0, 1)) == pytest.approx(
-            complex_score_oracle(params, 0, 0, 1), abs=1e-15
+        assert score(params, (0, 0, 0)) == pytest.approx(0.0, abs=1e-15)
+        assert score(params, (0, 0, 1)) == pytest.approx(
+            oracle_score(params, 0, 0, 1), abs=1e-15
         )
-        assert score_triple(params, (0, 0, 1)) == pytest.approx(1.0, abs=1e-15)
-        assert score_triple(params, (1, 0, 0)) == pytest.approx(-1.0, abs=1e-15)
+        assert score(params, (0, 0, 1)) == pytest.approx(1.0, abs=1e-15)
+        assert score(params, (1, 0, 0)) == pytest.approx(-1.0, abs=1e-15)
 
     def test_matches_oracle_on_random_params(self, rng):
         params = init_params(7, 3, 5, seed=11)
@@ -62,18 +71,18 @@ class TestScore:
         for _ in range(200):
             h, t = rng.integers(0, 7, size=2)
             r = rng.integers(0, 3)
-            assert score_triple(params, (h, r, t)) == pytest.approx(
-                complex_score_oracle(params, h, r, t), abs=1e-12
+            assert score(params, (h, r, t)) == pytest.approx(
+                oracle_score(params, h, r, t), abs=1e-12
             )
 
     def test_out_of_range_ids(self):
         params = init_params(3, 2, 4, seed=0)
         with pytest.raises(IndexError):
-            score_triple(params, (3, 0, 0))
+            score_all_tails(params, 3, 0)
         with pytest.raises(IndexError):
-            score_triple(params, (0, 2, 0))
+            score_all_tails(params, 0, 2)
         with pytest.raises(IndexError):
-            score_triple(params, (0, 0, -1))
+            score_all_heads(params, 0, -1)
         with pytest.raises(IndexError):
             score_all_heads(params, np.array([0, 1]), np.array([0, -1]))
         with pytest.raises(IndexError):
@@ -86,9 +95,9 @@ class TestScore:
         heads = rng.integers(0, 9, size=30)
         rels = rng.integers(0, 4, size=30)
         tails = rng.integers(0, 9, size=30)
-        batch = score_batch(params, heads, rels, tails)
+        batch = [oracle_score(params, h, r, t) for h, r, t in zip(heads, rels, tails)]
         for i in range(30):
-            single = score_triple(params, (heads[i], rels[i], tails[i]))
+            single = score(params, (heads[i], rels[i], tails[i]))
             assert batch[i] == pytest.approx(single, abs=1e-12)
             assert score_all_heads(params, rels[i], tails[i])[heads[i]] == pytest.approx(
                 single, abs=1e-12
@@ -110,32 +119,37 @@ class TestScore:
             values = []
             for c in (0.5, 1.0, 2.0):
                 matrix[row] = c * base
-                values.append(score_triple(params, triple))
+                values.append(score(params, triple))
             matrix[row] = base
             slope_a = (values[1] - values[0]) / 0.5
             slope_b = (values[2] - values[0]) / 1.5
             assert slope_a == pytest.approx(slope_b, abs=1e-10)
 
 
+def inverted_penalty(params: ModelParams, premise: int, conclusion: int) -> float:
+    """Penalty of the rule "premise, inverted, entails conclusion"."""
+    rules = pack_entailments([Entailment(premise, True, conclusion, 1.0)])
+    return rule_penalty(params.rel, rules)[0]
+
+
 class TestInverseRelation:
     def test_conjugation(self):
-        params = params_d1([1.0 + 0.0j], [0.3 + 0.2j])
-        re, im = inverse_relation_rep(params, 0)
-        assert re[0] == pytest.approx(0.3)
-        assert im[0] == pytest.approx(-0.2)
+        # An inverted premise r enters the penalty as conj(r) = 0.3 - 0.2j: it
+        # entails that relation for free, and r itself at (2 * 0.2)**2.
+        params = params_d1([1.0 + 0.0j], [0.3 + 0.2j, 0.3 - 0.2j])
+        assert inverted_penalty(params, 0, 1) == 0.0
+        assert inverted_penalty(params, 0, 0) == pytest.approx(0.16)
 
     def test_real_relation_is_fixed_point(self):
         params = params_d1([1.0 + 0.0j], [0.7 + 0.0j])
-        re, im = inverse_relation_rep(params, 0)
-        assert re[0] == 0.7 and im[0] == 0.0
+        assert inverted_penalty(params, 0, 0) == 0.0
 
     def test_identity_on_hand_case(self):
         # Scoring with the conjugate relation and swapped entities matches.
         params = params_d1([0.5 + 0.5j, 1.0 + 0.0j], [0.3 + 0.2j])
-        forward = score_triple(params, (0, 0, 1))
-        re, im = inverse_relation_rep(params, 0)
-        swapped = ModelParams(params.ent, re[None, :] + 1j * im[None, :])
-        backward = score_triple(swapped, (1, 0, 0))
+        forward = score(params, (0, 0, 1))
+        swapped = ModelParams(params.ent, np.conj(params.rel))
+        backward = score(swapped, (1, 0, 0))
         assert forward == pytest.approx(0.05, abs=1e-15)
         assert backward == pytest.approx(forward, abs=1e-15)
 
@@ -149,8 +163,8 @@ class TestInverseRelation:
         heads = rng.integers(0, 20, size=1000)
         rels = rng.integers(0, 6, size=1000)
         tails = rng.integers(0, 20, size=1000)
-        forward = score_batch(params, heads, rels, tails)
-        backward = score_batch(conj, tails, rels, heads)
+        forward = triple_scores(params, heads, rels, tails)
+        backward = score_all_heads(conj, rels, heads)[np.arange(1000), tails]
         np.testing.assert_allclose(forward, backward, atol=1e-12, rtol=0)
 
 
@@ -161,7 +175,7 @@ class TestProjection:
         params.im_e[1, 2] = -0.2
         params.re_e[1, 1] = 0.42
         params.re_r[0, 0] = 5.0
-        project_entities(params)
+        clamp(params, [0, 1])
         assert params.re_e[0, 0] == 1.0
         assert params.im_e[1, 2] == 0.0
         assert params.re_e[1, 1] == 0.42
@@ -171,16 +185,16 @@ class TestProjection:
         params = init_params(6, 2, 5, seed=1)
         params.re_e[:] = rng.normal(scale=3.0, size=params.re_e.shape)
         params.im_e[:] = rng.normal(scale=3.0, size=params.im_e.shape)
-        project_entities(params)
+        clamp(params, range(6))
         once = params.copy()
-        project_entities(params)
+        clamp(params, range(6))
         np.testing.assert_array_equal(params.re_e, once.re_e)
         np.testing.assert_array_equal(params.im_e, once.im_e)
 
     def test_row_subset(self):
         params = init_params(3, 1, 2, seed=0)
         params.re_e[:] = 2.0
-        project_entities(params, rows=np.array([1]))
+        clamp(params, [1])
         assert params.re_e[1, 0] == 1.0
         assert params.re_e[0, 0] == 2.0
 
@@ -199,8 +213,8 @@ class TestSufficiency:
             params = ModelParams(re_e + 1j * im_e, np.vstack([re_p, re_q]) + 1j * np.vstack([im, im]))
             heads = rng.integers(0, n, size=100)
             tails = rng.integers(0, n, size=100)
-            lo = score_batch(params, heads, np.zeros(100, int), tails)
-            hi = score_batch(params, heads, np.ones(100, int), tails)
+            lo = triple_scores(params, heads, np.zeros(100, int), tails)
+            hi = triple_scores(params, heads, np.ones(100, int), tails)
             assert np.all(lo <= hi + 1e-12)
 
 

@@ -5,32 +5,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgec.data import Entailment, Triple
+from kgec.data import Entailment
 from kgec.model import ModelParams, init_params
-from kgec.objective import (
-    TrainingExample,
-    entailment_penalty,
-    l2_term,
-    logistic_term,
-    loss_and_gradient,
-    loss_and_gradient_arrays,
-    softplus,
-)
+from kgec.objective import loss_and_gradient_arrays, pack_entailments, rule_penalty, softplus
 from kgec.trainer import _with_full_l2
 
-from oracles import central_difference, oracle_scatter_gradients, slack_grid_minimum
+from conftest import triple_scores
+from oracles import central_difference, oracle_scatter_gradients, oracle_score, slack_grid_minimum
 
 
 def zero_params(n=2, m=1, d=2) -> ModelParams:
     return ModelParams(np.zeros((n, d), complex), np.zeros((m, d), complex))
 
 
-def example(h, r, t, label=1) -> TrainingExample:
-    return TrainingExample(Triple(h, r, t), label)
+def batch_of(*examples):
+    """(heads, rels, tails, labels) arrays from (h, r, t, label) tuples."""
+    rows = np.array(examples, dtype=np.int64).reshape(-1, 4)
+    return rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3].astype(float)
+
+
+NO_RULES = pack_entailments([])
+
+
+def data_terms(params, *examples, eta=0.0):
+    """The kernel on (h, r, t, label) examples, without rules."""
+    return loss_and_gradient_arrays(params, *batch_of(*examples), NO_RULES, 0.0, eta)
 
 
 def random_instance(seed, n=6, m=3, d=4, n_triples=20):
-    """Random params/batch/entailments for gradient checking.
+    """Random params, batch arrays and packed rules for gradient checking.
 
     Resamples until no constraint sits near the hinge kink, where the
     subgradient and the finite difference legitimately disagree.
@@ -40,15 +43,17 @@ def random_instance(seed, n=6, m=3, d=4, n_triples=20):
         params = init_params(n, m, d, seed=int(rng.integers(2**31)))
         params.re_r[:] = rng.normal(scale=0.5, size=(m, d))
         params.im_r[:] = rng.normal(scale=0.5, size=(m, d))
-        batch = [
-            example(
-                int(rng.integers(n)),
-                int(rng.integers(m)),
-                int(rng.integers(n)),
-                int(rng.choice([-1, 1])),
+        batch = batch_of(
+            *(
+                (
+                    int(rng.integers(n)),
+                    int(rng.integers(m)),
+                    int(rng.integers(n)),
+                    int(rng.choice([-1, 1])),
+                )
+                for _ in range(n_triples)
             )
-            for _ in range(n_triples)
-        ]
+        )
         ents = [
             Entailment(0, False, 1, float(rng.uniform(0.5, 1.0))),
             Entailment(2, True, 0, float(rng.uniform(0.5, 1.0))),
@@ -60,29 +65,27 @@ def random_instance(seed, n=6, m=3, d=4, n_triples=20):
             if np.any(np.abs(d_re) < 1e-4):
                 near_kink = True
         if not near_kink:
-            return params, batch, ents
+            return params, batch, pack_entailments(ents)
 
 
 class TestLogisticTerm:
     def test_zero_score_positive_label(self):
         params = zero_params()
-        assert logistic_term(params, [example(0, 0, 1)]) == pytest.approx(
-            np.log(2.0), abs=1e-12
-        )
+        assert data_terms(params, (0, 0, 1, 1))[0].logistic == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_saturation_no_overflow(self):
         # phi = 50: softplus(-50) ~ e^-50 for y=+1, ~50 for y=-1.
         params = zero_params(d=1)
         params.re_e[:] = [[50.0], [1.0]]
         params.re_r[:] = [[1.0]]
-        pos = logistic_term(params, [example(0, 0, 1, 1)])
-        neg = logistic_term(params, [example(0, 0, 1, -1)])
+        pos = data_terms(params, (0, 0, 1, 1))[0].logistic
+        neg = data_terms(params, (0, 0, 1, -1))[0].logistic
         assert pos == pytest.approx(np.exp(-50.0), rel=1e-9)
         assert neg == pytest.approx(50.0, abs=1e-12)
         assert np.isfinite(softplus(np.array([1e9, -1e9]))).all()
 
     def test_empty_sequence(self):
-        assert logistic_term(zero_params(), []) == 0.0
+        assert data_terms(zero_params())[0].logistic == 0.0
 
 
 class TestEntailmentPenalty:
@@ -91,7 +94,7 @@ class TestEntailmentPenalty:
         params = zero_params(m=2)
         params.re_r[0] = [0.2, -0.1]
         params.im_r[0] = [0.1, 0.0]
-        pen = entailment_penalty(params, [Entailment(0, False, 1, 0.9)])
+        pen = rule_penalty(params.rel, pack_entailments([Entailment(0, False, 1, 0.9)]))[0]
         assert pen == pytest.approx(0.189, abs=1e-12)
         # Cross-check against grid-minimized slack variables.
         grid = slack_grid_minimum(params.re_r[0], params.im_r[0], 0.9, step=1e-3)
@@ -101,31 +104,31 @@ class TestEntailmentPenalty:
         params = zero_params(m=2, d=3)
         params.re_r[0] = params.re_r[1] = rng.normal(size=3)
         params.im_r[0] = params.im_r[1] = rng.normal(size=3)
-        assert entailment_penalty(params, [Entailment(0, False, 1, 1.0)]) == 0.0
+        rules = pack_entailments([Entailment(0, False, 1, 1.0)])
+        assert rule_penalty(params.rel, rules)[0] == 0.0
 
     def test_strictly_satisfied_constraint(self):
         params = zero_params(m=2, d=2)
         params.re_r[0] = [-1.0, 0.0]
         params.re_r[1] = [0.0, 0.5]
         params.im_r[0] = params.im_r[1] = [0.3, -0.7]
-        assert entailment_penalty(params, [Entailment(0, False, 1, 0.8)]) == 0.0
+        rules = pack_entailments([Entailment(0, False, 1, 0.8)])
+        assert rule_penalty(params.rel, rules)[0] == 0.0
 
     def test_inverted_premise_conjugates_imaginary(self):
         params = zero_params(m=2, d=1)
         params.im_r[0] = [0.3]
         params.im_r[1] = [-0.3]
         # Inverted premise: Im(conj(r0)) = -0.3 equals Im(r1) -> no penalty.
-        assert entailment_penalty(params, [Entailment(0, True, 1, 1.0)]) == 0.0
+        inverted = pack_entailments([Entailment(0, True, 1, 1.0)])
+        assert rule_penalty(params.rel, inverted)[0] == 0.0
         # Forward premise: difference 0.6 -> penalty 0.36.
-        assert entailment_penalty(
-            params, [Entailment(0, False, 1, 1.0)]
-        ) == pytest.approx(0.36, abs=1e-12)
+        forward = pack_entailments([Entailment(0, False, 1, 1.0)])
+        assert rule_penalty(params.rel, forward)[0] == pytest.approx(0.36, abs=1e-12)
 
     def test_zero_penalty_implies_score_ordering(self, rng):
         # Constraints at zero penalty, plus boxed entities, order the scores
         # of premise and conclusion triples (strict entailment recovered).
-        from kgec.model import ModelParams, score_batch
-
         n, d = 20, 4
         for _ in range(20):
             re_e = rng.uniform(0, 1, (n, d))
@@ -136,11 +139,12 @@ class TestEntailmentPenalty:
             params = ModelParams(
                 re_e + 1j * im_e, np.vstack([re_p, re_q]) + 1j * np.vstack([im, im])
             )
-            assert entailment_penalty(params, [Entailment(0, False, 1, 1.0)]) == 0.0
+            rules = pack_entailments([Entailment(0, False, 1, 1.0)])
+            assert rule_penalty(params.rel, rules)[0] == 0.0
             heads = rng.integers(0, n, size=50)
             tails = rng.integers(0, n, size=50)
-            low = score_batch(params, heads, np.zeros(50, int), tails)
-            high = score_batch(params, heads, np.ones(50, int), tails)
+            low = triple_scores(params, heads, np.zeros(50, int), tails)
+            high = triple_scores(params, heads, np.ones(50, int), tails)
             assert np.all(low <= high + 1e-12)
 
     def test_nonnegative_and_zero_iff_satisfied(self, rng):
@@ -150,7 +154,7 @@ class TestEntailmentPenalty:
             params.im_r[:] = rng.normal(size=(2, 4))
             inverted = bool(rng.integers(2))
             ent = Entailment(0, inverted, 1, float(rng.uniform(0.1, 1.0)))
-            pen = entailment_penalty(params, [ent])
+            pen = rule_penalty(params.rel, pack_entailments([ent]))[0]
             assert pen >= 0.0
             im_p = -params.im_r[0] if inverted else params.im_r[0]
             satisfied = np.all(params.re_r[0] <= params.re_r[1]) and np.array_equal(
@@ -161,16 +165,17 @@ class TestEntailmentPenalty:
 
 class TestL2Term:
     def test_zero_params(self):
-        assert l2_term(zero_params(), [0, 1], [0]) == 0.0
+        assert data_terms(zero_params(), (0, 0, 1, 1))[0].l2 == 0.0
 
     def test_single_row(self):
         params = zero_params(n=3, m=1, d=2)
         params.re_e[1] = [0.5, 0.5]
-        assert l2_term(params, [1], []) == pytest.approx(0.5, abs=1e-15)
+        # Touches entity 1 and the all-zero relation 0.
+        assert data_terms(params, (1, 0, 1, 1))[0].l2 == pytest.approx(0.5, abs=1e-15)
 
     def test_empty_touched_set(self):
         params = init_params(3, 2, 4, seed=0)
-        assert l2_term(params, [], []) == 0.0
+        assert data_terms(params)[0].l2 == 0.0
 
 
 class TestLossAndGradient:
@@ -180,9 +185,7 @@ class TestLossAndGradient:
         params.re_e[0] = [1.0, 1.0]
         params.re_e[1] = [1.0, 1.0]
         params.re_r[0] = [1.0, -1.0]
-        breakdown, grads = loss_and_gradient(
-            params, [example(0, 0, 1, 1)], [], mu=0.0, eta=0.0
-        )
+        breakdown, grads = data_terms(params, (0, 0, 1, 1))
         assert breakdown.logistic == pytest.approx(np.log(2.0), abs=1e-12)
         head_row = np.where(grads.ent_ids == 0)[0][0]
         dphi_dre_head = params.re_r[0] * params.re_e[1]
@@ -192,43 +195,41 @@ class TestLossAndGradient:
 
     def test_untouched_rows_absent(self):
         params = init_params(5, 3, 4, seed=0)
-        _, grads = loss_and_gradient(params, [example(0, 1, 2)], [], 0.0, 0.01)
+        _, grads = data_terms(params, (0, 1, 2, 1), eta=0.01)
         assert set(grads.ent_ids.tolist()) == {0, 2}
         assert set(grads.rel_ids.tolist()) == {1}
 
     def test_entailment_rows_included_even_without_batch_hits(self):
         params = init_params(5, 4, 4, seed=0)
-        ents = [Entailment(2, False, 3, 0.9)]
-        _, grads = loss_and_gradient(params, [example(0, 0, 1)], ents, 1.0, 0.0)
+        rules = pack_entailments([Entailment(2, False, 3, 0.9)])
+        _, grads = loss_and_gradient_arrays(params, *batch_of((0, 0, 1, 1)), rules, 1.0, 0.0)
         assert set(grads.rel_ids.tolist()) == {0, 2, 3}
 
     def test_total_matches_independent_reassembly(self):
-        params, batch, ents = random_instance(seed=4)
+        params, batch, rules = random_instance(seed=4)
         mu, eta = 0.7, 0.01
-        breakdown, grads = loss_and_gradient(params, batch, ents, mu, eta)
-        logistic = logistic_term(params, batch)
-        penalty = entailment_penalty(params, ents)
-        l2 = l2_term(params, grads.ent_ids, grads.rel_ids)
+        breakdown, grads = loss_and_gradient_arrays(params, *batch, rules, mu, eta)
+        heads, rels, tails, labels = batch
+        scores = [oracle_score(params, h, r, t) for h, r, t in zip(heads, rels, tails)]
+        logistic = float(np.logaddexp(0.0, -labels * scores).sum())
+        pen = rule_penalty(params.rel, rules)[0]
+        l2 = np.sum(np.abs(params.ent[grads.ent_ids]) ** 2) + np.sum(
+            np.abs(params.rel[grads.rel_ids]) ** 2
+        )
         assert breakdown.logistic == pytest.approx(logistic, abs=1e-12)
-        assert breakdown.entailment_penalty == pytest.approx(penalty, abs=1e-12)
+        assert breakdown.entailment_penalty == pytest.approx(pen, abs=1e-12)
         assert breakdown.l2 == pytest.approx(l2, abs=1e-12)
         assert breakdown.total == pytest.approx(
-            logistic + mu * penalty + eta * l2, abs=1e-12
+            logistic + mu * pen + eta * l2, abs=1e-12
         )
 
     def test_matches_central_finite_differences(self):
-        params, batch, ents = random_instance(seed=1)
+        params, batch, rules = random_instance(seed=1)
         mu, eta = 0.7, 0.01
-        _, grads = loss_and_gradient(params, batch, ents, mu, eta)
-        ent_rows = grads.ent_ids
-        rel_rows = grads.rel_ids
+        _, grads = loss_and_gradient_arrays(params, *batch, rules, mu, eta)
 
         def loss():
-            return (
-                logistic_term(params, batch)
-                + mu * entailment_penalty(params, ents)
-                + eta * l2_term(params, ent_rows, rel_rows)
-            )
+            return loss_and_gradient_arrays(params, *batch, rules, mu, eta)[0].total
 
         worst = 0.0
         blocks = (
@@ -250,7 +251,8 @@ class TestLossAndGradient:
         params = zero_params(m=2, d=2)
         params.re_r[0] = params.re_r[1] = [0.4, -0.2]
         params.im_r[0] = params.im_r[1] = [0.1, 0.1]
-        _, grads = loss_and_gradient(params, [], [Entailment(0, False, 1, 1.0)], 5.0, 0.0)
+        rules = pack_entailments([Entailment(0, False, 1, 1.0)])
+        _, grads = loss_and_gradient_arrays(params, *batch_of(), rules, 5.0, 0.0)
         np.testing.assert_array_equal(grads.rel.real, 0.0)
         np.testing.assert_array_equal(grads.rel.imag, 0.0)
 
@@ -263,7 +265,7 @@ class TestLossAndGradient:
             inverted = bool(rng.integers(2))
             conf = float(rng.uniform(0.1, 1.0))
             ent = Entailment(0, inverted, 1, conf)
-            closed = entailment_penalty(params, [ent])
+            closed = rule_penalty(params.rel, pack_entailments([ent]))[0]
             im_p = -params.im_r[0] if inverted else params.im_r[0]
             grid = slack_grid_minimum(
                 params.re_r[0] - params.re_r[1],
@@ -294,7 +296,8 @@ def kernel_instances(draw):
     params.ent[:] *= 1.5  # some entries outside the box
     mu = draw(st.sampled_from([0.0, 0.1, 10.0]))
     eta = draw(st.sampled_from([0.0, 0.03]))
-    return params, (heads, rels, tails, labels, rules, mu, eta), draw(st.booleans())
+    batch = (heads, rels, tails, labels, pack_entailments(rules), mu, eta)
+    return params, batch, draw(st.booleans())
 
 
 class TestScatterKernel:

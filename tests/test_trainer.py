@@ -8,12 +8,8 @@ import numpy as np
 import pytest
 
 from kgec.data import Dataset, Entailment, Triple
-from kgec.model import init_params, project_entities, score_batch
-from kgec.objective import (
-    SparseGrads,
-    TrainingExample,
-    entailment_penalty,
-)
+from kgec.model import init_params, score_all_tails
+from kgec.objective import SparseGrads, pack_entailments, rule_penalty
 from kgec.trainer import (
     AdaGradState,
     EpochStats,
@@ -28,7 +24,7 @@ from kgec.trainer import (
 from kgec.evaluation import evaluate
 from kgec.data import build_known_index
 
-from conftest import make_vocab
+from conftest import make_vocab, triple_scores
 from oracles import sample_negatives
 
 
@@ -48,22 +44,20 @@ class TestSampleNegatives:
         positive = Triple(0, 0, 1)
         negatives = sample_negatives(positive, k=2, n=10, rng=rng)
         assert len(negatives) == 2
-        for ex in negatives:
-            assert ex.label == -1
-            h, r, t = ex.triple
+        for h, r, t in negatives:
             assert r == 0
             changed_head = h != positive.head
             changed_tail = t != positive.tail
             assert changed_head != changed_tail  # exactly one side replaced
 
     def test_two_entities_forces_the_other_id(self, rng):
-        for ex in sample_negatives(Triple(0, 0, 1), k=50, n=2, rng=rng):
-            assert ex.triple in (Triple(1, 0, 1), Triple(0, 0, 0))
+        for negative in sample_negatives(Triple(0, 0, 1), k=50, n=2, rng=rng):
+            assert negative in (Triple(1, 0, 1), Triple(0, 0, 0))
 
     def test_replacement_never_equals_original(self, rng):
         positive = Triple(3, 1, 7)
-        for ex in sample_negatives(positive, k=500, n=8, rng=rng):
-            assert ex.triple != positive
+        for negative in sample_negatives(positive, k=500, n=8, rng=rng):
+            assert negative != positive
 
     def test_deterministic_given_seed(self):
         a = sample_negatives(Triple(0, 0, 1), 20, 10, np.random.default_rng(5))
@@ -164,7 +158,8 @@ class TestAdagradStep:
         grads = SparseGrads(ent_ids, normal(4), rel_ids, normal(2))
         adagrad_step(fused, grads, state, lr=0.5, project=True)
         adagrad_step(separate, grads, separate_state, lr=0.5)
-        project_entities(separate, rows=ent_ids)
+        for part in (separate.ent.real, separate.ent.imag):
+            part[ent_ids] = np.clip(part[ent_ids], 0.0, 1.0)
         assert (fused.re_e == 0.0).any() and (fused.re_e == 1.0).any()
         np.testing.assert_array_equal(fused.ent, separate.ent)
         np.testing.assert_array_equal(fused.rel, separate.rel)
@@ -177,10 +172,9 @@ class TestGradNormCap:
         ids = np.array([0, 1])
         block = np.full((2, 2), 3.0)
         grads = SparseGrads(ids, block + 1j * block, np.array([0]), np.full((1, 2), 3.0 + 3.0j))
-        norm = grads.global_norm()
+        norm = grads.clip_global_norm_(1.0)
         assert norm == pytest.approx(np.sqrt(12 * 9.0))
-        grads.clip_global_norm_(1.0)
-        assert grads.global_norm() == pytest.approx(1.0, rel=1e-12)
+        assert grads.clip_global_norm_(1.0) == pytest.approx(1.0, rel=1e-12)
         # Direction preserved: all entries still equal.
         assert np.allclose(grads.ent.real, grads.ent.real[0, 0])
 
@@ -248,23 +242,13 @@ class TestTrain:
         rng = np.random.default_rng(99)
         separated = 0
         for positive in dataset.train:
-            pos_score = score_batch(
-                params,
-                np.array([positive.head]),
-                np.array([positive.rel]),
-                np.array([positive.tail]),
-            )[0]
+            pos_score = score_all_tails(params, positive.head, positive.rel)[positive.tail]
             negatives = [
-                ex.triple
-                for ex in sample_negatives(positive, 10, dataset.n_entities, rng)
-                if ex.triple not in train_set
+                negative
+                for negative in sample_negatives(positive, 10, dataset.n_entities, rng)
+                if negative not in train_set
             ]
-            neg_scores = score_batch(
-                params,
-                np.array([t.head for t in negatives]),
-                np.array([t.rel for t in negatives]),
-                np.array([t.tail for t in negatives]),
-            )
+            neg_scores = triple_scores(params, *np.array(negatives).reshape(-1, 3).T)
             if pos_score > neg_scores.max():
                 separated += 1
         assert separated >= 0.9 * len(dataset.train)
@@ -304,7 +288,7 @@ class TestTrain:
         ents = [Entailment(0, False, 1, 1.0), Entailment(0, True, 1, 0.8)]
         config = fast_config(max_iters=400, mu=1e4, lr=0.1)
         params, _ = train(dataset, ents, config)
-        assert entailment_penalty(params, ents) < 1e-3 * len(ents)
+        assert rule_penalty(params.rel, pack_entailments(ents))[0] < 1e-3 * len(ents)
 
     def test_keeps_best_validation_checkpoint(self):
         rng = np.random.default_rng(3)
@@ -353,7 +337,7 @@ class TestTrain:
             train(dataset, [Entailment(0, False, 5, 0.9)], fast_config(max_iters=1))
 
     def test_full_l2_gradients_match_finite_differences(self):
-        from kgec.objective import l2_term, logistic_term, loss_and_gradient_arrays
+        from kgec.objective import loss_and_gradient_arrays
         from kgec.trainer import _with_full_l2
         from oracles import central_difference
 
@@ -366,24 +350,24 @@ class TestTrain:
         tails = np.array([1, 2, 3])
         labels = np.array([1.0, -1.0, 1.0])
         eta = 0.05
-        breakdown, grads = loss_and_gradient_arrays(
-            params, heads, rels, tails, labels, [], 0.0, 0.0
-        )
-        breakdown, grads = _with_full_l2(params, breakdown, grads, eta)
-        assert breakdown.l2 == pytest.approx(
-            l2_term(params, range(5), range(3)), abs=1e-12
-        )
-        assert breakdown.l2 == l2_term(params, range(5), range(3))
+        no_rules = pack_entailments([])
 
-        examples = [
-            TrainingExample(Triple(int(h), int(r), int(t)), int(y))
-            for h, r, t, y in zip(heads, rels, tails, labels)
-        ]
+        def full_l2_kernel():
+            data_terms = loss_and_gradient_arrays(
+                params, heads, rels, tails, labels, no_rules, 0.0, 0.0
+            )
+            return _with_full_l2(params, *data_terms, eta)
+
+        breakdown, grads = full_l2_kernel()
+        assert breakdown.l2 == pytest.approx(
+            np.sum(params.re_e**2 + params.im_e**2) + np.sum(params.re_r**2 + params.im_r**2),
+            abs=1e-12,
+        )
+        exact = np.vdot(params.ent, params.ent).real + np.vdot(params.rel, params.rel).real
+        assert breakdown.l2 == exact
 
         def loss():
-            return logistic_term(params, examples) + eta * l2_term(
-                params, range(5), range(3)
-            )
+            return full_l2_kernel()[0].total
 
         for matrix, grad in (
             (params.re_e, grads.ent.real),
