@@ -64,27 +64,33 @@ def rank_from_scores(
     return 1 + np.count_nonzero(competing, axis=1)
 
 
+def _checked_triples(params: ModelParams, triples) -> np.ndarray:
+    """Triples as a (B, 3) id array; IndexError unless every id is in range."""
+    triples = np.asarray(triples, dtype=np.int64)
+    _check_ids(triples[:, ::2], params.n_entities, "entity")
+    _check_ids(triples[:, 1], params.n_relations, "relation")
+    return triples
+
+
 def _filtered_ranks(
     params: ModelParams, triples: np.ndarray, side: str, known: KnownIndex
 ) -> np.ndarray:
-    """Filtered ranks of the gold entities of a (B, 3) id array when
-    corrupting ``side``: one scoring call and one ranking call."""
+    """Filtered ranks of the gold entities of a range-checked (B, 3) id array
+    when corrupting ``side``: one scoring call and one ranking call."""
     heads, rels, tails = triples.T
     if side == "head":
-        _check_ids(heads, params.n_entities, "entity")
         filtered = [known.heads(r, t) for r, t in zip(rels.tolist(), tails.tolist())]
-        return rank_from_scores(score_all_heads(params, rels, tails), heads, filtered)
+        return rank_from_scores(score_all_heads(params, rels, tails, check=False), heads, filtered)
     if side == "tail":
-        _check_ids(tails, params.n_entities, "entity")
         filtered = [known.tails(h, r) for h, r in zip(heads.tolist(), rels.tolist())]
-        return rank_from_scores(score_all_tails(params, heads, rels), tails, filtered)
+        return rank_from_scores(score_all_tails(params, heads, rels, check=False), tails, filtered)
     raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
 
 
 def filtered_rank(params: ModelParams, triple: Triple, side: str, known: KnownIndex) -> int:
     """Filtered rank of the gold entity when corrupting the ``side`` ("head" or
     "tail") of ``triple``; candidates forming known triples are excluded."""
-    return int(_filtered_ranks(params, np.asarray([triple]), side, known)[0])
+    return int(_filtered_ranks(params, _checked_triples(params, [triple]), side, known)[0])
 
 
 def evaluate(
@@ -104,7 +110,7 @@ def evaluate(
     """
     if len(test) == 0:
         raise ValueError("test set is empty")
-    triples = np.asarray(test, dtype=np.int64)
+    triples = _checked_triples(params, test)
     per_chunk = max(1, _CHUNK_BYTES // (params.n_entities * params.ent.real.itemsize))
 
     def rank_chunk(lo: int) -> list[np.ndarray]:

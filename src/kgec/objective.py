@@ -7,6 +7,10 @@ p -> q with confidence c, the penalty is
 where p* is p itself, or its complex conjugate when the premise is inverted.
 This is the analytic optimum of the slack-variable formulation, so no slack
 variables are materialized.
+
+The training kernel scores each negative, which replaces its positive's head
+or tail, against the positive's partial for that slot, so it gathers B
+positive rows and B·k replacement rows rather than a full triple per negative.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from scipy import sparse
 from scipy.special import expit
 
 from .data import Entailment
-from .model import ModelParams, head_partial, real_dot, real_view, rel_partial, tail_partial
+from .model import ModelParams, _check_ids, head_partial, real_dot, real_view
+from .model import rel_partial, tail_partial
 
 
 @dataclass
@@ -58,8 +63,7 @@ class SparseGrads:
         if norm > cap:
             factor = cap / norm
             for block in (self.ent, self.rel):
-                view = real_view(block)
-                view *= factor
+                real_view(block)[:] *= factor
         return norm
 
 
@@ -107,9 +111,9 @@ def rule_penalty(
     Rule k compares its premise p (``rel[premise[k]]``, conjugated when
     ``sign[k]`` is -1) with its conclusion q: with delta = p - q and c the
     confidence, it costs ``c * sum(max(0, Re delta) + (Im delta)**2)``.
-    Returns the total, then relation ids ``[premise, conclusion]`` and one
-    gradient row per id, to be added at that id. The hinge's subgradient at
-    the kink is 0, so satisfied constraints stay inert.
+    Returns the total and one gradient row per relation id of
+    ``[premise, conclusion]``, to be added at that id. The hinge's
+    subgradient at the kink is 0, so satisfied constraints stay inert.
     """
     sign = rules.sign[:, None]
     delta = rel[rules.premise]
@@ -119,8 +123,7 @@ def rule_penalty(
     penalty = float(np.sum(conf * (np.maximum(delta.real, 0.0) + delta.imag**2)))
     grad = conf * ((delta.real > 0.0) + 2j * delta.imag)
     grad_premise = np.where(sign < 0.0, np.conj(grad), grad)
-    ids = np.concatenate([rules.premise, rules.conclusion])
-    return penalty, ids, np.concatenate([grad_premise, -grad])
+    return penalty, np.concatenate([grad_premise, -grad])
 
 
 def loss_and_gradient_arrays(
@@ -128,53 +131,83 @@ def loss_and_gradient_arrays(
     heads: np.ndarray,
     rels: np.ndarray,
     tails: np.ndarray,
-    labels: np.ndarray,
+    corrupt_head: np.ndarray,
+    replacement: np.ndarray,
     rules: RuleArrays,
     mu: float,
     eta: float,
 ) -> tuple[LossBreakdown, SparseGrads]:
     """Batch loss and its exact gradient over the touched parameter rows.
 
-    Triple i is (heads[i], rels[i], tails[i]) with label +1 (observed) or
-    -1 (corrupted). The touched set is every entity/relation row appearing in
-    the batch plus every relation row named by a rule; L2 regularization
-    covers exactly that set, and rows outside it are absent from the sparse
-    gradient. The L2 gradient is added last, so ``eta=0`` gives the gradient
-    of the logistic and entailment terms alone.
+    Positive i is (heads[i], rels[i], tails[i]), labelled +1. Its negative j,
+    labelled -1, replaces its head where ``corrupt_head[i, j]`` and its tail
+    otherwise by entity ``replacement[i, j]`` (both arrays are (B, k)). The
+    touched set is every entity/relation row in the batch plus every relation
+    row named by a rule; L2 regularization covers exactly that set, and rows
+    outside it are absent from the sparse gradient. The L2 gradient is added
+    last, so ``eta=0`` gives the gradient of the logistic and entailment
+    terms alone.
     """
-    b = heads.size
-    ent_ids, ent_pos = np.unique(np.concatenate([heads, tails]), return_inverse=True)
-    rel_ids, rel_pos = np.unique(
-        np.concatenate([rels, rules.premise, rules.conclusion]), return_inverse=True
-    )
+    b, k = replacement.shape
+    ids = np.concatenate([heads, tails, replacement.ravel()])
+    ent_ids, ent_pos = np.unique(ids, return_inverse=True)
+    ids = np.concatenate([rels, rules.premise, rules.conclusion])
+    rel_ids, rel_pos = np.unique(ids, return_inverse=True)
+    if ent_ids.size:  # sorted, so its ends bound every id
+        _check_ids(ent_ids[[0, -1]], params.n_entities, "entity")
 
     h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
-    # Relation rows: the data partials, then the rule rows in the
-    # [premise, conclusion] order of rule_penalty, as rel_pos has them.
-    rel_rows = np.empty((rel_pos.size, params.d), dtype=params.rel.dtype)
-    d_rel = rel_partial(h, t, out=rel_rows[:b])
-    z = -labels * real_dot(r, d_rel)
+    # Row (i, 0) of ``partials`` is positive i's head partial, (i, 1) its tail
+    # partial. A negative scores against the partial of the slot it replaces.
+    partials = np.empty((b, 2, params.d), dtype=params.ent.dtype)
+    head_partial(r, t, out=partials[:, 0])
+    tail_partial(h, r, out=partials[:, 1])
+    slot = np.where(corrupt_head, 0, 1)
+    # Entity rows: heads, tails, then one per negative, holding its replacement's
+    # embedding, later its gradient. "wrap" takes (ids checked) skip a copy.
+    ent_rows = np.empty((2 * b + b * k, params.d), dtype=params.ent.dtype)
+    replaced = ent_rows[2 * b :]
+    np.take(params.ent, replacement.ravel(), axis=0, out=replaced, mode="wrap")
+    e = real_view(replaced).reshape(b, k, 2 * params.d)
+    neg_scores = np.take_along_axis(e @ real_view(partials).transpose(0, 2, 1), slot[..., None], 2)
+    z = np.concatenate([-real_dot(partials[:, 1], t), neg_scores.ravel()])
     logistic = float(softplus(z).sum())
-    dphi = (-labels * expit(z))[:, None]
-    # Entity rows: head partials, then tail partials.
-    ent_rows = np.empty((2 * b, params.d), dtype=params.ent.dtype)
-    head_partial(r, t, out=ent_rows[:b])
-    tail_partial(h, r, out=ent_rows[b:])
-    del h, r, t
-    for block in (real_view(ent_rows).reshape(2, b, 2 * params.d), real_view(d_rel)):
-        block *= dphi
+    w = expit(z)
+    w_pos, w = -w[:b, None], w[b:].reshape(b, k)
 
-    penalty, _, rule_grads = rule_penalty(params.rel, rules)
+    # s[:, 0] and s[:, 1]: the weighted sums of each positive's head and tail
+    # replacements. A replacement's gradient is its weight times its partial.
+    weights = np.stack([np.where(corrupt_head, w, 0.0), np.where(corrupt_head, 0.0, w)], axis=1)
+    s = (weights @ e).view(params.ent.dtype)
+    np.take(partials.reshape(2 * b, params.d), 2 * np.arange(b)[:, None] + slot,
+            axis=0, out=replaced.reshape(b, k, params.d), mode="wrap")
+    real_view(replaced)[:] *= w.reshape(-1, 1)
+    # The shared slots, with the positive's own term folded into s: the head
+    # gets conj(r)·s_tail, the tail r·s_head, the relation conj(h)·s_tail +
+    # conj(s_head)·t (before the fold), then the rule rows in the
+    # [premise, conclusion] order of rule_penalty, as rel_pos has them.
+    s[:, 1] += w_pos * t
+    rel_rows = np.empty((rel_pos.size, params.d), dtype=params.rel.dtype)
+    rel_partial(h, s[:, 1], out=rel_rows[:b])
+    rel_rows[:b] += rel_partial(s[:, 0], t)
+    s[:, 0] += w_pos * h
+    head_partial(r, s[:, 1], out=ent_rows[:b])
+    tail_partial(s[:, 0], r, out=ent_rows[b : 2 * b])
+    del h, r, t, e, partials, s
+
+    penalty, rule_grads = rule_penalty(params.rel, rules)
     np.multiply(mu, rule_grads, out=rel_rows[b:])
     g_ent = _segment_sum(ent_pos, ent_rows, ent_ids.size)
     g_rel = _segment_sum(rel_pos, rel_rows, rel_ids.size)
-    del ent_rows, rel_rows, d_rel
 
-    ent_rows, rel_rows = params.ent[ent_ids], params.rel[rel_ids]
+    # The touched entity rows go into the spent row buffer for the L2 term.
+    ent_rows = np.take(params.ent, ent_ids, axis=0, out=ent_rows[: ent_ids.size], mode="wrap")
+    rel_rows = params.rel[rel_ids]
     l2 = _sq_norm(ent_rows) + _sq_norm(rel_rows)
     if eta != 0.0:
-        g_ent += 2.0 * eta * ent_rows
-        g_rel += 2.0 * eta * rel_rows
+        for grad, rows in ((g_ent, ent_rows), (g_rel, rel_rows)):
+            rows *= 2.0 * eta
+            grad += rows
 
     breakdown = LossBreakdown(
         logistic=logistic,
@@ -188,12 +221,13 @@ def loss_and_gradient_arrays(
 def _segment_sum(pos: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     """Complex (size, d) sums ``out[k] = sum(rows[pos == k])``.
 
-    One product of a one-hot CSR matrix with the real view of ``rows``. Each
-    output row adds its terms in the order of ``rows``, as ``np.add.at``
-    does on a zeroed array, so the sums are the same to the bit.
+    One product of a one-hot CSR matrix, built directly in CSR form, with the
+    real view of ``rows``. Each output row adds its terms in the order of
+    ``rows``, as ``np.add.at`` does on a zeroed array, so the sums are the
+    same to the bit.
     """
     real = real_view(rows)
-    one_hot = sparse.csr_array(
-        (np.ones(pos.size, real.dtype), (pos, np.arange(pos.size))), shape=(size, pos.size)
-    )
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pos, minlength=size))])
+    columns = np.argsort(pos, kind="stable")
+    one_hot = sparse.csr_array((np.ones(pos.size, real.dtype), columns, indptr), (size, pos.size))
     return (one_hot @ real).view(rows.dtype)

@@ -18,17 +18,12 @@ import numpy as np
 from .data import Dataset, Entailment, Triple, build_known_index
 from .manifest import atomic_write, read_lines, write_csv
 from .model import ModelParams, init_params, real_view
-from .objective import (
-    LossBreakdown,
-    SparseGrads,
-    _sq_norm,
-    loss_and_gradient_arrays,
-    pack_entailments,
-)
+from .objective import SparseGrads, _sq_norm, loss_and_gradient_arrays, pack_entailments
 
 logger = logging.getLogger(__name__)
 
 _ADAGRAD_EPSILON = 1e-8  # keeps the first AdaGrad step finite
+_ADAGRAD_CHUNK_BYTES = 2**18  # gradient bytes per AdaGrad chunk; its buffers stay in L2
 
 
 @dataclass
@@ -144,56 +139,49 @@ def adagrad_step(
     For each touched entry: accumulator += g**2, then
     param -= lr * g / (sqrt(accumulator) + 1e-8). With ``project`` the
     updated entity rows are clamped into [0, 1] (the box projection) before
-    they are written back.
+    they are written back. Rows are updated in chunks of about
+    ``_ADAGRAD_CHUNK_BYTES``, so each elementwise pass reads cached rows.
     """
     updates = (
         (grads.ent_ids, grads.ent, params.ent, state.acc_ent, project),
         (grads.rel_ids, grads.rel, params.rel, state.acc_rel, False),
     )
     for ids, grad, param, acc, clamp in updates:
-        if ids.size == 0:
-            continue
-        grad = real_view(grad)
-        step = acc[ids]
-        step += grad * grad
-        acc[ids] = step
-        np.sqrt(step, out=step)
-        step += _ADAGRAD_EPSILON
-        np.divide(grad, step, out=step)
-        step *= lr
-        param = real_view(param)
-        rows = param[ids]
-        rows -= step
-        if clamp:
-            np.clip(rows, 0.0, 1.0, out=rows)
-        param[ids] = rows
+        grad, param = real_view(grad), real_view(param)
+        chunk = max(1, _ADAGRAD_CHUNK_BYTES // (grad.itemsize * grad.shape[1]))
+        for lo in range(0, ids.size, chunk):
+            rows_ids, g = ids[lo : lo + chunk], grad[lo : lo + chunk]
+            step = acc[rows_ids]
+            step += g * g
+            acc[rows_ids] = step
+            np.sqrt(step, out=step)
+            step += _ADAGRAD_EPSILON
+            np.divide(g, step, out=step)
+            step *= lr
+            rows = param[rows_ids]
+            rows -= step
+            if clamp:
+                np.clip(rows, 0.0, 1.0, out=rows)
+            param[rows_ids] = rows
 
 
 def _corrupt_batch(
-    heads: np.ndarray,
-    rels: np.ndarray,
-    tails: np.ndarray,
-    k: int,
-    n: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k corruptions per positive, flattened positive-major."""
+    heads: np.ndarray, tails: np.ndarray, k: int, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """k corruptions per positive, as (B, k) arrays ``(corrupt_head,
+    replacement)``: negative j of positive i replaces its head where
+    ``corrupt_head[i, j]`` and its tail otherwise, by entity
+    ``replacement[i, j]``, drawn uniformly among the other n - 1 entities."""
     if n < 2:
         raise ValueError("need at least 2 entities to corrupt a triple")
-    b = heads.size
-    neg_h = np.repeat(heads, k)
-    neg_r = np.repeat(rels, k)
-    neg_t = np.repeat(tails, k)
-    corrupt_head = rng.integers(0, 2, size=b * k).astype(bool)
-    original = np.where(corrupt_head, neg_h, neg_t)
-    replacement = rng.integers(0, n, size=b * k)
+    corrupt_head = rng.integers(0, 2, size=(heads.size, k)).astype(bool)
+    original = np.where(corrupt_head, heads[:, None], tails[:, None])
+    replacement = rng.integers(0, n, size=(heads.size, k))
     bad = replacement == original
     while bad.any():
         replacement[bad] = rng.integers(0, n, size=int(bad.sum()))
         bad = replacement == original
-    neg_h = np.where(corrupt_head, replacement, neg_h)
-    neg_t = np.where(corrupt_head, neg_t, replacement)
-    return neg_h, neg_r, neg_t
+    return corrupt_head, replacement
 
 
 def make_batches(
@@ -249,12 +237,13 @@ def train(
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Run the constrained training loop.
 
-    Per step: sample ``neg_ratio`` negatives per positive, compute the batch
-    loss and sparse gradient, cap the gradient's global norm, apply AdaGrad
-    and clamp the touched entity rows back into the box (unless projection
-    is disabled). Filtered MRR on the validation split is computed every
-    ``eval_every`` epochs and the best-scoring parameters are kept; without a
-    validation split the final parameters are returned.
+    Per step: sample ``neg_ratio`` negatives per positive, as a side and a
+    replacement entity each, compute the batch loss and sparse gradient from
+    the positives and those corruptions, cap the gradient's global norm,
+    apply AdaGrad and clamp the touched entity rows back into the box (unless
+    projection is disabled). Filtered MRR on the validation split is computed
+    every ``eval_every`` epochs and the best-scoring parameters are kept;
+    without a validation split the final parameters are returned.
 
     ``on_step(params, epoch, batch_index)`` is invoked after each update,
     mainly for tests and diagnostics.
@@ -294,18 +283,11 @@ def train(
         for batch_index, batch in enumerate(make_batches(train_arr, config.n_batches, rng)):
             if batch.shape[0] == 0:
                 continue
-            pos_h, pos_r, pos_t = batch[:, 0], batch[:, 1], batch[:, 2]
-            neg_h, neg_r, neg_t = _corrupt_batch(
-                pos_h, pos_r, pos_t, config.neg_ratio, n, rng
-            )
-            heads = np.concatenate([pos_h, neg_h])
-            rels = np.concatenate([pos_r, neg_r])
-            tails = np.concatenate([pos_t, neg_t])
-            labels = np.concatenate(
-                [np.ones(pos_h.size), -np.ones(neg_h.size)]
-            )
+            heads, rels, tails = batch.T
+            corrupt_head, replacement = _corrupt_batch(heads, tails, config.neg_ratio, n, rng)
             breakdown, grads = loss_and_gradient_arrays(
-                params, heads, rels, tails, labels, rules, config.mu, batch_eta
+                params, heads, rels, tails, corrupt_head, replacement,
+                rules, config.mu, batch_eta,
             )
             if config.l2_full:
                 breakdown, grads = _with_full_l2(params, breakdown, grads, config.eta)
@@ -322,12 +304,7 @@ def train(
             adagrad_step(params, grads, state, config.lr, config.project)
             if on_step is not None:
                 on_step(params, epoch, batch_index)
-            sums += (
-                breakdown.logistic,
-                breakdown.entailment_penalty,
-                breakdown.l2,
-                breakdown.total,
-            )
+            sums += dataclasses.astuple(breakdown)
 
         valid_mrr = None
         if known is not None and epoch % config.eval_every == 0:
@@ -347,13 +324,8 @@ def _with_full_l2(params, breakdown, grads, eta):
     ent[grads.ent_ids] += grads.ent
     rel = 2.0 * eta * params.rel
     rel[grads.rel_ids] += grads.rel
-    full_l2 = _sq_norm(params.ent) + _sq_norm(params.rel)
-    new_breakdown = LossBreakdown(
-        logistic=breakdown.logistic,
-        entailment_penalty=breakdown.entailment_penalty,
-        l2=full_l2,
-        total=breakdown.total + eta * full_l2,
-    )
-    return new_breakdown, SparseGrads(
+    l2 = _sq_norm(params.ent) + _sq_norm(params.rel)
+    breakdown = dataclasses.replace(breakdown, l2=l2, total=breakdown.total + eta * l2)
+    return breakdown, SparseGrads(
         np.arange(params.n_entities), ent, np.arange(params.n_relations), rel
     )

@@ -2,10 +2,10 @@
 
 The oracles recompute results from first principles (complex arithmetic,
 explicit enumeration, sorting, grid search) and deliberately avoid the code
-paths under test. The last three functions are reference forms of code
-that was rewritten: negative sampling of one positive as a list of
-``Triple``s, the gradient scattered with ``np.add.at`` that the training
-kernel replaced, and the per-dimension purity loop.
+paths under test. The functions from ``sample_negatives`` on are reference
+forms of code that was rewritten: negative sampling as materialised triples,
+the gradient of a labelled batch scattered with ``np.add.at``, the AdaGrad
+step with a temporary per pass, and the per-dimension purity loop.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from kgec.objective import (
     rule_penalty,
     softplus,
 )
-from kgec.trainer import _corrupt_batch
+from kgec.trainer import _ADAGRAD_EPSILON, _corrupt_batch
 
 
 def oracle_score(params, head: int, rel: int, tail: int) -> float:
@@ -134,6 +134,43 @@ def central_difference(loss_fn, matrix, row: int, col: int, h: float = 1e-6) -> 
     return (f_plus - f_minus) / (2.0 * h)
 
 
+def oracle_corrupt_batch(heads, rels, tails, k: int, n: int, rng):
+    """Reference form of the trainer's batched corruption: k negatives per
+    positive as materialised (neg_h, neg_r, neg_t), flattened positive-major,
+    from the same random draws."""
+    if n < 2:
+        raise ValueError("need at least 2 entities to corrupt a triple")
+    b = heads.size
+    neg_h = np.repeat(heads, k)
+    neg_r = np.repeat(rels, k)
+    neg_t = np.repeat(tails, k)
+    corrupt_head = rng.integers(0, 2, size=b * k).astype(bool)
+    original = np.where(corrupt_head, neg_h, neg_t)
+    replacement = rng.integers(0, n, size=b * k)
+    bad = replacement == original
+    while bad.any():
+        replacement[bad] = rng.integers(0, n, size=int(bad.sum()))
+        bad = replacement == original
+    neg_h = np.where(corrupt_head, replacement, neg_h)
+    neg_t = np.where(corrupt_head, neg_t, replacement)
+    return neg_h, neg_r, neg_t
+
+
+def labelled_batch(heads, rels, tails, corrupt_head, replacement):
+    """The positives and their negatives, given as the training kernel takes
+    them, as one labelled batch ``(heads, rels, tails, labels)``: positives
+    first (+1), then each positive's negatives in order (-1)."""
+    k = replacement.shape[1]
+    neg_h = np.where(corrupt_head, replacement, heads[:, None]).ravel()
+    neg_t = np.where(corrupt_head, tails[:, None], replacement).ravel()
+    return (
+        np.concatenate([heads, neg_h]),
+        np.concatenate([rels, np.repeat(rels, k)]),
+        np.concatenate([tails, neg_t]),
+        np.concatenate([np.ones(heads.size), -np.ones(neg_h.size)]),
+    )
+
+
 def sample_negatives(positive, k: int, n: int, rng):
     """Draw ``k`` corrupted variants of ``positive`` as ``Triple``s.
 
@@ -143,15 +180,10 @@ def sample_negatives(positive, k: int, n: int, rng):
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    heads, rels, tails = _corrupt_batch(
-        np.asarray([positive.head]),
-        np.asarray([positive.rel]),
-        np.asarray([positive.tail]),
-        k,
-        n,
-        rng,
-    )
-    return [Triple(int(h), int(r), int(t)) for h, r, t in zip(heads, rels, tails)]
+    positives = [np.asarray([x]) for x in positive]
+    corruptions = _corrupt_batch(positives[0], positives[2], k, n, rng)
+    heads, rels, tails, _ = labelled_batch(*positives, *corruptions)
+    return [Triple(int(h), int(r), int(t)) for h, r, t in zip(heads[1:], rels[1:], tails[1:])]
 
 
 def oracle_scatter_gradients(params, heads, rels, tails, labels, rules, mu: float, eta: float):
@@ -177,7 +209,8 @@ def oracle_scatter_gradients(params, heads, rels, tails, labels, rules, mu: floa
         grad_rows *= dphi
         np.add.at(real_view(g), np.searchsorted(ids, rows), grad_rows)
 
-    penalty, rule_ids, rule_grads = rule_penalty(params.rel, rules)
+    penalty, rule_grads = rule_penalty(params.rel, rules)
+    rule_ids = np.concatenate([rules.premise, rules.conclusion])
     np.add.at(g_rel, np.searchsorted(rel_ids, rule_ids), mu * rule_grads)
 
     ent_rows, rel_rows = params.ent[ent_ids], params.rel[rel_ids]
@@ -193,6 +226,33 @@ def oracle_scatter_gradients(params, heads, rels, tails, labels, rules, mu: floa
         total=logistic + mu * penalty + eta * l2,
     )
     return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel)
+
+
+def oracle_adagrad_step(params, grads, state, lr: float, project: bool = False) -> None:
+    """Reference form of ``adagrad_step``, one temporary per pass: gather the
+    accumulator rows, add g*g, scatter them back, then step and clamp the
+    gathered parameter rows and scatter those."""
+    updates = (
+        (grads.ent_ids, grads.ent, params.ent, state.acc_ent, project),
+        (grads.rel_ids, grads.rel, params.rel, state.acc_rel, False),
+    )
+    for ids, grad, param, acc, clamp in updates:
+        if ids.size == 0:
+            continue
+        grad = real_view(grad)
+        step = acc[ids]
+        step += grad * grad
+        acc[ids] = step
+        np.sqrt(step, out=step)
+        step += _ADAGRAD_EPSILON
+        np.divide(grad, step, out=step)
+        step *= lr
+        param = real_view(param)
+        rows = param[ids]
+        rows -= step
+        if clamp:
+            np.clip(rows, 0.0, 1.0, out=rows)
+        param[ids] = rows
 
 
 def oracle_dimension_purity(component, labels, k_percent: float) -> float:

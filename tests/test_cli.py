@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface, run manifests, and the
 package surface the README documents."""
 
+import ast
+import importlib
 import json
 import re
 from pathlib import Path
@@ -487,6 +489,30 @@ def test_public_api_resolves_and_covers_the_readme():
     [block] = re.findall(r"from kgec import \(([^)]*)\)", readme)
     documented = {name.strip() for name in block.split(",")} - {""}
     assert documented and documented <= set(kgec.__all__)
+
+
+def test_bench_trace_targets_resolve():
+    # bench/run.py traces "module:attr.path" targets and records a missing one
+    # as an absent span, so a renamed function would drop its span silently.
+    source = (Path(__file__).resolve().parents[1] / "bench" / "run.py").read_text(encoding="utf-8")
+    [targets] = [
+        node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["TARGETS"]
+    ]
+    names = [ast.literal_eval(entry.elts[0]) for entry in targets.elts]
+    missing = []
+    for name in names:
+        module_name, _, path = name.partition(":")
+        owner = importlib.import_module(module_name)
+        try:
+            for part in path.split("."):
+                owner = getattr(owner, part)
+        except AttributeError:
+            missing.append(name)
+    assert len(names) > 20
+    assert set(missing) <= {"kgec.trainer:project_entities"}
 
 
 def test_manifest_detects_tampered_inputs(tmp_path):

@@ -119,6 +119,14 @@ class TestFilteredRank:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize(
+        "bad, kind", [((0, 0, 5), "entity"), ((-1, 0, 1), "entity"), ((0, 1, 1), "relation")]
+    )
+    def test_out_of_range_ids(self, bad, kind):
+        test = [Triple(0, 0, 1), Triple(*bad)]
+        with pytest.raises(IndexError, match=f"{kind} id"):
+            evaluate(init_params(5, 1, 3, seed=0), test, KnownIndex())
+
     def test_aggregation_arithmetic(self, monkeypatch):
         import kgec.evaluation as evaluation
 

@@ -7,33 +7,52 @@ from hypothesis import strategies as st
 
 from kgec.data import Entailment
 from kgec.model import ModelParams, init_params
-from kgec.objective import loss_and_gradient_arrays, pack_entailments, rule_penalty, softplus
-from kgec.trainer import _with_full_l2
+from kgec.objective import (
+    _segment_sum,
+    loss_and_gradient_arrays,
+    pack_entailments,
+    rule_penalty,
+    softplus,
+)
+from kgec.trainer import _corrupt_batch, _with_full_l2
 
 from conftest import triple_scores
-from oracles import central_difference, oracle_scatter_gradients, oracle_score, slack_grid_minimum
+from oracles import (
+    central_difference,
+    labelled_batch,
+    oracle_scatter_gradients,
+    oracle_score,
+    slack_grid_minimum,
+)
 
 
 def zero_params(n=2, m=1, d=2) -> ModelParams:
     return ModelParams(np.zeros((n, d), complex), np.zeros((m, d), complex))
 
 
-def batch_of(*examples):
-    """(heads, rels, tails, labels) arrays from (h, r, t, label) tuples."""
-    rows = np.array(examples, dtype=np.int64).reshape(-1, 4)
-    return rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3].astype(float)
+def batch_of(*positives, corruptions=()):
+    """Kernel arrays (heads, rels, tails, corrupt_head, replacement) from
+    (h, r, t) positives and, per positive, a list of k (corrupt_head, entity)
+    pairs."""
+    rows = np.array(positives, dtype=np.int64).reshape(-1, 3)
+    k = len(corruptions[0]) if corruptions else 0
+    pairs = np.array(corruptions, dtype=np.int64).reshape(rows.shape[0], k, 2)
+    return rows[:, 0], rows[:, 1], rows[:, 2], pairs[..., 0].astype(bool), pairs[..., 1]
 
 
 NO_RULES = pack_entailments([])
 
 
-def data_terms(params, *examples, eta=0.0):
-    """The kernel on (h, r, t, label) examples, without rules."""
-    return loss_and_gradient_arrays(params, *batch_of(*examples), NO_RULES, 0.0, eta)
+def data_terms(params, *positives, corruptions=(), eta=0.0):
+    """The kernel on (h, r, t) positives and their corruptions, without rules."""
+    return loss_and_gradient_arrays(
+        params, *batch_of(*positives, corruptions=corruptions), NO_RULES, 0.0, eta
+    )
 
 
-def random_instance(seed, n=6, m=3, d=4, n_triples=20):
-    """Random params, batch arrays and packed rules for gradient checking.
+def random_instance(seed, n=6, m=3, d=4, n_triples=20, k=2):
+    """Random params, ``n_triples`` positives with ``k`` negatives each from
+    the trainer's sampler, and packed rules, for gradient checking.
 
     Resamples until no constraint sits near the hinge kink, where the
     subgradient and the finite difference legitimately disagree.
@@ -43,17 +62,8 @@ def random_instance(seed, n=6, m=3, d=4, n_triples=20):
         params = init_params(n, m, d, seed=int(rng.integers(2**31)))
         params.re_r[:] = rng.normal(scale=0.5, size=(m, d))
         params.im_r[:] = rng.normal(scale=0.5, size=(m, d))
-        batch = batch_of(
-            *(
-                (
-                    int(rng.integers(n)),
-                    int(rng.integers(m)),
-                    int(rng.integers(n)),
-                    int(rng.choice([-1, 1])),
-                )
-                for _ in range(n_triples)
-            )
-        )
+        heads, rels, tails = (rng.integers(count, size=n_triples) for count in (n, m, n))
+        batch = (heads, rels, tails, *_corrupt_batch(heads, tails, k, n, rng))
         ents = [
             Entailment(0, False, 1, float(rng.uniform(0.5, 1.0))),
             Entailment(2, True, 0, float(rng.uniform(0.5, 1.0))),
@@ -71,17 +81,18 @@ def random_instance(seed, n=6, m=3, d=4, n_triples=20):
 class TestLogisticTerm:
     def test_zero_score_positive_label(self):
         params = zero_params()
-        assert data_terms(params, (0, 0, 1, 1))[0].logistic == pytest.approx(np.log(2.0), abs=1e-12)
+        assert data_terms(params, (0, 0, 1))[0].logistic == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_saturation_no_overflow(self):
-        # phi = 50: softplus(-50) ~ e^-50 for y=+1, ~50 for y=-1.
-        params = zero_params(d=1)
-        params.re_e[:] = [[50.0], [1.0]]
+        # phi(0, 0, 1) = 50: softplus(-50) ~ e^-50 as a positive, ~50 as a
+        # negative (here of the positive (0, 0, 2), which scores 0).
+        params = zero_params(n=3, d=1)
+        params.re_e[:] = [[50.0], [1.0], [0.0]]
         params.re_r[:] = [[1.0]]
-        pos = data_terms(params, (0, 0, 1, 1))[0].logistic
-        neg = data_terms(params, (0, 0, 1, -1))[0].logistic
+        pos = data_terms(params, (0, 0, 1))[0].logistic
+        neg = data_terms(params, (0, 0, 2), corruptions=[[(False, 1)]])[0].logistic
         assert pos == pytest.approx(np.exp(-50.0), rel=1e-9)
-        assert neg == pytest.approx(50.0, abs=1e-12)
+        assert neg == pytest.approx(50.0 + np.log(2.0), abs=1e-12)
         assert np.isfinite(softplus(np.array([1e9, -1e9]))).all()
 
     def test_empty_sequence(self):
@@ -165,13 +176,13 @@ class TestEntailmentPenalty:
 
 class TestL2Term:
     def test_zero_params(self):
-        assert data_terms(zero_params(), (0, 0, 1, 1))[0].l2 == 0.0
+        assert data_terms(zero_params(), (0, 0, 1))[0].l2 == 0.0
 
     def test_single_row(self):
         params = zero_params(n=3, m=1, d=2)
         params.re_e[1] = [0.5, 0.5]
         # Touches entity 1 and the all-zero relation 0.
-        assert data_terms(params, (1, 0, 1, 1))[0].l2 == pytest.approx(0.5, abs=1e-15)
+        assert data_terms(params, (1, 0, 1))[0].l2 == pytest.approx(0.5, abs=1e-15)
 
     def test_empty_touched_set(self):
         params = init_params(3, 2, 4, seed=0)
@@ -185,7 +196,7 @@ class TestLossAndGradient:
         params.re_e[0] = [1.0, 1.0]
         params.re_e[1] = [1.0, 1.0]
         params.re_r[0] = [1.0, -1.0]
-        breakdown, grads = data_terms(params, (0, 0, 1, 1))
+        breakdown, grads = data_terms(params, (0, 0, 1))
         assert breakdown.logistic == pytest.approx(np.log(2.0), abs=1e-12)
         head_row = np.where(grads.ent_ids == 0)[0][0]
         dphi_dre_head = params.re_r[0] * params.re_e[1]
@@ -195,21 +206,27 @@ class TestLossAndGradient:
 
     def test_untouched_rows_absent(self):
         params = init_params(5, 3, 4, seed=0)
-        _, grads = data_terms(params, (0, 1, 2, 1), eta=0.01)
+        _, grads = data_terms(params, (0, 1, 2), eta=0.01)
         assert set(grads.ent_ids.tolist()) == {0, 2}
         assert set(grads.rel_ids.tolist()) == {1}
+
+    @pytest.mark.parametrize("bad", [5, 9])
+    def test_out_of_range_replacement(self, bad):
+        params = init_params(5, 1, 2, seed=0)
+        with pytest.raises(IndexError, match="entity id"):
+            data_terms(params, (0, 0, 1), corruptions=[[(False, 2), (True, bad)]])
 
     def test_entailment_rows_included_even_without_batch_hits(self):
         params = init_params(5, 4, 4, seed=0)
         rules = pack_entailments([Entailment(2, False, 3, 0.9)])
-        _, grads = loss_and_gradient_arrays(params, *batch_of((0, 0, 1, 1)), rules, 1.0, 0.0)
+        _, grads = loss_and_gradient_arrays(params, *batch_of((0, 0, 1)), rules, 1.0, 0.0)
         assert set(grads.rel_ids.tolist()) == {0, 2, 3}
 
     def test_total_matches_independent_reassembly(self):
         params, batch, rules = random_instance(seed=4)
         mu, eta = 0.7, 0.01
         breakdown, grads = loss_and_gradient_arrays(params, *batch, rules, mu, eta)
-        heads, rels, tails, labels = batch
+        heads, rels, tails, labels = labelled_batch(*batch)
         scores = [oracle_score(params, h, r, t) for h, r, t in zip(heads, rels, tails)]
         logistic = float(np.logaddexp(0.0, -labels * scores).sum())
         pen = rule_penalty(params.rel, rules)[0]
@@ -279,15 +296,19 @@ class TestLossAndGradient:
 
 @st.composite
 def kernel_instances(draw):
-    """Small batches over few ids (so ids repeat), with 0-5 rules."""
+    """Small batches over few ids (so ids repeat, and a replacement may equal
+    the original or the other slot), k in 0-3, with 0-5 rules."""
     n, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    b = draw(st.integers(0, 30))
+    b, k = draw(st.integers(0, 12)), draw(st.integers(0, 3))
 
-    def ids(count):
-        return np.array(draw(st.lists(st.integers(0, count - 1), min_size=b, max_size=b)), np.int64)
+    def ids(count, shape):
+        size = int(np.prod(shape))
+        values = draw(st.lists(st.integers(0, count - 1), min_size=size, max_size=size))
+        return np.array(values, np.int64).reshape(shape)
 
-    heads, rels, tails = ids(n), ids(m), ids(n)
-    labels = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=b, max_size=b)))
+    heads, rels, tails = ids(n, b), ids(m, b), ids(n, b)
+    corrupt_head = ids(2, (b, k)).astype(bool)
+    replacement = ids(n, (b, k))
     rule = st.tuples(
         st.integers(0, m - 1), st.booleans(), st.integers(0, m - 1), st.floats(0.05, 1.0)
     ).filter(lambda x: x[1] or x[0] != x[2])
@@ -296,23 +317,61 @@ def kernel_instances(draw):
     params.ent[:] *= 1.5  # some entries outside the box
     mu = draw(st.sampled_from([0.0, 0.1, 10.0]))
     eta = draw(st.sampled_from([0.0, 0.03]))
-    batch = (heads, rels, tails, labels, pack_entailments(rules), mu, eta)
-    return params, batch, draw(st.booleans())
+    batch = (heads, rels, tails, corrupt_head, replacement)
+    return params, batch, pack_entailments(rules), mu, eta, draw(st.booleans())
+
+
+def assert_close(got, want, name):
+    """Entrywise |got - want| <= 1e-12 * max |want|: the kernel reassociates
+    the oracle's sums, so only rounding may differ."""
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale), name
 
 
 class TestScatterKernel:
     @settings(max_examples=300, deadline=None)
     @given(kernel_instances())
-    def test_matches_scatter_oracle_exactly(self, instance):
-        params, args, l2_full = instance
+    def test_matches_scatter_oracle(self, instance):
+        params, batch, rules, mu, eta, l2_full = instance
         results = []
-        for kernel in (loss_and_gradient_arrays, oracle_scatter_gradients):
+        for kernel, args in (
+            (loss_and_gradient_arrays, batch),
+            (oracle_scatter_gradients, labelled_batch(*batch)),
+        ):
             if l2_full:
-                eta = args[-1]
-                results.append(_with_full_l2(params, *kernel(params, *args[:-1], 0.0), eta))
+                terms = kernel(params, *args, rules, mu, 0.0)
+                results.append(_with_full_l2(params, *terms, eta))
             else:
-                results.append(kernel(params, *args))
+                results.append(kernel(params, *args, rules, mu, eta))
         (got_loss, got), (want_loss, want) = results
-        assert got_loss == want_loss
-        for name in ("ent_ids", "ent", "rel_ids", "rel"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        assert got_loss.entailment_penalty == want_loss.entailment_penalty
+        assert got_loss.l2 == want_loss.l2
+        for name in ("logistic", "total"):
+            assert_close(getattr(got_loss, name), getattr(want_loss, name), name)
+        np.testing.assert_array_equal(got.ent_ids, want.ent_ids)
+        np.testing.assert_array_equal(got.rel_ids, want.rel_ids)
+        assert_close(got.ent, want.ent, "ent")
+        assert_close(got.rel, want.rel, "rel")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda rows: st.tuples(
+                st.lists(st.integers(0, 7), min_size=rows, max_size=rows),
+                st.integers(0, 4),
+                st.integers(1, 3),
+                st.integers(0, 2**31 - 1),
+            )
+        )
+    )
+    def test_matches_scatter_oracle_exactly(self, case):
+        # The segment sum that scatters both gradient tables, against
+        # np.add.at on zeros; empty segments and trailing ones included.
+        pos, extra, d, seed = case
+        pos = np.array(pos, dtype=np.int64)
+        size = (int(pos.max()) + 1 if pos.size else 0) + extra
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(pos.size, d)) + 1j * rng.normal(size=(pos.size, d))
+        want = np.zeros((size, d), complex)
+        np.add.at(want, pos, rows)
+        np.testing.assert_array_equal(_segment_sum(pos, rows, size), want)

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import kgec.trainer
 from kgec.data import Dataset, Entailment, Triple
 from kgec.model import init_params, score_all_tails
 from kgec.objective import SparseGrads, pack_entailments, rule_penalty
@@ -14,6 +15,7 @@ from kgec.trainer import (
     AdaGradState,
     EpochStats,
     TrainConfig,
+    _corrupt_batch,
     adagrad_step,
     make_batches,
     parse_config,
@@ -25,7 +27,7 @@ from kgec.evaluation import evaluate
 from kgec.data import build_known_index
 
 from conftest import make_vocab, triple_scores
-from oracles import sample_negatives
+from oracles import labelled_batch, oracle_adagrad_step, oracle_corrupt_batch, sample_negatives
 
 
 def tiny_kg(n_entities=8, n_relations=2, n_triples=20, seed=0) -> Dataset:
@@ -63,6 +65,22 @@ class TestSampleNegatives:
         a = sample_negatives(Triple(0, 0, 1), 20, 10, np.random.default_rng(5))
         b = sample_negatives(Triple(0, 0, 1), 20, 10, np.random.default_rng(5))
         assert a == b
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_form_rebuilds_the_materialised_negatives(self, seed):
+        # Same draws as the materialised form: same negatives, and the
+        # generator left in the same state for the next batch.
+        n, k = (2, 5, 40, 200)[seed], (1, 3, 10, 2)[seed]
+        batch = np.random.default_rng(100 + seed).integers(0, n, size=(57, 3))
+        heads, rels, tails = batch.T
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        corruptions = _corrupt_batch(heads, tails, k, n, rng)
+        assert all(a.shape == (57, k) for a in corruptions)
+        want = oracle_corrupt_batch(heads, rels, tails, k, n, oracle_rng)
+        got = [a[57:] for a in labelled_batch(heads, rels, tails, *corruptions)[:3]]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert rng.integers(2**62) == oracle_rng.integers(2**62)
 
     def test_rejects_degenerate_sizes(self, rng):
         with pytest.raises(ValueError):
@@ -144,6 +162,30 @@ class TestAdagradStep:
             assert np.all(state.acc_ent >= previous)
             previous = state.acc_ent.copy()
 
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 5])
+    @pytest.mark.parametrize("project", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_unchunked_form_exactly(self, seed, project, chunk_rows, monkeypatch):
+        if chunk_rows is not None:  # a chunk of rows of 2 * 6 float64 entries
+            monkeypatch.setattr(kgec.trainer, "_ADAGRAD_CHUNK_BYTES", chunk_rows * 12 * 8)
+        rng = np.random.default_rng(seed)
+        params = init_params(30, 5, 6, seed=seed)
+        params.ent[:] *= 1.5  # some entries outside the box
+        state = AdaGradState.zeros_like(params)
+        state.acc_ent[:] = rng.uniform(0.0, 0.1, size=state.acc_ent.shape)
+        want = params.copy()
+        want_state = AdaGradState(state.acc_ent.copy(), state.acc_rel.copy())
+        for _ in range(3):
+            ent_ids = np.unique(rng.integers(0, 30, size=12))
+            rel_ids = np.unique(rng.integers(0, 5, size=int(rng.integers(0, 4))))
+            normal = lambda rows: rng.normal(size=(rows, 6)) + 1j * rng.normal(size=(rows, 6))
+            grads = SparseGrads(ent_ids, normal(ent_ids.size), rel_ids, normal(rel_ids.size))
+            adagrad_step(params, grads, state, lr=0.3, project=project)
+            oracle_adagrad_step(want, grads, want_state, lr=0.3, project=project)
+        np.testing.assert_array_equal(params.ent, want.ent)
+        np.testing.assert_array_equal(params.rel, want.rel)
+        np.testing.assert_array_equal(state.acc_ent, want_state.acc_ent)
+        np.testing.assert_array_equal(state.acc_rel, want_state.acc_rel)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fused_clamp_equals_projection_after_the_step(self, seed):
@@ -311,7 +353,6 @@ class TestTrain:
             train(dataset, [], config)
 
     def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
-        import kgec.trainer
 
         real = kgec.trainer.loss_and_gradient_arrays
         seen = []
@@ -348,13 +389,14 @@ class TestTrain:
         heads = np.array([0, 1, 2])
         rels = np.array([0, 1, 0])
         tails = np.array([1, 2, 3])
-        labels = np.array([1.0, -1.0, 1.0])
+        corrupt_head = np.array([[True], [False], [False]])
+        replacement = np.array([[4], [0], [1]])
         eta = 0.05
         no_rules = pack_entailments([])
 
         def full_l2_kernel():
             data_terms = loss_and_gradient_arrays(
-                params, heads, rels, tails, labels, no_rules, 0.0, 0.0
+                params, heads, rels, tails, corrupt_head, replacement, no_rules, 0.0, 0.0
             )
             return _with_full_l2(params, *data_terms, eta)
 
