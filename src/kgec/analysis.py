@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import IdMap, Vocab, VocabularyError, read_tsv
+from .data import Entailment, IdMap, Vocab, VocabularyError, read_tsv
 from .manifest import write_csv
-from .model import ModelParams
+from .mining import PairClasses
+from .objective import RuleArrays, pack_entailments, rule_deltas
 
 logger = logging.getLogger(__name__)
-
-PAIR_KINDS = ("equivalence", "inversion", "others")
 
 
 @dataclass
@@ -144,58 +143,41 @@ def write_heatmap_csv(
     write_csv(path, header, rows)
 
 
-@dataclass
-class PairDiagnostic:
-    """Residuals measuring how well a relation pair realizes its class."""
+def pair_residuals(
+    rel: np.ndarray, classes: PairClasses
+) -> tuple[np.ndarray, RuleArrays, np.ndarray]:
+    """Residuals of every classified relation pair, from one
+    :func:`~kgec.objective.rule_deltas` pass.
 
-    kind: str
-    rels: tuple[int, int]
-    residuals: dict[str, float]
-
-
-def relation_pair_diagnostic(
-    params: ModelParams,
-    pair: tuple[int, int],
-    kind: str,
-    premise_inverted: bool = False,
-) -> PairDiagnostic:
-    """Residuals of an (r_p, r_q) pair under its class's ideal structure.
-
-    Equivalence pairs should have identical representations; inversion pairs
-    should be complex conjugates; for the rest the premise real part should
-    stay entrywise below the conclusion's with matching imaginary parts.
-    ``premise_inverted`` conjugates r_p first (only meaningful for "others").
+    Pairs are read as rules: equivalence (p, q) as p -> q, inversion as
+    p^-1 -> q, the others as given. Returns each row's class name, the rules,
+    and (n, 3) columns max(|Re delta|, |Im delta|) (ideally 0 for equivalence
+    and inversion), max(Re delta, 0) and max |Im delta| (ideally 0 for the
+    others), NaN where the class leaves a column undefined.
     """
-    if kind not in PAIR_KINDS:
-        raise ValueError(f"kind must be one of {PAIR_KINDS}, got {kind!r}")
-    p, q = pair
-    rep_p = np.conj(params.rel[p]) if premise_inverted else params.rel[p]
-    rep_q = np.conj(params.rel[q]) if kind == "inversion" else params.rel[q]
-    diff = rep_p - rep_q
-
-    if kind in ("equivalence", "inversion"):
-        residual = max(float(np.abs(diff.real).max()), float(np.abs(diff.imag).max()))
-        return PairDiagnostic(kind, pair, {"max_abs_diff": residual})
-    return PairDiagnostic(
-        kind,
-        pair,
-        {
-            "re_violation": float(np.maximum(diff.real, 0.0).max()),
-            "im_max_abs_diff": float(np.abs(diff.imag).max()),
-        },
-    )
+    ents = [Entailment(p, False, q, 1.0) for p, q in classes.equivalence]
+    ents += [Entailment(p, True, q, 1.0) for p, q in classes.inversion]
+    rules = pack_entailments(ents + classes.others)
+    names = [field.name for field in fields(classes)]
+    kinds = np.repeat(names, [len(getattr(classes, name)) for name in names])
+    delta = rule_deltas(rel, rules)
+    abs_im = np.abs(delta.imag).max(axis=1)
+    others = kinds == "others"
+    residuals = np.full((kinds.size, 3), np.nan)
+    residuals[~others, 0] = np.maximum(np.abs(delta.real).max(axis=1), abs_im)[~others]
+    residuals[others, 1] = np.maximum(delta.real, 0.0).max(axis=1)[others]
+    residuals[others, 2] = abs_im[others]
+    return kinds, rules, residuals
 
 
 def write_pair_diagnostics_csv(
-    diagnostics: Sequence[PairDiagnostic], vocab: Vocab, path: str | Path
+    kinds: np.ndarray, rules: RuleArrays, residuals: np.ndarray, vocab: Vocab, path: str | Path
 ) -> None:
-    keys = ("max_abs_diff", "re_violation", "im_max_abs_diff")
-    rows = []
-    for diag in diagnostics:
-        p, q = diag.rels
-        values = (diag.residuals.get(key) for key in keys)
-        rows.append(
-            [diag.kind, vocab.relations.name(p), vocab.relations.name(q)]
-            + ["" if value is None else f"{value:.6f}" for value in values]
-        )
-    write_csv(path, ["class", "rel_p", "rel_q", *keys], rows)
+    """One row per pair from :func:`pair_residuals`; undefined columns are empty."""
+    rows = (
+        [kind, vocab.relations.name(p), vocab.relations.name(q)]
+        + ["" if np.isnan(value) else f"{value:.6f}" for value in row]
+        for kind, p, q, row in zip(kinds, rules.premise, rules.conclusion, residuals)
+    )
+    header = ["class", "rel_p", "rel_q", "max_abs_diff", "re_violation", "im_max_abs_diff"]
+    write_csv(path, header, rows)

@@ -21,8 +21,8 @@ from . import __version__
 from .analysis import (
     activation_heatmap,
     load_type_labels,
+    pair_residuals,
     purity_curve,
-    relation_pair_diagnostic,
     write_heatmap_csv,
     write_pair_diagnostics_csv,
     write_purity_csv,
@@ -198,15 +198,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _load_model_and_data(args):
+    """The checkpoint and the dataset, which must have the checkpoint's shape."""
     params, _ = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     if dataset.n_entities != params.n_entities or dataset.n_relations != params.n_relations:
         raise ValueError(
-            f"checkpoint shape ({params.n_entities} entities, "
+            f"{args.checkpoint}: checkpoint shape ({params.n_entities} entities, "
             f"{params.n_relations} relations) does not match the dataset "
             f"({dataset.n_entities}, {dataset.n_relations})"
         )
+    return params, dataset
+
+
+def cmd_eval(args) -> int:
+    params, dataset = _load_model_and_data(args)
     known = build_known_index(dataset)
     result = evaluate(params, dataset.test, known, workers=_workers(args))
     out_dir = Path(args.out)
@@ -221,8 +227,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    params, _ = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
+    params, dataset = _load_model_and_data(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ks = [float(k) for k in args.ks.split(",")]
@@ -251,26 +256,9 @@ def cmd_analyze(args) -> int:
             write_heatmap_csv(matrix, names, out_dir / f"heatmap_{name}.csv")
 
     if args.ents:
-        ents = load_entailments(args.ents, dataset.vocab)
-        classes = classify_pairs(ents, args.thresh)
-        diagnostics = [
-            relation_pair_diagnostic(params, pair, "equivalence")
-            for pair in classes.equivalence
-        ]
-        diagnostics += [
-            relation_pair_diagnostic(params, pair, "inversion")
-            for pair in classes.inversion
-        ]
-        diagnostics += [
-            relation_pair_diagnostic(
-                params,
-                (ent.premise_rel, ent.conclusion_rel),
-                "others",
-                premise_inverted=ent.premise_inverted,
-            )
-            for ent in classes.others
-        ]
-        write_pair_diagnostics_csv(diagnostics, dataset.vocab, out_dir / "relation_pairs.csv")
+        classes = classify_pairs(load_entailments(args.ents, dataset.vocab), args.thresh)
+        residuals = pair_residuals(params.rel, classes)
+        write_pair_diagnostics_csv(*residuals, dataset.vocab, out_dir / "relation_pairs.csv")
 
     print(f"analysis written to {out_dir}")
     return 0

@@ -297,24 +297,19 @@ def _warn_unseen(kind: str, id_map: IdMap, n_before: int, split: str) -> None:
         )
 
 
-def load_dataset(
-    directory: str | Path,
-    train_file: str = "train.txt",
-    valid_file: str = "valid.txt",
-    test_file: str = "test.txt",
-) -> Dataset:
-    """Load the three splits of a dataset directory.
+def load_dataset(directory: str | Path) -> Dataset:
+    """Load train.txt, valid.txt and test.txt from a dataset directory.
 
     The vocabulary is built from the training split; names that appear only
     in valid/test still get ids but a warning is logged, since their
     embeddings cannot be trained. Missing valid/test files yield empty splits.
     """
     directory = Path(directory)
-    train, vocab = load_triples(directory / train_file, None, grow=True)
+    train, vocab = load_triples(directory / "train.txt", None, grow=True)
 
     valid: list[Triple] = []
     test: list[Triple] = []
-    for name, out in ((valid_file, valid), (test_file, test)):
+    for name, out in (("valid.txt", valid), ("test.txt", test)):
         path = directory / name
         if not path.exists():
             logger.warning("split file %s is missing; using an empty split", path)

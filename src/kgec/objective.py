@@ -6,7 +6,9 @@ p -> q with confidence c, the penalty is
 ``c * sum(max(0, Re(p*) - Re(q))) + c * sum((Im(p*) - Im(q))**2)``
 where p* is p itself, or its complex conjugate when the premise is inverted.
 This is the analytic optimum of the slack-variable formulation, so no slack
-variables are materialized.
+variables are materialized. ``rule_deltas`` computes the residual p* - q of
+every rule at once; the penalty and the relation-pair diagnostics of
+``analysis`` both read it.
 
 The training kernel scores each negative, which replaces its positive's head
 or tail, against the positive's partial for that slot, so it gathers B
@@ -103,22 +105,26 @@ def _sq_norm(z: np.ndarray) -> float:
     return float(np.vdot(z, z).real)
 
 
-def rule_penalty(
-    rel: np.ndarray, rules: RuleArrays
-) -> tuple[float, np.ndarray, np.ndarray]:
+def rule_deltas(rel: np.ndarray, rules: RuleArrays) -> np.ndarray:
+    """Residual rows delta = p* - q, one per rule: the premise row, conjugated
+    where ``sign`` is -1, minus the conclusion row."""
+    delta = rel[rules.premise]
+    delta.imag *= rules.sign[:, None]
+    delta -= rel[rules.conclusion]
+    return delta
+
+
+def rule_penalty(rel: np.ndarray, rules: RuleArrays) -> tuple[float, np.ndarray]:
     """Unweighted entailment penalty of packed rules, and its gradient.
 
-    Rule k compares its premise p (``rel[premise[k]]``, conjugated when
-    ``sign[k]`` is -1) with its conclusion q: with delta = p - q and c the
-    confidence, it costs ``c * sum(max(0, Re delta) + (Im delta)**2)``.
+    With delta from :func:`rule_deltas` and c the confidence, rule k costs
+    ``c * sum(max(0, Re delta) + (Im delta)**2)``.
     Returns the total and one gradient row per relation id of
     ``[premise, conclusion]``, to be added at that id. The hinge's
     subgradient at the kink is 0, so satisfied constraints stay inert.
     """
     sign = rules.sign[:, None]
-    delta = rel[rules.premise]
-    delta.imag *= sign
-    delta -= rel[rules.conclusion]
+    delta = rule_deltas(rel, rules)
     conf = rules.confidence[:, None]
     penalty = float(np.sum(conf * (np.maximum(delta.real, 0.0) + delta.imag**2)))
     grad = conf * ((delta.real > 0.0) + 2j * delta.imag)
@@ -149,12 +155,11 @@ def loss_and_gradient_arrays(
     terms alone.
     """
     b, k = replacement.shape
-    ids = np.concatenate([heads, tails, replacement.ravel()])
-    ent_ids, ent_pos = np.unique(ids, return_inverse=True)
-    ids = np.concatenate([rels, rules.premise, rules.conclusion])
-    rel_ids, rel_pos = np.unique(ids, return_inverse=True)
-    if ent_ids.size:  # sorted, so its ends bound every id
-        _check_ids(ent_ids[[0, -1]], params.n_entities, "entity")
+    # The entity and relation id of each gradient row, in row order.
+    row_ents = np.concatenate([heads, tails, replacement.ravel()])
+    row_rels = np.concatenate([rels, rules.premise, rules.conclusion])
+    if row_ents.size:
+        _check_ids([row_ents.min(), row_ents.max()], params.n_entities, "entity")
 
     h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
     # Row (i, 0) of ``partials`` is positive i's head partial, (i, 1) its tail
@@ -185,9 +190,9 @@ def loss_and_gradient_arrays(
     # The shared slots, with the positive's own term folded into s: the head
     # gets conj(r)·s_tail, the tail r·s_head, the relation conj(h)·s_tail +
     # conj(s_head)·t (before the fold), then the rule rows in the
-    # [premise, conclusion] order of rule_penalty, as rel_pos has them.
+    # [premise, conclusion] order of rule_penalty, as row_rels has them.
     s[:, 1] += w_pos * t
-    rel_rows = np.empty((rel_pos.size, params.d), dtype=params.rel.dtype)
+    rel_rows = np.empty((row_rels.size, params.d), dtype=params.rel.dtype)
     rel_partial(h, s[:, 1], out=rel_rows[:b])
     rel_rows[:b] += rel_partial(s[:, 0], t)
     s[:, 0] += w_pos * h
@@ -197,8 +202,8 @@ def loss_and_gradient_arrays(
 
     penalty, rule_grads = rule_penalty(params.rel, rules)
     np.multiply(mu, rule_grads, out=rel_rows[b:])
-    g_ent = _segment_sum(ent_pos, ent_rows, ent_ids.size)
-    g_rel = _segment_sum(rel_pos, rel_rows, rel_ids.size)
+    ent_ids, g_ent = _segment_sum(row_ents, ent_rows)
+    rel_ids, g_rel = _segment_sum(row_rels, rel_rows)
 
     # The touched entity rows go into the spent row buffer for the L2 term.
     ent_rows = np.take(params.ent, ent_ids, axis=0, out=ent_rows[: ent_ids.size], mode="wrap")
@@ -218,16 +223,22 @@ def loss_and_gradient_arrays(
     return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel)
 
 
-def _segment_sum(pos: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """Complex (size, d) sums ``out[k] = sum(rows[pos == k])``.
+def _segment_sum(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted unique ``ids`` and, per id, the complex row sum
+    ``sum(rows[ids == id])``.
 
-    One product of a one-hot CSR matrix, built directly in CSR form, with the
-    real view of ``rows``. Each output row adds its terms in the order of
-    ``rows``, as ``np.add.at`` does on a zeroed array, so the sums are the
-    same to the bit.
+    One stable argsort of ``ids`` gives both, and the sums come from one
+    product of a one-hot CSR matrix with the real view of ``rows``. Each
+    output row adds its terms in the order of ``rows``, as ``np.add.at`` does
+    on a zeroed array, so the sums are the same to the bit.
     """
     real = real_view(rows)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(pos, minlength=size))])
-    columns = np.argsort(pos, kind="stable")
-    one_hot = sparse.csr_array((np.ones(pos.size, real.dtype), columns, indptr), (size, pos.size))
-    return (one_hot @ real).view(rows.dtype)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.empty(ids.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=starts[1:])
+    indptr = np.append(np.flatnonzero(starts), ids.size)
+    unique = sorted_ids[starts]
+    one_hot = sparse.csr_array((np.ones(ids.size, real.dtype), order, indptr), (unique.size, ids.size))
+    return unique, (one_hot @ real).view(rows.dtype)

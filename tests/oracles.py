@@ -5,7 +5,8 @@ explicit enumeration, sorting, grid search) and deliberately avoid the code
 paths under test. The functions from ``sample_negatives`` on are reference
 forms of code that was rewritten: negative sampling as materialised triples,
 the gradient of a labelled batch scattered with ``np.add.at``, the AdaGrad
-step with a temporary per pass, and the per-dimension purity loop.
+step with a temporary per pass, the per-dimension purity loop, and the
+per-pair relation diagnostic.
 """
 
 from __future__ import annotations
@@ -271,3 +272,23 @@ def oracle_dimension_purity(component, labels, k_percent: float) -> float:
         p = counts[counts > 0] / k
         entropies.append(float(-(p * np.log(p)).sum()))
     return float(np.mean(entropies))
+
+
+def oracle_relation_pair_diagnostic(params, pair, kind: str, premise_inverted: bool = False) -> dict:
+    """Residuals of one (r_p, r_q) pair under its class's ideal structure.
+
+    Equivalence pairs should have identical representations; inversion pairs
+    should be complex conjugates; for the rest the premise real part should
+    stay entrywise below the conclusion's with matching imaginary parts.
+    ``premise_inverted`` conjugates r_p first (only meaningful for "others").
+    """
+    p, q = pair
+    rep_p = np.conj(params.rel[p]) if premise_inverted else params.rel[p]
+    rep_q = np.conj(params.rel[q]) if kind == "inversion" else params.rel[q]
+    diff = rep_p - rep_q
+    if kind in ("equivalence", "inversion"):
+        return {"max_abs_diff": max(float(np.abs(diff.real).max()), float(np.abs(diff.imag).max()))}
+    return {
+        "re_violation": float(np.maximum(diff.real, 0.0).max()),
+        "im_max_abs_diff": float(np.abs(diff.imag).max()),
+    }

@@ -4,23 +4,26 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgec.analysis import (
     TypeLabels,
     activation_heatmap,
     load_type_labels,
     minmax_normalize,
+    pair_residuals,
     purity_curve,
-    relation_pair_diagnostic,
     shannon_entropy,
     write_heatmap_csv,
     write_purity_csv,
 )
-from kgec.data import IdMap, ParseError
-from kgec.model import init_params
+from kgec.data import Entailment, IdMap, ParseError
+from kgec.mining import PairClasses
+from kgec.model import ModelParams, init_params
 
 from conftest import make_vocab
-from oracles import oracle_dimension_purity
+from oracles import oracle_dimension_purity, oracle_relation_pair_diagnostic
 
 
 def labels_of(assignments) -> TypeLabels:
@@ -146,29 +149,62 @@ class TestShannonEntropy:
         )
 
 
+RESIDUAL_COLUMNS = ("max_abs_diff", "re_violation", "im_max_abs_diff")
+
+
+def residuals_of(params, equivalence=(), inversion=(), others=()) -> dict:
+    """The defined residuals of the single classified pair."""
+    _, _, residuals = pair_residuals(
+        params.rel, PairClasses(list(equivalence), list(inversion), list(others))
+    )
+    (row,) = residuals
+    return {key: value for key, value in zip(RESIDUAL_COLUMNS, row) if not np.isnan(value)}
+
+
+@st.composite
+def pair_instances(draw):
+    m = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([np.complex128, np.complex64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    rel = (rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))).astype(dtype)
+    params = ModelParams(np.zeros((1, d), dtype), rel)
+    ids = st.integers(0, m - 1)
+    pair = st.tuples(ids, ids)
+    # An inversion pair may be self-inverse (p == q); the other classes need
+    # a premise that differs from its conclusion as a signed relation.
+    equivalence = st.lists(pair.filter(lambda pq: pq[0] != pq[1]), max_size=4)
+    inversion = st.lists(pair, max_size=4)
+    others = st.lists(
+        st.tuples(ids, st.booleans(), ids).filter(lambda e: e[1] or e[0] != e[2]), max_size=4
+    )
+    classes = PairClasses(
+        draw(equivalence), draw(inversion), [Entailment(*e, 0.9) for e in draw(others)]
+    )
+    return params, classes
+
+
 class TestPairDiagnostics:
     def test_identical_representations(self):
         params = init_params(2, 2, 4, seed=0)
         params.re_r[1] = params.re_r[0]
         params.im_r[1] = params.im_r[0]
-        diag = relation_pair_diagnostic(params, (0, 1), "equivalence")
-        assert diag.residuals["max_abs_diff"] == 0.0
+        assert residuals_of(params, equivalence=[(0, 1)]) == {"max_abs_diff": 0.0}
 
     def test_conjugate_representations(self):
         params = init_params(2, 2, 4, seed=1)
         params.re_r[1] = params.re_r[0]
         params.im_r[1] = -params.im_r[0]
-        diag = relation_pair_diagnostic(params, (0, 1), "inversion")
-        assert diag.residuals["max_abs_diff"] == 0.0
+        assert residuals_of(params, inversion=[(0, 1)]) == {"max_abs_diff": 0.0}
 
     def test_satisfied_ordering_has_zero_violation(self):
         params = init_params(2, 2, 1, seed=2)
         params.re_r[0] = [0.1]
         params.re_r[1] = [0.3]
         params.im_r[1] = params.im_r[0]
-        diag = relation_pair_diagnostic(params, (0, 1), "others")
-        assert diag.residuals["re_violation"] == 0.0
-        assert diag.residuals["im_max_abs_diff"] == 0.0
+        residuals = residuals_of(params, others=[Entailment(0, False, 1, 0.9)])
+        assert residuals["re_violation"] == 0.0
+        assert residuals["im_max_abs_diff"] == 0.0
 
     def test_violations_are_reported(self):
         params = init_params(2, 2, 2, seed=3)
@@ -176,22 +212,38 @@ class TestPairDiagnostics:
         params.re_r[1] = [0.3, 0.1]
         params.im_r[0] = [0.0, 0.2]
         params.im_r[1] = [0.0, -0.2]
-        diag = relation_pair_diagnostic(params, (0, 1), "others")
-        assert diag.residuals["re_violation"] == pytest.approx(0.2)
-        assert diag.residuals["im_max_abs_diff"] == pytest.approx(0.4)
+        residuals = residuals_of(params, others=[Entailment(0, False, 1, 0.9)])
+        assert residuals["re_violation"] == pytest.approx(0.2)
+        assert residuals["im_max_abs_diff"] == pytest.approx(0.4)
 
     def test_inverted_premise_conjugates_first(self):
         params = init_params(2, 2, 1, seed=4)
         params.re_r[0] = params.re_r[1] = [0.0]
         params.im_r[0] = [0.3]
         params.im_r[1] = [-0.3]
-        diag = relation_pair_diagnostic(params, (0, 1), "others", premise_inverted=True)
-        assert diag.residuals["im_max_abs_diff"] == 0.0
+        residuals = residuals_of(params, others=[Entailment(0, True, 1, 0.9)])
+        assert residuals["im_max_abs_diff"] == 0.0
 
-    def test_rejects_unknown_kind(self):
-        params = init_params(2, 2, 1, seed=0)
-        with pytest.raises(ValueError):
-            relation_pair_diagnostic(params, (0, 1), "similar")
+    @settings(max_examples=300, deadline=None)
+    @given(pair_instances())
+    def test_matches_the_per_pair_oracle_exactly(self, instance):
+        params, classes = instance
+        kinds, rules, residuals = pair_residuals(params.rel, classes)
+        want_kinds, want_pairs, want = [], [], []
+        for kind, pairs in (("equivalence", classes.equivalence), ("inversion", classes.inversion)):
+            for pair in pairs:
+                want_kinds.append(kind)
+                want_pairs.append(pair)
+                want.append(oracle_relation_pair_diagnostic(params, pair, kind))
+        for ent in classes.others:
+            pair = (ent.premise_rel, ent.conclusion_rel)
+            want_kinds.append("others")
+            want_pairs.append(pair)
+            want.append(oracle_relation_pair_diagnostic(params, pair, "others", ent.premise_inverted))
+        assert kinds.tolist() == want_kinds
+        assert list(zip(rules.premise.tolist(), rules.conclusion.tolist())) == want_pairs
+        want = [[row.get(key, np.nan) for key in RESIDUAL_COLUMNS] for row in want]
+        np.testing.assert_array_equal(residuals, np.reshape(want, (-1, 3)))
 
 
 class TestTypeLabelIO:

@@ -12,9 +12,9 @@ import pytest
 
 import kgec
 from kgec.cli import main
-from kgec.data import Triple, write_triples, write_tsv
+from kgec.data import Triple, load_dataset, write_triples, write_tsv
 from kgec.manifest import RunManifest, sha256_file, write_csv
-from kgec.model import init_params, load_checkpoint, save_checkpoint
+from kgec.model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from kgec.trainer import EpochStats, write_training_log
 
 from conftest import make_vocab
@@ -140,6 +140,45 @@ def test_train_eval_analyze_significance_pipeline(data_dir, config_file, tmp_pat
     )
     assert code == 0
     assert sig_out.read_text().startswith("metric,p_value")
+
+
+# Relation rows of the golden checkpoint, by name.
+GOLDEN_RELATIONS = {
+    "r0": [0.5 + 0.2j, 0.1 - 0.3j],
+    "r1": [0.4 + 0.2j, 0.1 - 0.1j],
+    "r2": [0.3 + 0.25j, 0.6 - 0.05j],
+}
+# r0 <-> r1 is an equivalence pair, r2^-1 -> r2 a self-inverse inversion pair,
+# and r0 -> r2 and r1^-1 -> r2 are others (the second one inverted).
+GOLDEN_RULES = "r0\tr1\t0.9\nr1\tr0\t0.9\nr2^-1\tr2\t0.9\nr0\tr2\t0.7\nr1^-1\tr2\t0.6\n"
+GOLDEN_HEADER = "class,rel_p,rel_q,max_abs_diff,re_violation,im_max_abs_diff\r\n"
+GOLDEN_PAIRS = GOLDEN_HEADER + (
+    "equivalence,r0,r1,0.200000,,\r\n"
+    "inversion,r2,r2,0.500000,,\r\n"
+    "others,r0,r2,,0.200000,0.250000\r\n"
+    "others,r1,r2,,0.100000,0.450000\r\n"
+)
+
+
+@pytest.mark.parametrize(
+    "rules, expected",
+    [(GOLDEN_RULES, GOLDEN_PAIRS), ("", GOLDEN_HEADER)],
+    ids=["every-class", "no-rules"],
+)
+def test_analyze_relation_pairs_golden(data_dir, tmp_path, rules, expected):
+    vocab = load_dataset(data_dir).vocab
+    names = [vocab.relations.name(k) for k in range(len(vocab.relations))]
+    rel = np.array([GOLDEN_RELATIONS[name] for name in names])
+    ent = np.full((len(vocab.entities), 2), 0.5 + 0.5j)
+    checkpoint = tmp_path / "golden.kgec"
+    save_checkpoint(ModelParams(ent, rel), checkpoint)
+    rules_path = tmp_path / "rules.tsv"
+    rules_path.write_text(rules)
+    out = tmp_path / "analysis"
+    argv = ["analyze", "--data", str(data_dir), "--checkpoint", str(checkpoint),
+            "--ents", str(rules_path), "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "relation_pairs.csv").read_bytes() == expected.encode()
 
 
 def test_train_is_reproducible_from_identical_inputs(data_dir, config_file, tmp_path):
@@ -414,6 +453,19 @@ def test_eval_corrupt_checkpoint_fails_with_message(data_dir, tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"{sidecar}: invalid JSON: Invalid control character" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+@pytest.mark.parametrize("extra", [5, -5], ids=["larger", "smaller"])
+def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys, command, extra):
+    n_entities = len(load_dataset(data_dir).vocab.entities)
+    path = tmp_path / "other.kgec"
+    save_checkpoint(init_params(n_entities + extra, 3, 4, seed=0), path)
+    argv = [command, "--data", str(data_dir), "--checkpoint", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: checkpoint shape ({n_entities + extra} entities, 3 relations)" in err
     assert len(err.strip().splitlines()) == 1
 
 
