@@ -73,10 +73,7 @@ def _workers(args) -> int:
 def cmd_mine(args) -> int:
     if not args.train_file and not args.data:
         raise ValueError("mine needs --data or --train-file")
-    if args.train_file:
-        triples, vocab = load_triples(args.train_file)
-    else:
-        triples, vocab = load_triples(Path(args.data) / "train.txt")
+    triples, vocab = load_triples(args.train_file or Path(args.data) / "train.txt")
     rules = mine_entailments(triples, args.min_conf, args.min_support)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -134,27 +131,12 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     ents = load_entailments(args.ents, dataset.vocab) if args.ents else []
     config = parse_config(_resolve_config(args.config)) if args.config else TrainConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mu is not None:
-        overrides["mu"] = args.mu
-    if args.no_projection:
-        overrides["project"] = False
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    overrides = {"seed": args.seed, "mu": args.mu, "project": False if args.no_projection else None}
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
     out_dir = Path(args.out)
-    data_dir = Path(args.data)
-    input_paths = [
-        p
-        for p in (
-            data_dir / "train.txt",
-            data_dir / "valid.txt",
-            data_dir / "test.txt",
-        )
-        if p.exists()
-    ]
+    splits = (Path(args.data) / f"{split}.txt" for split in ("train", "valid", "test"))
+    input_paths = [path for path in splits if path.exists()]
     if args.ents:
         input_paths.append(Path(args.ents))
     if args.config:
@@ -266,10 +248,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_significance(args) -> int:
     report = significance_report(args.ranks_a, args.ranks_b)
-    lines = ["metric,p_value,significant_at_0.05"]
-    for metric, p in report.items():
-        lines.append(f"{metric},{p:.6g},{'yes' if p < 0.05 else 'no'}")
-    text = "\n".join(lines)
+    rows = (f"{metric},{p:.6g},{'yes' if p < 0.05 else 'no'}" for metric, p in report.items())
+    text = "\n".join(["metric,p_value,significant_at_0.05", *rows])
     print(text)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -54,6 +54,7 @@ def mine_entailments(
     relations = sorted(facts)
     subjects = {rel: {pair[0] for pair in pairs} for rel, pairs in facts.items()}
 
+    # The loops run in (premise, direction, conclusion) order, which sorts the rules.
     rules: list[MinedRule] = []
     for premise in relations:
         forward = facts[premise]
@@ -71,21 +72,8 @@ def mine_entailments(
                     continue
                 confidence = support / pca_body
                 if confidence > min_conf:
-                    rules.append(
-                        MinedRule(
-                            Entailment(premise, inverted, conclusion, confidence),
-                            support,
-                            pca_body,
-                            confidence,
-                        )
-                    )
-    rules.sort(
-        key=lambda r: (
-            r.entailment.premise_rel,
-            r.entailment.premise_inverted,
-            r.entailment.conclusion_rel,
-        )
-    )
+                    entailment = Entailment(premise, inverted, conclusion, confidence)
+                    rules.append(MinedRule(entailment, support, pca_body, confidence))
     return rules
 
 

@@ -111,11 +111,10 @@ def init_params(n: int, m: int, d: int, seed: int) -> ModelParams:
         raise ValueError(f"sizes must be at least 1, got n={n}, m={m}, d={d}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d)
-    re_e = rng.uniform(0.0, 1.0, size=(n, d))
-    im_e = rng.uniform(0.0, 1.0, size=(n, d))
-    re_r = rng.normal(0.0, scale, size=(m, d))
-    im_r = rng.normal(0.0, scale, size=(m, d))
-    return ModelParams(_from_parts(re_e, im_e), _from_parts(re_r, im_r))
+    # random() draws the bits of uniform(0, 1) without its scaling pass.
+    ent = _from_parts(rng.random((n, d)), rng.random((n, d)))
+    rel = _from_parts(rng.normal(0.0, scale, size=(m, d)), rng.normal(0.0, scale, size=(m, d)))
+    return ModelParams(ent, rel)
 
 
 def head_partial(r: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

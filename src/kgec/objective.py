@@ -11,8 +11,10 @@ every rule at once; the penalty and the relation-pair diagnostics of
 ``analysis`` both read it.
 
 The training kernel scores each negative, which replaces its positive's head
-or tail, against the positive's partial for that slot, so it gathers B
-positive rows and B·k replacement rows rather than a full triple per negative.
+or tail, against the positive's partial for that slot. It gathers the B·k
+replacement rows in cache-sized blocks of positives, scores and sums them
+while cached, and keeps no array with a row per negative: the entity
+gradient is one weighted sparse product over head, tail and partial rows.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from scipy.special import expit
 from .data import Entailment
 from .model import ModelParams, _check_ids, head_partial, real_dot, real_view
 from .model import rel_partial, tail_partial
+
+_BLOCK_BYTES = 2**21  # entity-row bytes per scoring or L2 block; a block stays in cache
 
 
 @dataclass
@@ -155,82 +159,104 @@ def loss_and_gradient_arrays(
     terms alone.
     """
     b, k = replacement.shape
-    # The entity and relation id of each gradient row, in row order.
+    d = params.d
     row_ents = np.concatenate([heads, tails, replacement.ravel()])
     row_rels = np.concatenate([rels, rules.premise, rules.conclusion])
     if row_ents.size:
         _check_ids([row_ents.min(), row_ents.max()], params.n_entities, "entity")
 
     h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
-    # Row (i, 0) of ``partials`` is positive i's head partial, (i, 1) its tail
-    # partial. A negative scores against the partial of the slot it replaces.
-    partials = np.empty((b, 2, params.d), dtype=params.ent.dtype)
+    # Rows of q: the head gradients, the tail gradients, then positive i's
+    # head partial (row 2b + 2i) and tail partial (2b + 2i + 1). A negative
+    # scores against the partial of the slot it replaces, and its
+    # replacement's gradient is its weight times that partial.
+    q = np.empty((4 * b, d), params.ent.dtype)
+    partials = q[2 * b :].reshape(b, 2, d)
     head_partial(r, t, out=partials[:, 0])
     tail_partial(h, r, out=partials[:, 1])
     slot = np.where(corrupt_head, 0, 1)
-    # Entity rows: heads, tails, then one per negative, holding its replacement's
-    # embedding, later its gradient. "wrap" takes (ids checked) skip a copy.
-    ent_rows = np.empty((2 * b + b * k, params.d), dtype=params.ent.dtype)
-    replaced = ent_rows[2 * b :]
-    np.take(params.ent, replacement.ravel(), axis=0, out=replaced, mode="wrap")
-    e = real_view(replaced).reshape(b, k, 2 * params.d)
-    neg_scores = np.take_along_axis(e @ real_view(partials).transpose(0, 2, 1), slot[..., None], 2)
-    z = np.concatenate([-real_dot(partials[:, 1], t), neg_scores.ravel()])
+    z, w, s = _score_negatives(params.ent, partials, corrupt_head, replacement, slot)
+    z[:b] = -real_dot(partials[:, 1], t)
     logistic = float(softplus(z).sum())
-    w = expit(z)
-    w_pos, w = -w[:b, None], w[b:].reshape(b, k)
+    w_pos = -expit(z[:b])[:, None]
 
-    # s[:, 0] and s[:, 1]: the weighted sums of each positive's head and tail
-    # replacements. A replacement's gradient is its weight times its partial.
-    weights = np.stack([np.where(corrupt_head, w, 0.0), np.where(corrupt_head, 0.0, w)], axis=1)
-    s = (weights @ e).view(params.ent.dtype)
-    np.take(partials.reshape(2 * b, params.d), 2 * np.arange(b)[:, None] + slot,
-            axis=0, out=replaced.reshape(b, k, params.d), mode="wrap")
-    real_view(replaced)[:] *= w.reshape(-1, 1)
     # The shared slots, with the positive's own term folded into s: the head
     # gets conj(r)·s_tail, the tail r·s_head, the relation conj(h)·s_tail +
     # conj(s_head)·t (before the fold), then the rule rows in the
     # [premise, conclusion] order of rule_penalty, as row_rels has them.
     s[:, 1] += w_pos * t
-    rel_rows = np.empty((row_rels.size, params.d), dtype=params.rel.dtype)
+    rel_rows = np.empty((row_rels.size, d), dtype=params.rel.dtype)
     rel_partial(h, s[:, 1], out=rel_rows[:b])
     rel_rows[:b] += rel_partial(s[:, 0], t)
     s[:, 0] += w_pos * h
-    head_partial(r, s[:, 1], out=ent_rows[:b])
-    tail_partial(s[:, 0], r, out=ent_rows[b : 2 * b])
-    del h, r, t, e, partials, s
+    head_partial(r, s[:, 1], out=q[:b])
+    tail_partial(s[:, 0], r, out=q[b : 2 * b])
+    del h, r, t, partials, s
 
     penalty, rule_grads = rule_penalty(params.rel, rules)
     np.multiply(mu, rule_grads, out=rel_rows[b:])
-    ent_ids, g_ent = _segment_sum(row_ents, ent_rows)
+    # Heads and tails read their own rows of q, negative (i, j) the partial
+    # it scored against, with weight w[i, j].
+    cols = np.concatenate([np.arange(2 * b), (np.arange(2 * b, 4 * b, 2)[:, None] + slot).ravel()])
+    weights = np.concatenate([np.ones(2 * b, w.dtype), w.ravel()])
+    ent_ids, g_ent = _segment_sum(row_ents, q, cols, weights)
+    del q
     rel_ids, g_rel = _segment_sum(row_rels, rel_rows)
 
-    # The touched entity rows go into the spent row buffer for the L2 term.
-    ent_rows = np.take(params.ent, ent_ids, axis=0, out=ent_rows[: ent_ids.size], mode="wrap")
-    rel_rows = params.rel[rel_ids]
-    l2 = _sq_norm(ent_rows) + _sq_norm(rel_rows)
-    if eta != 0.0:
-        for grad, rows in ((g_ent, ent_rows), (g_rel, rel_rows)):
-            rows *= 2.0 * eta
-            grad += rows
+    l2 = 0.0
+    for grad, table, ids in ((g_ent, params.ent, ent_ids), (g_rel, params.rel, rel_ids)):
+        for lo, rows in _blocks(table, ids, max(1, _BLOCK_BYTES // (table.itemsize * d))):
+            l2 += _sq_norm(rows)
+            if eta != 0.0:
+                rows *= 2.0 * eta
+                grad[lo : lo + len(rows)] += rows
 
-    breakdown = LossBreakdown(
-        logistic=logistic,
-        entailment_penalty=penalty,
-        l2=l2,
-        total=logistic + mu * penalty + eta * l2,
-    )
+    breakdown = LossBreakdown(logistic, penalty, l2, logistic + mu * penalty + eta * l2)
     return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel)
 
 
-def _segment_sum(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted unique ``ids`` and, per id, the complex row sum
-    ``sum(rows[ids == id])``.
+def _blocks(table: np.ndarray, ids: np.ndarray, step: int):
+    """Yield (lo, table[ids[lo : lo + step]]) for lo = 0, step, ..., each block
+    gathered into one reused buffer (ids range-checked)."""
+    buffer = np.empty((min(step, ids.size), table.shape[1]), table.dtype)
+    for lo in range(0, ids.size, step):
+        out = buffer[: min(step, ids.size - lo)]
+        yield lo, np.take(table, ids[lo : lo + step], axis=0, out=out, mode="wrap")
 
-    One stable argsort of ``ids`` gives both, and the sums come from one
-    product of a one-hot CSR matrix with the real view of ``rows``. Each
-    output row adds its terms in the order of ``rows``, as ``np.add.at`` does
-    on a zeroed array, so the sums are the same to the bit.
+
+def _score_negatives(ent, partials, corrupt_head, replacement, slot):
+    """Negative (i, j)'s score against ``partials[i, slot[i, j]]`` at
+    z[b + i·k + j] (z[:b] is left for the positives), its weight w[i, j] =
+    expit(score), and s: s[i, 0] and s[i, 1] are the weighted sums of
+    positive i's head and tail replacement rows. Blocks of positives whose
+    replacement rows fill about ``_BLOCK_BYTES`` are gathered, scored and
+    summed while cached."""
+    (b, k), d = replacement.shape, ent.shape[1]
+    z = np.empty(b * (k + 1), ent.real.dtype)
+    neg_z, w = z[b:].reshape(b, k), np.empty((b, k), z.dtype)
+    s = np.zeros((b, 2, d), ent.dtype)
+    per_block = max(1, _BLOCK_BYTES // (max(k, 1) * ent.itemsize * d))
+    for lo, e in _blocks(ent, replacement.ravel(), max(1, per_block * k)):
+        i = slice(lo // k, (lo + len(e)) // k)
+        e = real_view(e).reshape(-1, k, 2 * d)
+        scores = e @ real_view(partials[i]).transpose(0, 2, 1)
+        neg_z[i] = np.take_along_axis(scores, slot[i, :, None], 2)[..., 0]
+        wi, side = expit(neg_z[i], out=w[i]), corrupt_head[i]
+        weights = np.stack([np.where(side, wi, 0.0), np.where(side, 0.0, wi)], axis=1)
+        np.matmul(weights, e, out=real_view(s[i]))
+    return z, w, s
+
+
+def _segment_sum(ids, rows, cols=None, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted unique ``ids`` and, per id, the complex row sum
+    ``sum(weights[ids == id] * rows[cols[ids == id]])``.
+
+    Entry e reads row ``cols[e]`` (default e) with weight ``weights[e]``
+    (default 1). One stable argsort of ``ids`` gives both results, and the
+    sums come from one product of a weighted CSR matrix, one row per unique
+    id, with the real view of ``rows``. Each output row adds its terms in
+    entry order, as ``np.add.at`` does on a zeroed array, so the sums are the
+    same to the bit.
     """
     real = real_view(rows)
     order = np.argsort(ids, kind="stable")
@@ -240,5 +266,7 @@ def _segment_sum(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=starts[1:])
     indptr = np.append(np.flatnonzero(starts), ids.size)
     unique = sorted_ids[starts]
-    one_hot = sparse.csr_array((np.ones(ids.size, real.dtype), order, indptr), (unique.size, ids.size))
-    return unique, (one_hot @ real).view(rows.dtype)
+    data = np.ones(ids.size, real.dtype) if weights is None else weights[order]
+    columns = order if cols is None else cols[order]
+    matrix = sparse.csr_array((data, columns, indptr), (unique.size, rows.shape[0]))
+    return unique, (matrix @ real).view(rows.dtype)

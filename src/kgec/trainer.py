@@ -8,6 +8,7 @@ and negative sampling, and parameter updates are applied sequentially.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,7 +125,8 @@ class AdaGradState:
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "AdaGradState":
-        return cls(np.zeros_like(real_view(params.ent)), np.zeros_like(real_view(params.rel)))
+        ent, rel = real_view(params.ent), real_view(params.rel)  # np.zeros maps pages lazily
+        return cls(np.zeros(ent.shape, ent.dtype), np.zeros(rel.shape, rel.dtype))
 
 
 def adagrad_step(
@@ -266,7 +268,8 @@ def train(
     params = init_params(n, m, config.d, config.seed)
     state = AdaGradState.zeros_like(params)
     rng = np.random.default_rng(config.seed + 1)
-    train_arr = np.asarray(dataset.train, dtype=np.int64).reshape(-1, 3)
+    triples = itertools.chain.from_iterable(dataset.train)
+    train_arr = np.fromiter(triples, np.int64, count=3 * len(dataset.train)).reshape(-1, 3)
     if train_arr.shape[0] == 0:
         raise ValueError("training split is empty")
 

@@ -5,8 +5,9 @@ explicit enumeration, sorting, grid search) and deliberately avoid the code
 paths under test. The functions from ``sample_negatives`` on are reference
 forms of code that was rewritten: negative sampling as materialised triples,
 the gradient of a labelled batch scattered with ``np.add.at``, the AdaGrad
-step with a temporary per pass, the per-dimension purity loop, and the
-per-pair relation diagnostic.
+step with a temporary per pass, the per-dimension purity loop, the per-pair
+relation diagnostic, and the training kernel with one buffer row per
+entity term.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import numpy as np
 from scipy.special import expit
 
 from kgec.data import Triple
-from kgec.model import real_dot, real_view
+from kgec.model import _check_ids, head_partial, real_dot, real_view, rel_partial, tail_partial
 from kgec.objective import (
     LossBreakdown,
     SparseGrads,
+    _segment_sum,
     _sq_norm,
     rule_penalty,
     softplus,
@@ -292,3 +294,79 @@ def oracle_relation_pair_diagnostic(params, pair, kind: str, premise_inverted: b
         "re_violation": float(np.maximum(diff.real, 0.0).max()),
         "im_max_abs_diff": float(np.abs(diff.imag).max()),
     }
+
+
+def oracle_row_buffer_kernel(
+    params, heads, rels, tails, corrupt_head, replacement, rules, mu: float, eta: float
+):
+    """Reference form of ``loss_and_gradient_arrays`` with one buffer row
+    per entity term: B head rows, B tail rows and B·k replacement rows, each
+    replacement's gradient scaled into its row, then one unweighted segment
+    sum, and L2 over all touched entity rows in one pass."""
+    b, k = replacement.shape
+    # The entity and relation id of each gradient row, in row order.
+    row_ents = np.concatenate([heads, tails, replacement.ravel()])
+    row_rels = np.concatenate([rels, rules.premise, rules.conclusion])
+    if row_ents.size:
+        _check_ids([row_ents.min(), row_ents.max()], params.n_entities, "entity")
+
+    h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
+    # Row (i, 0) of ``partials`` is positive i's head partial, (i, 1) its tail
+    # partial. A negative scores against the partial of the slot it replaces.
+    partials = np.empty((b, 2, params.d), dtype=params.ent.dtype)
+    head_partial(r, t, out=partials[:, 0])
+    tail_partial(h, r, out=partials[:, 1])
+    slot = np.where(corrupt_head, 0, 1)
+    # Entity rows: heads, tails, then one per negative, holding its replacement's
+    # embedding, later its gradient. "wrap" takes (ids checked) skip a copy.
+    ent_rows = np.empty((2 * b + b * k, params.d), dtype=params.ent.dtype)
+    replaced = ent_rows[2 * b :]
+    np.take(params.ent, replacement.ravel(), axis=0, out=replaced, mode="wrap")
+    e = real_view(replaced).reshape(b, k, 2 * params.d)
+    neg_scores = np.take_along_axis(e @ real_view(partials).transpose(0, 2, 1), slot[..., None], 2)
+    z = np.concatenate([-real_dot(partials[:, 1], t), neg_scores.ravel()])
+    logistic = float(softplus(z).sum())
+    w = expit(z)
+    w_pos, w = -w[:b, None], w[b:].reshape(b, k)
+
+    # s[:, 0] and s[:, 1]: the weighted sums of each positive's head and tail
+    # replacements. A replacement's gradient is its weight times its partial.
+    weights = np.stack([np.where(corrupt_head, w, 0.0), np.where(corrupt_head, 0.0, w)], axis=1)
+    s = (weights @ e).view(params.ent.dtype)
+    np.take(partials.reshape(2 * b, params.d), 2 * np.arange(b)[:, None] + slot,
+            axis=0, out=replaced.reshape(b, k, params.d), mode="wrap")
+    real_view(replaced)[:] *= w.reshape(-1, 1)
+    # The shared slots, with the positive's own term folded into s: the head
+    # gets conj(r)·s_tail, the tail r·s_head, the relation conj(h)·s_tail +
+    # conj(s_head)·t (before the fold), then the rule rows in the
+    # [premise, conclusion] order of rule_penalty, as row_rels has them.
+    s[:, 1] += w_pos * t
+    rel_rows = np.empty((row_rels.size, params.d), dtype=params.rel.dtype)
+    rel_partial(h, s[:, 1], out=rel_rows[:b])
+    rel_rows[:b] += rel_partial(s[:, 0], t)
+    s[:, 0] += w_pos * h
+    head_partial(r, s[:, 1], out=ent_rows[:b])
+    tail_partial(s[:, 0], r, out=ent_rows[b : 2 * b])
+    del h, r, t, e, partials, s
+
+    penalty, rule_grads = rule_penalty(params.rel, rules)
+    np.multiply(mu, rule_grads, out=rel_rows[b:])
+    ent_ids, g_ent = _segment_sum(row_ents, ent_rows)
+    rel_ids, g_rel = _segment_sum(row_rels, rel_rows)
+
+    # The touched entity rows go into the spent row buffer for the L2 term.
+    ent_rows = np.take(params.ent, ent_ids, axis=0, out=ent_rows[: ent_ids.size], mode="wrap")
+    rel_rows = params.rel[rel_ids]
+    l2 = _sq_norm(ent_rows) + _sq_norm(rel_rows)
+    if eta != 0.0:
+        for grad, rows in ((g_ent, ent_rows), (g_rel, rel_rows)):
+            rows *= 2.0 * eta
+            grad += rows
+
+    breakdown = LossBreakdown(
+        logistic=logistic,
+        entailment_penalty=penalty,
+        l2=l2,
+        total=logistic + mu * penalty + eta * l2,
+    )
+    return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel)

@@ -225,6 +225,18 @@ class TestInit:
         for x, y in ((a.re_e, b.re_e), (a.im_e, b.im_e), (a.re_r, b.re_r), (a.im_r, b.im_r)):
             np.testing.assert_array_equal(x, y)
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_draws_are_uniform_then_normal_in_order(self, seed):
+        # Entity real, entity imaginary, relation real, relation imaginary,
+        # each the exact draws of the named distribution from one generator.
+        n, m, d = 9, 4, 6
+        rng = np.random.default_rng(seed)
+        want = [rng.uniform(0.0, 1.0, size=(n, d)) for _ in range(2)]
+        want += [rng.normal(0.0, 1.0 / np.sqrt(d), size=(m, d)) for _ in range(2)]
+        params = init_params(n, m, d, seed=seed)
+        for got, expected in zip((params.re_e, params.im_e, params.re_r, params.im_r), want):
+            np.testing.assert_array_equal(got, expected)
+
     def test_entities_in_box(self):
         params = init_params(50, 5, 20, seed=7)
         assert np.all(params.re_e >= 0) and np.all(params.re_e <= 1)

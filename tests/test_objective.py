@@ -1,10 +1,14 @@
 """Tests for the loss terms and their sparse gradients."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgec.objective
 from kgec.data import Entailment
 from kgec.model import ModelParams, init_params
 from kgec.objective import (
@@ -20,6 +24,7 @@ from conftest import triple_scores
 from oracles import (
     central_difference,
     labelled_batch,
+    oracle_row_buffer_kernel,
     oracle_scatter_gradients,
     oracle_score,
     slack_grid_minimum,
@@ -375,3 +380,70 @@ class TestScatterKernel:
         got_ids, got = _segment_sum(ids, rows)
         np.testing.assert_array_equal(got_ids, np.unique(ids))
         np.testing.assert_array_equal(got, want[np.unique(ids)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda rows: st.tuples(
+                st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9)), min_size=rows, max_size=rows),
+                st.integers(1, 3),
+                st.integers(0, 2**31 - 1),
+            )
+        )
+    )
+    def test_weighted_segment_sum_matches_add_at_exactly(self, case):
+        # Entry e adds weights[e] * rows[cols[e]] at ids[e]; columns repeat
+        # and some rows are read by no entry.
+        entries, d, seed = case
+        ids, cols = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(10, d)) + 1j * rng.normal(size=(10, d))
+        weights = rng.uniform(-1.0, 1.0, size=ids.size)
+        want = np.zeros((8, d), complex)
+        np.add.at(want, ids, weights[:, None] * rows[cols])
+        got_ids, got = _segment_sum(ids, rows, cols, weights)
+        np.testing.assert_array_equal(got_ids, np.unique(ids))
+        np.testing.assert_array_equal(got, want[np.unique(ids)])
+
+
+class TestBlockedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_instances(), st.sampled_from([1, 16, 100, 400, 2**21]))
+    def test_matches_row_buffer_oracle_exactly(self, instance, block_bytes):
+        # Small block sizes split the scoring and the L2 term into many
+        # blocks. Only l2's sum is regrouped, and only across blocks.
+        params, batch, rules, mu, eta, _ = instance
+        want_loss, want = oracle_row_buffer_kernel(params, *batch, rules, mu, eta)
+        with mock.patch.object(kgec.objective, "_BLOCK_BYTES", block_bytes):
+            got_loss, got = loss_and_gradient_arrays(params, *batch, rules, mu, eta)
+        for name in ("ent_ids", "rel_ids", "ent", "rel"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
+        assert got_loss.logistic == want_loss.logistic
+        assert got_loss.entailment_penalty == want_loss.entailment_penalty
+        rows_per_block = max(1, block_bytes // params.ent[:1].nbytes)
+        if max(want.ent_ids.size, want.rel_ids.size) <= rows_per_block:
+            assert got_loss.l2 == want_loss.l2
+        else:
+            assert abs(got_loss.l2 - want_loss.l2) <= 1e-12 * want_loss.l2
+
+    def test_peak_memory_has_no_row_per_negative(self):
+        # The row-buffer kernel holds a (2B + B·k, d) complex buffer; the
+        # blocked kernel must peak at least half of it lower. Its blocks cost
+        # a fixed buffer of about _BLOCK_BYTES, so B is large enough that
+        # half the row buffer (3 MB) exceeds it.
+        n, b, k, d = 20_000, 1_000, 10, 32
+        rng = np.random.default_rng(0)
+        params = init_params(n, 4, d, seed=0)
+        heads, rels, tails = rng.integers(n, size=b), rng.integers(4, size=b), rng.integers(n, size=b)
+        batch = (heads, rels, tails, *_corrupt_batch(heads, tails, k, n, rng))
+        peaks = []
+        for kernel in (loss_and_gradient_arrays, oracle_row_buffer_kernel):
+            kernel(params, *batch, NO_RULES, 0.0, 0.01)  # warm-up: lazy imports and caches
+            tracemalloc.start()
+            try:
+                kernel(params, *batch, NO_RULES, 0.0, 0.01)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        row_buffer = (2 * b + b * k) * d * params.ent.itemsize
+        assert peaks[0] <= peaks[1] - row_buffer / 2, (peaks, row_buffer)
