@@ -55,7 +55,7 @@ GRID = {
 def _resolve_config(name_or_path: str) -> Path:
     """Accept a config path or the name of a shipped preset (wn18, fb15k, db100k)."""
     path = Path(name_or_path)
-    if path.exists():
+    if path.is_file():
         return path
     packaged = resources.files("kgec") / "configs" / f"{name_or_path}.cfg"
     if packaged.is_file():

@@ -52,9 +52,11 @@ def rank_from_scores(
     ``filtered[i]``. Its rank counts the candidates scoring strictly higher
     than the gold one, after removing the filtered ids. The gold entity itself
     never competes and is never filtered out. ``scores`` is not modified.
+    Raises IndexError unless every gold id is a column of ``scores``.
     """
     rows = np.arange(len(scores))
     gold = np.asarray(gold, dtype=np.int64)
+    _check_ids(gold, scores.shape[1], "entity")
     competing = scores > scores[rows, gold][:, None]
     if filtered is not None:
         sizes = [len(ids) for ids in filtered]
@@ -64,33 +66,13 @@ def rank_from_scores(
     return 1 + np.count_nonzero(competing, axis=1)
 
 
-def _checked_triples(params: ModelParams, triples) -> np.ndarray:
-    """Triples as a (B, 3) id array; IndexError unless every id is in range."""
-    triples = np.asarray(triples, dtype=np.int64)
-    _check_ids(triples[:, ::2], params.n_entities, "entity")
-    _check_ids(triples[:, 1], params.n_relations, "relation")
-    return triples
-
-
-def _filtered_ranks(
-    params: ModelParams, triples: np.ndarray, side: str, known: KnownIndex
-) -> np.ndarray:
-    """Filtered ranks of the gold entities of a range-checked (B, 3) id array
-    when corrupting ``side``: one scoring call and one ranking call."""
-    heads, rels, tails = triples.T
-    if side == "head":
-        filtered = [known.heads(r, t) for r, t in zip(rels.tolist(), tails.tolist())]
-        return rank_from_scores(score_all_heads(params, rels, tails, check=False), heads, filtered)
-    if side == "tail":
-        filtered = [known.tails(h, r) for h, r in zip(heads.tolist(), rels.tolist())]
-        return rank_from_scores(score_all_tails(params, heads, rels, check=False), tails, filtered)
-    raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
-
-
 def filtered_rank(params: ModelParams, triple: Triple, side: str, known: KnownIndex) -> int:
     """Filtered rank of the gold entity when corrupting the ``side`` ("head" or
     "tail") of ``triple``; candidates forming known triples are excluded."""
-    return int(_filtered_ranks(params, _checked_triples(params, [triple]), side, known)[0])
+    sides = ("head", "tail")
+    if side not in sides:
+        raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
+    return evaluate(params, [triple], known).per_triple[0][sides.index(side)]
 
 
 def evaluate(
@@ -106,16 +88,23 @@ def evaluate(
     directions contribute separately). The test set is ranked in chunks whose
     score matrix holds about ``_CHUNK_BYTES``. Scoring is read-only, so
     ``workers`` threads may rank chunks in parallel; aggregation stays
-    deterministic.
+    deterministic. An out-of-range id raises IndexError.
     """
     if len(test) == 0:
         raise ValueError("test set is empty")
-    triples = _checked_triples(params, test)
+    triples = np.asarray(test, dtype=np.int64)
     per_chunk = max(1, _CHUNK_BYTES // (params.n_entities * params.ent.real.itemsize))
 
-    def rank_chunk(lo: int) -> list[np.ndarray]:
-        chunk = triples[lo : lo + per_chunk]
-        return [_filtered_ranks(params, chunk, side, known) for side in ("head", "tail")]
+    def rank_chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """Head and tail ranks of one chunk: one scoring and one ranking call a side."""
+        heads, rels, tails = triples[lo : lo + per_chunk].T
+        hrt = list(zip(heads.tolist(), rels.tolist(), tails.tolist()))
+        head_filter = [known.heads(r, t) for _, r, t in hrt]
+        tail_filter = [known.tails(h, r) for h, r, _ in hrt]
+        return (
+            rank_from_scores(score_all_heads(params, rels, tails), heads, head_filter),
+            rank_from_scores(score_all_tails(params, heads, rels), tails, tail_filter),
+        )
 
     starts = range(0, len(triples), per_chunk)
     if workers <= 1:

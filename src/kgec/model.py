@@ -145,24 +145,22 @@ def _check_ids(ids, count: int, kind: str) -> None:
         raise IndexError(f"{kind} id {ids[bad].flat[0]} out of range [0, {count})")
 
 
-def score_all_heads(params: ModelParams, rel, tail, *, check: bool = True) -> np.ndarray:
+def score_all_heads(params: ModelParams, rel, tail) -> np.ndarray:
     """Scores of (e, rel, tail) for every entity e, from one matrix product: an
-    (n,) vector for scalar ids, a (B, n) matrix for B-long id arrays.
-    ``check=False`` skips the id range check, for ids already checked."""
-    if check:
-        _check_ids(rel, params.n_relations, "relation")
-        _check_ids(tail, params.n_entities, "entity")
+    (n,) vector for scalar ids, a (B, n) matrix for B-long id arrays. Raises
+    IndexError unless every id is in range."""
+    _check_ids(rel, params.n_relations, "relation")
+    _check_ids(tail, params.n_entities, "entity")
     partial = head_partial(params.rel[rel], params.ent[tail])
     return real_view(partial) @ real_view(params.ent).T
 
 
-def score_all_tails(params: ModelParams, head, rel, *, check: bool = True) -> np.ndarray:
+def score_all_tails(params: ModelParams, head, rel) -> np.ndarray:
     """Scores of (head, rel, e) for every entity e, from one matrix product: an
-    (n,) vector for scalar ids, a (B, n) matrix for B-long id arrays.
-    ``check=False`` skips the id range check, for ids already checked."""
-    if check:
-        _check_ids(head, params.n_entities, "entity")
-        _check_ids(rel, params.n_relations, "relation")
+    (n,) vector for scalar ids, a (B, n) matrix for B-long id arrays. Raises
+    IndexError unless every id is in range."""
+    _check_ids(head, params.n_entities, "entity")
+    _check_ids(rel, params.n_relations, "relation")
     partial = tail_partial(params.ent[head], params.rel[rel])
     return real_view(partial) @ real_view(params.ent).T
 

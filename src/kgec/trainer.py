@@ -260,10 +260,11 @@ def train(
     n, m = dataset.n_entities, dataset.n_relations
     if n < 2:
         raise ValueError("training needs at least 2 entities")
-    for ent in ents:
-        if ent.premise_rel >= m or ent.conclusion_rel >= m:
-            raise ValueError(f"entailment names an unknown relation: {ent}")
     rules = pack_entailments(ents)
+    ids = np.concatenate([rules.premise, rules.conclusion])
+    bad = (ids < 0) | (ids >= m)
+    if bad.any():
+        raise ValueError(f"entailment names an unknown relation: id {ids[bad][0]} not in [0, {m})")
 
     params = init_params(n, m, config.d, config.seed)
     state = AdaGradState.zeros_like(params)

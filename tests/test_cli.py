@@ -534,6 +534,16 @@ def test_shipped_presets_resolve():
         assert config.max_iters == 1000
 
 
+def test_preset_name_is_not_shadowed_by_a_directory(tmp_path, monkeypatch):
+    # README runs `kgec train --data wn18/ --config wn18` beside the data directory.
+    from kgec.cli import _resolve_config
+
+    (tmp_path / "wn18").mkdir()
+    monkeypatch.chdir(tmp_path)
+    path = _resolve_config("wn18")
+    assert path.is_file() and path.name == "wn18.cfg"
+
+
 def test_public_api_resolves_and_covers_the_readme():
     missing = [name for name in kgec.__all__ if not hasattr(kgec, name)]
     assert missing == []

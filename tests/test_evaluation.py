@@ -1,5 +1,7 @@
 """Tests for filtered ranking, metric aggregation, and the paired t-test."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from kgec.evaluation import (
     significance_report,
     write_rank_dump,
 )
-from kgec.model import init_params
+from kgec.model import init_params, score_all_heads, score_all_tails
 
 from conftest import random_dataset
 from kgec.data import build_known_index
@@ -50,6 +52,12 @@ class TestRankFromScores:
             base = rank_from_scores(scores, gold, filtered).tolist()
             assert rank_from_scores(3.0 * scores + 1.0, gold, filtered).tolist() == base
             assert rank_from_scores(np.exp(scores), gold, filtered).tolist() == base
+
+    @pytest.mark.parametrize("gold", [-1, 3])
+    def test_rejects_gold_outside_the_columns(self, gold):
+        # A negative gold id would otherwise wrap round to the last column.
+        with pytest.raises(IndexError, match="entity id"):
+            rank_from_scores(np.zeros((1, 3)), gold=[gold])
 
     def test_rows_rank_independently(self):
         scores = np.array([
@@ -130,9 +138,10 @@ class TestEvaluate:
     def test_aggregation_arithmetic(self, monkeypatch):
         import kgec.evaluation as evaluation
 
-        ranks = {"head": 2, "tail": 1}
+        # Each chunk ranks its head side, then its tail side.
+        sides = itertools.cycle([2, 1])
         monkeypatch.setattr(
-            evaluation, "_filtered_ranks", lambda p, t, side, k: np.full(len(t), ranks[side])
+            evaluation, "rank_from_scores", lambda s, gold, f: np.full(len(gold), next(sides))
         )
         params = init_params(2, 1, 1, seed=0)
         result = evaluation.evaluate(params, [Triple(0, 0, 1)], KnownIndex())
@@ -145,7 +154,7 @@ class TestEvaluate:
     def test_all_rank_one(self, monkeypatch):
         import kgec.evaluation as evaluation
 
-        monkeypatch.setattr(evaluation, "_filtered_ranks", lambda p, t, side, k: np.ones(len(t)))
+        monkeypatch.setattr(evaluation, "rank_from_scores", lambda s, gold, f: np.ones(len(gold)))
         params = init_params(2, 1, 1, seed=0)
         result = evaluation.evaluate(params, [Triple(0, 0, 1)] * 4, KnownIndex())
         assert result.mrr == 1.0
@@ -194,6 +203,32 @@ class TestEvaluate:
             for triple in test
         ]
         assert result.per_triple == expected
+
+    def test_one_product_per_side_per_chunk(self, monkeypatch):
+        import kgec.evaluation as evaluation
+
+        n = 16
+        dataset = random_dataset(n, 3, 40, 5, 10, seed=16)
+        params = init_params(n, 3, 4, seed=17)
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", 3 * n * 8)
+        calls = []
+
+        def recording(scorer):
+            def scores(*args):
+                result = scorer(*args)
+                calls.append((scorer.__name__, result.shape))
+                return result
+
+            return scores
+
+        monkeypatch.setattr(evaluation, "score_all_heads", recording(score_all_heads))
+        monkeypatch.setattr(evaluation, "score_all_tails", recording(score_all_tails))
+        evaluate(params, dataset.test, build_known_index(dataset))
+        # Ten test triples in chunks of three: a head product, then a tail product.
+        shapes = [(3, n)] * 3 + [(1, n)]
+        assert calls == [
+            (name, shape) for shape in shapes for name in ("score_all_heads", "score_all_tails")
+        ]
 
 
 class TestPairedTTest:

@@ -89,6 +89,11 @@ class TestScore:
             score_all_tails(params, np.array([0, 3]), np.array([0, 1]))
         with pytest.raises(IndexError):
             score_all_tails(params, np.array([0, 1]), np.array([2, 0]))
+        # Negative ids would otherwise index from the end of the table.
+        with pytest.raises(IndexError, match="entity id"):
+            score_all_tails(params, -1, 0)
+        with pytest.raises(IndexError, match="relation id"):
+            score_all_heads(params, -1, 0)
 
     def test_batch_and_candidate_scorers_agree(self, rng):
         params = init_params(9, 4, 6, seed=3)

@@ -377,6 +377,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="unknown relation"):
             train(dataset, [Entailment(0, False, 5, 0.9)], fast_config(max_iters=1))
 
+    @pytest.mark.parametrize("premise, conclusion", [(-1, 0), (0, -1)])
+    def test_rejects_entailment_with_negative_relation(self, premise, conclusion):
+        # A negative id would otherwise index, and penalise, the last relation.
+        dataset = tiny_kg(n_relations=2)
+        with pytest.raises(ValueError, match="unknown relation"):
+            train(dataset, [Entailment(premise, False, conclusion, 0.9)], fast_config(max_iters=1))
+
     def test_full_l2_gradients_match_finite_differences(self):
         from kgec.objective import loss_and_gradient_arrays
         from kgec.trainer import _with_full_l2
