@@ -38,6 +38,7 @@ from .manifest import RunManifest, atomic_write, read_json
 from .mining import classify_pairs, mine_entailments, write_rules
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, parse_config, train, write_config, write_training_log
+from .trainer import _FIELD_TYPES, _cast_field
 
 # Files a training run writes besides manifest.json and config.cfg.
 _RUN_OUTPUTS = ("checkpoint.kgec", "log.csv", "entities.txt", "relations.txt")
@@ -67,7 +68,10 @@ def _workers(args) -> int:
     if args.workers is not None:
         return args.workers
     env = os.environ.get("KGEC_WORKERS")
-    return int(env) if env else 1
+    try:
+        return int(env) if env else 1
+    except ValueError:
+        raise ValueError(f"KGEC_WORKERS must be an integer, got {env!r}") from None
 
 
 def cmd_mine(args) -> int:
@@ -109,15 +113,14 @@ def _write_outputs(dataset, config, params, log, out_dir, precision):
 
 
 def _grid_configs(base: TrainConfig, grid: dict, source: str) -> list[TrainConfig]:
-    """Every combination of the grid's value lists over ``base``; an unknown
-    key or a bad value raises ValueError naming ``source``."""
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    """Every combination of the grid's value lists over ``base``, cast as in a
+    config file; an unknown key or a bad value raises ValueError naming ``source``."""
     try:
         keys = sorted(grid)
         for key in keys:
-            if key not in fields:
+            if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown grid key {key!r}")
-        combos = itertools.product(*(grid[k] for k in keys))
+        combos = itertools.product(*([_cast_field(k, v) for v in grid[k]] for k in keys))
         return [dataclasses.replace(base, **dict(zip(keys, combo))) for combo in combos]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{source}: {exc}") from None
@@ -150,6 +153,8 @@ def cmd_train(args) -> int:
         return 0
 
     # Grid sweep: sequential, resumable through the state file.
+    if not dataset.valid:
+        raise ValueError(f"{Path(args.data, 'valid.txt')}: --grid needs validation triples")
     grid = read_json(args.grid_file) if args.grid_file else GRID
     candidates = _grid_configs(config, grid, args.grid_file or "the default grid")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,13 +221,6 @@ def cmd_analyze(args) -> int:
 
     if args.types:
         labels = load_type_labels(args.types, dataset.vocab)
-        for name, component in (("real", params.re_e), ("imag", params.im_e)):
-            # Purity is measured on the same per-entity normalized
-            # activations that the heatmap exports use.
-            normalized = activation_heatmap(component, range(params.n_entities))
-            curve = purity_curve(normalized, labels, ks)
-            write_purity_csv(curve, out_dir / f"purity_{name}.csv")
-
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         by_type: dict[int, list[int]] = {}
         for entity, type_id in sorted(labels.labels.items()):
@@ -234,8 +232,10 @@ def cmd_analyze(args) -> int:
             selected.extend(rng.choice(members, size=take, replace=False).tolist())
         names = [dataset.vocab.entities.name(e) for e in selected]
         for name, component in (("real", params.re_e), ("imag", params.im_e)):
-            matrix = activation_heatmap(component, selected)
-            write_heatmap_csv(matrix, names, out_dir / f"heatmap_{name}.csv")
+            # Purity is measured on the normalized activations that the heatmaps export.
+            normalized = activation_heatmap(component, range(params.n_entities))
+            write_purity_csv(purity_curve(normalized, labels, ks), out_dir / f"purity_{name}.csv")
+            write_heatmap_csv(normalized[selected], names, out_dir / f"heatmap_{name}.csv")
 
     if args.ents:
         classes = classify_pairs(load_entailments(args.ents, dataset.vocab), args.thresh)

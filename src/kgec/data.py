@@ -15,13 +15,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 from .manifest import atomic_write, read_lines
 
 logger = logging.getLogger(__name__)
 
 _INVERSE_SUFFIX = "^-1"
+_NONE: frozenset[int] = frozenset()  # the answer to a partial key with no triples
 
 
 class ParseError(ValueError):
@@ -105,10 +106,8 @@ class IdMap:
 
     def add(self, name: str) -> int:
         """Return the id of ``name``, assigning the next free id if unseen."""
-        idx = self._name_to_id.get(name)
-        if idx is None:
-            idx = len(self._id_to_name)
-            self._name_to_id[name] = idx
+        idx = self._name_to_id.setdefault(name, len(self._id_to_name))
+        if idx == len(self._id_to_name):
             self._id_to_name.append(name)
         return idx
 
@@ -199,20 +198,15 @@ def load_triples(
     """
     if vocab is None:
         vocab = Vocab()
+    entity, relation = (
+        (vocab.entities.add, vocab.relations.add) if grow else (vocab.entities.id, vocab.relations.id)
+    )
     triples: list[Triple] = []
     for lineno, (head_name, rel_name, tail_name) in read_tsv(path, 3):
-        if grow:
-            head = vocab.entities.add(head_name)
-            rel = vocab.relations.add(rel_name)
-            tail = vocab.entities.add(tail_name)
-        else:
-            try:
-                head = vocab.entities.id(head_name)
-                rel = vocab.relations.id(rel_name)
-                tail = vocab.entities.id(tail_name)
-            except VocabularyError as exc:
-                raise VocabularyError(f"{path}:{lineno}: {exc}") from None
-        triples.append(Triple(head, rel, tail))
+        try:
+            triples.append(Triple(entity(head_name), relation(rel_name), entity(tail_name)))
+        except VocabularyError as exc:
+            raise VocabularyError(f"{path}:{lineno}: {exc}") from None
     return triples, vocab
 
 
@@ -330,37 +324,34 @@ class KnownIndex:
     """Membership index over all known triples, with partial-key queries.
 
     Duplicate triples are collapsed: the index is a set by definition.
+    Lookups return the index's own sets, read-only, and never add a key.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._heads: dict[tuple[int, int], set[int]] = defaultdict(set)
         self._tails: dict[tuple[int, int], set[int]] = defaultdict(set)
-        self._size = 0
         for triple in triples:
             self.add(triple)
 
     def add(self, triple: Triple) -> None:
         head, rel, tail = triple
-        tails = self._tails[(head, rel)]
-        if tail not in tails:
-            tails.add(tail)
-            self._heads[(rel, tail)].add(head)
-            self._size += 1
+        self._tails[(head, rel)].add(tail)
+        self._heads[(rel, tail)].add(head)
 
     def __contains__(self, triple: tuple[int, int, int]) -> bool:
         head, rel, tail = triple
-        return tail in self._tails.get((head, rel), ())
+        return tail in self._tails.get((head, rel), _NONE)
 
     def __len__(self) -> int:
-        return self._size
+        return sum(map(len, self._tails.values()))
 
-    def heads(self, rel: int, tail: int) -> set[int]:
-        """Entity ids h such that (h, rel, tail) is a known triple."""
-        return set(self._heads.get((rel, tail), ()))
+    def heads(self, rel: int, tail: int) -> AbstractSet[int]:
+        """Entity ids h such that (h, rel, tail) is a known triple (read-only)."""
+        return self._heads.get((rel, tail), _NONE)
 
-    def tails(self, head: int, rel: int) -> set[int]:
-        """Entity ids t such that (head, rel, t) is a known triple."""
-        return set(self._tails.get((head, rel), ()))
+    def tails(self, head: int, rel: int) -> AbstractSet[int]:
+        """Entity ids t such that (head, rel, t) is a known triple (read-only)."""
+        return self._tails.get((head, rel), _NONE)
 
 
 def build_known_index(dataset: Dataset) -> KnownIndex:

@@ -97,10 +97,10 @@ def evaluate(
 
     def rank_chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
         """Head and tail ranks of one chunk: one scoring and one ranking call a side."""
-        heads, rels, tails = triples[lo : lo + per_chunk].T
-        hrt = list(zip(heads.tolist(), rels.tolist(), tails.tolist()))
-        head_filter = [known.heads(r, t) for _, r, t in hrt]
-        tail_filter = [known.tails(h, r) for h, r, _ in hrt]
+        heads, rels, tails = columns = triples[lo : lo + per_chunk].T
+        h, r, t = columns.tolist()
+        head_filter = list(map(known.heads, r, t))
+        tail_filter = list(map(known.tails, h, r))
         return (
             rank_from_scores(score_all_heads(params, rels, tails), heads, head_filter),
             rank_from_scores(score_all_tails(params, heads, rels), tails, tail_filter),
@@ -158,8 +158,7 @@ def write_rank_dump(
 def load_rank_dump(path: str | Path) -> tuple[list[Triple], np.ndarray, np.ndarray]:
     """Read a rank dump back as (triples, head_ranks, tail_ranks)."""
     triples: list[Triple] = []
-    head_ranks: list[int] = []
-    tail_ranks: list[int] = []
+    ranks: list[tuple[int, int]] = []
     reader = csv.reader(line for _, line in read_lines(path))
     header = next(reader, None)
     if header != _RANK_DUMP_HEADER:
@@ -167,12 +166,14 @@ def load_rank_dump(path: str | Path) -> tuple[list[Triple], np.ndarray, np.ndarr
     for row in reader:
         try:
             h, r, t, hr, tr = (int(x) for x in row)
+            if min(hr, tr) < 1:
+                raise ValueError(f"ranks must be at least 1, got {hr} and {tr}")
         except ValueError as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
         triples.append(Triple(h, r, t))
-        head_ranks.append(hr)
-        tail_ranks.append(tr)
-    return triples, np.asarray(head_ranks), np.asarray(tail_ranks)
+        ranks.append((hr, tr))
+    head_ranks, tail_ranks = np.asarray(ranks, dtype=np.int64).reshape(-1, 2).T
+    return triples, head_ranks, tail_ranks
 
 
 def significance_report(

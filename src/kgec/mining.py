@@ -67,9 +67,8 @@ def mine_entailments(
                 if support < min_support:
                     continue
                 conclusion_subjects = subjects[conclusion]
+                # Positive: each supporting pair's subject is a conclusion subject.
                 pca_body = sum(1 for x, _ in pairs if x in conclusion_subjects)
-                if pca_body == 0:
-                    continue
                 confidence = support / pca_body
                 if confidence > min_conf:
                     entailment = Entailment(premise, inverted, conclusion, confidence)

@@ -55,13 +55,14 @@ class TrainConfig:
             raise ValueError("d must be at least 1")
         if self.neg_ratio < 1:
             raise ValueError("neg_ratio must be at least 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.eta < 0 or self.mu < 0:
-            raise ValueError("eta and mu must be non-negative")
+        # Written so that NaN, which fails every comparison, fails each check.
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be positive and finite")
+        if not (0 <= self.eta < np.inf and 0 <= self.mu < np.inf):
+            raise ValueError("eta and mu must be non-negative and finite")
         if self.n_batches < 1 or self.max_iters < 1:
             raise ValueError("n_batches and max_iters must be at least 1")
-        if self.grad_norm_cap <= 0:
+        if not self.grad_norm_cap > 0:
             raise ValueError("grad_norm_cap must be positive")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
@@ -69,6 +70,16 @@ class TrainConfig:
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _CASTS = {"bool": lambda text: _BOOL_WORDS[text.lower()], "int": int, "float": float}
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+
+
+def _cast_field(key: str, value: object) -> object:
+    """``value`` read as text and cast to the type of TrainConfig field ``key``."""
+    kind = _FIELD_TYPES[key]
+    try:
+        return _CASTS[kind](str(value))
+    except (KeyError, ValueError):
+        raise ValueError(f"bad {kind} value for {key}: {value!r}") from None
 
 
 def parse_config(path: str | Path) -> TrainConfig:
@@ -78,7 +89,6 @@ def parse_config(path: str | Path) -> TrainConfig:
     TrainConfig field names; values are cast to the field type. Errors name
     the file, and the line where there is one.
     """
-    field_types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     values: dict = {}
     for lineno, line in read_lines(path):
         line = line.strip()
@@ -88,14 +98,12 @@ def parse_config(path: str | Path) -> TrainConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in field_types:
+        if key not in _FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind = field_types[key]
         try:
-            values[key] = _CASTS[kind](value)
-        except (KeyError, ValueError):
-            message = f"bad {kind} value for {key}: {value!r}"
-            raise ValueError(f"{path}:{lineno}: {message}") from None
+            values[key] = _cast_field(key, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     try:
         return TrainConfig(**values)
     except ValueError as exc:

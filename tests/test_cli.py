@@ -261,6 +261,33 @@ def test_grid_mode_is_resumable(data_dir, config_file, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_grid_values_are_cast_as_in_a_config_file(data_dir, config_file, tmp_path):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps({"project": ["no"]}))
+    out = tmp_path / "grid"
+    argv = ["train", "--data", str(data_dir), "--config", str(config_file),
+            "--grid", "--grid-file", str(grid_file), "--out", str(out)]
+    assert main(argv) == 0
+    assert "project = false\n" in (out / "config.cfg").read_text()
+    assert RunManifest.load(out / "manifest.json").config["project"] is False
+    params, _ = load_checkpoint(out / "checkpoint.kgec")
+    assert params.re_e.min() < 0 or params.re_e.max() > 1
+
+
+def test_grid_without_validation_split_fails_before_training(
+    data_dir, config_file, tmp_path, monkeypatch, capsys
+):
+    (data_dir / "valid.txt").unlink()
+    calls = _counting_train(monkeypatch)
+    argv = ["train", "--data", str(data_dir), "--config", str(config_file),
+            "--grid", "--out", str(tmp_path / "grid")]
+    assert main(argv) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert f"{data_dir / 'valid.txt'}: --grid needs validation triples" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def _counting_train(monkeypatch):
     import kgec.cli
 
@@ -417,6 +444,9 @@ def test_workers_env_fallback(monkeypatch):
     assert _workers(Args()) == 3
     monkeypatch.delenv("KGEC_WORKERS")
     assert _workers(Args()) == 1
+    monkeypatch.setenv("KGEC_WORKERS", "x")
+    with pytest.raises(ValueError, match="KGEC_WORKERS must be an integer, got 'x'"):
+        _workers(Args())
     Args.workers = 7
     assert _workers(Args()) == 7
 
@@ -479,9 +509,15 @@ def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys,
         ("grid.json", '{"d": [4], "depth": [2]}',
          "train --data {data} --config {config} --grid --grid-file {file} --out {out}",
          ": unknown grid key 'depth'"),
+        ("grid.json", '{"d": [1.5]}',
+         "train --data {data} --config {config} --grid --grid-file {file} --out {out}",
+         ": bad int value for d: 1.5"),
         ("ranks.csv", "head,rel,tail,head_rank,tail_rank\n0,0,1,1,1\n0,0,1\n",
          "significance --ranks-a {file} --ranks-b {file}",
          ":3: not enough values to unpack (expected 5, got 3)"),
+        ("ranks.csv", "head,rel,tail,head_rank,tail_rank\n0,0,1,1,1\n0,0,1,0,2\n",
+         "significance --ranks-a {file} --ranks-b {file}",
+         ":3: ranks must be at least 1, got 0 and 2"),
         ("train.txt", b"a\tr\tb\nc\tr\xff\td\n", "mine --train-file {file} --out {out}",
          ":2: 'utf-8' codec can't decode byte 0xff in position 3"),
         ("bad.cfg", b"d = 8\nlr = 0.\xff\n", "train --data {data} --config {file} --out {out}",
@@ -493,8 +529,8 @@ def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys,
          "train --data {data} --config {config} --grid --out {out}",
          ": expected a JSON object mapping grid points to numbers"),
     ],
-    ids=["config-cast", "config-value", "grid-key", "rank-dump", "tsv-utf8", "config-utf8",
-         "rank-dump-utf8", "grid-state-shape"],
+    ids=["config-cast", "config-value", "grid-key", "grid-cast", "rank-dump", "rank-dump-rank",
+         "tsv-utf8", "config-utf8", "rank-dump-utf8", "grid-state-shape"],
 )
 def test_bad_input_fails_naming_the_file(
     data_dir, config_file, tmp_path, capsys, name, content, command, message

@@ -182,6 +182,21 @@ class TestEvaluate:
         assert sequential.per_triple == threaded.per_triple
         assert sequential.mrr == threaded.mrr
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_leaves_the_index_unchanged(self, monkeypatch, workers):
+        import kgec.evaluation as evaluation
+
+        n = 16
+        dataset = random_dataset(n, 3, 40, 5, 10, seed=16)
+        params = init_params(n, 3, 4, seed=17)
+        # Only the training split is indexed, so test lookups also miss.
+        known = KnownIndex(dataset.train)
+        indexes = [known._heads, known._tails]
+        before = [{key: set(ids) for key, ids in index.items()} for index in indexes]
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", 3 * n * 8)
+        evaluate(params, dataset.test, known, workers=workers)
+        assert indexes == before
+
     def test_chunks_match_oracle(self, monkeypatch):
         import kgec.evaluation as evaluation
 

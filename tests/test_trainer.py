@@ -264,6 +264,13 @@ class TestConfig:
             TrainConfig(mu=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(grad_norm_cap=0.0)
+        for field in ("lr", "eta", "mu", "grad_norm_cap"):
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**{field: float("nan")})
+        for field in ("lr", "eta", "mu"):
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**{field: float("inf")})
+        assert TrainConfig(grad_norm_cap=float("inf")).grad_norm_cap == float("inf")
 
 
 def fast_config(**overrides) -> TrainConfig:
