@@ -114,12 +114,15 @@ def _write_outputs(dataset, config, params, log, out_dir, precision):
 
 def _grid_configs(base: TrainConfig, grid: dict, source: str) -> list[TrainConfig]:
     """Every combination of the grid's value lists over ``base``, cast as in a
-    config file; an unknown key or a bad value raises ValueError naming ``source``."""
+    config file; an unknown key, an empty value list or a bad value raises
+    ValueError naming ``source``."""
     try:
         keys = sorted(grid)
         for key in keys:
             if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown grid key {key!r}")
+            if not grid[key]:
+                raise ValueError(f"grid key {key!r} has no values")
         combos = itertools.product(*([_cast_field(k, v) for v in grid[k]] for k in keys))
         return [dataclasses.replace(base, **dict(zip(keys, combo))) for combo in combos]
     except (TypeError, ValueError) as exc:

@@ -141,8 +141,15 @@ class IdMap:
     @classmethod
     def load(cls, path: str | Path) -> "IdMap":
         """Read a dump written by :meth:`save`; as in :func:`read_tsv`, only
-        the LF or CRLF terminator is removed, and a blank line is an empty name."""
-        return cls(line for _, line in read_lines(path))
+        the LF or CRLF terminator is removed, and a blank line is an empty name.
+        A repeated name raises ValueError naming the file and line, since it
+        would shift the id of every later name."""
+        idmap = cls()
+        for lineno, name in read_lines(path):
+            idx = idmap.add(name)
+            if idx != lineno - 1:
+                raise ValueError(f"{path}:{lineno}: name {name!r} repeats line {idx + 1}")
+        return idmap
 
 
 @dataclass

@@ -13,8 +13,10 @@ every rule at once; the penalty and the relation-pair diagnostics of
 The training kernel scores each negative, which replaces its positive's head
 or tail, against the positive's partial for that slot. It gathers the B·k
 replacement rows in cache-sized blocks of positives, scores and sums them
-while cached, and keeps no array with a row per negative: the entity
-gradient is one weighted sparse product over head, tail and partial rows.
+while cached, and keeps no array with a row per negative. Both gradient
+tables come from one weighted segment sum over the entity rows (heads, tails
+and partials) and the relation rows, relation ids offset by n. Without rules
+no rule work is done.
 """
 
 from __future__ import annotations
@@ -156,26 +158,27 @@ def loss_and_gradient_arrays(
     row named by a rule; L2 regularization covers exactly that set, and rows
     outside it are absent from the sparse gradient. The L2 gradient is added
     last, so ``eta=0`` gives the gradient of the logistic and entailment
-    terms alone.
+    terms alone. Raises IndexError unless every entity and relation id,
+    rules' included, is in range.
     """
     b, k = replacement.shape
-    d = params.d
+    n, m, d = params.n_entities, params.n_relations, params.d
     row_ents = np.concatenate([heads, tails, replacement.ravel()])
     row_rels = np.concatenate([rels, rules.premise, rules.conclusion])
-    if row_ents.size:
-        _check_ids([row_ents.min(), row_ents.max()], params.n_entities, "entity")
+    for ids, count, kind in ((row_ents, n, "entity"), (row_rels, m, "relation")):
+        if ids.size and not (0 <= ids.min() and ids.max() < count):
+            _check_ids([ids.min(), ids.max()], count, kind)
 
     h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
-    # Rows of q: the head gradients, the tail gradients, then positive i's
-    # head partial (row 2b + 2i) and tail partial (2b + 2i + 1). A negative
-    # scores against the partial of the slot it replaces, and its
-    # replacement's gradient is its weight times that partial.
-    q = np.empty((4 * b, d), params.ent.dtype)
-    partials = q[2 * b :].reshape(b, 2, d)
+    # Rows of q: the head gradients, the tail gradients, positive i's head
+    # partial (row 2b + 2i) and tail partial (2b + 2i + 1), then the relation
+    # gradients. A negative scores against the partial of the slot it
+    # replaces, and its replacement's gradient is its weight times that partial.
+    q = np.empty((4 * b + row_rels.size, d), params.ent.dtype)
+    partials = q[2 * b : 4 * b].reshape(b, 2, d)
     head_partial(r, t, out=partials[:, 0])
     tail_partial(h, r, out=partials[:, 1])
-    slot = np.where(corrupt_head, 0, 1)
-    z, w, s = _score_negatives(params.ent, partials, corrupt_head, replacement, slot)
+    z, w, s = _score_negatives(params.ent, partials, corrupt_head, replacement)
     z[:b] = -real_dot(partials[:, 1], t)
     logistic = float(softplus(z).sum())
     w_pos = -expit(z[:b])[:, None]
@@ -185,7 +188,7 @@ def loss_and_gradient_arrays(
     # conj(s_head)·t (before the fold), then the rule rows in the
     # [premise, conclusion] order of rule_penalty, as row_rels has them.
     s[:, 1] += w_pos * t
-    rel_rows = np.empty((row_rels.size, d), dtype=params.rel.dtype)
+    rel_rows = q[4 * b :]
     rel_partial(h, s[:, 1], out=rel_rows[:b])
     rel_rows[:b] += rel_partial(s[:, 0], t)
     s[:, 0] += w_pos * h
@@ -193,15 +196,25 @@ def loss_and_gradient_arrays(
     tail_partial(s[:, 0], r, out=q[b : 2 * b])
     del h, r, t, partials, s
 
-    penalty, rule_grads = rule_penalty(params.rel, rules)
-    np.multiply(mu, rule_grads, out=rel_rows[b:])
-    # Heads and tails read their own rows of q, negative (i, j) the partial
-    # it scored against, with weight w[i, j].
-    cols = np.concatenate([np.arange(2 * b), (np.arange(2 * b, 4 * b, 2)[:, None] + slot).ravel()])
-    weights = np.concatenate([np.ones(2 * b, w.dtype), w.ravel()])
-    ent_ids, g_ent = _segment_sum(row_ents, q, cols, weights)
-    del q
-    rel_ids, g_rel = _segment_sum(row_rels, rel_rows)
+    penalty = 0.0
+    if rules.premise.size:
+        penalty, rule_grads = rule_penalty(params.rel, rules)
+        np.multiply(mu, rule_grads, out=rel_rows[b:])
+    # One segment sum over both tables, relation ids offset by n: heads and
+    # tails read their own rows of q, negative (i, j) the partial it scored
+    # against with weight w[i, j], relations their own rows.
+    row_ids = np.concatenate([row_ents, row_rels + n])
+    slot = np.where(corrupt_head, 0, 1)
+    cols = np.concatenate([
+        np.arange(2 * b), (np.arange(2 * b, 4 * b, 2)[:, None] + slot).ravel(),
+        np.arange(4 * b, q.shape[0]),
+    ])
+    weights = np.ones(row_ids.size, w.dtype)
+    weights[2 * b : 2 * b + w.size] = w.ravel()
+    unique, g = _segment_sum(row_ids, q, cols, weights)
+    del q, rel_rows
+    split = np.searchsorted(unique, n)
+    ent_ids, g_ent, rel_ids, g_rel = unique[:split], g[:split], unique[split:] - n, g[split:]
 
     l2 = 0.0
     for grad, table, ids in ((g_ent, params.ent, ent_ids), (g_rel, params.rel, rel_ids)):
@@ -224,8 +237,9 @@ def _blocks(table: np.ndarray, ids: np.ndarray, step: int):
         yield lo, np.take(table, ids[lo : lo + step], axis=0, out=out, mode="wrap")
 
 
-def _score_negatives(ent, partials, corrupt_head, replacement, slot):
-    """Negative (i, j)'s score against ``partials[i, slot[i, j]]`` at
+def _score_negatives(ent, partials, corrupt_head, replacement):
+    """Negative (i, j)'s score against ``partials[i, 0]`` (its head's partial)
+    where ``corrupt_head[i, j]``, else ``partials[i, 1]``, at
     z[b + i·k + j] (z[:b] is left for the positives), its weight w[i, j] =
     expit(score), and s: s[i, 0] and s[i, 1] are the weighted sums of
     positive i's head and tail replacement rows. Blocks of positives whose
@@ -240,8 +254,9 @@ def _score_negatives(ent, partials, corrupt_head, replacement, slot):
         i = slice(lo // k, (lo + len(e)) // k)
         e = real_view(e).reshape(-1, k, 2 * d)
         scores = e @ real_view(partials[i]).transpose(0, 2, 1)
-        neg_z[i] = np.take_along_axis(scores, slot[i, :, None], 2)[..., 0]
-        wi, side = expit(neg_z[i], out=w[i]), corrupt_head[i]
+        side = corrupt_head[i]
+        neg_z[i] = np.where(side, scores[..., 0], scores[..., 1])
+        wi = expit(neg_z[i], out=w[i])
         weights = np.stack([np.where(side, wi, 0.0), np.where(side, 0.0, wi)], axis=1)
         np.matmul(weights, e, out=real_view(s[i]))
     return z, w, s

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -291,7 +292,7 @@ def train(
     log: list[EpochStats] = []
 
     for epoch in range(1, config.max_iters + 1):
-        sums = np.zeros(4)
+        sums = [0.0] * 4
         for batch_index, batch in enumerate(make_batches(train_arr, config.n_batches, rng)):
             if batch.shape[0] == 0:
                 continue
@@ -303,20 +304,21 @@ def train(
             )
             if config.l2_full:
                 breakdown, grads = _with_full_l2(params, breakdown, grads, config.eta)
-            if not np.isfinite(breakdown.total):
+            if not math.isfinite(breakdown.total):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}: "
                     f"{breakdown}"
                 )
             norm = grads.clip_global_norm_(config.grad_norm_cap)
-            if not np.isfinite(norm):
+            if not math.isfinite(norm):
                 raise RuntimeError(
                     f"non-finite gradient norm {norm} at epoch {epoch}, batch {batch_index}"
                 )
             adagrad_step(params, grads, state, config.lr, config.project)
             if on_step is not None:
                 on_step(params, epoch, batch_index)
-            sums += dataclasses.astuple(breakdown)
+            loss = (breakdown.logistic, breakdown.entailment_penalty, breakdown.l2, breakdown.total)
+            sums = [total + term for total, term in zip(sums, loss)]
 
         valid_mrr = None
         if known is not None and epoch % config.eval_every == 0:
@@ -324,7 +326,7 @@ def train(
             if valid_mrr > best_mrr:
                 best_mrr = valid_mrr
                 best_params = params.copy()
-        log.append(EpochStats(epoch, sums[0], sums[1], sums[2], sums[3], valid_mrr))
+        log.append(EpochStats(epoch, *sums, valid_mrr))
 
     return (best_params if best_params is not None else params), log
 

@@ -512,6 +512,9 @@ def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys,
         ("grid.json", '{"d": [1.5]}',
          "train --data {data} --config {config} --grid --grid-file {file} --out {out}",
          ": bad int value for d: 1.5"),
+        ("grid.json", '{"d": [], "lr": [0.5]}',
+         "train --data {data} --config {config} --grid --grid-file {file} --out {out}",
+         ": grid key 'd' has no values"),
         ("ranks.csv", "head,rel,tail,head_rank,tail_rank\n0,0,1,1,1\n0,0,1\n",
          "significance --ranks-a {file} --ranks-b {file}",
          ":3: not enough values to unpack (expected 5, got 3)"),
@@ -529,8 +532,8 @@ def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys,
          "train --data {data} --config {config} --grid --out {out}",
          ": expected a JSON object mapping grid points to numbers"),
     ],
-    ids=["config-cast", "config-value", "grid-key", "grid-cast", "rank-dump", "rank-dump-rank",
-         "tsv-utf8", "config-utf8", "rank-dump-utf8", "grid-state-shape"],
+    ids=["config-cast", "config-value", "grid-key", "grid-cast", "grid-empty", "rank-dump",
+         "rank-dump-rank", "tsv-utf8", "config-utf8", "rank-dump-utf8", "grid-state-shape"],
 )
 def test_bad_input_fails_naming_the_file(
     data_dir, config_file, tmp_path, capsys, name, content, command, message

@@ -146,6 +146,17 @@ class TestVocab:
         reloaded = Vocab.load(tmp_path / "ent.txt", tmp_path / "rel.txt")
         assert list(reloaded.entities) == ["", " a ", "b\rc"]
 
+    def test_repeated_name_in_a_dump_fails_naming_the_line(self, tmp_path):
+        # A repeat would shift the id of every later name by one.
+        ent, rel = tmp_path / "ent.txt", tmp_path / "rel.txt"
+        ent.write_text("a\nb\na\nc\n")
+        rel.write_text("r\n")
+        with pytest.raises(ValueError, match=re.escape(f"{ent}:3: name 'a' repeats line 1")):
+            Vocab.load(ent, rel)
+        rel.write_text("\nr\n\n")
+        with pytest.raises(ValueError, match=re.escape(f"{rel}:3: name '' repeats line 1")):
+            IdMap.load(rel)
+
     def test_ids_dense_and_stable(self):
         vocab = Vocab()
         ids = [vocab.entities.add(name) for name in ("x", "y", "x", "z")]

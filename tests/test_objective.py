@@ -447,3 +447,52 @@ class TestBlockedKernel:
                 tracemalloc.stop()
         row_buffer = (2 * b + b * k) * d * params.ent.itemsize
         assert peaks[0] <= peaks[1] - row_buffer / 2, (peaks, row_buffer)
+
+
+class TestOneSegmentSum:
+    def test_one_segment_sum_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _segment_sum(*args)
+
+        monkeypatch.setattr(kgec.objective, "_segment_sum", counting)
+        params, batch, rules = random_instance(seed=2)
+        loss_and_gradient_arrays(params, *batch, rules, 0.7, 0.01)
+        assert len(calls) == 1
+
+    def test_no_rule_work_without_rules(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("rule_penalty called without rules")
+
+        monkeypatch.setattr(kgec.objective, "rule_penalty", refuse)
+        params, batch, _ = random_instance(seed=2)
+        breakdown, grads = loss_and_gradient_arrays(params, *batch, NO_RULES, 0.7, 0.01)
+        assert breakdown.entailment_penalty == 0.0
+        assert set(grads.rel_ids.tolist()) == set(batch[1].tolist())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relation_ids_above_n_match_row_buffer_oracle_exactly(self, seed):
+        # Three entities and eight relations, so relation ids 0-2 are also
+        # entity ids and ids 3-7 lie past n. Both tables must still come out
+        # as the oracle's.
+        n, m, d, b, k = 3, 8, 3, 12, 2
+        rng = np.random.default_rng(seed)
+        params = init_params(n, m, d, seed=seed)
+        heads, rels, tails = rng.integers(n, size=b), rng.integers(m, size=b), rng.integers(n, size=b)
+        batch = (heads, rels, tails, *_corrupt_batch(heads, tails, k, n, rng))
+        rules = pack_entailments([Entailment(7, False, 3, 0.9), Entailment(5, True, 0, 0.6)])
+        want_loss, want = oracle_row_buffer_kernel(params, *batch, rules, 1.0, 0.01)
+        got_loss, got = loss_and_gradient_arrays(params, *batch, rules, 1.0, 0.01)
+        assert got.rel_ids.max() >= n
+        for name in ("ent_ids", "rel_ids", "ent", "rel"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
+        assert got_loss == want_loss
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_relation_id_fails(self, bad):
+        # Offset by n, relation -1 would land on entity n - 1's row.
+        params = init_params(5, 3, 2, seed=0)
+        with pytest.raises(IndexError, match=f"relation id {bad} out of range"):
+            data_terms(params, (0, bad, 1))
