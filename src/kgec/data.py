@@ -6,12 +6,23 @@ File formats (all UTF-8, tab-separated):
   entailments:  premise<TAB>conclusion<TAB>confidence, where the premise name
                 may carry the suffix ``^-1`` to mark an inverted premise
   vocab dumps:  one name per line, the line number is the id
+
+Two bulk loops, the line loop of :func:`load_triples` and the fill loop of
+:class:`KnownIndex`, run with the cyclic garbage collector paused.
+What they make holds no cycles, but the collector tracks it for good:
+``Triple`` named tuples (it untracks only exact tuples) and sets, about 151k
+and 237k of them for a WN18-shaped dataset. Unpaused, the growing heap set
+off collection after collection, full ones among them, each rescanning what
+was loaded so far. The paused allocations still count, so one young
+collection follows each loop.
 """
 
 from __future__ import annotations
 
+import gc
 import logging
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -23,6 +34,20 @@ logger = logging.getLogger(__name__)
 
 _INVERSE_SUFFIX = "^-1"
 _NONE: frozenset[int] = frozenset()  # the answer to a partial key with no triples
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector off; turn it back on
+    afterwards only if it was on at entry, so a caller's ``gc.disable()`` and
+    an enclosing pause stay in force, also when the block raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class ParseError(ValueError):
@@ -209,11 +234,12 @@ def load_triples(
         (vocab.entities.add, vocab.relations.add) if grow else (vocab.entities.id, vocab.relations.id)
     )
     triples: list[Triple] = []
-    for lineno, (head_name, rel_name, tail_name) in read_tsv(path, 3):
-        try:
-            triples.append(Triple(entity(head_name), relation(rel_name), entity(tail_name)))
-        except VocabularyError as exc:
-            raise VocabularyError(f"{path}:{lineno}: {exc}") from None
+    with _gc_paused():
+        for lineno, (head_name, rel_name, tail_name) in read_tsv(path, 3):
+            try:
+                triples.append(Triple(entity(head_name), relation(rel_name), entity(tail_name)))
+            except VocabularyError as exc:
+                raise VocabularyError(f"{path}:{lineno}: {exc}") from None
     return triples, vocab
 
 
@@ -337,8 +363,11 @@ class KnownIndex:
     def __init__(self, triples: Iterable[Triple] = ()):
         self._heads: dict[tuple[int, int], set[int]] = defaultdict(set)
         self._tails: dict[tuple[int, int], set[int]] = defaultdict(set)
-        for triple in triples:
-            self.add(triple)
+        heads, tails = self._heads, self._tails
+        with _gc_paused():
+            for head, rel, tail in triples:
+                tails[(head, rel)].add(tail)
+                heads[(rel, tail)].add(head)
 
     def add(self, triple: Triple) -> None:
         head, rel, tail = triple

@@ -138,11 +138,13 @@ def real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_ids(ids, count: int, kind: str) -> None:
-    """Raise IndexError unless every id in the scalar or array is in [0, count)."""
+    """Raise IndexError unless every id in the scalar or array is in [0, count).
+    The message names the lowest id if it is negative, else the highest."""
     ids = np.asarray(ids)
-    bad = (ids < 0) | (ids >= count)
-    if bad.any():
-        raise IndexError(f"{kind} id {ids[bad].flat[0]} out of range [0, {count})")
+    if ids.size:
+        lo, hi = ids.min(), ids.max()
+        if lo < 0 or hi >= count:
+            raise IndexError(f"{kind} id {lo if lo < 0 else hi} out of range [0, {count})")
 
 
 def score_all_heads(params: ModelParams, rel, tail) -> np.ndarray:

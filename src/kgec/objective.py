@@ -165,9 +165,8 @@ def loss_and_gradient_arrays(
     n, m, d = params.n_entities, params.n_relations, params.d
     row_ents = np.concatenate([heads, tails, replacement.ravel()])
     row_rels = np.concatenate([rels, rules.premise, rules.conclusion])
-    for ids, count, kind in ((row_ents, n, "entity"), (row_rels, m, "relation")):
-        if ids.size and not (0 <= ids.min() and ids.max() < count):
-            _check_ids([ids.min(), ids.max()], count, kind)
+    _check_ids(row_ents, n, "entity")
+    _check_ids(row_rels, m, "relation")
 
     h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
     # Rows of q: the head gradients, the tail gradients, positive i's head

@@ -307,8 +307,7 @@ def oracle_row_buffer_kernel(
     # The entity and relation id of each gradient row, in row order.
     row_ents = np.concatenate([heads, tails, replacement.ravel()])
     row_rels = np.concatenate([rels, rules.premise, rules.conclusion])
-    if row_ents.size:
-        _check_ids([row_ents.min(), row_ents.max()], params.n_entities, "entity")
+    _check_ids(row_ents, params.n_entities, "entity")
 
     h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
     # Row (i, 0) of ``partials`` is positive i's head partial, (i, 1) its tail

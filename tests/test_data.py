@@ -1,5 +1,7 @@
 """Tests for dataset loading, vocabularies, entailments, and the known-triple index."""
 
+import contextlib
+import gc
 import logging
 import re
 
@@ -27,7 +29,7 @@ from kgec.data import (
     write_triples,
 )
 
-from conftest import make_vocab, wn18_train_path
+from conftest import make_vocab, random_dataset, wn18_train_path
 
 # Each TSV reader with one valid line of its format and its field count.
 TSV_READERS = [
@@ -181,6 +183,72 @@ class TestLoadDataset:
         with caplog.at_level(logging.WARNING):
             dataset = load_dataset(tmp_path)
         assert dataset.valid == [] and dataset.test == []
+
+
+@pytest.fixture
+def restore_gc():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """Bulk loads make only acyclic objects, so they run with the cyclic
+    collector paused, and leave it on or off as they found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ("a\tp\tb\na\tp\tc\n", None),
+            ("a\tp\tb\nx\ty\na\tp\tc\n", ParseError),
+            ("a\tp\tb\na\tp\tzzz\na\tp\tc\n", VocabularyError),
+        ],
+        ids=["loads", "parse-error", "vocabulary-error"],
+    )
+    def test_load_leaves_the_collector_as_it_found_it(self, tmp_path, restore_gc, enabled, text, error):
+        path = tmp_path / "t.tsv"
+        path.write_text(text)
+        vocab = Vocab(IdMap(["a", "b", "c"]), IdMap(["p"]))
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            load_triples(path, vocab, grow=False)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_while_a_bulk_loop_runs(self, tmp_path, restore_gc, monkeypatch):
+        generated = random_dataset(2_000, 10, 20_000, 1_000, 1_000, seed=3)
+        for name in ("train", "valid", "test"):
+            write_triples(tmp_path / f"{name}.txt", getattr(generated, name), generated.vocab)
+
+        def load_and_index():
+            starts = []
+
+            def count(phase, info):
+                if phase == "start":
+                    starts.append(info["generation"])
+
+            gc.enable()
+            gc.collect()  # every generation's count starts at zero
+            gc.callbacks.append(count)
+            try:
+                dataset = load_dataset(tmp_path)
+                known = build_known_index(dataset)
+            finally:
+                gc.callbacks.remove(count)
+            return starts, dataset, known
+
+        starts, dataset, known = load_and_index()
+        # Each of the four paused loops (three splits, one index) leaves its
+        # allocations counted, so one young collection starts at the first
+        # allocation after the loop ends; none starts while a loop runs.
+        assert len(starts) <= 4 and set(starts) <= {0}, f"generations collected: {starts}"
+
+        monkeypatch.setattr("kgec.data._gc_paused", contextlib.nullcontext)
+        starts_on, dataset_on, known_on = load_and_index()
+        assert len(starts_on) > 4 * len(starts), "too few triples to make the collector run"
+        assert dataset == dataset_on
+        assert known._heads == known_on._heads
+        assert known._tails == known_on._tails
 
 
 class TestEntailments:
