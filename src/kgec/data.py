@@ -28,6 +28,8 @@ from itertools import chain
 from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from .manifest import atomic_write, read_lines
 
 logger = logging.getLogger(__name__)
@@ -93,6 +95,20 @@ class Triple(NamedTuple):
     head: int
     rel: int
     tail: int
+
+
+def triple_array(triples: Sequence[Triple] | np.ndarray) -> np.ndarray:
+    """The triples as an (N, 3) int64 array of (head, relation, tail) ids.
+
+    A sequence is read in one ``np.fromiter`` pass over its flattened ids;
+    an ndarray passes through, as int64, once its shape is checked.
+    """
+    if isinstance(triples, np.ndarray):
+        if triples.ndim != 2 or triples.shape[1] != 3:
+            raise ValueError(f"expected an (N, 3) array of triples, got shape {triples.shape}")
+        return triples.astype(np.int64, copy=False)
+    flat = np.fromiter(chain.from_iterable(triples), np.int64, count=3 * len(triples))
+    return flat.reshape(-1, 3)
 
 
 @dataclass(frozen=True)

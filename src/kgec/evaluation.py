@@ -21,7 +21,7 @@ from typing import Collection, Sequence
 import numpy as np
 from scipy import stats
 
-from .data import KnownIndex, Triple
+from .data import KnownIndex, Triple, triple_array
 from .manifest import read_lines, write_csv
 from .model import ModelParams, _check_ids, score_all_heads, score_all_tails
 
@@ -92,7 +92,7 @@ def evaluate(
     """
     if len(test) == 0:
         raise ValueError("test set is empty")
-    triples = np.asarray(test, dtype=np.int64)
+    triples = triple_array(test)
     per_chunk = max(1, _CHUNK_BYTES // (params.n_entities * params.ent.real.itemsize))
 
     def rank_chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,6 @@ and negative sampling, and parameter updates are applied sequentially.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, Entailment, Triple, build_known_index
+from .data import Dataset, Entailment, Triple, build_known_index, triple_array
 from .manifest import atomic_write, read_lines, write_csv
 from .model import ModelParams, init_params, real_view
 from .objective import SparseGrads, _sq_norm, loss_and_gradient_arrays, pack_entailments
@@ -207,7 +206,7 @@ def make_batches(
     """
     if n_batches < 1:
         raise ValueError("n_batches must be at least 1")
-    arr = np.asarray(train, dtype=np.int64).reshape(-1, 3)
+    arr = triple_array(train)
     if n_batches > arr.shape[0]:
         logger.warning(
             "n_batches=%d exceeds the number of triples (%d); some batches are empty",
@@ -278,8 +277,7 @@ def train(
     params = init_params(n, m, config.d, config.seed)
     state = AdaGradState.zeros_like(params)
     rng = np.random.default_rng(config.seed + 1)
-    triples = itertools.chain.from_iterable(dataset.train)
-    train_arr = np.fromiter(triples, np.int64, count=3 * len(dataset.train)).reshape(-1, 3)
+    train_arr = triple_array(dataset.train)
     if train_arr.shape[0] == 0:
         raise ValueError("training split is empty")
 

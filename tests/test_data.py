@@ -25,6 +25,7 @@ from kgec.data import (
     load_dataset,
     load_entailments,
     load_triples,
+    triple_array,
     write_entailments,
     write_triples,
 )
@@ -190,6 +191,26 @@ def restore_gc():
     enabled = gc.isenabled()
     yield
     (gc.enable if enabled else gc.disable)()
+
+
+class TestTripleArray:
+    def test_sequence_becomes_an_int64_id_array(self):
+        arr = triple_array([Triple(0, 1, 2), Triple(3, 4, 5)])
+        assert arr.dtype == np.int64
+        assert arr.tolist() == [[0, 1, 2], [3, 4, 5]]
+
+    def test_empty_sequence_has_three_columns(self):
+        assert triple_array([]).shape == (0, 3)
+
+    def test_int64_array_passes_through(self):
+        arr = np.array([[0, 1, 2]], dtype=np.int64)
+        assert triple_array(arr) is arr
+        assert triple_array(arr.astype(np.int32)).dtype == np.int64
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 3, 1)])
+    def test_array_of_another_shape_fails(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            triple_array(np.zeros(shape, dtype=np.int64))
 
 
 class TestCollectorPause:

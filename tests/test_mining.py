@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from kgec import mining
 from kgec.data import Entailment, Triple, load_entailments
 from kgec.mining import MinedRule, classify_pairs, mine_entailments, write_rules
 
@@ -108,6 +111,95 @@ class TestMineEntailments:
             mine_entailments([], min_conf=1.5)
         with pytest.raises(ValueError):
             mine_entailments([], min_conf=0.5, min_support=0)
+
+    @pytest.mark.parametrize(
+        "triple, message",
+        [
+            (Triple(-3, 0, 1), "negative entity id -3"),
+            (Triple(0, 0, -2), "negative entity id -2"),
+            (Triple(0, -1, 1), "negative relation id -1"),
+        ],
+    )
+    def test_rejects_a_negative_id_naming_it(self, triple, message):
+        train = [Triple(0, 0, 1), Triple(0, 1, 1), triple]
+        with pytest.raises(ValueError, match=message):
+            mine_entailments(train, min_conf=0.5, min_support=1)
+
+    def test_rejects_ids_that_overflow_the_fact_keys(self):
+        with pytest.raises(ValueError, match="overflow"):
+            mine_entailments([Triple(2**31, 1, 0)], min_conf=0.5, min_support=1)
+
+    def test_joins_expanded_in_many_slices_match_the_oracle(self, monkeypatch):
+        # A one-match chunk gives every premise fact or key its own slice.
+        monkeypatch.setattr(mining, "_JOIN_CHUNK", 1)
+        rng = np.random.default_rng(23)
+        ids = zip(rng.integers(0, 6, 150), rng.integers(0, 2, 150), rng.integers(0, 6, 150))
+        triples = [Triple(int(h), int(r), int(t)) for h, r, t in ids]
+        mined = rules_by_key(mine_entailments(triples, min_conf=0.1, min_support=1))
+        expected = oracle_mine(triples, min_conf=0.1, min_support=1)
+        assert expected
+        assert {k: (r.support, r.pca_body, r.pca_confidence) for k, r in mined.items()} == expected
+
+
+# Relation ids with gaps: 1, 3, 4, 6 and 7 never occur, and a drawn split may
+# miss any of the others too.
+_RELATIONS = (0, 2, 5, 8)
+
+
+@st.composite
+def _splits(draw):
+    """Triples over 6 entities, with duplicates, self-loops and symmetric relations."""
+    raw = draw(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.sampled_from(_RELATIONS), st.integers(0, 5)),
+            max_size=40,
+        )
+    )
+    symmetric = draw(st.sets(st.sampled_from(_RELATIONS)))
+    raw += [(t, r, h) for h, r, t in raw if r in symmetric]
+    raw += draw(st.lists(st.sampled_from(raw), max_size=5)) if raw else []
+    return [Triple(*t) for t in draw(st.permutations(raw))]
+
+
+class TestMineMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(train=_splits(), min_support=st.integers(1, 3), data=st.data())
+    @example(train=[], min_support=1, data=None)
+    @example(
+        # A self-loop on a symmetric relation, a duplicate, and r8 -> r0 at
+        # confidence exactly 0.5 (support 1, body 2).
+        train=[Triple(2, 5, 2), Triple(2, 5, 2), Triple(0, 0, 1), Triple(1, 0, 0),
+               Triple(0, 8, 1), Triple(0, 8, 3)],
+        min_support=1,
+        data=None,
+    )
+    def test_rules_and_field_types_equal_the_oracle(self, train, min_support, data):
+        # min_conf is, where possible, exactly the confidence of some candidate,
+        # so the strict threshold is exercised at equality.
+        candidates = oracle_mine(train, min_conf=1e-9, min_support=min_support)
+        confidences = sorted({conf for _, _, conf in candidates.values()})
+        if data is None:
+            min_conf = 0.5
+        elif confidences:
+            min_conf = data.draw(st.sampled_from(confidences), label="min_conf")
+        else:
+            min_conf = data.draw(st.floats(0.01, 1.0), label="min_conf")
+        mined = mine_entailments(train, min_conf=min_conf, min_support=min_support)
+        expected = oracle_mine(train, min_conf=min_conf, min_support=min_support)
+
+        found = [
+            (k, (r.support, r.pca_body, r.pca_confidence)) for k, r in rules_by_key(mined).items()
+        ]
+        assert len(found) == len(mined)
+        # Equal, and in (premise, direction, conclusion) order.
+        assert found == sorted(expected.items())
+        for rule in mined:
+            ent = rule.entailment
+            assert ent.confidence == rule.pca_confidence
+            assert type(rule.support) is int and type(rule.pca_body) is int
+            assert type(rule.pca_confidence) is float and type(ent.confidence) is float
+            assert type(ent.premise_inverted) is bool
+            assert type(ent.premise_rel) is int and type(ent.conclusion_rel) is int
 
 
 class TestClassifyPairs:
