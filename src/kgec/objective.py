@@ -10,18 +10,29 @@ variables are materialized. ``rule_deltas`` computes the residual p* - q of
 every rule at once; the penalty and the relation-pair diagnostics of
 ``analysis`` both read it.
 
-The training kernel scores each negative, which replaces its positive's head
-or tail, against the positive's partial for that slot. It gathers the B·k
-replacement rows in cache-sized blocks of positives, scores and sums them
-while cached, and keeps no array with a row per negative. Both gradient
-tables come from one weighted segment sum over the entity rows (heads, tails
-and partials) and the relation rows, relation ids offset by n. Without rules
-no rule work is done.
+The training kernel works through the positives in cache-sized blocks. Each
+block gathers its own head, relation and tail rows and its B·k replacement
+rows, scores each negative against its positive's partial for the slot it
+replaces, and writes the block's gradient rows straight into the matrix the
+segment sum reads; no other array has a row per positive or per negative.
+Both gradient tables come from one weighted segment sum over the entity rows
+(heads, tails and partials) and the relation rows, relation ids offset by n.
+Without rules no rule work is done.
+
+The block loops here and in ``trainer.adagrad_step`` run in contiguous parts,
+one per usable CPU (``_in_parts``). Parts touch disjoint rows, a block does
+the same arithmetic whichever part runs it, and sums of squares come from
+``einsum`` per fixed block, added in block order, not from BLAS. Results
+therefore do not depend on the number of CPUs or of BLAS threads.
 """
 
 from __future__ import annotations
 
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -32,7 +43,22 @@ from .data import Entailment
 from .model import ModelParams, _check_ids, head_partial, real_dot, real_view
 from .model import rel_partial, tail_partial
 
-_BLOCK_BYTES = 2**21  # entity-row bytes per scoring or L2 block; a block stays in cache
+_BLOCK_BYTES = 2**21  # row bytes per scoring, L2 or norm block; a block stays in cache
+# Block loops run in one contiguous part per usable CPU: the first on the
+# calling thread, the others on the pool.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _new_pool() -> None:
+    """Make the pool; a forked child gets a new one, since the parent's
+    threads are not copied into it and its pool would never run a part."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="kgec-block")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 @dataclass
@@ -67,11 +93,10 @@ class SparseGrads:
         """Rescale in place so the Euclidean norm over every stored entry is
         at most ``cap``. Returns the norm before clipping.
         """
-        norm = float(np.sqrt(_sq_norm(self.ent) + _sq_norm(self.rel)))
+        norm = math.sqrt(_sq_norm(self.ent) + _sq_norm(self.rel))
         if norm > cap:
-            factor = cap / norm
-            for block in (self.ent, self.rel):
-                real_view(block)[:] *= factor
+            for grad in (self.ent, self.rel):
+                _in_parts(_scale_rows, len(grad), _block_rows(grad), grad, cap / norm)
         return norm
 
 
@@ -107,8 +132,57 @@ def softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _sq_norm(z: np.ndarray) -> float:
-    """Sum of squared real and imaginary parts."""
-    return float(np.vdot(z, z).real)
+    """Sum of squared real and imaginary parts of a (rows, d) array: one
+    ``einsum`` per block of rows, the block sums added in block order. No BLAS
+    call and no thread count enters it, so the result depends on the data
+    alone."""
+    step = _block_rows(z)
+    if len(z) <= step:  # one block, and 0.0 + s is s
+        return float(_sum_sq(z))
+    return float(sum(chain.from_iterable(_in_parts(_block_sq_norms, len(z), step, z, step)), 0.0))
+
+
+def _sum_sq(rows: np.ndarray) -> float:
+    """Sum of squares of the real view of contiguous complex rows."""
+    x = real_view(rows).reshape(-1)
+    return np.einsum("i,i->", x, x)
+
+
+def _block_rows(z: np.ndarray) -> int:
+    """Rows of the (rows, d) array ``z`` per block of about ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (z.itemsize * z.shape[1]))
+
+
+def _block_sq_norms(z: np.ndarray, step: int, lo: int, hi: int) -> list:
+    """The sum of squares of each block of ``step`` rows in ``z[lo:hi]``."""
+    return [_sum_sq(z[a : min(a + step, hi)]) for a in range(lo, hi, step)]
+
+
+def _scale_rows(z: np.ndarray, factor: float, lo: int, hi: int) -> None:
+    real_view(z[lo:hi])[:] *= factor
+
+
+def _in_parts(fn, size: int, step: int, *args) -> list:
+    """``[fn(*args, lo, hi), ...]`` over range(size) cut into contiguous
+    parts, one per usable CPU, each a whole number of ``step``-long blocks
+    but the last.
+
+    The first part runs on the calling thread and the others on the pool,
+    and all have finished when this returns. A loop of one block runs inline.
+    ``fn`` must work in blocks of ``step`` counted from ``lo`` and touch only
+    its own rows: then every block does the same arithmetic for any number
+    of parts.
+    """
+    blocks = -(-size // step)
+    if blocks < 2 or _WORKERS < 2:
+        return [fn(*args, 0, size)]
+    per = -(-blocks // min(_WORKERS, blocks)) * step
+    futures = [_POOL.submit(fn, *args, lo, min(lo + per, size)) for lo in range(per, size, per)]
+    try:
+        first = fn(*args, 0, per)
+    finally:
+        wait(futures)
+    return [first, *(future.result() for future in futures)]
 
 
 def rule_deltas(rel: np.ndarray, rules: RuleArrays) -> np.ndarray:
@@ -168,37 +242,24 @@ def loss_and_gradient_arrays(
     _check_ids(row_ents, n, "entity")
     _check_ids(row_rels, m, "relation")
 
-    h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
     # Rows of q: the head gradients, the tail gradients, positive i's head
-    # partial (row 2b + 2i) and tail partial (2b + 2i + 1), then the relation
-    # gradients. A negative scores against the partial of the slot it
-    # replaces, and its replacement's gradient is its weight times that partial.
+    # partial (row 2b + 2i) and tail partial (2b + 2i + 1), the positives'
+    # relation gradients, then the rule rows in the [premise, conclusion]
+    # order of rule_penalty, as row_rels has them. Each block of positives
+    # fills its own rows, z[i] and z[b + i·k + j] (positive i and its
+    # negatives), and w[i].
     q = np.empty((4 * b + row_rels.size, d), params.ent.dtype)
-    partials = q[2 * b : 4 * b].reshape(b, 2, d)
-    head_partial(r, t, out=partials[:, 0])
-    tail_partial(h, r, out=partials[:, 1])
-    z, w, s = _score_negatives(params.ent, partials, corrupt_head, replacement)
-    z[:b] = -real_dot(partials[:, 1], t)
+    z = np.empty(b * (k + 1), params.ent.real.dtype)
+    w = np.empty((b, k), z.dtype)
+    per_block = max(1, _BLOCK_BYTES // (max(k, 1) * params.ent.itemsize * d))
+    _in_parts(_positive_blocks, b, per_block,
+              params, heads, rels, tails, corrupt_head, replacement, q, z, w, per_block)
     logistic = float(softplus(z).sum())
-    w_pos = -expit(z[:b])[:, None]
-
-    # The shared slots, with the positive's own term folded into s: the head
-    # gets conj(r)·s_tail, the tail r·s_head, the relation conj(h)·s_tail +
-    # conj(s_head)·t (before the fold), then the rule rows in the
-    # [premise, conclusion] order of rule_penalty, as row_rels has them.
-    s[:, 1] += w_pos * t
-    rel_rows = q[4 * b :]
-    rel_partial(h, s[:, 1], out=rel_rows[:b])
-    rel_rows[:b] += rel_partial(s[:, 0], t)
-    s[:, 0] += w_pos * h
-    head_partial(r, s[:, 1], out=q[:b])
-    tail_partial(s[:, 0], r, out=q[b : 2 * b])
-    del h, r, t, partials, s
 
     penalty = 0.0
     if rules.premise.size:
         penalty, rule_grads = rule_penalty(params.rel, rules)
-        np.multiply(mu, rule_grads, out=rel_rows[b:])
+        np.multiply(mu, rule_grads, out=q[5 * b :])
     # One segment sum over both tables, relation ids offset by n: heads and
     # tails read their own rows of q, negative (i, j) the partial it scored
     # against with weight w[i, j], relations their own rows.
@@ -211,54 +272,76 @@ def loss_and_gradient_arrays(
     weights = np.ones(row_ids.size, w.dtype)
     weights[2 * b : 2 * b + w.size] = w.ravel()
     unique, g = _segment_sum(row_ids, q, cols, weights)
-    del q, rel_rows
+    del q
     split = np.searchsorted(unique, n)
     ent_ids, g_ent, rel_ids, g_rel = unique[:split], g[:split], unique[split:] - n, g[split:]
 
     l2 = 0.0
     for grad, table, ids in ((g_ent, params.ent, ent_ids), (g_rel, params.rel, rel_ids)):
-        for lo, rows in _blocks(table, ids, max(1, _BLOCK_BYTES // (table.itemsize * d))):
-            l2 += _sq_norm(rows)
-            if eta != 0.0:
-                rows *= 2.0 * eta
-                grad[lo : lo + len(rows)] += rows
+        step = _block_rows(table)
+        parts = _in_parts(_l2_blocks, ids.size, step, grad, table, ids, eta, step)
+        l2 = sum(chain.from_iterable(parts), l2)
+    l2 = float(l2)
 
     breakdown = LossBreakdown(logistic, penalty, l2, logistic + mu * penalty + eta * l2)
     return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel)
 
 
-def _blocks(table: np.ndarray, ids: np.ndarray, step: int):
-    """Yield (lo, table[ids[lo : lo + step]]) for lo = 0, step, ..., each block
-    gathered into one reused buffer (ids range-checked)."""
-    buffer = np.empty((min(step, ids.size), table.shape[1]), table.dtype)
-    for lo in range(0, ids.size, step):
-        out = buffer[: min(step, ids.size - lo)]
-        yield lo, np.take(table, ids[lo : lo + step], axis=0, out=out, mode="wrap")
+def _positive_blocks(params, heads, rels, tails, corrupt_head, replacement, q, z, w, step, lo, hi):
+    """Positives ``lo:hi`` of the kernel, ``step`` at a time: gather the
+    block's h, r and t rows and its B·k replacement rows, and write its rows
+    of ``q``, ``z`` and ``w``.
 
-
-def _score_negatives(ent, partials, corrupt_head, replacement):
-    """Negative (i, j)'s score against ``partials[i, 0]`` (its head's partial)
-    where ``corrupt_head[i, j]``, else ``partials[i, 1]``, at
-    z[b + i·k + j] (z[:b] is left for the positives), its weight w[i, j] =
-    expit(score), and s: s[i, 0] and s[i, 1] are the weighted sums of
-    positive i's head and tail replacement rows. Blocks of positives whose
-    replacement rows fill about ``_BLOCK_BYTES`` are gathered, scored and
-    summed while cached."""
-    (b, k), d = replacement.shape, ent.shape[1]
-    z = np.empty(b * (k + 1), ent.real.dtype)
-    neg_z, w = z[b:].reshape(b, k), np.empty((b, k), z.dtype)
-    s = np.zeros((b, 2, d), ent.dtype)
-    per_block = max(1, _BLOCK_BYTES // (max(k, 1) * ent.itemsize * d))
-    for lo, e in _blocks(ent, replacement.ravel(), max(1, per_block * k)):
-        i = slice(lo // k, (lo + len(e)) // k)
-        e = real_view(e).reshape(-1, k, 2 * d)
-        scores = e @ real_view(partials[i]).transpose(0, 2, 1)
-        side = corrupt_head[i]
-        neg_z[i] = np.where(side, scores[..., 0], scores[..., 1])
-        wi = expit(neg_z[i], out=w[i])
+    A negative scores against its positive's partial for the slot it
+    replaces, at z[b + i·k + j], and its weight is w[i, j] = expit(score);
+    the replacement's gradient is that weight times the partial. s[:, 0] and
+    s[:, 1] sum the weighted head and tail replacement rows. The shared
+    slots, with the positive's own term folded into s: the head gets
+    conj(r)·s_tail, the tail r·s_head, the relation conj(h)·s_tail +
+    conj(s_head)·t (before the fold).
+    """
+    ent, rel, (b, k), d = params.ent, params.rel, replacement.shape, params.d
+    partials = q[2 * b : 4 * b].reshape(b, 2, d)
+    neg_z = z[b:].reshape(b, k)
+    for a in range(lo, hi, step):
+        e = min(a + step, hi)
+        h, r, t = ent[heads[a:e]], rel[rels[a:e]], ent[tails[a:e]]
+        p = partials[a:e]
+        head_partial(r, t, out=p[:, 0])
+        tail_partial(h, r, out=p[:, 1])
+        np.negative(real_dot(p[:, 1], t), out=z[a:e])
+        rows = real_view(np.take(ent, replacement[a:e].ravel(), axis=0, mode="wrap"))
+        rows = rows.reshape(e - a, k, 2 * d)
+        scores = rows @ real_view(p).transpose(0, 2, 1)
+        side = corrupt_head[a:e]
+        neg_z[a:e] = np.where(side, scores[..., 0], scores[..., 1])
+        wi = expit(neg_z[a:e], out=w[a:e])
         weights = np.stack([np.where(side, wi, 0.0), np.where(side, 0.0, wi)], axis=1)
-        np.matmul(weights, e, out=real_view(s[i]))
-    return z, w, s
+        s = (weights @ rows).view(ent.dtype)
+        del rows, scores, weights  # the slots' temporaries reuse this memory
+        w_pos = -expit(z[a:e])[:, None]
+        s[:, 1] += w_pos * t
+        rel_partial(h, s[:, 1], out=q[4 * b + a : 4 * b + e])
+        q[4 * b + a : 4 * b + e] += rel_partial(s[:, 0], t)
+        s[:, 0] += w_pos * h
+        head_partial(r, s[:, 1], out=q[a:e])
+        tail_partial(s[:, 0], r, out=q[b + a : b + e])
+
+
+def _l2_blocks(grad, table, ids, eta, step, lo, hi) -> list:
+    """Gather ``table``'s rows ``ids[lo:hi]``, ``step`` at a time, add 2·eta
+    times each block to its rows of ``grad``, and return each block's sum of
+    squares."""
+    buffer = np.empty((min(step, hi - lo), table.shape[1]), table.dtype)
+    sums = []
+    for a in range(lo, hi, step):
+        rows = np.take(table, ids[a : min(a + step, hi)], axis=0, out=buffer[: min(step, hi - a)],
+                       mode="wrap")
+        sums.append(_sum_sq(rows))
+        if eta != 0.0:
+            rows *= 2.0 * eta
+            grad[a : a + len(rows)] += rows
+    return sums
 
 
 def _segment_sum(ids, rows, cols=None, weights=None) -> tuple[np.ndarray, np.ndarray]:
@@ -275,11 +358,11 @@ def _segment_sum(ids, rows, cols=None, weights=None) -> tuple[np.ndarray, np.nda
     real = real_view(rows)
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
-    starts = np.empty(ids.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=starts[1:])
-    indptr = np.append(np.flatnonzero(starts), ids.size)
-    unique = sorted_ids[starts]
+    starts = np.empty(ids.size + 1, dtype=bool)  # a row starts here; the last marks the end
+    starts[0] = starts[-1] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=starts[1:-1])
+    indptr = np.flatnonzero(starts)
+    unique = sorted_ids[starts[:-1]]
     data = np.ones(ids.size, real.dtype) if weights is None else weights[order]
     columns = order if cols is None else cols[order]
     matrix = sparse.csr_array((data, columns, indptr), (unique.size, rows.shape[0]))

@@ -2,7 +2,10 @@
 per-step box projection; checkpoint selection by validation MRR.
 
 The loop is deterministic for a fixed config: one RNG drives epoch shuffling
-and negative sampling, and parameter updates are applied sequentially.
+and negative sampling. Within a step, the kernel, the clip and the AdaGrad
+update work through disjoint rows in parts, one per usable CPU, and every
+row gets the same arithmetic in any part, so results do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .data import Dataset, Entailment, Triple, build_known_index, triple_array
 from .manifest import atomic_write, read_lines, write_csv
 from .model import ModelParams, init_params, real_view
-from .objective import SparseGrads, _sq_norm, loss_and_gradient_arrays, pack_entailments
+from .objective import SparseGrads, _in_parts, _sq_norm, loss_and_gradient_arrays, pack_entailments
 
 logger = logging.getLogger(__name__)
 
@@ -150,7 +153,8 @@ def adagrad_step(
     param -= lr * g / (sqrt(accumulator) + 1e-8). With ``project`` the
     updated entity rows are clamped into [0, 1] (the box projection) before
     they are written back. Rows are updated in chunks of about
-    ``_ADAGRAD_CHUNK_BYTES``, so each elementwise pass reads cached rows.
+    ``_ADAGRAD_CHUNK_BYTES``, so each elementwise pass reads cached rows,
+    and the chunks are shared out in parts, one per usable CPU.
     """
     updates = (
         (grads.ent_ids, grads.ent, params.ent, state.acc_ent, project),
@@ -159,20 +163,26 @@ def adagrad_step(
     for ids, grad, param, acc, clamp in updates:
         grad, param = real_view(grad), real_view(param)
         chunk = max(1, _ADAGRAD_CHUNK_BYTES // (grad.itemsize * grad.shape[1]))
-        for lo in range(0, ids.size, chunk):
-            rows_ids, g = ids[lo : lo + chunk], grad[lo : lo + chunk]
-            step = acc[rows_ids]
-            step += g * g
-            acc[rows_ids] = step
-            np.sqrt(step, out=step)
-            step += _ADAGRAD_EPSILON
-            np.divide(g, step, out=step)
-            step *= lr
-            rows = param[rows_ids]
-            rows -= step
-            if clamp:
-                np.clip(rows, 0.0, 1.0, out=rows)
-            param[rows_ids] = rows
+        _in_parts(_adagrad_chunks, ids.size, chunk, ids, grad, param, acc, lr, clamp, chunk)
+
+
+def _adagrad_chunks(ids, grad, param, acc, lr, clamp, chunk, lo, hi) -> None:
+    """AdaGrad on the rows ``ids[lo:hi]``, ``chunk`` rows at a time."""
+    for a in range(lo, hi, chunk):
+        e = min(a + chunk, hi)
+        rows_ids, g = ids[a:e], grad[a:e]
+        step = acc[rows_ids]
+        step += g * g
+        acc[rows_ids] = step
+        np.sqrt(step, out=step)
+        step += _ADAGRAD_EPSILON
+        np.divide(g, step, out=step)
+        step *= lr
+        rows = param[rows_ids]
+        rows -= step
+        if clamp:
+            np.clip(rows, 0.0, 1.0, out=rows)
+        param[rows_ids] = rows
 
 
 def _corrupt_batch(

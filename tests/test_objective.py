@@ -449,6 +449,33 @@ class TestBlockedKernel:
         assert peaks[0] <= peaks[1] - row_buffer / 2, (peaks, row_buffer)
 
 
+    def test_peak_memory_grows_by_no_batch_sized_temporary(self, monkeypatch):
+        # Beyond q, the (5B, d) matrix of rows the segment sum reads, and the
+        # returned gradient, the kernel holds arrays of one block of
+        # positives, or of one id per row. Doubling B from 5,000 to 10,000
+        # must then add less than half of one (5,000, d) complex array.
+        # Each part holds its own blocks, so the part count is fixed.
+        monkeypatch.setattr(kgec.objective, "_WORKERS", 2)
+        n, k, d = 50_000, 1, 128
+        rng = np.random.default_rng(0)
+        params = init_params(n, 4, d, seed=0)
+        extra = []
+        for b in (5_000, 10_000):
+            heads, rels, tails = rng.integers(n, size=b), rng.integers(4, size=b), rng.integers(n, size=b)
+            batch = (heads, rels, tails, *_corrupt_batch(heads, tails, k, n, rng))
+            loss_and_gradient_arrays(params, *batch, NO_RULES, 0.0, 0.01)  # warm-up
+            tracemalloc.start()
+            try:
+                _, grads = loss_and_gradient_arrays(params, *batch, NO_RULES, 0.0, 0.01)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            q = 5 * b * d * params.ent.itemsize
+            extra.append(peak - q - grads.ent.nbytes - grads.rel.nbytes)
+        half_row_block = 5_000 * d * params.ent.itemsize / 2
+        assert extra[1] - extra[0] < half_row_block, (extra, half_row_block)
+
+
 class TestOneSegmentSum:
     def test_one_segment_sum_per_call(self, monkeypatch):
         calls = []

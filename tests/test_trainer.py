@@ -456,6 +456,150 @@ class TestTrain:
         assert lines[2].endswith("0.750000")
 
 
+# Trains a random 3,000-entity KG and prints the parameters' digest and the
+# per-epoch log; run in a child process under a given BLAS thread count.
+_THREAD_COUNT_SCRIPT = """
+import hashlib, json
+from conftest import random_dataset
+from kgec.trainer import TrainConfig, train
+dataset = random_dataset(3_000, 10, 6_000, 0, 0, seed=0)
+config = TrainConfig(d=64, neg_ratio=2, n_batches=4, max_iters=3, mu=0.0, seed=0)
+params, log = train(dataset, [], config)
+digest = hashlib.sha256(params.ent.tobytes() + params.rel.tobytes()).hexdigest()
+print(json.dumps([digest, [repr(row) for row in log]]))
+"""
+
+
+class TestBlockLoopsInParts:
+    """The training step's block loops run in one part per usable CPU, and
+    no result depends on the number of parts or of BLAS threads."""
+
+    def test_parts_are_whole_blocks_in_order(self, monkeypatch):
+        from kgec.objective import _in_parts
+
+        quarters = [(0, 3), (3, 6), (6, 9), (9, 10)]
+        for workers, want in ((1, [(0, 10)]), (2, [(0, 6), (6, 10)]), (3, [(0, 6), (6, 10)]),
+                              (4, quarters), (9, quarters)):
+            monkeypatch.setattr(kgec.objective, "_WORKERS", workers)
+            assert _in_parts(lambda lo, hi: (lo, hi), 10, 3) == want
+        assert _in_parts(lambda lo, hi: (lo, hi), 3, 3) == [(0, 3)]
+        assert _in_parts(lambda lo, hi: (lo, hi), 0, 3) == [(0, 0)]
+
+    def test_a_failing_part_raises_after_every_part_has_finished(self, monkeypatch):
+        from kgec.objective import _in_parts
+
+        monkeypatch.setattr(kgec.objective, "_WORKERS", 2)
+        finished = []
+
+        def part(lo, hi):
+            if lo == 0:
+                raise ValueError("first part")
+            time.sleep(0.05)
+            finished.append(lo)
+
+        with pytest.raises(ValueError, match="first part"):
+            _in_parts(part, 4, 1)
+        assert finished == [2]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_parts_on_a_pool_of_its_own(self, monkeypatch):
+        import signal
+
+        from kgec.objective import _in_parts
+
+        monkeypatch.setattr(kgec.objective, "_WORKERS", 2)
+        assert _in_parts(lambda lo, hi: hi, 4, 1) == [2, 4]  # the pool's thread now runs
+        pid = os.fork()
+        if pid == 0:  # the child: a part left to the parent's pool would never finish
+            signal.alarm(20)
+            os._exit(0 if _in_parts(lambda lo, hi: hi, 4, 1) == [2, 4] else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.parametrize("block_bytes", [64, 1_000, 2**21])
+    def test_sq_norm_is_the_same_for_any_number_of_parts(self, block_bytes, monkeypatch):
+        from kgec.objective import _sq_norm
+
+        monkeypatch.setattr(kgec.objective, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=(300, 7)) + 1j * rng.normal(size=(300, 7))
+        norms = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kgec.objective, "_WORKERS", workers)
+            norms.append(_sq_norm(z))
+        assert norms[0] == norms[1] == norms[2]
+        assert norms[0] == pytest.approx(np.sum(np.abs(z) ** 2), rel=1e-13)
+
+    def test_training_is_identical_for_one_two_and_three_workers(self, monkeypatch):
+        # Small blocks and chunks cut every loop of a step into many blocks,
+        # so the parts split each loop at block boundaries.
+        from concurrent.futures import ThreadPoolExecutor
+
+        monkeypatch.setattr(kgec.objective, "_BLOCK_BYTES", 1_024)
+        monkeypatch.setattr(kgec.trainer, "_ADAGRAD_CHUNK_BYTES", 512)
+        dataset = tiny_kg(n_entities=300, n_relations=4, n_triples=1_200, seed=3)
+        rules = [Entailment(0, False, 1, 0.9), Entailment(2, True, 3, 0.8)]
+        config = fast_config(d=16, neg_ratio=3, n_batches=4, max_iters=2, mu=0.5)
+        submitted = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args[0].__name__)
+                return super().submit(*args, **kwargs)
+
+        results = []
+        with CountingPool(2) as pool:
+            monkeypatch.setattr(kgec.objective, "_POOL", pool)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(kgec.objective, "_WORKERS", workers)
+                params, log = train(dataset, rules, config)
+                results.append((params.ent.tobytes() + params.rel.tobytes(), log))
+        assert results[1] == results[0] and results[2] == results[0]
+        assert {"_positive_blocks", "_l2_blocks", "_block_sq_norms", "_scale_rows",
+                "_adagrad_chunks"} <= set(submitted)
+
+    def test_training_is_identical_for_one_and_two_blas_threads(self):
+        import json
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        outputs = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run([sys.executable, "-c", _THREAD_COUNT_SCRIPT], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.append(json.loads(done.stdout))
+        assert outputs[0] == outputs[1]
+
+    def test_a_planted_shaped_step_runs_without_the_pool(self, monkeypatch):
+        # At C06's shape every loop is one block, so no part reaches the pool.
+        class RefusingPool:
+            def submit(self, *args, **kwargs):
+                raise AssertionError("a one-block loop reached the pool")
+
+        monkeypatch.setattr(kgec.objective, "_POOL", RefusingPool())
+        monkeypatch.setattr(kgec.objective, "_WORKERS", 2)
+        rng = np.random.default_rng(0)
+        n, m, d, b, k = 200, 10, 50, 136, 2
+        params = init_params(n, m, d, seed=0)
+        state = AdaGradState.zeros_like(params)
+        heads, rels, tails = rng.integers(n, size=b), rng.integers(m, size=b), rng.integers(n, size=b)
+        corrupt_head, replacement = _corrupt_batch(heads, tails, k, n, rng)
+        rules = pack_entailments([Entailment(i, False, i + 3, 0.9) for i in range(3)])
+        from kgec.objective import loss_and_gradient_arrays
+
+        before = params.copy()
+        _, grads = loss_and_gradient_arrays(
+            params, heads, rels, tails, corrupt_head, replacement, rules, 1.0, 0.01
+        )
+        assert grads.clip_global_norm_(1.0) > 1.0
+        adagrad_step(params, grads, state, lr=0.5, project=True)
+        assert not np.array_equal(params.ent, before.ent)
+
+
 @pytest.mark.skipif(
     not os.environ.get("KGEC_RUN_TIMING"),
     reason="wall-time scaling check is load-sensitive; set KGEC_RUN_TIMING=1",
