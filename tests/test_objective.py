@@ -448,7 +448,6 @@ class TestBlockedKernel:
         row_buffer = (2 * b + b * k) * d * params.ent.itemsize
         assert peaks[0] <= peaks[1] - row_buffer / 2, (peaks, row_buffer)
 
-
     def test_peak_memory_grows_by_no_batch_sized_temporary(self, monkeypatch):
         # Beyond q, the (5B, d) matrix of rows the segment sum reads, and the
         # returned gradient, the kernel holds arrays of one block of
