@@ -65,13 +65,17 @@ def _resolve_config(name_or_path: str) -> Path:
 
 
 def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("KGEC_WORKERS")
-    try:
-        return int(env) if env else 1
-    except ValueError:
-        raise ValueError(f"KGEC_WORKERS must be an integer, got {env!r}") from None
+    """The eval worker count: ``--workers``, else ``KGEC_WORKERS``, else 1."""
+    name, workers = "--workers", args.workers
+    if workers is None:
+        name, env = "KGEC_WORKERS", os.environ.get("KGEC_WORKERS")
+        try:
+            workers = int(env) if env else 1
+        except ValueError:
+            raise ValueError(f"KGEC_WORKERS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ValueError(f"{name} must be at least 1, got {workers}")
+    return workers
 
 
 def cmd_mine(args) -> int:
@@ -114,13 +118,18 @@ def _write_outputs(dataset, config, params, log, out_dir, precision):
 
 def _grid_configs(base: TrainConfig, grid: dict, source: str) -> list[TrainConfig]:
     """Every combination of the grid's value lists over ``base``, cast as in a
-    config file; an unknown key, an empty value list or a bad value raises
-    ValueError naming ``source``."""
+    config file; a grid that is not an object, an unknown key, a value that
+    is not a list, an empty value list or a bad value raises ValueError
+    naming ``source``."""
     try:
+        if not isinstance(grid, dict):
+            raise ValueError("expected a JSON object mapping config keys to value lists")
         keys = sorted(grid)
         for key in keys:
             if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown grid key {key!r}")
+            if not isinstance(grid[key], (list, tuple)):
+                raise ValueError(f"grid key {key!r} needs a list of values, got {grid[key]!r}")
             if not grid[key]:
                 raise ValueError(f"grid key {key!r} has no values")
         combos = itertools.product(*([_cast_field(k, v) for v in grid[k]] for k in keys))
@@ -202,9 +211,10 @@ def _load_model_and_data(args):
 
 
 def cmd_eval(args) -> int:
+    workers = _workers(args)
     params, dataset = _load_model_and_data(args)
     known = build_known_index(dataset)
-    result = evaluate(params, dataset.test, known, workers=_workers(args))
+    result = evaluate(params, dataset.test, known, workers=workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result, out_dir / "metrics.csv")

@@ -19,10 +19,12 @@ Both gradient tables come from one weighted segment sum over the entity rows
 (heads, tails and partials) and the relation rows, relation ids offset by n.
 Without rules no rule work is done.
 
-The block loops here and in ``trainer.adagrad_step`` run in contiguous parts,
-one per usable CPU (``_in_parts``). Parts touch disjoint rows, a block does
-the same arithmetic whichever part runs it, and sums of squares come from
-``einsum`` per fixed block, added in block order, not from BLAS. Results
+Every block loop of the step, here and in ``trainer.adagrad_step``, is one
+call of ``_per_block``: it calls a one-block function once per block, in
+block order, and spreads the blocks over contiguous parts, one per usable
+CPU. ``_block_rows`` sizes every block. Blocks touch disjoint rows, a block
+does the same arithmetic whichever part runs it, and sums of squares come
+from ``einsum`` per block, added in block order, not from BLAS. Results
 therefore do not depend on the number of CPUs or of BLAS threads.
 """
 
@@ -32,7 +34,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -43,7 +44,7 @@ from .data import Entailment
 from .model import ModelParams, _check_ids, head_partial, real_dot, real_view
 from .model import rel_partial, tail_partial
 
-_BLOCK_BYTES = 2**21  # row bytes per scoring, L2 or norm block; a block stays in cache
+_BLOCK_BYTES = 2**21  # row bytes per scoring, L2, norm or scale block; a block stays in cache
 # Block loops run in one contiguous part per usable CPU: the first on the
 # calling thread, the others on the pool.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -96,7 +97,8 @@ class SparseGrads:
         norm = math.sqrt(_sq_norm(self.ent) + _sq_norm(self.rel))
         if norm > cap:
             for grad in (self.ent, self.rel):
-                _in_parts(_scale_rows, len(grad), _block_rows(grad), grad, cap / norm)
+                step = _block_rows(grad, _BLOCK_BYTES)
+                _per_block(_scale_rows, len(grad), step, grad, cap / norm)
         return norm
 
 
@@ -136,53 +138,51 @@ def _sq_norm(z: np.ndarray) -> float:
     ``einsum`` per block of rows, the block sums added in block order. No BLAS
     call and no thread count enters it, so the result depends on the data
     alone."""
-    step = _block_rows(z)
-    if len(z) <= step:  # one block, and 0.0 + s is s
-        return float(_sum_sq(z))
-    return float(sum(chain.from_iterable(_in_parts(_block_sq_norms, len(z), step, z, step)), 0.0))
+    return float(sum(_per_block(_sum_sq, len(z), _block_rows(z, _BLOCK_BYTES), z), 0.0))
 
 
-def _sum_sq(rows: np.ndarray) -> float:
-    """Sum of squares of the real view of contiguous complex rows."""
-    x = real_view(rows).reshape(-1)
+def _sum_sq(z: np.ndarray, a: int = 0, e: int | None = None) -> float:
+    """Sum of squares of the real view of the complex rows ``z[a:e]``."""
+    x = real_view(z[a:e]).reshape(-1)
     return np.einsum("i,i->", x, x)
 
 
-def _block_rows(z: np.ndarray) -> int:
-    """Rows of the (rows, d) array ``z`` per block of about ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // (z.itemsize * z.shape[1]))
+def _block_rows(z: np.ndarray, budget: int, per_item: int = 1) -> int:
+    """How many items of ``per_item`` rows of the (rows, d) array ``z`` fill a
+    block of about ``budget`` bytes; at least 1."""
+    return max(1, budget // (max(per_item, 1) * z.itemsize * z.shape[1]))
 
 
-def _block_sq_norms(z: np.ndarray, step: int, lo: int, hi: int) -> list:
-    """The sum of squares of each block of ``step`` rows in ``z[lo:hi]``."""
-    return [_sum_sq(z[a : min(a + step, hi)]) for a in range(lo, hi, step)]
+def _scale_rows(z: np.ndarray, factor: float, a: int, e: int) -> None:
+    real_view(z[a:e])[:] *= factor
 
 
-def _scale_rows(z: np.ndarray, factor: float, lo: int, hi: int) -> None:
-    real_view(z[lo:hi])[:] *= factor
+def _per_block(fn, size: int, step: int, *args) -> list:
+    """``[fn(*args, a, e), ...]`` for the blocks ``a:e`` of ``step`` rows that
+    cut range(size), in block order.
 
-
-def _in_parts(fn, size: int, step: int, *args) -> list:
-    """``[fn(*args, lo, hi), ...]`` over range(size) cut into contiguous
-    parts, one per usable CPU, each a whole number of ``step``-long blocks
-    but the last.
-
-    The first part runs on the calling thread and the others on the pool,
-    and all have finished when this returns. A loop of one block runs inline.
-    ``fn`` must work in blocks of ``step`` counted from ``lo`` and touch only
-    its own rows: then every block does the same arithmetic for any number
-    of parts.
+    The blocks are spread over contiguous parts, one per usable CPU. The first
+    part runs on the calling thread and the others on the pool, and all have
+    finished when this returns; a loop of one block, or one CPU, needs no
+    pool. ``fn`` must touch only its own block's rows: then every block does
+    the same arithmetic for any number of parts.
     """
+    if size <= step:
+        return [fn(*args, 0, size)] if size else []
     blocks = -(-size // step)
-    if blocks < 2 or _WORKERS < 2:
-        return [fn(*args, 0, size)]
     per = -(-blocks // min(_WORKERS, blocks)) * step
-    futures = [_POOL.submit(fn, *args, lo, min(lo + per, size)) for lo in range(per, size, per)]
+    futures = [_POOL.submit(_blocks, fn, step, args, lo, min(lo + per, size))
+               for lo in range(per, size, per)]
     try:
-        first = fn(*args, 0, per)
+        first = _blocks(fn, step, args, 0, min(per, size))
     finally:
         wait(futures)
-    return [first, *(future.result() for future in futures)]
+    return first + [value for future in futures for value in future.result()]
+
+
+def _blocks(fn, step: int, args: tuple, lo: int, hi: int) -> list:
+    """One part: ``fn(*args, a, e)`` for each block of ``step`` rows in ``lo:hi``."""
+    return [fn(*args, a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
 def rule_deltas(rel: np.ndarray, rules: RuleArrays) -> np.ndarray:
@@ -251,9 +251,8 @@ def loss_and_gradient_arrays(
     q = np.empty((4 * b + row_rels.size, d), params.ent.dtype)
     z = np.empty(b * (k + 1), params.ent.real.dtype)
     w = np.empty((b, k), z.dtype)
-    per_block = max(1, _BLOCK_BYTES // (max(k, 1) * params.ent.itemsize * d))
-    _in_parts(_positive_blocks, b, per_block,
-              params, heads, rels, tails, corrupt_head, replacement, q, z, w, per_block)
+    _per_block(_positive_block, b, _block_rows(params.ent, _BLOCK_BYTES, k),
+               params, heads, rels, tails, corrupt_head, replacement, q, z, w)
     logistic = float(softplus(z).sum())
 
     penalty = 0.0
@@ -278,19 +277,17 @@ def loss_and_gradient_arrays(
 
     l2 = 0.0
     for grad, table, ids in ((g_ent, params.ent, ent_ids), (g_rel, params.rel, rel_ids)):
-        step = _block_rows(table)
-        parts = _in_parts(_l2_blocks, ids.size, step, grad, table, ids, eta, step)
-        l2 = sum(chain.from_iterable(parts), l2)
+        step = _block_rows(table, _BLOCK_BYTES)
+        l2 = sum(_per_block(_l2_block, ids.size, step, grad, table, ids, eta), l2)
     l2 = float(l2)
 
     breakdown = LossBreakdown(logistic, penalty, l2, logistic + mu * penalty + eta * l2)
     return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel)
 
 
-def _positive_blocks(params, heads, rels, tails, corrupt_head, replacement, q, z, w, step, lo, hi):
-    """Positives ``lo:hi`` of the kernel, ``step`` at a time: gather the
-    block's h, r and t rows and its B·k replacement rows, and write its rows
-    of ``q``, ``z`` and ``w``.
+def _positive_block(params, heads, rels, tails, corrupt_head, replacement, q, z, w, a, e):
+    """Positives ``a:e`` of the kernel: gather their h, r and t rows and their
+    B·k replacement rows, and write their rows of ``q``, ``z`` and ``w``.
 
     A negative scores against its positive's partial for the slot it
     replaces, at z[b + i·k + j], and its weight is w[i, j] = expit(score);
@@ -301,47 +298,39 @@ def _positive_blocks(params, heads, rels, tails, corrupt_head, replacement, q, z
     conj(s_head)·t (before the fold).
     """
     ent, rel, (b, k), d = params.ent, params.rel, replacement.shape, params.d
-    partials = q[2 * b : 4 * b].reshape(b, 2, d)
-    neg_z = z[b:].reshape(b, k)
-    for a in range(lo, hi, step):
-        e = min(a + step, hi)
-        h, r, t = ent[heads[a:e]], rel[rels[a:e]], ent[tails[a:e]]
-        p = partials[a:e]
-        head_partial(r, t, out=p[:, 0])
-        tail_partial(h, r, out=p[:, 1])
-        np.negative(real_dot(p[:, 1], t), out=z[a:e])
-        rows = real_view(np.take(ent, replacement[a:e].ravel(), axis=0, mode="wrap"))
-        rows = rows.reshape(e - a, k, 2 * d)
-        scores = rows @ real_view(p).transpose(0, 2, 1)
-        side = corrupt_head[a:e]
-        neg_z[a:e] = np.where(side, scores[..., 0], scores[..., 1])
-        wi = expit(neg_z[a:e], out=w[a:e])
-        weights = np.stack([np.where(side, wi, 0.0), np.where(side, 0.0, wi)], axis=1)
-        s = (weights @ rows).view(ent.dtype)
-        del rows, scores, weights  # the slots' temporaries reuse this memory
-        w_pos = -expit(z[a:e])[:, None]
-        s[:, 1] += w_pos * t
-        rel_partial(h, s[:, 1], out=q[4 * b + a : 4 * b + e])
-        q[4 * b + a : 4 * b + e] += rel_partial(s[:, 0], t)
-        s[:, 0] += w_pos * h
-        head_partial(r, s[:, 1], out=q[a:e])
-        tail_partial(s[:, 0], r, out=q[b + a : b + e])
+    h, r, t = ent[heads[a:e]], rel[rels[a:e]], ent[tails[a:e]]
+    p = q[2 * b : 4 * b].reshape(b, 2, d)[a:e]
+    head_partial(r, t, out=p[:, 0])
+    tail_partial(h, r, out=p[:, 1])
+    np.negative(real_dot(p[:, 1], t), out=z[a:e])
+    rows = real_view(np.take(ent, replacement[a:e].ravel(), axis=0, mode="wrap"))
+    rows = rows.reshape(e - a, k, 2 * d)
+    scores = rows @ real_view(p).transpose(0, 2, 1)
+    side = corrupt_head[a:e]
+    neg_z = z[b:].reshape(b, k)[a:e]
+    neg_z[:] = np.where(side, scores[..., 0], scores[..., 1])
+    wi = expit(neg_z, out=w[a:e])
+    weights = np.stack([np.where(side, wi, 0.0), np.where(side, 0.0, wi)], axis=1)
+    s = (weights @ rows).view(ent.dtype)
+    del rows, scores, weights  # the slots' temporaries reuse this memory
+    w_pos = -expit(z[a:e])[:, None]
+    s[:, 1] += w_pos * t
+    rel_partial(h, s[:, 1], out=q[4 * b + a : 4 * b + e])
+    q[4 * b + a : 4 * b + e] += rel_partial(s[:, 0], t)
+    s[:, 0] += w_pos * h
+    head_partial(r, s[:, 1], out=q[a:e])
+    tail_partial(s[:, 0], r, out=q[b + a : b + e])
 
 
-def _l2_blocks(grad, table, ids, eta, step, lo, hi) -> list:
-    """Gather ``table``'s rows ``ids[lo:hi]``, ``step`` at a time, add 2·eta
-    times each block to its rows of ``grad``, and return each block's sum of
-    squares."""
-    buffer = np.empty((min(step, hi - lo), table.shape[1]), table.dtype)
-    sums = []
-    for a in range(lo, hi, step):
-        rows = np.take(table, ids[a : min(a + step, hi)], axis=0, out=buffer[: min(step, hi - a)],
-                       mode="wrap")
-        sums.append(_sum_sq(rows))
-        if eta != 0.0:
-            rows *= 2.0 * eta
-            grad[a : a + len(rows)] += rows
-    return sums
+def _l2_block(grad, table, ids, eta, a, e) -> float:
+    """Gather ``table``'s rows ``ids[a:e]``, add 2·eta times them to their
+    rows of ``grad``, and return their sum of squares."""
+    rows = np.take(table, ids[a:e], axis=0, mode="wrap")
+    sq = _sum_sq(rows)
+    if eta != 0.0:
+        rows *= 2.0 * eta
+        grad[a:e] += rows
+    return sq
 
 
 def _segment_sum(ids, rows, cols=None, weights=None) -> tuple[np.ndarray, np.ndarray]:

@@ -3,9 +3,9 @@ per-step box projection; checkpoint selection by validation MRR.
 
 The loop is deterministic for a fixed config: one RNG drives epoch shuffling
 and negative sampling. Within a step, the kernel, the clip and the AdaGrad
-update work through disjoint rows in parts, one per usable CPU, and every
-row gets the same arithmetic in any part, so results do not depend on the
-thread count.
+update work through disjoint blocks of rows, spread over one part per
+usable CPU by ``objective._per_block``, and every row gets the same
+arithmetic in any part, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 from .data import Dataset, Entailment, Triple, build_known_index, triple_array
 from .manifest import atomic_write, read_lines, write_csv
 from .model import ModelParams, init_params, real_view
-from .objective import SparseGrads, _in_parts, _sq_norm, loss_and_gradient_arrays, pack_entailments
+from .objective import SparseGrads, _block_rows, _per_block, _sq_norm, loss_and_gradient_arrays
+from .objective import pack_entailments
 
 logger = logging.getLogger(__name__)
 
@@ -161,28 +162,26 @@ def adagrad_step(
         (grads.rel_ids, grads.rel, params.rel, state.acc_rel, False),
     )
     for ids, grad, param, acc, clamp in updates:
+        chunk = _block_rows(grad, _ADAGRAD_CHUNK_BYTES)
         grad, param = real_view(grad), real_view(param)
-        chunk = max(1, _ADAGRAD_CHUNK_BYTES // (grad.itemsize * grad.shape[1]))
-        _in_parts(_adagrad_chunks, ids.size, chunk, ids, grad, param, acc, lr, clamp, chunk)
+        _per_block(_adagrad_chunk, ids.size, chunk, ids, grad, param, acc, lr, clamp)
 
 
-def _adagrad_chunks(ids, grad, param, acc, lr, clamp, chunk, lo, hi) -> None:
-    """AdaGrad on the rows ``ids[lo:hi]``, ``chunk`` rows at a time."""
-    for a in range(lo, hi, chunk):
-        e = min(a + chunk, hi)
-        rows_ids, g = ids[a:e], grad[a:e]
-        step = acc[rows_ids]
-        step += g * g
-        acc[rows_ids] = step
-        np.sqrt(step, out=step)
-        step += _ADAGRAD_EPSILON
-        np.divide(g, step, out=step)
-        step *= lr
-        rows = param[rows_ids]
-        rows -= step
-        if clamp:
-            np.clip(rows, 0.0, 1.0, out=rows)
-        param[rows_ids] = rows
+def _adagrad_chunk(ids, grad, param, acc, lr, clamp, a, e) -> None:
+    """AdaGrad on the rows ``ids[a:e]``."""
+    rows_ids, g = ids[a:e], grad[a:e]
+    step = acc[rows_ids]
+    step += g * g
+    acc[rows_ids] = step
+    np.sqrt(step, out=step)
+    step += _ADAGRAD_EPSILON
+    np.divide(g, step, out=step)
+    step *= lr
+    rows = param[rows_ids]
+    rows -= step
+    if clamp:
+        np.clip(rows, 0.0, 1.0, out=rows)
+    param[rows_ids] = rows
 
 
 def _corrupt_batch(

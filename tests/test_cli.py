@@ -447,8 +447,16 @@ def test_workers_env_fallback(monkeypatch):
     monkeypatch.setenv("KGEC_WORKERS", "x")
     with pytest.raises(ValueError, match="KGEC_WORKERS must be an integer, got 'x'"):
         _workers(Args())
+    for count in ("0", "-2"):
+        monkeypatch.setenv("KGEC_WORKERS", count)
+        with pytest.raises(ValueError, match=f"KGEC_WORKERS must be at least 1, got {count}"):
+            _workers(Args())
     Args.workers = 7
     assert _workers(Args()) == 7
+    for count in (0, -2):
+        Args.workers = count
+        with pytest.raises(ValueError, match=f"--workers must be at least 1, got {count}"):
+            _workers(Args())
 
 
 def test_eval_missing_checkpoint_fails_with_message(data_dir, tmp_path, capsys):
@@ -515,6 +523,15 @@ def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys,
         ("grid.json", '{"d": [], "lr": [0.5]}',
          "train --data {data} --config {config} --grid --grid-file {file} --out {out}",
          ": grid key 'd' has no values"),
+        ("grid.json", '{"seed": "12"}',
+         "train --data {data} --config {config} --grid --grid-file {file} --out {out}",
+         ": grid key 'seed' needs a list of values, got '12'"),
+        ("grid.json", '{"neg_ratio": 25}',
+         "train --data {data} --config {config} --grid --grid-file {file} --out {out}",
+         ": grid key 'neg_ratio' needs a list of values, got 25"),
+        ("grid.json", '["d"]',
+         "train --data {data} --config {config} --grid --grid-file {file} --out {out}",
+         ": expected a JSON object mapping config keys to value lists"),
         ("ranks.csv", "head,rel,tail,head_rank,tail_rank\n0,0,1,1,1\n0,0,1\n",
          "significance --ranks-a {file} --ranks-b {file}",
          ":3: not enough values to unpack (expected 5, got 3)"),
@@ -532,7 +549,8 @@ def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys,
          "train --data {data} --config {config} --grid --out {out}",
          ": expected a JSON object mapping grid points to numbers"),
     ],
-    ids=["config-cast", "config-value", "grid-key", "grid-cast", "grid-empty", "rank-dump",
+    ids=["config-cast", "config-value", "grid-key", "grid-cast", "grid-empty", "grid-string",
+         "grid-number", "grid-shape", "rank-dump",
          "rank-dump-rank", "tsv-utf8", "config-utf8", "rank-dump-utf8", "grid-state-shape"],
 )
 def test_bad_input_fails_naming_the_file(

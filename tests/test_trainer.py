@@ -474,45 +474,50 @@ class TestBlockLoopsInParts:
     """The training step's block loops run in one part per usable CPU, and
     no result depends on the number of parts or of BLAS threads."""
 
-    def test_parts_are_whole_blocks_in_order(self, monkeypatch):
-        from kgec.objective import _in_parts
+    def test_fn_runs_once_per_block_in_block_order(self, monkeypatch):
+        from kgec.objective import _per_block
 
-        quarters = [(0, 3), (3, 6), (6, 9), (9, 10)]
-        for workers, want in ((1, [(0, 10)]), (2, [(0, 6), (6, 10)]), (3, [(0, 6), (6, 10)]),
-                              (4, quarters), (9, quarters)):
+        def block(a, e):
+            calls.append((a, e))
+            return a, e
+
+        blocks = [(0, 3), (3, 6), (6, 9), (9, 10)]
+        for workers in (1, 2, 3, 9):
             monkeypatch.setattr(kgec.objective, "_WORKERS", workers)
-            assert _in_parts(lambda lo, hi: (lo, hi), 10, 3) == want
-        assert _in_parts(lambda lo, hi: (lo, hi), 3, 3) == [(0, 3)]
-        assert _in_parts(lambda lo, hi: (lo, hi), 0, 3) == [(0, 0)]
+            for size, step, want in ((10, 3, blocks), (3, 3, [(0, 3)]), (2, 3, [(0, 2)]),
+                                     (0, 3, [])):
+                calls = []
+                assert _per_block(block, size, step) == want
+                assert sorted(calls) == want  # each block once, whichever part ran it
 
     def test_a_failing_part_raises_after_every_part_has_finished(self, monkeypatch):
-        from kgec.objective import _in_parts
+        from kgec.objective import _per_block
 
         monkeypatch.setattr(kgec.objective, "_WORKERS", 2)
         finished = []
 
-        def part(lo, hi):
-            if lo == 0:
+        def block(a, e):
+            if a == 0:
                 raise ValueError("first part")
             time.sleep(0.05)
-            finished.append(lo)
+            finished.append(a)
 
         with pytest.raises(ValueError, match="first part"):
-            _in_parts(part, 4, 1)
+            _per_block(block, 4, 2)
         assert finished == [2]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_runs_parts_on_a_pool_of_its_own(self, monkeypatch):
         import signal
 
-        from kgec.objective import _in_parts
+        from kgec.objective import _per_block
 
         monkeypatch.setattr(kgec.objective, "_WORKERS", 2)
-        assert _in_parts(lambda lo, hi: hi, 4, 1) == [2, 4]  # the pool's thread now runs
+        assert _per_block(lambda a, e: e, 4, 2) == [2, 4]  # the pool's thread now runs
         pid = os.fork()
         if pid == 0:  # the child: a part left to the parent's pool would never finish
             signal.alarm(20)
-            os._exit(0 if _in_parts(lambda lo, hi: hi, 4, 1) == [2, 4] else 1)
+            os._exit(0 if _per_block(lambda a, e: e, 4, 2) == [2, 4] else 1)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
 
@@ -543,9 +548,9 @@ class TestBlockLoopsInParts:
         submitted = []
 
         class CountingPool(ThreadPoolExecutor):
-            def submit(self, *args, **kwargs):
-                submitted.append(args[0].__name__)
-                return super().submit(*args, **kwargs)
+            def submit(self, run_part, fn, *args, **kwargs):
+                submitted.append(fn.__name__)
+                return super().submit(run_part, fn, *args, **kwargs)
 
         results = []
         with CountingPool(2) as pool:
@@ -555,8 +560,8 @@ class TestBlockLoopsInParts:
                 params, log = train(dataset, rules, config)
                 results.append((params.ent.tobytes() + params.rel.tobytes(), log))
         assert results[1] == results[0] and results[2] == results[0]
-        assert {"_positive_blocks", "_l2_blocks", "_block_sq_norms", "_scale_rows",
-                "_adagrad_chunks"} <= set(submitted)
+        assert {"_positive_block", "_l2_block", "_sum_sq", "_scale_rows",
+                "_adagrad_chunk"} <= set(submitted)
 
     def test_training_is_identical_for_one_and_two_blas_threads(self):
         import json
