@@ -227,10 +227,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.per_type < 1:
+        raise ValueError(f"--per-type must be at least 1, got {args.per_type}")
+    try:
+        ks = [float(k) for k in args.ks.split(",")]
+    except ValueError:
+        raise ValueError(f"--ks must be comma-separated numbers, got {args.ks!r}") from None
     params, dataset = _load_model_and_data(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ks = [float(k) for k in args.ks.split(",")]
 
     if args.types:
         labels = load_type_labels(args.types, dataset.vocab)
@@ -311,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dump-ranks", action="store_true", help="also write per-triple ranks")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="rank chunks of test triples on at most this "
+                   "many threads, and at most one per usable CPU (default: KGEC_WORKERS, else 1)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="interpretability analyses")

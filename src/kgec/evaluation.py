@@ -1,8 +1,9 @@
 """Filtered link-prediction evaluation (MRR, HITS@N) and paired significance
 testing between runs.
 
-Test triples are ranked in chunks. Each side of a chunk is scored against
-every entity with one matrix product and ranked with one vectorised
+Test triples are ranked in chunks, spread by ``objective._per_block`` over
+at most ``workers`` parts on its thread pool. Each side of a chunk is scored
+against every entity with one matrix product and ranked with one vectorised
 comparison. Ranks are "optimistic": only candidates scoring strictly higher
 than the gold entity count, which makes the result independent of candidate
 enumeration order. Corrupted candidates that are known true triples are
@@ -12,7 +13,6 @@ removed, except the gold triple itself.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -24,6 +24,7 @@ from scipy import stats
 from .data import KnownIndex, Triple, triple_array
 from .manifest import read_lines, write_csv
 from .model import ModelParams, _check_ids, score_all_heads, score_all_tails
+from .objective import _per_block
 
 # Size of one chunk's score matrix; its row count follows from the entity count.
 _CHUNK_BYTES = 32 * 2**20
@@ -52,16 +53,16 @@ def rank_from_scores(
     ``filtered[i]``. Its rank counts the candidates scoring strictly higher
     than the gold one, after removing the filtered ids. The gold entity itself
     never competes and is never filtered out. ``scores`` is not modified.
-    Raises IndexError unless every gold id is a column of ``scores``.
+    Raises IndexError unless every gold and filtered id indexes a column.
     """
     rows = np.arange(len(scores))
     gold = np.asarray(gold, dtype=np.int64)
-    _check_ids(gold, scores.shape[1], "entity")
+    filtered = [()] * len(rows) if filtered is None else filtered
+    sizes = [len(ids) for ids in filtered]
+    cols = np.fromiter(chain.from_iterable(filtered), dtype=np.int64, count=sum(sizes))
+    _check_ids(np.concatenate([gold, cols]), scores.shape[1], "entity")
     competing = scores > scores[rows, gold][:, None]
-    if filtered is not None:
-        sizes = [len(ids) for ids in filtered]
-        cols = np.fromiter(chain.from_iterable(filtered), dtype=np.int64, count=sum(sizes))
-        competing[np.repeat(rows, sizes), cols] = False
+    competing[np.repeat(rows, sizes), cols] = False
     competing[rows, gold] = False
     return 1 + np.count_nonzero(competing, axis=1)
 
@@ -86,18 +87,18 @@ def evaluate(
 
     MRR and HITS@N are averaged over 2 * len(test) ranks (head and tail
     directions contribute separately). The test set is ranked in chunks whose
-    score matrix holds about ``_CHUNK_BYTES``. Scoring is read-only, so
-    ``workers`` threads may rank chunks in parallel; aggregation stays
-    deterministic. An out-of-range id raises IndexError.
+    score matrix holds about ``_CHUNK_BYTES``. Chunks run in at most ``workers``
+    parts, at most one per usable CPU; the ranks do not depend on the number
+    of parts. An out-of-range id raises IndexError.
     """
     if len(test) == 0:
         raise ValueError("test set is empty")
     triples = triple_array(test)
     per_chunk = max(1, _CHUNK_BYTES // (params.n_entities * params.ent.real.itemsize))
 
-    def rank_chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
-        """Head and tail ranks of one chunk: one scoring and one ranking call a side."""
-        heads, rels, tails = columns = triples[lo : lo + per_chunk].T
+    def rank_chunk(a: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+        """Head and tail ranks of triples ``a:e``: one scoring and one ranking call a side."""
+        heads, rels, tails = columns = triples[a:e].T
         h, r, t = columns.tolist()
         head_filter = list(map(known.heads, r, t))
         tail_filter = list(map(known.tails, h, r))
@@ -106,13 +107,8 @@ def evaluate(
             rank_from_scores(score_all_tails(params, heads, rels), tails, tail_filter),
         )
 
-    starts = range(0, len(triples), per_chunk)
-    if workers <= 1:
-        parts = [rank_chunk(lo) for lo in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(rank_chunk, starts))
-    head_ranks, tail_ranks = map(np.concatenate, zip(*parts))
+    chunks = _per_block(rank_chunk, len(triples), per_chunk, parts=workers)
+    head_ranks, tail_ranks = map(np.concatenate, zip(*chunks))
     all_ranks = np.concatenate([head_ranks, tail_ranks])
     mrr = float(np.mean(1.0 / all_ranks))
     hits = {int(k): float(np.mean(all_ranks <= k)) for k in hits_at}

@@ -19,13 +19,13 @@ Both gradient tables come from one weighted segment sum over the entity rows
 (heads, tails and partials) and the relation rows, relation ids offset by n.
 Without rules no rule work is done.
 
-Every block loop of the step, here and in ``trainer.adagrad_step``, is one
-call of ``_per_block``: it calls a one-block function once per block, in
-block order, and spreads the blocks over contiguous parts, one per usable
-CPU. ``_block_rows`` sizes every block. Blocks touch disjoint rows, a block
-does the same arithmetic whichever part runs it, and sums of squares come
-from ``einsum`` per block, added in block order, not from BLAS. Results
-therefore do not depend on the number of CPUs or of BLAS threads.
+Every block loop of the step, here and in ``trainer.adagrad_step``, and the
+chunk loop of ``evaluation.evaluate`` is one call of ``_per_block``: it calls
+a one-block function once per block, in block order, and spreads the blocks
+over contiguous parts, at most one per usable CPU, on one thread pool. Blocks
+touch disjoint rows and sums of squares come from ``einsum`` per block, added
+in block order, not from BLAS, so results do not depend on the number of
+CPUs or of BLAS threads.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .model import ModelParams, _check_ids, head_partial, real_dot, real_view
 from .model import rel_partial, tail_partial
 
 _BLOCK_BYTES = 2**21  # row bytes per scoring, L2, norm or scale block; a block stays in cache
-# Block loops run in one contiguous part per usable CPU: the first on the
-# calling thread, the others on the pool.
+# Block loops run in at most one contiguous part per usable CPU: the first on
+# the calling thread, the others on the pool.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -157,20 +157,21 @@ def _scale_rows(z: np.ndarray, factor: float, a: int, e: int) -> None:
     real_view(z[a:e])[:] *= factor
 
 
-def _per_block(fn, size: int, step: int, *args) -> list:
+def _per_block(fn, size: int, step: int, *args, parts: float = math.inf) -> list:
     """``[fn(*args, a, e), ...]`` for the blocks ``a:e`` of ``step`` rows that
     cut range(size), in block order.
 
-    The blocks are spread over contiguous parts, one per usable CPU. The first
-    part runs on the calling thread and the others on the pool, and all have
-    finished when this returns; a loop of one block, or one CPU, needs no
-    pool. ``fn`` must touch only its own block's rows: then every block does
-    the same arithmetic for any number of parts.
+    The blocks are spread over contiguous parts: at most ``parts``, one per
+    usable CPU and one per block. The first runs on the calling thread, the
+    others on the pool, and all have finished when this returns. ``fn`` must
+    touch only its own block's rows, so every block does the same arithmetic
+    for any number of parts, and must never call ``_per_block``, or a part on
+    the pool would wait on the pool itself.
     """
     if size <= step:
         return [fn(*args, 0, size)] if size else []
     blocks = -(-size // step)
-    per = -(-blocks // min(_WORKERS, blocks)) * step
+    per = -(-blocks // min(max(parts, 1), _WORKERS, blocks)) * step
     futures = [_POOL.submit(_blocks, fn, step, args, lo, min(lo + per, size))
                for lo in range(per, size, per)]
     try:

@@ -459,6 +459,27 @@ def test_workers_env_fallback(monkeypatch):
             _workers(Args())
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--per-type", "-1", "--per-type must be at least 1, got -1"),
+        ("--per-type", "0", "--per-type must be at least 1, got 0"),
+        ("--ks", "abc", "--ks must be comma-separated numbers, got 'abc'"),
+        ("--ks", "1,,5", "--ks must be comma-separated numbers, got '1,,5'"),
+    ],
+)
+def test_analyze_rejects_bad_flags_before_loading(data_dir, tmp_path, capsys, flag, value, message):
+    # The checkpoint does not exist, so only a check made before loading names the flag.
+    out = tmp_path / "out"
+    argv = ["analyze", "--data", str(data_dir), "--checkpoint", str(tmp_path / "missing.kgec"),
+            "--out", str(out), flag, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"kgec analyze: error: {message}" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_eval_missing_checkpoint_fails_with_message(data_dir, tmp_path, capsys):
     code = main(
         [
@@ -632,6 +653,24 @@ def test_bench_trace_targets_resolve():
             missing.append(name)
     assert len(names) > 20
     assert set(missing) <= {"kgec.trainer:project_entities"}
+
+
+def test_only_objective_imports_concurrent_futures():
+    # The package has one thread pool, objective._POOL, with one set of rules
+    # for part order and errors; a module that imports concurrent.futures
+    # could start a second.
+    importers = []
+    for path in sorted(Path(kgec.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "concurrent" for name in names):
+                importers.append(path.name)
+    assert importers == ["objective.py"]
 
 
 def test_manifest_detects_tampered_inputs(tmp_path):

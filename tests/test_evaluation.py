@@ -1,10 +1,12 @@
 """Tests for filtered ranking, metric aggregation, and the paired t-test."""
 
 import itertools
+import os
 
 import numpy as np
 import pytest
 
+import kgec.objective
 from kgec.data import KnownIndex, Triple
 from kgec.evaluation import (
     evaluate,
@@ -58,6 +60,13 @@ class TestRankFromScores:
         # A negative gold id would otherwise wrap round to the last column.
         with pytest.raises(IndexError, match="entity id"):
             rank_from_scores(np.zeros((1, 3)), gold=[gold])
+
+    @pytest.mark.parametrize("ids", [[-1], [3]])
+    def test_rejects_filtered_ids_outside_the_columns(self, ids):
+        # -1 would otherwise filter the last column, and 3 fail with numpy's text.
+        scores = np.array([[0.5, 0.1, 0.9]])
+        with pytest.raises(IndexError, match=f"entity id {ids[0]} out of range \\[0, 3\\)"):
+            rank_from_scores(scores, gold=[0], filtered=[ids])
 
     def test_rows_rank_independently(self):
         scores = np.array([
@@ -244,6 +253,70 @@ class TestEvaluate:
         assert calls == [
             (name, shape) for shape in shapes for name in ("score_all_heads", "score_all_tails")
         ]
+
+
+class TestChunksInParts:
+    """``evaluate`` ranks its chunks through ``objective._per_block``, on the
+    package's one pool, in at most ``workers`` parts."""
+
+    @staticmethod
+    def _case(monkeypatch, per_chunk=3):
+        import kgec.evaluation as evaluation
+
+        n = 16
+        dataset = random_dataset(n, 3, 40, 5, 10, seed=16)
+        # Ten test triples: four chunks of at most three, five chunks of two.
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", per_chunk * n * 8)
+        return init_params(n, 3, 4, seed=17), dataset.test, build_known_index(dataset)
+
+    def test_ranks_are_the_same_for_any_number_of_parts(self, monkeypatch):
+        params, test, known = self._case(monkeypatch)
+        want = evaluate(params, test, known)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(kgec.objective, "_WORKERS", cpus)
+            for workers in (1, 2, 3, 8):
+                result = evaluate(params, test, known, workers=workers)
+                assert result.per_triple == want.per_triple
+                assert result.mrr == want.mrr and result.hits == want.hits
+
+    def test_chunks_reach_the_pool_only_with_two_workers_and_two_cpus(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        params, test, known = self._case(monkeypatch, per_chunk=2)
+        submitted = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, run_part, fn, *args, **kwargs):
+                submitted.append(fn.__name__)
+                return super().submit(run_part, fn, *args, **kwargs)
+
+        with CountingPool(2) as pool:
+            monkeypatch.setattr(kgec.objective, "_POOL", pool)
+            # (usable CPUs, workers, parts); a cap below 1 still makes one part.
+            for cpus, workers, parts in ((1, 1, 1), (1, 8, 1), (3, 1, 1), (2, 0, 1), (2, 2, 2),
+                                         (2, 8, 2), (3, 2, 2), (3, 3, 3), (3, 8, 3)):
+                monkeypatch.setattr(kgec.objective, "_WORKERS", cpus)
+                submitted.clear()
+                evaluate(params, test, known, workers=workers)
+                assert submitted == ["rank_chunk"] * (parts - 1), (cpus, workers)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_ranks_on_a_pool_of_its_own(self, monkeypatch):
+        import signal
+
+        params, test, known = self._case(monkeypatch)
+        monkeypatch.setattr(kgec.objective, "_WORKERS", 2)
+        want = evaluate(params, test, known, workers=2).per_triple  # the pool's thread now runs
+        pid = os.fork()
+        if pid == 0:  # the child: a chunk left to the parent's pool would never be ranked
+            signal.alarm(20)
+            code = 1
+            try:
+                code = 0 if evaluate(params, test, known, workers=2).per_triple == want else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestPairedTTest:
