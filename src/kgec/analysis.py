@@ -35,10 +35,6 @@ class TypeLabels:
     def n_types(self) -> int:
         return len(self.type_names)
 
-    @property
-    def n_labeled(self) -> int:
-        return len(self.labels)
-
 
 def load_type_labels(path: str | Path, vocab: Vocab) -> TypeLabels:
     """Read an ``entity<TAB>type`` TSV; entities missing from the vocabulary
@@ -77,8 +73,7 @@ def shannon_entropy(counts: Sequence[int] | np.ndarray) -> float | np.ndarray:
     total = counts.sum(axis=-1, keepdims=True)
     p = np.divide(counts, total, out=np.zeros_like(counts), where=seen)
     log_p = np.log(p, out=np.zeros_like(p), where=seen)
-    entropy = -(p * log_p).sum(axis=-1)
-    return float(entropy) if entropy.ndim == 0 else entropy
+    return -(p * log_p).sum(axis=-1)
 
 
 @dataclass
@@ -95,7 +90,7 @@ def purity_curve(
 ) -> PurityCurve:
     """Mean type entropy across dimensions at each top-K percentage.
 
-    For each dimension, the ceil(K/100 * n_labeled) labeled entities with the
+    For each dimension, the ceil(K/100 * L) of the L labeled entities with the
     highest activation are selected (ties broken toward the lower entity id)
     and the natural-log entropy of their type distribution is computed; the
     mean over dimensions is the (K, entropy) point. Low entropy means the
@@ -104,7 +99,7 @@ def purity_curve(
     for k_percent in k_percents:
         if not 0.0 < k_percent <= 100.0:
             raise ValueError(f"k_percent must lie in (0, 100], got {k_percent}")
-    if labels.n_labeled == 0:
+    if not labels.labels:
         raise ValueError("no labeled entities")
     labeled_ids = np.asarray(sorted(labels.labels), dtype=np.int64)
     type_ids = np.asarray([labels.labels[i] for i in labeled_ids], dtype=np.int64)

@@ -145,7 +145,8 @@ def _grid_key(config: TrainConfig) -> str:
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     ents = load_entailments(args.ents, dataset.vocab) if args.ents else []
-    config = parse_config(_resolve_config(args.config)) if args.config else TrainConfig()
+    config_path = _resolve_config(args.config) if args.config else None
+    config = parse_config(config_path) if config_path else TrainConfig()
     overrides = {"seed": args.seed, "mu": args.mu, "project": False if args.no_projection else None}
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
@@ -154,8 +155,8 @@ def cmd_train(args) -> int:
     input_paths = [path for path in splits if path.exists()]
     if args.ents:
         input_paths.append(Path(args.ents))
-    if args.config:
-        input_paths.append(_resolve_config(args.config))
+    if config_path:
+        input_paths.append(config_path)
 
     if not args.grid:
         _write_manifest(config, out_dir, input_paths, args.precision)
@@ -229,17 +230,24 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     if args.per_type < 1:
         raise ValueError(f"--per-type must be at least 1, got {args.per_type}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if not 0.0 < args.thresh < 1.0:
+        raise ValueError(f"--thresh must lie in (0, 1), got {args.thresh:g}")
     try:
         ks = [float(k) for k in args.ks.split(",")]
     except ValueError:
         raise ValueError(f"--ks must be comma-separated numbers, got {args.ks!r}") from None
+    for k in ks:
+        if not 0.0 < k <= 100.0:
+            raise ValueError(f"--ks entries must lie in (0, 100], got {k:g}")
     params, dataset = _load_model_and_data(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.types:
         labels = load_type_labels(args.types, dataset.vocab)
-        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+        rng = np.random.default_rng(args.seed)
         by_type: dict[int, list[int]] = {}
         for entity, type_id in sorted(labels.labels.items()):
             by_type.setdefault(type_id, []).append(entity)
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", default="1,2,5,10,20,50,100", help="top-K percentages")
     p.add_argument("--per-type", type=int, default=30, help="entities per type in heatmaps")
     p.add_argument("--thresh", type=float, default=0.8, help="equivalence/inversion threshold")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("significance", help="paired t-test between two rank dumps")

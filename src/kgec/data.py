@@ -164,9 +164,6 @@ class IdMap:
     def __len__(self) -> int:
         return len(self._id_to_name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._name_to_id
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._id_to_name)
 
@@ -370,8 +367,11 @@ def load_dataset(directory: str | Path) -> Dataset:
 
 
 class KnownIndex:
-    """Membership index over all known triples, with partial-key queries.
+    """Index of all known triples for the filter, built once and then only read.
 
+    The constructor is the only writer, so threads may share an index. The
+    two partial-key lookups, :meth:`heads` and :meth:`tails`, are its whole
+    interface; a triple (h, r, t) is known if ``t in index.tails(h, r)``.
     Duplicate triples are collapsed: the index is a set by definition.
     Lookups return the index's own sets, read-only, and never add a key.
     """
@@ -384,18 +384,6 @@ class KnownIndex:
             for head, rel, tail in triples:
                 tails[(head, rel)].add(tail)
                 heads[(rel, tail)].add(head)
-
-    def add(self, triple: Triple) -> None:
-        head, rel, tail = triple
-        self._tails[(head, rel)].add(tail)
-        self._heads[(rel, tail)].add(head)
-
-    def __contains__(self, triple: tuple[int, int, int]) -> bool:
-        head, rel, tail = triple
-        return tail in self._tails.get((head, rel), _NONE)
-
-    def __len__(self) -> int:
-        return sum(map(len, self._tails.values()))
 
     def heads(self, rel: int, tail: int) -> AbstractSet[int]:
         """Entity ids h such that (h, rel, tail) is a known triple (read-only)."""

@@ -1,5 +1,5 @@
-"""Filtered link-prediction evaluation (MRR, HITS@N) and paired significance
-testing between runs.
+"""Filtered link-prediction evaluation (MRR, HITS@1/3/10) and paired
+significance testing between runs.
 
 Test triples are ranked in chunks, spread by ``objective._per_block`` over
 at most ``workers`` parts on its thread pool. Each side of a chunk is scored
@@ -30,6 +30,9 @@ from .objective import _per_block
 _CHUNK_BYTES = 32 * 2**20
 
 _RANK_DUMP_HEADER = ["head", "rel", "tail", "head_rank", "tail_rank"]
+
+# The HITS@N cut-offs the paper reports; evaluate and significance_report use them.
+HITS_AT = (1, 3, 10)
 
 
 @dataclass
@@ -80,16 +83,16 @@ def evaluate(
     params: ModelParams,
     test: Sequence[Triple],
     known: KnownIndex,
-    hits_at: Sequence[int] = (1, 3, 10),
     workers: int = 1,
 ) -> EvalResult:
     """Rank both directions of every test triple and aggregate MRR/HITS.
 
-    MRR and HITS@N are averaged over 2 * len(test) ranks (head and tail
-    directions contribute separately). The test set is ranked in chunks whose
-    score matrix holds about ``_CHUNK_BYTES``. Chunks run in at most ``workers``
-    parts, at most one per usable CPU; the ranks do not depend on the number
-    of parts. An out-of-range id raises IndexError.
+    MRR and HITS@N, for each N in ``HITS_AT``, are averaged over 2 * len(test)
+    ranks (head and tail directions contribute separately). The filter reads
+    ``known`` through its ``heads``/``tails`` lookups only. The test set is
+    ranked in chunks whose score matrix holds about ``_CHUNK_BYTES``. Chunks
+    run in at most ``workers`` parts, at most one per usable CPU; the ranks do
+    not depend on the number of parts. An out-of-range id raises IndexError.
     """
     if len(test) == 0:
         raise ValueError("test set is empty")
@@ -111,7 +114,7 @@ def evaluate(
     head_ranks, tail_ranks = map(np.concatenate, zip(*chunks))
     all_ranks = np.concatenate([head_ranks, tail_ranks])
     mrr = float(np.mean(1.0 / all_ranks))
-    hits = {int(k): float(np.mean(all_ranks <= k)) for k in hits_at}
+    hits = {k: float(np.mean(all_ranks <= k)) for k in HITS_AT}
     return EvalResult(list(zip(head_ranks.tolist(), tail_ranks.tolist())), mrr, hits)
 
 
@@ -172,14 +175,12 @@ def load_rank_dump(path: str | Path) -> tuple[list[Triple], np.ndarray, np.ndarr
     return triples, head_ranks, tail_ranks
 
 
-def significance_report(
-    dump_a: str | Path, dump_b: str | Path, hits_at: Sequence[int] = (1, 3, 10)
-) -> dict[str, float]:
+def significance_report(dump_a: str | Path, dump_b: str | Path) -> dict[str, float]:
     """Paired p-values between two rank dumps over the same test triples.
 
     Head- and tail-direction observations of each triple are paired
-    separately. Reciprocal ranks pair for the MRR test; HITS@N pairs the 0/1
-    top-N indicators.
+    separately. Reciprocal ranks pair for the MRR test; HITS@N, for each N in
+    ``HITS_AT``, pairs the 0/1 top-N indicators.
     """
     triples_a, heads_a, tails_a = load_rank_dump(dump_a)
     triples_b, heads_b, tails_b = load_rank_dump(dump_b)
@@ -188,7 +189,7 @@ def significance_report(
     ranks_a = np.concatenate([heads_a, tails_a]).astype(float)
     ranks_b = np.concatenate([heads_b, tails_b]).astype(float)
     report = {"mrr": paired_ttest(1.0 / ranks_a, 1.0 / ranks_b)}
-    for k in hits_at:
+    for k in HITS_AT:
         report[f"hits@{k}"] = paired_ttest(
             (ranks_a <= k).astype(float), (ranks_b <= k).astype(float)
         )

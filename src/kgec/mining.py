@@ -186,10 +186,10 @@ class PairClasses:
 
 
 def classify_pairs(
-    rules: Sequence[MinedRule | Entailment],
+    rules: Sequence[Entailment],
     thresh: float,
 ) -> PairClasses:
-    """Partition rules into equivalence / inversion pairs and the rest.
+    """Partition entailments into equivalence / inversion pairs and the rest.
 
     (p, q) is an equivalence pair when p -> q and q -> p both appear
     (non-inverted) with confidence above ``thresh``; an inversion pair when
@@ -197,11 +197,10 @@ def classify_pairs(
     """
     if not 0.0 < thresh < 1.0:
         raise ValueError(f"thresh must lie in (0, 1), got {thresh}")
-    ents = [r.entailment if isinstance(r, MinedRule) else r for r in rules]
 
     forward: set[tuple[int, int]] = set()
     inverted: set[tuple[int, int]] = set()
-    for ent in ents:
+    for ent in rules:
         if ent.confidence > thresh:
             key = (ent.premise_rel, ent.conclusion_rel)
             (inverted if ent.premise_inverted else forward).add(key)
@@ -215,7 +214,7 @@ def classify_pairs(
     eq_set, inv_set = set(equivalence), set(inversion)
 
     others = []
-    for ent in ents:
+    for ent in rules:
         key = (
             min(ent.premise_rel, ent.conclusion_rel),
             max(ent.premise_rel, ent.conclusion_rel),

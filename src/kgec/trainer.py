@@ -70,6 +70,8 @@ class TrainConfig:
             raise ValueError("grad_norm_cap must be positive")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

@@ -255,7 +255,7 @@ class TestTypeLabelIO:
         path.write_text("e0\treptile\ne1\tspecies\ne2\treptile\nghost\tspecies\n")
         with caplog.at_level(logging.WARNING):
             labels = load_type_labels(path, vocab)
-        assert labels.n_labeled == 3
+        assert len(labels.labels) == 3
         assert labels.n_types == 2
         assert labels.labels[0] == labels.labels[2]
         assert "skipped 1" in caplog.text

@@ -5,13 +5,14 @@ import ast
 import importlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kgec
-from kgec.cli import main
+from kgec.cli import build_parser, main
 from kgec.data import Triple, load_dataset, write_triples, write_tsv
 from kgec.manifest import RunManifest, sha256_file, write_csv
 from kgec.model import ModelParams, init_params, load_checkpoint, save_checkpoint
@@ -288,6 +289,25 @@ def test_grid_without_validation_split_fails_before_training(
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("source", ["--seed", "config", "--grid-file"])
+def test_train_rejects_a_negative_seed_before_writing(data_dir, config_file, tmp_path, capsys, source):
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(data_dir), "--config", str(config_file), "--out", str(out)]
+    if source == "--seed":
+        argv += ["--seed", "-1"]
+    elif source == "config":
+        config_file.write_text(config_file.read_text().replace("seed = 0", "seed = -1"))
+    else:
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({"seed": [0, -1]}))
+        argv += ["--grid", "--grid-file", str(grid_file)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "seed must be non-negative, got -1" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def _counting_train(monkeypatch):
     import kgec.cli
 
@@ -466,6 +486,12 @@ def test_workers_env_fallback(monkeypatch):
         ("--per-type", "0", "--per-type must be at least 1, got 0"),
         ("--ks", "abc", "--ks must be comma-separated numbers, got 'abc'"),
         ("--ks", "1,,5", "--ks must be comma-separated numbers, got '1,,5'"),
+        ("--ks", "0,150", "--ks entries must lie in (0, 100], got 0"),
+        ("--ks", "50,150", "--ks entries must lie in (0, 100], got 150"),
+        ("--ks", "nan", "--ks entries must lie in (0, 100], got nan"),
+        ("--thresh", "1.5", "--thresh must lie in (0, 1), got 1.5"),
+        ("--thresh", "0", "--thresh must lie in (0, 1), got 0"),
+        ("--seed", "-1", "--seed must be non-negative, got -1"),
     ],
 )
 def test_analyze_rejects_bad_flags_before_loading(data_dir, tmp_path, capsys, flag, value, message):
@@ -629,6 +655,19 @@ def test_public_api_resolves_and_covers_the_readme():
     [block] = re.findall(r"from kgec import \(([^)]*)\)", readme)
     documented = {name.strip() for name in block.split(",")} - {""}
     assert documented and documented <= set(kgec.__all__)
+
+
+def test_readme_commands_parse():
+    # Every `kgec ...` line of the README's command block, with its `\`
+    # continuations joined, must parse, so a renamed flag cannot leave it stale.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"## Command line\n.*?```bash\n(.*?)```", readme, re.S)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("kgec ")]
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).command == argv[1]
+    assert {argv[1] for argv in commands} == {"mine", "train", "eval", "analyze", "significance"}
 
 
 def test_bench_trace_targets_resolve():

@@ -331,62 +331,44 @@ class TestKnownIndex:
             vocab=make_vocab(3, 1),
         )
         index = build_known_index(dataset)
-        assert (0, 0, 1) in index
-        assert (2, 0, 1) in index
-        assert (1, 0, 0) not in index
+        assert 1 in index.tails(0, 0)
+        assert 1 in index.tails(2, 0)
+        assert 0 not in index.tails(1, 0)
         assert index.heads(0, 1) == {0, 2}
         assert index.tails(0, 0) == {1}
         assert index.tails(1, 0) == set()
 
     def test_empty_dataset(self):
         index = build_known_index(Dataset([], [], [], make_vocab(0, 0)))
-        assert len(index) == 0
-        assert (0, 0, 0) not in index
+        assert index.heads(0, 0) == set()
+        assert index.tails(0, 0) == set()
 
     def test_duplicates_collapse(self):
         index = KnownIndex([Triple(0, 0, 1), Triple(0, 0, 1)])
-        assert len(index) == 1
+        assert index.tails(0, 0) == {1}
+        assert index.heads(0, 1) == {0}
 
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
-            st.tuples(
-                st.integers(0, 8), st.integers(0, 3), st.integers(0, 8)
-            ),
+            st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 6)),
             max_size=60,
         ),
         st.integers(0, 2),
+        st.integers(0, 60),
     )
-    def test_matches_brute_force_scan(self, raw, split_mod):
-        triples = [Triple(*t) for t in raw]
+    def test_partial_queries_match_enumeration(self, raw, split_mod, n_repeated):
+        # Some triples occur twice, in the same split or in two of them.
+        triples = [Triple(*t) for t in raw + raw[:n_repeated]]
         splits = [[], [], []]
         for i, t in enumerate(triples):
             splits[(i + split_mod) % 3].append(t)
-        dataset = Dataset(*splits, vocab=make_vocab(9, 4))
-        index = build_known_index(dataset)
-        universe = set(triples)
-        assert len(index) == len(universe)
-        for h in range(9):
-            for r in range(4):
-                for t in range(9):
-                    expected = Triple(h, r, t) in universe
-                    assert ((h, r, t) in index) == expected
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 6)),
-            max_size=40,
-        )
-    )
-    def test_partial_queries_match_enumeration(self, raw):
-        triples = [Triple(*t) for t in raw]
-        index = KnownIndex(triples)
+        index = build_known_index(Dataset(*splits, vocab=make_vocab(7, 3)))
         universe = set(triples)
         for r in range(3):
-            for t in range(7):
-                expected = {h for h in range(7) if Triple(h, r, t) in universe}
-                assert index.heads(r, t) == expected
+            for e in range(7):
+                assert index.heads(r, e) == {h for h in range(7) if (h, r, e) in universe}
+                assert index.tails(e, r) == {t for t in range(7) if (e, r, t) in universe}
 
 
 @pytest.mark.skipif(

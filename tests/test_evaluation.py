@@ -215,9 +215,7 @@ class TestEvaluate:
         # Test triples 3 and 4 fall in the same chunk and share (rel, tail).
         h, r, t = dataset.test[3]
         test = dataset.test[:4] + [Triple((h + 1) % n, r, t)] + dataset.test[4:]
-        known = build_known_index(dataset)
-        for triple in test:
-            known.add(triple)
+        known = KnownIndex(dataset.train + dataset.valid + test)
         # Three test triples per chunk, so the test set spans several chunks.
         monkeypatch.setattr(evaluation, "_CHUNK_BYTES", 3 * n * 8)
         result = evaluate(params, test, known, workers=3)

@@ -204,7 +204,7 @@ class TestMineMatchesOracle:
 
 class TestClassifyPairs:
     def rule(self, p, inverted, q, conf):
-        return MinedRule(Entailment(p, inverted, q, conf), 10, 10, conf)
+        return Entailment(p, inverted, q, conf)
 
     def test_equivalence_pair(self):
         classes = classify_pairs(

@@ -271,6 +271,8 @@ class TestConfig:
             with pytest.raises(ValueError, match=field):
                 TrainConfig(**{field: float("inf")})
         assert TrainConfig(grad_norm_cap=float("inf")).grad_norm_cap == float("inf")
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            TrainConfig(seed=-1)
 
 
 def fast_config(**overrides) -> TrainConfig:
