@@ -351,6 +351,35 @@ class TestKnownIndex:
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
+            st.tuples(
+                st.integers(0, 8), st.integers(0, 3), st.integers(0, 8)
+            ),
+            max_size=60,
+        ),
+        st.integers(0, 2),
+    )
+    def test_matches_brute_force_scan(self, raw, split_mod):
+        triples = [Triple(*t) for t in raw]
+        splits = [[], [], []]
+        for i, t in enumerate(triples):
+            splits[(i + split_mod) % 3].append(t)
+        dataset = Dataset(*splits, vocab=make_vocab(9, 4))
+        index = build_known_index(dataset)
+        universe = set(triples)
+        n_known = sum(
+            len(index.tails(h, r)) for h in range(9) for r in range(4)
+        )
+        assert n_known == len(universe)
+        for h in range(9):
+            for r in range(4):
+                for t in range(9):
+                    expected = Triple(h, r, t) in universe
+                    assert (t in index.tails(h, r)) == expected
+                    assert (h in index.heads(r, t)) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
             st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 6)),
             max_size=60,
         ),
