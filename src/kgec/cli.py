@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import logging
 import os
 import sys
 from importlib import resources
@@ -27,7 +28,7 @@ from .analysis import (
     write_pair_diagnostics_csv,
     write_purity_csv,
 )
-from .data import build_known_index, load_dataset, load_entailments, load_triples
+from .data import Vocab, build_known_index, load_dataset, load_entailments, load_triples
 from .evaluation import (
     evaluate,
     significance_report,
@@ -39,6 +40,8 @@ from .mining import classify_pairs, mine_entailments, write_rules
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, parse_config, train, write_config, write_training_log
 from .trainer import _FIELD_TYPES, _cast_field
+
+logger = logging.getLogger(__name__)
 
 # Files a training run writes besides manifest.json and config.cfg.
 _RUN_OUTPUTS = ("checkpoint.kgec", "log.csv", "entities.txt", "relations.txt")
@@ -143,12 +146,14 @@ def _grid_key(config: TrainConfig) -> str:
 
 
 def cmd_train(args) -> int:
-    dataset = load_dataset(args.data)
-    ents = load_entailments(args.ents, dataset.vocab) if args.ents else []
     config_path = _resolve_config(args.config) if args.config else None
     config = parse_config(config_path) if config_path else TrainConfig()
     overrides = {"seed": args.seed, "mu": args.mu, "project": False if args.no_projection else None}
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    grid = (read_json(args.grid_file) if args.grid_file else GRID) if args.grid else {}
+    candidates = _grid_configs(config, grid, args.grid_file or "the default grid")
+    dataset = load_dataset(args.data)
+    ents = load_entailments(args.ents, dataset.vocab) if args.ents else []
 
     out_dir = Path(args.out)
     splits = (Path(args.data) / f"{split}.txt" for split in ("train", "valid", "test"))
@@ -168,8 +173,6 @@ def cmd_train(args) -> int:
     # Grid sweep: sequential, resumable through the state file.
     if not dataset.valid:
         raise ValueError(f"{Path(args.data, 'valid.txt')}: --grid needs validation triples")
-    grid = read_json(args.grid_file) if args.grid_file else GRID
-    candidates = _grid_configs(config, grid, args.grid_file or "the default grid")
     out_dir.mkdir(parents=True, exist_ok=True)
     state_path = out_dir / "grid_state.json"
     state = read_json(state_path) if state_path.exists() else {}
@@ -199,9 +202,20 @@ def cmd_train(args) -> int:
 
 
 def _load_model_and_data(args):
-    """The checkpoint and the dataset, which must have the checkpoint's shape."""
-    params, _ = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
+    """The checkpoint and the dataset, which must have the checkpoint's shape,
+    with ids from the vocabulary dumps the sidecar names (found by file name
+    in the checkpoint's directory), or else, with a warning, from the data."""
+    params, sidecar = load_checkpoint(args.checkpoint)
+    keys = ("entity_vocab", "relation_vocab")
+    dumps = [sidecar.get(key) for key in keys] if isinstance(sidecar, dict) else None
+    if dumps is None or any(type(dump) not in (str, type(None)) for dump in dumps):
+        raise ValueError(f"{args.checkpoint}.manifest.json: vocab paths must be strings or null")
+    directory = Path(args.checkpoint).parent
+    vocab = None if None in dumps else Vocab.load(*(directory / Path(dump).name for dump in dumps))
+    if vocab is None:
+        logger.warning("%s: the sidecar names no vocabulary dumps; ids follow the order of first "
+                       "appearance in %s", args.checkpoint, Path(args.data, "train.txt"))
+    dataset = load_dataset(args.data, vocab)
     if dataset.n_entities != params.n_entities or dataset.n_relations != params.n_relations:
         raise ValueError(
             f"{args.checkpoint}: checkpoint shape ({params.n_entities} entities, "

@@ -256,12 +256,6 @@ def load_triples(
     return triples, vocab
 
 
-def write_triples(path: str | Path, triples: Iterable[Triple], vocab: Vocab) -> None:
-    """Write triples back to the TSV format accepted by :func:`load_triples`."""
-    entity, relation = vocab.entities.name, vocab.relations.name
-    write_tsv(path, ((entity(h), relation(r), entity(t)) for h, r, t in triples))
-
-
 def load_entailments(path: str | Path, vocab: Vocab) -> list[Entailment]:
     """Read entailment constraints from a TSV file.
 
@@ -337,15 +331,19 @@ def _warn_unseen(kind: str, id_map: IdMap, n_before: int, split: str) -> None:
         )
 
 
-def load_dataset(directory: str | Path) -> Dataset:
+def load_dataset(directory: str | Path, vocab: Vocab | None = None) -> Dataset:
     """Load train.txt, valid.txt and test.txt from a dataset directory.
 
-    The vocabulary is built from the training split; names that appear only
-    in valid/test still get ids but a warning is logged, since their
-    embeddings cannot be trained. Missing valid/test files yield empty splits.
+    Without ``vocab`` the vocabulary is built from the training split; names
+    that appear only in valid/test still get ids but a warning is logged,
+    since their embeddings cannot be trained. With ``vocab`` (a trained
+    run's dumps) every split is read against it, and a name it lacks raises
+    :class:`VocabularyError` naming the file and line. Missing valid/test
+    files yield empty splits.
     """
     directory = Path(directory)
-    train, vocab = load_triples(directory / "train.txt", None, grow=True)
+    grow = vocab is None
+    train, vocab = load_triples(directory / "train.txt", vocab, grow)
 
     valid: list[Triple] = []
     test: list[Triple] = []
@@ -355,7 +353,7 @@ def load_dataset(directory: str | Path) -> Dataset:
             logger.warning("split file %s is missing; using an empty split", path)
             continue
         n_ent, n_rel = len(vocab.entities), len(vocab.relations)
-        triples, _ = load_triples(path, vocab, grow=True)
+        triples, _ = load_triples(path, vocab, grow)
         out.extend(triples)
         _warn_unseen("entities", vocab.entities, n_ent, name)
         _warn_unseen("relations", vocab.relations, n_rel, name)

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Collection, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .data import KnownIndex, Triple, triple_array
 from .manifest import read_lines, write_csv
@@ -136,7 +136,7 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
     if sd == 0.0:
         return 1.0 if mean == 0.0 else 0.0
     t = mean / (sd / np.sqrt(diff.size))
-    return float(2.0 * stats.t.sf(abs(t), df=diff.size - 1))
+    return float(2.0 * stdtr(diff.size - 1, -abs(t)))  # Student's t CDF: sf(|t|) = cdf(-|t|)
 
 
 def write_metrics_csv(result: EvalResult, path: str | Path) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 from .data import Dataset, Entailment, Triple, build_known_index, triple_array
 from .manifest import atomic_write, read_lines, write_csv
 from .model import ModelParams, init_params, real_view
-from .objective import SparseGrads, _block_rows, _per_block, _sq_norm, loss_and_gradient_arrays
+from .objective import SparseGrads, _block_rows, _per_block, loss_and_gradient_arrays
 from .objective import pack_entailments
 
 logger = logging.getLogger(__name__)
@@ -37,8 +37,8 @@ class TrainConfig:
 
     ``neg_ratio`` is the number of corrupted triples per observed one, ``mu``
     weighs the entailment penalties, ``eta`` the L2 term. ``project=False``
-    disables the box projection (plain unconstrained training); ``l2_full``
-    switches the L2 term from batch-touched rows to all parameters each step.
+    disables the box projection (plain unconstrained training). The L2 term
+    covers the entity and relation rows each batch touches.
     """
 
     d: int = 100
@@ -52,7 +52,6 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 50
     project: bool = True
-    l2_full: bool = False
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -92,8 +91,9 @@ def parse_config(path: str | Path) -> TrainConfig:
     """Read a ``key = value`` config file into a :class:`TrainConfig`.
 
     Lines starting with ``#`` and blank lines are ignored. Keys must match
-    TrainConfig field names; values are cast to the field type. Errors name
-    the file, and the line where there is one.
+    TrainConfig field names; values are cast to the field type. The line
+    ``l2_full = false`` of older configs is skipped. Errors name the file,
+    and the line where there is one.
     """
     values: dict = {}
     for lineno, line in read_lines(path):
@@ -104,6 +104,10 @@ def parse_config(path: str | Path) -> TrainConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key == "l2_full":  # older runs' config.cfg holds it; its false value trains as now
+            if _BOOL_WORDS.get(value.lower()) is False:
+                continue
+            raise ValueError(f"{path}:{lineno}: l2_full = {value}: full-parameter L2 was removed")
         if key not in _FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
@@ -293,8 +297,6 @@ def train(
         raise ValueError("training split is empty")
 
     known = build_known_index(dataset) if dataset.valid else None
-    # With l2_full the L2 term covers every parameter and is added afterwards.
-    batch_eta = 0.0 if config.l2_full else config.eta
 
     best_params: ModelParams | None = None
     best_mrr = -np.inf
@@ -309,10 +311,8 @@ def train(
             corrupt_head, replacement = _corrupt_batch(heads, tails, config.neg_ratio, n, rng)
             breakdown, grads = loss_and_gradient_arrays(
                 params, heads, rels, tails, corrupt_head, replacement,
-                rules, config.mu, batch_eta,
+                rules, config.mu, config.eta,
             )
-            if config.l2_full:
-                breakdown, grads = _with_full_l2(params, breakdown, grads, config.eta)
             if not math.isfinite(breakdown.total):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}: "
@@ -338,17 +338,3 @@ def train(
         log.append(EpochStats(epoch, *sums, valid_mrr))
 
     return (best_params if best_params is not None else params), log
-
-
-def _with_full_l2(params, breakdown, grads, eta):
-    """Add an L2 term over all parameters to the loss and the gradient of the
-    data terms (computed with ``eta=0``); the gradient becomes dense."""
-    ent = 2.0 * eta * params.ent
-    ent[grads.ent_ids] += grads.ent
-    rel = 2.0 * eta * params.rel
-    rel[grads.rel_ids] += grads.rel
-    l2 = _sq_norm(params.ent) + _sq_norm(params.rel)
-    breakdown = dataclasses.replace(breakdown, l2=l2, total=breakdown.total + eta * l2)
-    return breakdown, SparseGrads(
-        np.arange(params.n_entities), ent, np.arange(params.n_relations), rel
-    )

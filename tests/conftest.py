@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import pytest
 
-from kgec.data import Dataset, Triple, Vocab
+from kgec.data import Dataset, Triple, Vocab, write_tsv
 from kgec.model import score_all_tails
 
 
@@ -19,6 +20,12 @@ def make_vocab(n_entities: int, n_relations: int) -> Vocab:
     for k in range(n_relations):
         vocab.relations.add(f"r{k}")
     return vocab
+
+
+def write_triples(path: str | Path, triples: Iterable[Triple], vocab: Vocab) -> None:
+    """Write triples back to the TSV format accepted by ``load_triples``."""
+    entity, relation = vocab.entities.name, vocab.relations.name
+    write_tsv(path, ((entity(h), relation(r), entity(t)) for h, r, t in triples))
 
 
 def triple_scores(params, heads, rels, tails) -> np.ndarray:

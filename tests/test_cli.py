@@ -4,8 +4,11 @@ package surface the README documents."""
 import ast
 import importlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +16,12 @@ import pytest
 
 import kgec
 from kgec.cli import build_parser, main
-from kgec.data import Triple, load_dataset, write_triples, write_tsv
+from kgec.data import Triple, load_dataset, write_tsv
 from kgec.manifest import RunManifest, sha256_file, write_csv
 from kgec.model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from kgec.trainer import EpochStats, write_training_log
 
-from conftest import make_vocab
+from conftest import make_vocab, write_triples
 
 
 @pytest.fixture
@@ -308,6 +311,49 @@ def test_train_rejects_a_negative_seed_before_writing(data_dir, config_file, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, file, message",
+    [
+        (["--seed", "-1"], None, "seed must be non-negative, got -1"),
+        (["--config", "{file}"], "d = 8\nd = 0\n", "{file}: d must be at least 1"),
+        (["--grid", "--grid-file", "{file}"], '{"depth": [2]}', "{file}: unknown grid key 'depth'"),
+        (["--grid", "--grid-file", "{file}"], '{"l2_full": [false]}',
+         "{file}: unknown grid key 'l2_full'"),
+    ],
+    ids=["--seed", "config", "--grid-file", "grid-l2_full"],
+)
+def test_train_checks_its_config_before_loading_the_data(tmp_path, capsys, flags, file, message):
+    # The data directory has no train.txt, so loading first would fail naming it.
+    data, path = tmp_path / "no-data", tmp_path / "input"
+    data.mkdir()
+    if file is not None:
+        path.write_text(file)
+    argv = ["train", "--data", str(data), "--out", str(tmp_path / "run")]
+    assert main(argv + [flag.format(file=path) for flag in flags]) == 1
+    err = capsys.readouterr().err
+    assert message.format(file=path) in err
+    assert "train.txt" not in err
+
+
+def test_a_config_cfg_with_the_legacy_l2_full_line_trains_to_the_same_bytes(
+    data_dir, config_file, tmp_path
+):
+    # config.cfg of runs made before full-parameter L2 was removed ends with it.
+    legacy = tmp_path / "legacy.cfg"
+    legacy.write_text(config_file.read_text() + "project = true\nl2_full = false\n")
+    runs = []
+    for name, config in (("new", config_file), ("legacy", legacy)):
+        runs.append(tmp_path / name)
+        argv = ["train", "--data", str(data_dir), "--config", str(config), "--out", str(runs[-1])]
+        assert main(argv + ["--precision", "64"]) == 0
+    for name in ("checkpoint.kgec", "log.csv", "config.cfg", "entities.txt"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    assert "l2_full" not in (runs[1] / "config.cfg").read_text()
+    legacy.write_text(config_file.read_text() + "l2_full = true\n")
+    argv = ["train", "--data", str(data_dir), "--config", str(legacy), "--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+
+
 def _counting_train(monkeypatch):
     import kgec.cli
 
@@ -541,6 +587,75 @@ def test_eval_corrupt_checkpoint_fails_with_message(data_dir, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_eval_reads_a_checkpoint_with_the_names_it_was_trained_on(
+    data_dir, config_file, tmp_path, capsys
+):
+    run = tmp_path / "run"
+    argv = ["train", "--data", str(data_dir), "--config", str(config_file), "--out", str(run)]
+    assert main(argv) == 0
+    # The same training triples in another order give the names other ids.
+    shuffled = tmp_path / "shuffled"
+    shuffled.mkdir()
+    lines = (data_dir / "train.txt").read_text().splitlines(keepends=True)
+    (shuffled / "train.txt").write_text("".join(reversed(lines)))
+    for name in ("valid.txt", "test.txt"):
+        (shuffled / name).write_bytes((data_dir / name).read_bytes())
+    assert load_dataset(shuffled).vocab != load_dataset(data_dir).vocab
+    # The run directory is moved as a whole; the sidecar still names "run/...".
+    moved = tmp_path / "moved"
+    run.rename(moved)
+    outs = []
+    for data in (data_dir, shuffled):
+        outs.append(tmp_path / f"eval-{data.name}")
+        argv = ["eval", "--data", str(data), "--checkpoint", str(moved / "checkpoint.kgec"),
+                "--out", str(outs[-1]), "--dump-ranks"]
+        assert main(argv) == 0
+    for name in ("metrics.csv", "ranks.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    # A name the dumps lack fails naming the file and line.
+    with open(shuffled / "test.txt", "a") as fh:
+        fh.write("e0\tr0\tstranger\n")
+    n_lines = len((shuffled / "test.txt").read_text().splitlines())
+    capsys.readouterr()
+    argv = ["analyze", "--data", str(shuffled), "--checkpoint", str(moved / "checkpoint.kgec"),
+            "--out", str(tmp_path / "analysis")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{shuffled / 'test.txt'}:{n_lines}: unknown name: 'stranger'" in err
+
+
+@pytest.mark.parametrize(
+    "sidecar", [None, {"checkpoint": "c.kgec"}, {"entity_vocab": "e.txt", "relation_vocab": None}],
+    ids=["missing", "no-keys", "one-null"],
+)
+def test_checkpoint_without_vocab_dumps_warns_and_reads_the_data_order(
+    data_dir, tmp_path, caplog, sidecar
+):
+    path = tmp_path / "c.kgec"
+    save_checkpoint(init_params(12, 3, 4, seed=0), path)
+    sidecar_path = tmp_path / "c.kgec.manifest.json"
+    if sidecar is None:
+        sidecar_path.unlink()
+    else:
+        sidecar_path.write_text(json.dumps(sidecar))
+    argv = ["eval", "--data", str(data_dir), "--checkpoint", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [f"{path}: the sidecar names no vocabulary dumps; ids follow the order "
+                        f"of first appearance in {data_dir / 'train.txt'}"]
+
+
+@pytest.mark.parametrize("sidecar", ['["e.txt"]', '{"entity_vocab": 5, "relation_vocab": "r.txt"}'])
+def test_malformed_sidecar_fails_naming_it(data_dir, tmp_path, capsys, sidecar):
+    path = tmp_path / "c.kgec"
+    save_checkpoint(init_params(12, 3, 4, seed=0), path)
+    (tmp_path / "c.kgec.manifest.json").write_text(sidecar)
+    argv = ["eval", "--data", str(data_dir), "--checkpoint", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{path}.manifest.json: vocab paths must be strings or null" in err
+
+
 @pytest.mark.parametrize("command", ["eval", "analyze"])
 @pytest.mark.parametrize("extra", [5, -5], ids=["larger", "smaller"])
 def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys, command, extra):
@@ -710,6 +825,15 @@ def test_only_objective_imports_concurrent_futures():
             if any(name.split(".")[0] == "concurrent" for name in names):
                 importers.append(path.name)
     assert importers == ["objective.py"]
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats took about half of every subcommand's start-up, --version
+    # included, for one t tail that scipy.special.stdtr gives bit for bit.
+    code = "import sys, kgec.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(kgec.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_manifest_detects_tampered_inputs(tmp_path):

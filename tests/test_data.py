@@ -27,10 +27,9 @@ from kgec.data import (
     load_triples,
     triple_array,
     write_entailments,
-    write_triples,
 )
 
-from conftest import make_vocab, random_dataset, wn18_train_path
+from conftest import make_vocab, random_dataset, wn18_train_path, write_triples
 
 # Each TSV reader with one valid line of its format and its field count.
 TSV_READERS = [

@@ -338,6 +338,22 @@ class TestPairedTTest:
     def test_constant_nonzero_difference(self):
         assert paired_ttest([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]) == 0.0
 
+    def test_p_values_equal_scipy_stats_bit_for_bit(self):
+        # paired_ttest reads the t tail from scipy.special.stdtr, so that no
+        # subcommand pays for importing scipy.stats; the p-values must not move.
+        from scipy import stats
+        from scipy.special import stdtr
+
+        for df in (1, 2, 3, 5, 10, 30, 100, 1_000, 10_000, 118_141):
+            for t in (0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1_000.0):
+                assert 2.0 * stdtr(df, -t) == 2.0 * stats.t.sf(t, df), (df, t)
+        rng = np.random.default_rng(0)
+        for n in (2, 3, 5, 10, 31, 100, 1_000):
+            for shift in (0.0, 0.01, 0.1, 0.5, 2.0, 10.0):
+                diff = rng.normal(shift, 1.0, size=n)
+                t = diff.mean() / (diff.std(ddof=1) / np.sqrt(n))
+                assert paired_ttest(diff, np.zeros(n)) == 2.0 * stats.t.sf(abs(t), df=n - 1)
+
     def test_rejects_mismatched_or_short_input(self):
         with pytest.raises(ValueError):
             paired_ttest([1.0, 2.0], [1.0])

@@ -238,12 +238,6 @@ class TestClassifyPairs:
         classes = classify_pairs([self.rule(0, True, 0, 0.9)], thresh=0.8)
         assert classes.inversion == [(0, 0)]
 
-    def test_accepts_plain_entailments(self):
-        classes = classify_pairs(
-            [Entailment(0, False, 1, 0.9), Entailment(1, False, 0, 0.9)], thresh=0.8
-        )
-        assert classes.equivalence == [(0, 1)]
-
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             classify_pairs([], thresh=1.0)

@@ -18,7 +18,7 @@ from kgec.objective import (
     rule_penalty,
     softplus,
 )
-from kgec.trainer import _corrupt_batch, _with_full_l2
+from kgec.trainer import _corrupt_batch
 
 from conftest import triple_scores
 from oracles import (
@@ -323,7 +323,7 @@ def kernel_instances(draw):
     mu = draw(st.sampled_from([0.0, 0.1, 10.0]))
     eta = draw(st.sampled_from([0.0, 0.03]))
     batch = (heads, rels, tails, corrupt_head, replacement)
-    return params, batch, pack_entailments(rules), mu, eta, draw(st.booleans())
+    return params, batch, pack_entailments(rules), mu, eta
 
 
 def assert_close(got, want, name):
@@ -337,18 +337,9 @@ class TestScatterKernel:
     @settings(max_examples=300, deadline=None)
     @given(kernel_instances())
     def test_matches_scatter_oracle(self, instance):
-        params, batch, rules, mu, eta, l2_full = instance
-        results = []
-        for kernel, args in (
-            (loss_and_gradient_arrays, batch),
-            (oracle_scatter_gradients, labelled_batch(*batch)),
-        ):
-            if l2_full:
-                terms = kernel(params, *args, rules, mu, 0.0)
-                results.append(_with_full_l2(params, *terms, eta))
-            else:
-                results.append(kernel(params, *args, rules, mu, eta))
-        (got_loss, got), (want_loss, want) = results
+        params, batch, rules, mu, eta = instance
+        got_loss, got = loss_and_gradient_arrays(params, *batch, rules, mu, eta)
+        want_loss, want = oracle_scatter_gradients(params, *labelled_batch(*batch), rules, mu, eta)
         assert got_loss.entailment_penalty == want_loss.entailment_penalty
         assert got_loss.l2 == want_loss.l2
         for name in ("logistic", "total"):
@@ -412,7 +403,7 @@ class TestBlockedKernel:
     def test_matches_row_buffer_oracle_exactly(self, instance, block_bytes):
         # Small block sizes split the scoring and the L2 term into many
         # blocks. Only l2's sum is regrouped, and only across blocks.
-        params, batch, rules, mu, eta, _ = instance
+        params, batch, rules, mu, eta = instance
         want_loss, want = oracle_row_buffer_kernel(params, *batch, rules, mu, eta)
         with mock.patch.object(kgec.objective, "_BLOCK_BYTES", block_bytes):
             got_loss, got = loss_and_gradient_arrays(params, *batch, rules, mu, eta)

@@ -2,6 +2,7 @@
 
 import logging
 import os
+import re
 import time
 
 import numpy as np
@@ -249,6 +250,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="maybe"):
             parse_config(path)
 
+    @pytest.mark.parametrize("word", ["false", "False", "0", "no"])
+    def test_skips_the_legacy_l2_full_false_line(self, tmp_path, word):
+        # Every config.cfg written before full-parameter L2 was removed holds it.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"d = 16\nl2_full = {word}\nseed = 3\n")
+        assert parse_config(path) == TrainConfig(d=16, seed=3)
+
+    @pytest.mark.parametrize("word", ["true", "1", "maybe", ""])
+    def test_rejects_any_other_l2_full_value_naming_the_line(self, tmp_path, word):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"d = 16\nl2_full = {word}\n")
+        message = f"{path}:2: l2_full = {word}: full-parameter L2 was removed"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(path)
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\n\nd = 16\nlr = 0.2\n")
@@ -392,61 +408,6 @@ class TestTrain:
         dataset = tiny_kg(n_relations=2)
         with pytest.raises(ValueError, match="unknown relation"):
             train(dataset, [Entailment(premise, False, conclusion, 0.9)], fast_config(max_iters=1))
-
-    def test_full_l2_gradients_match_finite_differences(self):
-        from kgec.objective import loss_and_gradient_arrays
-        from kgec.trainer import _with_full_l2
-        from oracles import central_difference
-
-        rng = np.random.default_rng(6)
-        params = init_params(5, 3, 3, seed=2)
-        params.re_r[:] = rng.normal(size=params.re_r.shape)
-        params.im_r[:] = rng.normal(size=params.im_r.shape)
-        heads = np.array([0, 1, 2])
-        rels = np.array([0, 1, 0])
-        tails = np.array([1, 2, 3])
-        corrupt_head = np.array([[True], [False], [False]])
-        replacement = np.array([[4], [0], [1]])
-        eta = 0.05
-        no_rules = pack_entailments([])
-
-        def full_l2_kernel():
-            data_terms = loss_and_gradient_arrays(
-                params, heads, rels, tails, corrupt_head, replacement, no_rules, 0.0, 0.0
-            )
-            return _with_full_l2(params, *data_terms, eta)
-
-        breakdown, grads = full_l2_kernel()
-        assert breakdown.l2 == pytest.approx(
-            np.sum(params.re_e**2 + params.im_e**2) + np.sum(params.re_r**2 + params.im_r**2),
-            abs=1e-12,
-        )
-        exact = np.vdot(params.ent, params.ent).real + np.vdot(params.rel, params.rel).real
-        assert breakdown.l2 == exact
-
-        def loss():
-            return full_l2_kernel()[0].total
-
-        for matrix, grad in (
-            (params.re_e, grads.ent.real),
-            (params.im_e, grads.ent.imag),
-            (params.re_r, grads.rel.real),
-            (params.im_r, grads.rel.imag),
-        ):
-            for row in range(matrix.shape[0]):
-                for col in range(matrix.shape[1]):
-                    fd = central_difference(loss, matrix, row, col)
-                    assert grad[row, col] == pytest.approx(fd, abs=1e-6)
-
-    def test_full_l2_training_runs_and_logs_full_sum(self):
-        # Batches of ~5 positives cannot touch all 30 entities, so the
-        # full-parameter L2 sum must exceed the batch-local one.
-        dataset = tiny_kg(n_entities=30, n_triples=40, seed=2)
-        config = fast_config(max_iters=3, n_batches=8)
-        _, log_full = train(dataset, [], TrainConfig(**{**config.__dict__, "l2_full": True}))
-        _, log_local = train(dataset, [], config)
-        assert np.isfinite(log_full[-1].l2)
-        assert log_full[0].l2 > log_local[0].l2
 
     def test_log_csv_round_trip(self, tmp_path):
         rows = [EpochStats(1, 1.0, 0.5, 0.25, 1.53, None), EpochStats(2, 0.9, 0.4, 0.2, 1.31, 0.75)]
