@@ -41,7 +41,7 @@ from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, parse_config, train, write_config, write_training_log
 from .trainer import _FIELD_TYPES, _cast_field
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("kgec.cli")  # not "__main__" under python -m kgec.cli
 
 # Files a training run writes besides manifest.json and config.cfg.
 _RUN_OUTPUTS = ("checkpoint.kgec", "log.csv", "entities.txt", "relations.txt")
@@ -146,6 +146,8 @@ def _grid_key(config: TrainConfig) -> str:
 
 
 def cmd_train(args) -> int:
+    if args.grid_file and not args.grid:
+        raise ValueError("--grid-file needs --grid")
     config_path = _resolve_config(args.config) if args.config else None
     config = parse_config(config_path) if config_path else TrainConfig()
     overrides = {"seed": args.seed, "mu": args.mu, "project": False if args.no_projection else None}
@@ -365,11 +367,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler = logging.StreamHandler(sys.stderr)  # the package's warnings, named like errors
+    handler.setFormatter(logging.Formatter(f"kgec {args.command}: warning: %(message)s"))
+    logging.getLogger("kgec").addHandler(handler)
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"kgec {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logging.getLogger("kgec").removeHandler(handler)
 
 
 if __name__ == "__main__":

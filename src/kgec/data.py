@@ -7,26 +7,24 @@ File formats (all UTF-8, tab-separated):
                 may carry the suffix ``^-1`` to mark an inverted premise
   vocab dumps:  one name per line, the line number is the id
 
-Two bulk loops, the line loop of :func:`load_triples` and the fill loop of
-:class:`KnownIndex`, run with the cyclic garbage collector paused.
-What they make holds no cycles, but the collector tracks it for good:
-``Triple`` named tuples (it untracks only exact tuples) and sets, about 151k
-and 237k of them for a WN18-shaped dataset. Unpaused, the growing heap set
-off collection after collection, full ones among them, each rescanning what
-was loaded so far. The paused allocations still count, so one young
-collection follows each loop.
+The line loop of :func:`load_triples` runs with the cyclic garbage collector
+paused. The ``Triple`` named tuples it makes, about 151k for a WN18-shaped
+dataset, hold no cycles, but the collector tracks them for good (it untracks
+only exact tuples). Unpaused, the growing heap set off collection after
+collection, each rescanning what was loaded so far. The paused allocations
+still count, so one young collection follows the loop. The filter's
+:class:`KnownIndex` holds sorted int64 arrays, no object per triple.
 """
 
 from __future__ import annotations
 
 import gc
 import logging
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +33,6 @@ from .manifest import atomic_write, read_lines
 logger = logging.getLogger(__name__)
 
 _INVERSE_SUFFIX = "^-1"
-_NONE: frozenset[int] = frozenset()  # the answer to a partial key with no triples
 
 
 @contextmanager
@@ -321,14 +318,8 @@ def _warn_unseen(kind: str, id_map: IdMap, n_before: int, split: str) -> None:
     n_new = len(id_map) - n_before
     if n_new > 0:
         sample = [id_map.name(i) for i in range(n_before, min(n_before + 5, len(id_map)))]
-        logger.warning(
-            "%d %s in the %s split do not appear in train (embeddings will be "
-            "untrained), e.g. %s",
-            n_new,
-            kind,
-            split,
-            ", ".join(repr(s) for s in sample),
-        )
+        logger.warning("%d %s in the %s split do not appear in train (embeddings will be untrained), e.g. %s",
+                       n_new, kind, split, ", ".join(repr(s) for s in sample))
 
 
 def load_dataset(directory: str | Path, vocab: Vocab | None = None) -> Dataset:
@@ -367,31 +358,45 @@ def load_dataset(directory: str | Path, vocab: Vocab | None = None) -> Dataset:
 class KnownIndex:
     """Index of all known triples for the filter, built once and then only read.
 
-    The constructor is the only writer, so threads may share an index. The
-    two partial-key lookups, :meth:`heads` and :meth:`tails`, are its whole
-    interface; a triple (h, r, t) is known if ``t in index.tails(h, r)``.
-    Duplicate triples are collapsed: the index is a set by definition.
-    Lookups return the index's own sets, read-only, and never add a key.
+    Threads may share it; :meth:`heads` and :meth:`tails` are its whole
+    interface, and duplicate triples collapse. With n entities and m
+    relations (one past the largest ids), a triple (h, r, t) has two keys
+    ((s*m + r)*n + e)*n + p: s, e, p = 0, h, t for the tail side and 1, t, h
+    for the head side. The keys sit sorted, stored as their quotient and
+    remainder by n, so the partners p of a query (s, r, e) are one run, found
+    by two binary searches; an id outside the index's range finds none.
     """
 
-    def __init__(self, triples: Iterable[Triple] = ()):
-        self._heads: dict[tuple[int, int], set[int]] = defaultdict(set)
-        self._tails: dict[tuple[int, int], set[int]] = defaultdict(set)
-        heads, tails = self._heads, self._tails
-        with _gc_paused():
-            for head, rel, tail in triples:
-                tails[(head, rel)].add(tail)
-                heads[(rel, tail)].add(head)
+    def __init__(self, triples: Iterable[Triple] | np.ndarray = ()):
+        array = triple_array(triples if isinstance(triples, np.ndarray) else list(triples))
+        heads, rels, tails = array.T
+        self._n = n = int(array[:, ::2].max(initial=-1)) + 1
+        self._m = m = int(rels.max(initial=-1)) + 1
+        if array.min(initial=0) < 0 or 2 * m * n * n >= 2**63:
+            raise ValueError(f"triple ids must be non-negative and fit int64 keys ({n} entities, {m} relations)")
+        keys = np.sort(np.concatenate([(rels * n + heads) * n + tails, ((m + rels) * n + tails) * n + heads]))
+        self._queries, self._partners = np.divmod(keys[np.diff(keys, prepend=-1) != 0], max(n, 1))
 
-    def heads(self, rel: int, tail: int) -> AbstractSet[int]:
-        """Entity ids h such that (h, rel, tail) is a known triple (read-only)."""
-        return self._heads.get((rel, tail), _NONE)
+    def _find(self, side: int, rels, entities) -> tuple[np.ndarray, np.ndarray]:
+        """The partners of the queries (side, rels[i], entities[i]), as :meth:`tails` returns them."""
+        r, e = np.asarray(rels, dtype=np.int64), np.asarray(entities, dtype=np.int64)
+        query = (side * self._m + r) * self._n + e  # a key's quotient by n; -1 matches no key
+        query[(e.view(np.uint64) >= self._n) | (r.view(np.uint64) >= self._m)] = -1  # uint64: negatives fail
+        lo = self._queries.searchsorted(query)  # array methods: a chunk's lookup is small, calls dominate
+        found = self._queries.searchsorted(query, "right") - lo
+        starts = (lo - found.cumsum() + found).repeat(found)
+        return found, self._partners[starts + np.arange(starts.size)]
 
-    def tails(self, head: int, rel: int) -> AbstractSet[int]:
-        """Entity ids t such that (head, rel, t) is a known triple (read-only)."""
-        return self._tails.get((head, rel), _NONE)
+    def heads(self, rels, tails) -> tuple[np.ndarray, np.ndarray]:
+        """The ids h with (h, rels[i], tails[i]) known, for each query i, as :meth:`tails` returns them."""
+        return self._find(1, rels, tails)
+
+    def tails(self, heads, rels) -> tuple[np.ndarray, np.ndarray]:
+        """The ids t with (heads[i], rels[i], t) known, for each query i, as
+        ``(counts, ids)``: query i's ids are the next ``counts[i]`` of ``ids``, ascending."""
+        return self._find(0, rels, heads)
 
 
 def build_known_index(dataset: Dataset) -> KnownIndex:
     """Index the union of train, valid, and test for filtered ranking."""
-    return KnownIndex(chain(dataset.train, dataset.valid, dataset.test))
+    return KnownIndex(np.concatenate([triple_array(s) for s in (dataset.train, dataset.valid, dataset.test)]))

@@ -2,21 +2,20 @@
 significance testing between runs.
 
 Test triples are ranked in chunks, spread by ``objective._per_block`` over
-at most ``workers`` parts on its thread pool. Each side of a chunk is scored
-against every entity with one matrix product and ranked with one vectorised
-comparison. Ranks are "optimistic": only candidates scoring strictly higher
-than the gold entity count, which makes the result independent of candidate
-enumeration order. Corrupted candidates that are known true triples are
-removed, except the gold triple itself.
+at most ``workers`` parts on its thread pool. Each side of a chunk takes its
+filter from one batched ``KnownIndex`` lookup, is scored against every entity
+with one matrix product and is ranked with one vectorised comparison. Ranks
+are "optimistic": only candidates scoring strictly higher than the gold
+entity count, so they do not depend on candidate order. Candidates that
+form known triples are removed, except the gold entity itself.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import stdtr
@@ -45,27 +44,27 @@ class EvalResult:
 
 
 def rank_from_scores(
-    scores: np.ndarray,
-    gold: Sequence[int],
-    filtered: Sequence[Collection[int]] | None = None,
+    scores: np.ndarray, gold: Sequence[int], filtered: tuple | None = None, *, check: bool = True
 ) -> np.ndarray:
     """Optimistic filtered ranks of a batch of gold candidates, as a (B,) array.
 
     Row i of the (B, n) ``scores`` scores every candidate of query i, whose
-    gold id is ``gold[i]`` and whose removed candidate ids are
-    ``filtered[i]``. Its rank counts the candidates scoring strictly higher
-    than the gold one, after removing the filtered ids. The gold entity itself
-    never competes and is never filtered out. ``scores`` is not modified.
-    Raises IndexError unless every gold and filtered id indexes a column.
+    gold id is ``gold[i]`` and whose removed candidate ids are the next
+    ``counts[i]`` ids of the pair ``filtered = (counts, ids)``, as
+    :class:`KnownIndex` lookups return it. Its rank counts the candidates
+    scoring strictly higher than the gold one, after removing the filtered
+    ids. The gold entity itself never competes and is never filtered out.
+    ``scores`` is not modified. Raises IndexError unless every gold and
+    filtered id indexes a column or ``check`` is False.
     """
     rows = np.arange(len(scores))
     gold = np.asarray(gold, dtype=np.int64)
-    filtered = [()] * len(rows) if filtered is None else filtered
-    sizes = [len(ids) for ids in filtered]
-    cols = np.fromiter(chain.from_iterable(filtered), dtype=np.int64, count=sum(sizes))
-    _check_ids(np.concatenate([gold, cols]), scores.shape[1], "entity")
+    counts, cols = filtered if filtered is not None else (0, ())
+    cols = np.asarray(cols, dtype=np.int64)
+    if check:
+        _check_ids(np.concatenate([gold, cols]), scores.shape[1], "entity")
     competing = scores > scores[rows, gold][:, None]
-    competing[np.repeat(rows, sizes), cols] = False
+    competing[rows.repeat(counts), cols] = False
     competing[rows, gold] = False
     return 1 + np.count_nonzero(competing, axis=1)
 
@@ -100,14 +99,15 @@ def evaluate(
     per_chunk = max(1, _CHUNK_BYTES // (params.n_entities * params.ent.real.itemsize))
 
     def rank_chunk(a: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """Head and tail ranks of triples ``a:e``: one scoring and one ranking call a side."""
-        heads, rels, tails = columns = triples[a:e].T
-        h, r, t = columns.tolist()
-        head_filter = list(map(known.heads, r, t))
-        tail_filter = list(map(known.tails, h, r))
+        """Head and tail ranks of triples ``a:e``; each id vector is checked once."""
+        heads, rels, tails = triples[a:e].T
+        head_filter, tail_filter = known.heads(rels, tails), known.tails(heads, rels)
+        _check_ids(rels, params.n_relations, "relation")
+        entities = np.concatenate([tails, heads, head_filter[1], tail_filter[1]])
+        _check_ids(entities, params.n_entities, "entity")
         return (
-            rank_from_scores(score_all_heads(params, rels, tails), heads, head_filter),
-            rank_from_scores(score_all_tails(params, heads, rels), tails, tail_filter),
+            rank_from_scores(score_all_heads(params, rels, tails, check=False), heads, head_filter, check=False),
+            rank_from_scores(score_all_tails(params, heads, rels, check=False), tails, tail_filter, check=False),
         )
 
     chunks = _per_block(rank_chunk, len(triples), per_chunk, parts=workers)

@@ -114,17 +114,3 @@ class RunManifest:
         with atomic_write(path, encoding="utf-8") as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RunManifest":
-        return cls(**read_json(path))
-
-    def verify_inputs(self) -> None:
-        """Recompute input hashes; raise ValueError on any mismatch."""
-        for path, recorded in self.inputs.items():
-            actual = sha256_file(path)
-            if actual != recorded:
-                raise ValueError(
-                    f"input {path} changed since the manifest was written "
-                    f"(recorded {recorded[:12]}, found {actual[:12]})"
-                )

@@ -147,22 +147,24 @@ def _check_ids(ids, count: int, kind: str) -> None:
             raise IndexError(f"{kind} id {lo if lo < 0 else hi} out of range [0, {count})")
 
 
-def score_all_heads(params: ModelParams, rel, tail) -> np.ndarray:
+def score_all_heads(params: ModelParams, rel, tail, *, check: bool = True) -> np.ndarray:
     """Scores of (e, rel, tail) for every entity e, from one matrix product: an
     (n,) vector for scalar ids, a (B, n) matrix for B-long id arrays. Raises
-    IndexError unless every id is in range."""
-    _check_ids(rel, params.n_relations, "relation")
-    _check_ids(tail, params.n_entities, "entity")
+    IndexError unless every id is in range or ``check`` is False."""
+    if check:
+        _check_ids(rel, params.n_relations, "relation")
+        _check_ids(tail, params.n_entities, "entity")
     partial = head_partial(params.rel[rel], params.ent[tail])
     return real_view(partial) @ real_view(params.ent).T
 
 
-def score_all_tails(params: ModelParams, head, rel) -> np.ndarray:
+def score_all_tails(params: ModelParams, head, rel, *, check: bool = True) -> np.ndarray:
     """Scores of (head, rel, e) for every entity e, from one matrix product: an
     (n,) vector for scalar ids, a (B, n) matrix for B-long id arrays. Raises
-    IndexError unless every id is in range."""
-    _check_ids(head, params.n_entities, "entity")
-    _check_ids(rel, params.n_relations, "relation")
+    IndexError unless every id is in range or ``check`` is False."""
+    if check:
+        _check_ids(head, params.n_entities, "entity")
+        _check_ids(rel, params.n_relations, "relation")
     partial = tail_partial(params.ent[head], params.rel[rel])
     return real_view(partial) @ real_view(params.ent).T
 
@@ -231,7 +233,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         if size != expected:
             problem = "truncated" if size < expected else "has trailing bytes"
             raise ValueError(f"{path}: checkpoint {problem}: {size} bytes, header implies {expected}")
-        values = np.frombuffer(fh.read(), dtype=dtype)
+        values = np.fromfile(fh, dtype=dtype, count=2 * (n + m) * d)  # into one array, no bytes copy
     # min and max propagate NaN, and need no temporary array.
     if values.size and not np.isfinite([values.min(), values.max()]).all():
         raise ValueError(f"{path}: checkpoint holds NaN or infinite values")

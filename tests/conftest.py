@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kgec.data import Dataset, Triple, Vocab, write_tsv
+from kgec.manifest import RunManifest, read_json, sha256_file
 from kgec.model import score_all_tails
 
 
@@ -26,6 +27,22 @@ def write_triples(path: str | Path, triples: Iterable[Triple], vocab: Vocab) -> 
     """Write triples back to the TSV format accepted by ``load_triples``."""
     entity, relation = vocab.entities.name, vocab.relations.name
     write_tsv(path, ((entity(h), relation(r), entity(t)) for h, r, t in triples))
+
+
+def load_manifest(path: str | Path) -> RunManifest:
+    """Read a run manifest written by ``RunManifest.write``."""
+    return RunManifest(**read_json(path))
+
+
+def verify_inputs(manifest: RunManifest) -> None:
+    """Recompute the manifest's input hashes; raise ValueError on any mismatch."""
+    for path, recorded in manifest.inputs.items():
+        actual = sha256_file(path)
+        if actual != recorded:
+            raise ValueError(
+                f"input {path} changed since the manifest was written "
+                f"(recorded {recorded[:12]}, found {actual[:12]})"
+            )
 
 
 def triple_scores(params, heads, rels, tails) -> np.ndarray:

@@ -50,11 +50,11 @@ def oracle_filtered_rank(params, triple, side: str, known) -> int:
     if side == "head":
         gold = head
         scores = {e: oracle_score(params, e, rel, tail) for e in range(n)}
-        filtered = known.heads(rel, tail)
+        filtered = set(known.heads([rel], [tail])[1].tolist())
     else:
         gold = tail
         scores = {e: oracle_score(params, head, rel, e) for e in range(n)}
-        filtered = known.tails(head, rel)
+        filtered = set(known.tails([head], [rel])[1].tolist())
     gold_score = scores[gold]
     kept = sorted(
         (s for e, s in scores.items() if e != gold and e not in filtered),

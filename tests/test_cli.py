@@ -4,6 +4,7 @@ package surface the README documents."""
 import ast
 import importlib
 import json
+import logging
 import os
 import re
 import shlex
@@ -21,7 +22,7 @@ from kgec.manifest import RunManifest, sha256_file, write_csv
 from kgec.model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from kgec.trainer import EpochStats, write_training_log
 
-from conftest import make_vocab, write_triples
+from conftest import load_manifest, make_vocab, verify_inputs, write_triples
 
 
 @pytest.fixture
@@ -93,8 +94,8 @@ def test_train_eval_analyze_significance_pipeline(data_dir, config_file, tmp_pat
     assert ckpt.exists()
     assert (run_dir / "log.csv").exists()
     assert (run_dir / "entities.txt").exists()
-    manifest = RunManifest.load(run_dir / "manifest.json")
-    manifest.verify_inputs()
+    manifest = load_manifest(run_dir / "manifest.json")
+    verify_inputs(manifest)
     assert manifest.command == "train"
     assert str(ckpt) in manifest.outputs
 
@@ -212,7 +213,7 @@ def test_train_mu_and_projection_flags(data_dir, config_file, tmp_path):
         ]
     )
     assert code == 0
-    manifest = RunManifest.load(out / "manifest.json")
+    manifest = load_manifest(out / "manifest.json")
     assert manifest.config["mu"] == 0
     assert manifest.config["project"] is False
     params, sidecar = load_checkpoint(out / "checkpoint.kgec")
@@ -273,7 +274,7 @@ def test_grid_values_are_cast_as_in_a_config_file(data_dir, config_file, tmp_pat
             "--grid", "--grid-file", str(grid_file), "--out", str(out)]
     assert main(argv) == 0
     assert "project = false\n" in (out / "config.cfg").read_text()
-    assert RunManifest.load(out / "manifest.json").config["project"] is False
+    assert load_manifest(out / "manifest.json").config["project"] is False
     params, _ = load_checkpoint(out / "checkpoint.kgec")
     assert params.re_e.min() < 0 or params.re_e.max() > 1
 
@@ -287,9 +288,11 @@ def test_grid_without_validation_split_fails_before_training(
             "--grid", "--out", str(tmp_path / "grid")]
     assert main(argv) == 1
     assert calls == []
-    err = capsys.readouterr().err
-    assert f"{data_dir / 'valid.txt'}: --grid needs validation triples" in err
-    assert len(err.strip().splitlines()) == 1
+    # The missing split's warning, then the one error line.
+    assert capsys.readouterr().err.splitlines() == [
+        f"kgec train: warning: split file {data_dir / 'valid.txt'} is missing; using an empty split",
+        f"kgec train: error: {data_dir / 'valid.txt'}: --grid needs validation triples",
+    ]
 
 
 @pytest.mark.parametrize("source", ["--seed", "config", "--grid-file"])
@@ -645,6 +648,39 @@ def test_checkpoint_without_vocab_dumps_warns_and_reads_the_data_order(
                         f"of first appearance in {data_dir / 'train.txt'}"]
 
 
+def test_warnings_reach_stderr_named_by_the_command(data_dir, tmp_path, capsys):
+    path = tmp_path / "c.kgec"
+    save_checkpoint(init_params(12, 3, 4, seed=0), path)
+    assert json.loads((tmp_path / "c.kgec.manifest.json").read_text())["entity_vocab"] is None
+    warning = (f"kgec eval: warning: {path}: the sidecar names no vocabulary dumps; ids follow "
+               f"the order of first appearance in {data_dir / 'train.txt'}")
+    outs = []
+    for run in range(2):  # one handler a call, removed after it: the line is not repeated
+        argv = ["eval", "--data", str(data_dir), "--checkpoint", str(path), "--out", str(tmp_path / f"e{run}")]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [warning]
+        outs.append(out)
+    assert outs[0] == outs[1] and outs[0].startswith("mrr ")
+    assert logging.getLogger("kgec").handlers == []
+    # Run as a module, the CLI's own warning still takes the prefix.
+    env = dict(os.environ, PYTHONPATH=str(Path(kgec.__file__).resolve().parents[1]))
+    child = subprocess.run([sys.executable, "-m", "kgec.cli", *argv], env=env, capture_output=True, text=True)
+    assert child.returncode == 0 and child.stderr.splitlines() == [warning] and child.stdout == outs[0]
+
+
+def test_grid_file_without_grid_fails_before_loading(data_dir, tmp_path, capsys, monkeypatch):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps({"d": [4]}))
+    loads = []
+    monkeypatch.setattr("kgec.cli.load_dataset", lambda *args: loads.append(args))
+    out = tmp_path / "out"
+    argv = ["train", "--data", str(data_dir), "--grid-file", str(grid_file), "--out", str(out)]
+    assert main(argv) == 1
+    assert loads == [] and not out.exists()
+    assert capsys.readouterr().err == "kgec train: error: --grid-file needs --grid\n"
+
+
 @pytest.mark.parametrize("sidecar", ['["e.txt"]', '{"entity_vocab": 5, "relation_vocab": "r.txt"}'])
 def test_malformed_sidecar_fails_naming_it(data_dir, tmp_path, capsys, sidecar):
     path = tmp_path / "c.kgec"
@@ -664,9 +700,10 @@ def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys,
     save_checkpoint(init_params(n_entities + extra, 3, 4, seed=0), path)
     argv = [command, "--data", str(data_dir), "--checkpoint", str(path), "--out", str(tmp_path / "out")]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert f"{path}: checkpoint shape ({n_entities + extra} entities, 3 relations)" in err
-    assert len(err.strip().splitlines()) == 1
+    # The null-sidecar warning, then the one error line.
+    warning, error = capsys.readouterr().err.splitlines()
+    assert warning.startswith(f"kgec {command}: warning: {path}: the sidecar names no vocabulary dumps")
+    assert error.startswith(f"kgec {command}: error: {path}: checkpoint shape ({n_entities + extra} entities, 3 relations)")
 
 
 @pytest.mark.parametrize(
@@ -842,11 +879,11 @@ def test_manifest_detects_tampered_inputs(tmp_path):
     manifest = RunManifest.create("train", "0.1.0", 7, {"d": 4}, [source], [])
     path = tmp_path / "manifest.json"
     manifest.write(path)
-    loaded = RunManifest.load(path)
-    loaded.verify_inputs()
+    loaded = load_manifest(path)
+    verify_inputs(loaded)
     source.write_text("tampered\n")
     with pytest.raises(ValueError, match="changed"):
-        loaded.verify_inputs()
+        verify_inputs(loaded)
 
 
 def test_subcommands_do_not_modify_inputs(data_dir, config_file, tmp_path):

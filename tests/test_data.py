@@ -4,6 +4,7 @@ import contextlib
 import gc
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,17 +259,17 @@ class TestCollectorPause:
             return starts, dataset, known
 
         starts, dataset, known = load_and_index()
-        # Each of the four paused loops (three splits, one index) leaves its
-        # allocations counted, so one young collection starts at the first
-        # allocation after the loop ends; none starts while a loop runs.
-        assert len(starts) <= 4 and set(starts) <= {0}, f"generations collected: {starts}"
+        # Each of the three paused loops (one per split) leaves its allocations
+        # counted, so one young collection starts at the first allocation
+        # after the loop ends; none starts while a loop runs. The index is
+        # built from arrays and makes no tracked objects per triple.
+        assert len(starts) <= 3 and set(starts) <= {0}, f"generations collected: {starts}"
 
         monkeypatch.setattr("kgec.data._gc_paused", contextlib.nullcontext)
         starts_on, dataset_on, known_on = load_and_index()
         assert len(starts_on) > 4 * len(starts), "too few triples to make the collector run"
         assert dataset == dataset_on
-        assert known._heads == known_on._heads
-        assert known._tails == known_on._tails
+        assert lookups(known, 2_000, 10) == lookups(known_on, 2_000, 10)
 
 
 class TestEntailments:
@@ -321,6 +322,28 @@ class TestEntailments:
         assert load_entailments(path, vocab) == ents
 
 
+def split_ids(counts, ids) -> list[set[int]]:
+    """The per-query id sets of a ``(counts, ids)`` lookup result."""
+    assert counts.sum() == ids.size
+    parts = np.split(ids, np.cumsum(counts)[:-1]) if len(counts) else []
+    assert all(np.all(np.diff(part) > 0) for part in parts), "ids ascend within a query"
+    return [set(part.tolist()) for part in parts]
+
+
+def lookups(index, n, m) -> tuple[list[set[int]], list[set[int]]]:
+    """Every heads(r, e) and tails(e, r) answer for e < n and r < m, batched."""
+    e, r = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(m)))
+    return split_ids(*index.heads(r, e)), split_ids(*index.tails(e, r))
+
+
+def enumerated(universe, n, m) -> tuple[list[set[int]], list[set[int]]]:
+    """What :func:`lookups` must return for the triple set ``universe``."""
+    e, r = (a.ravel().tolist() for a in np.meshgrid(np.arange(n), np.arange(m)))
+    heads = [{h for h in range(n) if (h, r_, e_) in universe} for e_, r_ in zip(e, r)]
+    tails = [{t for t in range(n) if (e_, r_, t) in universe} for e_, r_ in zip(e, r)]
+    return heads, tails
+
+
 class TestKnownIndex:
     def test_membership_and_partial_queries(self):
         dataset = Dataset(
@@ -330,22 +353,21 @@ class TestKnownIndex:
             vocab=make_vocab(3, 1),
         )
         index = build_known_index(dataset)
-        assert 1 in index.tails(0, 0)
-        assert 1 in index.tails(2, 0)
-        assert 0 not in index.tails(1, 0)
-        assert index.heads(0, 1) == {0, 2}
-        assert index.tails(0, 0) == {1}
-        assert index.tails(1, 0) == set()
+        assert split_ids(*index.tails([0, 2, 1], [0, 0, 0])) == [{1}, {1}, set()]
+        assert split_ids(*index.heads([0, 0], [1, 0])) == [{0, 2}, set()]
 
     def test_empty_dataset(self):
         index = build_known_index(Dataset([], [], [], make_vocab(0, 0)))
-        assert index.heads(0, 0) == set()
-        assert index.tails(0, 0) == set()
+        for lookup in (index.heads, index.tails):
+            counts, ids = lookup([0, 1], [0, 0])
+            assert counts.tolist() == [0, 0] and ids.size == 0
+            counts, ids = lookup([], [])
+            assert counts.size == 0 and ids.size == 0
 
     def test_duplicates_collapse(self):
         index = KnownIndex([Triple(0, 0, 1), Triple(0, 0, 1)])
-        assert index.tails(0, 0) == {1}
-        assert index.heads(0, 1) == {0}
+        assert split_ids(*index.tails([0], [0])) == [{1}]
+        assert split_ids(*index.heads([0], [1])) == [{0}]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -365,16 +387,14 @@ class TestKnownIndex:
         dataset = Dataset(*splits, vocab=make_vocab(9, 4))
         index = build_known_index(dataset)
         universe = set(triples)
-        n_known = sum(
-            len(index.tails(h, r)) for h in range(9) for r in range(4)
-        )
-        assert n_known == len(universe)
+        heads, tails = lookups(index, 9, 4)
+        assert sum(map(len, tails)) == sum(map(len, heads)) == len(universe)
         for h in range(9):
             for r in range(4):
                 for t in range(9):
                     expected = Triple(h, r, t) in universe
-                    assert (t in index.tails(h, r)) == expected
-                    assert (h in index.heads(r, t)) == expected
+                    assert (t in tails[r * 9 + h]) == expected
+                    assert (h in heads[r * 9 + t]) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -392,11 +412,78 @@ class TestKnownIndex:
         for i, t in enumerate(triples):
             splits[(i + split_mod) % 3].append(t)
         index = build_known_index(Dataset(*splits, vocab=make_vocab(7, 3)))
+        assert lookups(index, 7, 3) == enumerated(set(triples), 7, 3)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batched_lookups_match_enumeration_on_random_splits(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 12, 4
+        rows = rng.integers(0, [n, m, n], size=(150, 3))
+        rows = np.concatenate([rows, rows[rng.integers(0, 150, size=40)]])  # repeats
+        rng.shuffle(rows)
+        triples = [Triple(*map(int, row)) for row in rows]
+        index = build_known_index(Dataset(triples[:120], triples[120:150], triples[150:], make_vocab(n, m)))
+        assert lookups(index, n, m) == enumerated(set(triples), n, m)
+        # One batch of random queries, some repeated, in any order.
+        e, r = rng.integers(0, n, size=300), rng.integers(0, m, size=300)
+        tails = split_ids(*index.tails(e, r))
+        heads = split_ids(*index.heads(r, e))
         universe = set(triples)
-        for r in range(3):
-            for e in range(7):
-                assert index.heads(r, e) == {h for h in range(7) if (h, r, e) in universe}
-                assert index.tails(e, r) == {t for t in range(7) if (e, r, t) in universe}
+        for i in range(300):
+            assert tails[i] == {t for t in range(n) if (e[i], r[i], t) in universe}
+            assert heads[i] == {h for h in range(n) if (h, r[i], e[i]) in universe}
+
+    def test_generator_input_equals_list_and_array_input(self):
+        triples = [Triple(0, 1, 2), Triple(2, 0, 0), Triple(0, 1, 2), Triple(1, 1, 1)]
+        from_list = lookups(KnownIndex(triples), 3, 2)
+        assert lookups(KnownIndex(t for t in triples), 3, 2) == from_list
+        assert lookups(KnownIndex(np.array(triples)), 3, 2) == from_list
+        assert from_list == enumerated(set(triples), 3, 2)
+        assert lookups(KnownIndex(iter([])), 3, 2) == enumerated(set(), 3, 2)
+
+    def test_query_ids_at_the_edges_and_beyond_the_range(self):
+        # Ids span 0..4 (entities) and 0..2 (relations); the corner triples
+        # make every neighbour of an out-of-range key a stored one.
+        triples = [Triple(0, 0, 0), Triple(4, 2, 4), Triple(0, 2, 4), Triple(4, 0, 0), Triple(1, 1, 3)]
+        index = KnownIndex(triples)
+        assert split_ids(*index.tails([0, 4, 0, 4], [0, 2, 2, 0])) == [{0}, {4}, {4}, {0}]
+        assert split_ids(*index.heads([0, 2, 2, 0], [0, 4, 4, 0])) == [{0, 4}, {4, 0}, {4, 0}, {0, 4}]
+        # Beyond the range: an entity 5, a relation 3, and negative ids would
+        # alias a stored key if they were folded into the composite key.
+        beyond = ([5, 0, -1, 0, 1, 2**40], [0, 3, 1, -1, 3, 0])
+        for lookup in (index.tails, lambda e, r: index.heads(r, e)):
+            counts, ids = lookup(*beyond)
+            assert counts.tolist() == [0] * 6 and ids.size == 0
+
+    @pytest.mark.parametrize("triple", [Triple(-1, 0, 0), Triple(0, -1, 0), Triple(0, 0, -1)])
+    def test_rejects_negative_ids(self, triple):
+        with pytest.raises(ValueError, match="non-negative"):
+            KnownIndex([Triple(1, 1, 1), triple])
+
+    def test_splits_with_different_id_ranges(self):
+        # Train uses entities 0..3 and relation 0; test reaches entity 9 and
+        # relation 2, so only the union fixes the key strides.
+        train = [Triple(0, 0, 1), Triple(2, 0, 3)]
+        valid = [Triple(3, 1, 0)]
+        test = [Triple(9, 2, 0), Triple(0, 2, 9), Triple(5, 1, 5)]
+        index = build_known_index(Dataset(train, valid, test, make_vocab(10, 3)))
+        assert lookups(index, 10, 3) == enumerated(set(train + valid + test), 10, 3)
+        only_train = KnownIndex(train)
+        assert lookups(only_train, 10, 3) == enumerated(set(train), 10, 3)
+
+    def test_a_150k_triple_index_holds_under_16_mb(self):
+        rng = np.random.default_rng(0)
+        n, m = 40_943, 18
+        rows = np.stack([rng.integers(0, n, 150_000), rng.integers(0, m, 150_000), rng.integers(0, n, 150_000)], 1)
+        tracemalloc.start()
+        try:
+            index = KnownIndex(rows)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 16 * 2**20, f"the index holds {held / 2**20:.1f} MB"
+        counts, _ = index.tails(rows[:100, 0], rows[:100, 1])
+        assert (counts >= 1).all()
 
 
 @pytest.mark.skipif(

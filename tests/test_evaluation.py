@@ -31,7 +31,7 @@ class TestRankFromScores:
 
     def test_filtering_removes_competitor(self):
         scores = np.array([[0.9, 0.95, 0.8]])
-        assert rank_from_scores(scores, gold=[0], filtered=[[1]]).tolist() == [1]
+        assert rank_from_scores(scores, gold=[0], filtered=([1], [1])).tolist() == [1]
 
     def test_gold_highest(self):
         scores = np.array([[0.99, 0.95, 0.8]])
@@ -40,7 +40,7 @@ class TestRankFromScores:
     def test_gold_never_filtered_out(self):
         scores = np.array([[0.9, 0.95]])
         # Filtering the gold itself must not change its rank.
-        assert rank_from_scores(scores, gold=[0], filtered=[[0, 1]]).tolist() == [1]
+        assert rank_from_scores(scores, gold=[0], filtered=([2], [0, 1])).tolist() == [1]
 
     def test_ties_rank_optimistically(self):
         scores = np.array([[0.5, 0.5, 0.5, 0.9]])
@@ -50,7 +50,7 @@ class TestRankFromScores:
         for _ in range(50):
             scores = rng.normal(size=(1, 30))
             gold = [int(rng.integers(30))]
-            filtered = [rng.choice(30, size=5, replace=False).tolist()]
+            filtered = ([5], rng.choice(30, size=5, replace=False))
             base = rank_from_scores(scores, gold, filtered).tolist()
             assert rank_from_scores(3.0 * scores + 1.0, gold, filtered).tolist() == base
             assert rank_from_scores(np.exp(scores), gold, filtered).tolist() == base
@@ -66,7 +66,7 @@ class TestRankFromScores:
         # -1 would otherwise filter the last column, and 3 fail with numpy's text.
         scores = np.array([[0.5, 0.1, 0.9]])
         with pytest.raises(IndexError, match=f"entity id {ids[0]} out of range \\[0, 3\\)"):
-            rank_from_scores(scores, gold=[0], filtered=[ids])
+            rank_from_scores(scores, gold=[0], filtered=([1], ids))
 
     def test_rows_rank_independently(self):
         scores = np.array([
@@ -75,7 +75,7 @@ class TestRankFromScores:
             [0.1, 0.2, 0.3, 0.4],
         ])
         before = scores.copy()
-        ranks = rank_from_scores(scores, [0, 2, 3], [{1}, {0, 2}, set()])
+        ranks = rank_from_scores(scores, [0, 2, 3], ([1, 2, 0], [1, 0, 2]))
         assert ranks.tolist() == [2, 3, 1]
         np.testing.assert_array_equal(scores, before)
 
@@ -150,7 +150,7 @@ class TestEvaluate:
         # Each chunk ranks its head side, then its tail side.
         sides = itertools.cycle([2, 1])
         monkeypatch.setattr(
-            evaluation, "rank_from_scores", lambda s, gold, f: np.full(len(gold), next(sides))
+            evaluation, "rank_from_scores", lambda s, gold, f, check: np.full(len(gold), next(sides))
         )
         params = init_params(2, 1, 1, seed=0)
         result = evaluation.evaluate(params, [Triple(0, 0, 1)], KnownIndex())
@@ -163,7 +163,7 @@ class TestEvaluate:
     def test_all_rank_one(self, monkeypatch):
         import kgec.evaluation as evaluation
 
-        monkeypatch.setattr(evaluation, "rank_from_scores", lambda s, gold, f: np.ones(len(gold)))
+        monkeypatch.setattr(evaluation, "rank_from_scores", lambda s, gold, f, check: np.ones(len(gold)))
         params = init_params(2, 1, 1, seed=0)
         result = evaluation.evaluate(params, [Triple(0, 0, 1)] * 4, KnownIndex())
         assert result.mrr == 1.0
@@ -200,11 +200,12 @@ class TestEvaluate:
         params = init_params(n, 3, 4, seed=17)
         # Only the training split is indexed, so test lookups also miss.
         known = KnownIndex(dataset.train)
-        indexes = [known._heads, known._tails]
-        before = [{key: set(ids) for key, ids in index.items()} for index in indexes]
+        e, r = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(3)))
+        before = [[a.tolist() for a in lookup] for lookup in (known.heads(r, e), known.tails(e, r))]
         monkeypatch.setattr(evaluation, "_CHUNK_BYTES", 3 * n * 8)
         evaluate(params, dataset.test, known, workers=workers)
-        assert indexes == before
+        after = [[a.tolist() for a in lookup] for lookup in (known.heads(r, e), known.tails(e, r))]
+        assert after == before
 
     def test_chunks_match_oracle(self, monkeypatch):
         import kgec.evaluation as evaluation
@@ -236,8 +237,8 @@ class TestEvaluate:
         calls = []
 
         def recording(scorer):
-            def scores(*args):
-                result = scorer(*args)
+            def scores(*args, check):
+                result = scorer(*args, check=check)
                 calls.append((scorer.__name__, result.shape))
                 return result
 
