@@ -3,7 +3,10 @@ dimension purity entropy against entity type labels, and residual
 diagnostics for relation pairs.
 
 Real and imaginary embedding components are analyzed by the same operations;
-entropies use the natural log (declared in output headers).
+entropies use the natural log (declared in output headers). The heatmap
+normalizes blocks of rows and the purity curve sorts blocks of columns, both
+through ``objective._per_block``; every row and column is computed on its own,
+so results do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 from .data import Entailment, IdMap, Vocab, VocabularyError, read_tsv
 from .manifest import write_csv
 from .mining import PairClasses
-from .objective import RuleArrays, pack_entailments, rule_deltas
+from . import objective
+from .objective import RuleArrays, _block_rows, _per_block, pack_entailments, rule_deltas
 
 logger = logging.getLogger(__name__)
 
@@ -56,12 +60,16 @@ def load_type_labels(path: str | Path, vocab: Vocab) -> TypeLabels:
 
 def minmax_normalize(x: np.ndarray) -> np.ndarray:
     """Affine rescale of a vector, or of each row of a matrix, to [0, 1];
-    constant rows map to zeros."""
-    x = np.asarray(x, dtype=float)
-    lo = x.min(axis=-1, keepdims=True)
+    constant rows map to zeros. The ends are taken on the input's dtype, and
+    the float64 output is the only array of the input's size that is made."""
+    x = np.asarray(x)
+    lo = x.min(axis=-1, keepdims=True).astype(float)
     hi = x.max(axis=-1, keepdims=True)
-    out = np.zeros_like(x)
-    np.divide(x - lo, hi - lo, out=out, where=hi != lo)
+    keep = hi != lo
+    out = x.astype(float)
+    out -= lo
+    np.divide(out, hi - lo, out=out, where=keep)
+    out[~keep[..., 0]] = 0.0  # a constant infinite row is inf - inf = NaN until here
     return out
 
 
@@ -103,17 +111,25 @@ def purity_curve(
         raise ValueError("no labeled entities")
     labeled_ids = np.asarray(sorted(labels.labels), dtype=np.int64)
     type_ids = np.asarray([labels.labels[i] for i in labeled_ids], dtype=np.int64)
-    activations = np.asarray(component, dtype=float)[labeled_ids, :]
-    n_dims, n_types = activations.shape[1], labels.n_types
-    # One stable sort per column: rows are in ascending id, so ties keep the
-    # lower id first. Row i of `ranked` holds each dimension's i-th type,
-    # offset by n_types * dim so one bincount counts every dimension.
-    order = np.argsort(-activations, axis=0, kind="stable")
-    ranked = type_ids[order] + n_types * np.arange(n_dims)
+    component = np.asarray(component)
+    n_dims, n_types = component.shape[1], labels.n_types
+    ks = [math.ceil(k_percent / 100.0 * labeled_ids.size) for k_percent in k_percents]
+
+    def top_k_counts(a, e):
+        # One stable sort per dimension: rows are in ascending id, so ties keep
+        # the lower id first. Row j of `ranked` holds dimension a + j's types in
+        # rank order, offset by n_types * j so one bincount counts the block.
+        negated = np.negative(component[labeled_ids, a:e].T, dtype=float, order="C")
+        ranked = type_ids[np.argsort(negated, axis=1, kind="stable")]
+        ranked += n_types * np.arange(e - a)[:, None]
+        return [np.bincount(ranked[:, :k].ravel(), minlength=(e - a) * n_types) for k in ks]
+
+    # A block column holds activations, their order and their types: 3 x 8 bytes a label.
+    step = _block_rows(labeled_ids[None], objective._BLOCK_BYTES, 3)
+    blocks = _per_block(top_k_counts, n_dims, step)
     points = []
-    for k_percent in k_percents:
-        k = math.ceil(k_percent / 100.0 * labeled_ids.size)
-        counts = np.bincount(ranked[:k].ravel(), minlength=n_dims * n_types)
+    for i, k_percent in enumerate(k_percents):
+        counts = np.concatenate([block[i] for block in blocks])
         entropies = shannon_entropy(counts.reshape(n_dims, n_types))
         points.append((k_percent, float(entropies.mean())))
     return PurityCurve(points)
@@ -125,8 +141,16 @@ def write_purity_csv(curve: PurityCurve, path: str | Path) -> None:
 
 
 def activation_heatmap(component: np.ndarray, entity_ids: Sequence[int]) -> np.ndarray:
-    """Row-normalized activation matrix for the selected entities."""
-    return minmax_normalize(component[np.asarray(entity_ids, dtype=np.int64)])
+    """Row-normalized activation matrix for the selected entities; each block
+    of rows is gathered and normalized into its own rows of the output."""
+    entity_ids = np.asarray(entity_ids, dtype=np.int64)
+    out = np.empty((entity_ids.size, component.shape[1]))
+
+    def normalize_rows(a, e):
+        out[a:e] = minmax_normalize(component[entity_ids[a:e]])
+
+    _per_block(normalize_rows, entity_ids.size, _block_rows(out, objective._BLOCK_BYTES))
+    return out
 
 
 def write_heatmap_csv(

@@ -19,13 +19,14 @@ Both gradient tables come from one weighted segment sum over the entity rows
 (heads, tails and partials) and the relation rows, relation ids offset by n.
 Without rules no rule work is done.
 
-Every block loop of the step, here and in ``trainer.adagrad_step``, and the
-chunk loop of ``evaluation.evaluate`` is one call of ``_per_block``: it calls
-a one-block function once per block, in block order, and spreads the blocks
-over contiguous parts, at most one per usable CPU, on one thread pool. Blocks
-touch disjoint rows and sums of squares come from ``einsum`` per block, added
-in block order, not from BLAS, so results do not depend on the number of
-CPUs or of BLAS threads.
+Every block loop of the step, here and in ``trainer.adagrad_step``, the
+chunk loop of ``evaluation.evaluate`` and the heatmap and purity loops of
+``analysis`` are one call of ``_per_block`` each: it calls a one-block
+function once per block, in block order, and spreads the blocks over
+contiguous parts, at most one per usable CPU, on one thread pool. Blocks touch
+disjoint rows and sums of squares come from ``einsum`` per block, added in
+block order, not from BLAS, so results do not depend on the number of CPUs or
+of BLAS threads.
 """
 
 from __future__ import annotations

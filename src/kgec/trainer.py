@@ -296,7 +296,8 @@ def train(
     if train_arr.shape[0] == 0:
         raise ValueError("training split is empty")
 
-    known = build_known_index(dataset) if dataset.valid else None
+    validates = dataset.valid and config.eval_every <= config.max_iters
+    known = build_known_index(dataset) if validates else None
 
     best_params: ModelParams | None = None
     best_mrr = -np.inf

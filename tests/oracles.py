@@ -5,9 +5,9 @@ explicit enumeration, sorting, grid search) and deliberately avoid the code
 paths under test. The functions from ``sample_negatives`` on are reference
 forms of code that was rewritten: negative sampling as materialised triples,
 the gradient of a labelled batch scattered with ``np.add.at``, the AdaGrad
-step with a temporary per pass, the per-dimension purity loop, the per-pair
-relation diagnostic, and the training kernel with one buffer row per
-entity term.
+step with a temporary per pass, the row-by-row heatmap, the per-dimension
+purity loop, the per-pair relation diagnostic, and the training kernel with
+one buffer row per entity term.
 """
 
 from __future__ import annotations
@@ -256,6 +256,17 @@ def oracle_adagrad_step(params, grads, state, lr: float, project: bool = False) 
         if clamp:
             np.clip(rows, 0.0, 1.0, out=rows)
         param[ids] = rows
+
+
+def oracle_heatmap(component, entity_ids) -> np.ndarray:
+    """Reference form of the heatmap, one row at a time: the selected row in
+    float64, minus its minimum, over its range; a constant row is zeros."""
+    rows = []
+    for entity in entity_ids:
+        x = np.asarray(component[entity], dtype=float)
+        lo, hi = x.min(), x.max()
+        rows.append(np.zeros_like(x) if hi == lo else (x - lo) / (hi - lo))
+    return np.array(rows).reshape(len(rows), np.shape(component)[1])
 
 
 def oracle_dimension_purity(component, labels, k_percent: float) -> float:

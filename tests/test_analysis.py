@@ -1,12 +1,15 @@
 """Tests for normalization, dimension purity entropy, and pair diagnostics."""
 
 import re
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgec.objective
 from kgec.analysis import (
     TypeLabels,
     activation_heatmap,
@@ -23,7 +26,7 @@ from kgec.mining import PairClasses
 from kgec.model import ModelParams, init_params
 
 from conftest import make_vocab
-from oracles import oracle_dimension_purity, oracle_relation_pair_diagnostic
+from oracles import oracle_dimension_purity, oracle_heatmap, oracle_relation_pair_diagnostic
 
 
 def labels_of(assignments) -> TypeLabels:
@@ -44,6 +47,32 @@ class TestMinmaxNormalize:
     def test_unit_range_is_fixed_point(self):
         x = np.array([0.0, 0.25, 1.0])
         np.testing.assert_allclose(minmax_normalize(x), x)
+
+    def test_edge_cases_keep_their_bits(self):
+        # Constant rows (an infinite one too, since hi == lo there) map to 0;
+        # a row holding NaN stays NaN; a row with an infinite end is
+        # 0 / inf / NaN as the division gives; 1-D and integer input work.
+        inf, nan = np.inf, np.nan
+        lo, hi, mid = np.float32([0.1, 0.7, 0.3]).tolist()  # float32 values, as floats
+        cases = [
+            ([[2.0, 2.0, 2.0], [1.0, 3.0, 5.0]], [[0, 0, 0], [0, 0.5, 1]]),
+            ([[inf] * 3, [-inf] * 3, [0.0, inf, 1.0], [-inf, 0.0, 1.0]],
+             [[0, 0, 0], [0, 0, 0], [0, nan, 0], [nan, nan, nan]]),
+            ([[1.0, nan, 3.0], [nan] * 3], [[nan] * 3, [nan] * 3]),
+            ([3.0, -1.0, 1.0], [1, 0, 0.5]),
+            ([[1, 2, 3], [4, 4, 4]], [[0, 0.5, 1], [0, 0, 0]]),
+            ([5, 7, 6], [0, 1, 0.5]),
+            ([-0.0, 0.0], [0, 0]),
+            (np.float32([[0.1, 0.7, 0.3]]), [[0, 1, (mid - lo) / (hi - lo)]]),
+        ]
+        for x, want in cases:
+            with np.errstate(invalid="ignore"):
+                got = minmax_normalize(x)
+            want = np.asarray(want, dtype=float)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            seen = ~np.isnan(want)
+            np.testing.assert_array_equal(got.view(np.uint64)[seen], want.view(np.uint64)[seen])
 
     def test_output_in_unit_interval_and_order_preserved(self, rng):
         for _ in range(30):
@@ -286,12 +315,8 @@ class TestExports:
         params.re_e[4] = 0.5
         params.re_e[7, :3] = 1.0
         ids = rng.permutation(30)[:20]
-        expected = []
-        for e in ids:
-            x = params.re_e[e].astype(float)
-            lo, hi = x.min(), x.max()
-            expected.append(np.zeros_like(x) if hi == lo else (x - lo) / (hi - lo))
-        np.testing.assert_array_equal(activation_heatmap(params.re_e, ids), np.vstack(expected))
+        np.testing.assert_array_equal(activation_heatmap(params.re_e, ids),
+                                      oracle_heatmap(params.re_e, ids))
 
     def test_heatmap_rows_are_normalized(self, tmp_path):
         component = np.array([[1.0, 3.0, 5.0], [2.0, 2.0, 2.0]])
@@ -303,3 +328,92 @@ class TestExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "entity,dim_0,dim_1,dim_2"
         assert lines[1] == "a,0.000000,0.500000,1.000000"
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """The names of the block functions that reach the pool, which runs them
+    on two threads of its own."""
+    names = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, run_part, fn, *args, **kwargs):
+            names.append(fn.__name__)
+            return super().submit(run_part, fn, *args, **kwargs)
+
+    with CountingPool(2) as pool:
+        monkeypatch.setattr(kgec.objective, "_POOL", pool)
+        yield names
+
+
+class TestBlocksAndParts:
+    """The heatmap runs in blocks of rows and the purity curve in blocks of
+    columns, spread over the parts of ``objective._per_block``; neither
+    result depends on the block size or the number of parts."""
+
+    def test_heatmap_matches_the_row_by_row_oracle(self, monkeypatch, submitted):
+        rng = np.random.default_rng(5)
+        params = init_params(90, 1, 7, seed=5)
+        # Box-clamped entries, all-zero rows and rows of only 0 and 1.
+        params.ent[:] = np.clip(rng.normal(0.5, 0.6, (90, 7)), 0, 1) + 1j * np.clip(
+            rng.normal(0.5, 0.6, (90, 7)), 0, 1)
+        params.ent[::9] = 0.0
+        params.re_e[4::10] = rng.integers(2, size=(9, 7))
+        ids = np.concatenate([rng.permutation(90), rng.integers(90, size=40)])
+        monkeypatch.setattr(kgec.objective, "_BLOCK_BYTES", 4 * 7 * 8)  # 4 rows a block
+        for table in (params, params.astype(np.float32)):
+            for component in (table.re_e, table.im_e):
+                want = oracle_heatmap(component, ids).tobytes()
+                for workers in (1, 2):
+                    monkeypatch.setattr(kgec.objective, "_WORKERS", workers)
+                    assert activation_heatmap(component, ids).tobytes() == want
+        assert "normalize_rows" in submitted
+
+    def test_purity_matches_the_oracle_with_ties_across_block_edges(self, monkeypatch, submitted):
+        rng = np.random.default_rng(11)
+        # Rounded columns tie often; repeated and constant columns straddle
+        # the edges of two-column blocks.
+        # Enough rows that an unstable sort would reorder ties.
+        base = np.column_stack([rng.normal(size=(3_000, 3)).round(1), np.zeros(3_000)])
+        component = base[:, [0, 0, 1, 3, 3, 1, 2, 2, 0]]
+        labeled = rng.permutation(3_000)[:1_500]
+        labels = labels_of({int(i): f"T{rng.integers(4)}" for i in labeled})
+        ks = (1, 5, 33, 100)
+        monkeypatch.setattr(kgec.objective, "_BLOCK_BYTES", 2 * 3 * 8 * 1_500)
+        curves = []
+        for workers in (1, 2):
+            monkeypatch.setattr(kgec.objective, "_WORKERS", workers)
+            curves.append(purity_curve(component, labels, ks))
+        assert "top_k_counts" in submitted
+        monkeypatch.setattr(kgec.objective, "_BLOCK_BYTES", 2**21)  # one block
+        curves.append(purity_curve(component, labels, ks))
+        assert curves[1] == curves[0] and curves[2] == curves[0]
+        for k, entropy in curves[0].points:
+            want = oracle_dimension_purity(component, labels, k)
+            assert entropy == pytest.approx(want, abs=1e-12)
+
+    def test_a_planted_shaped_analysis_runs_without_the_pool(self, monkeypatch):
+        # At C06's shape (200 x 50) both loops are one block, run inline.
+        class RefusingPool:
+            def submit(self, *args, **kwargs):
+                raise AssertionError("a one-block loop reached the pool")
+
+        monkeypatch.setattr(kgec.objective, "_POOL", RefusingPool())
+        monkeypatch.setattr(kgec.objective, "_WORKERS", 2)
+        params = init_params(200, 10, 50, seed=0)
+        labels = labels_of({i: f"T{i % 5}" for i in range(200)})
+        for component in (params.re_e, params.im_e):
+            purity_curve(activation_heatmap(component, range(200)), labels)
+
+    @pytest.mark.parametrize("n", [20_000, 80_000])
+    def test_heatmap_scratch_does_not_grow_with_the_table(self, n):
+        # Blocks keep the scratch near a few blocks' bytes; one table-sized
+        # float64 temporary would be 16 MB at the smaller size.
+        component = np.random.default_rng(0).random((n, 100), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = activation_heatmap(component, range(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 16 * 2**20

@@ -370,6 +370,23 @@ class TestTrain:
         final_mrr = evaluate(params, dataset.valid, known).mrr
         assert final_mrr == pytest.approx(max(evaluated), abs=1e-12)
 
+    def test_builds_no_filter_index_when_no_epoch_validates(self, tmp_path, monkeypatch):
+        dataset = tiny_kg(n_triples=30)
+        dataset = Dataset(dataset.train[:25], dataset.train[25:], [], dataset.vocab)
+        config = fast_config(max_iters=20, eval_every=21)
+        runs = []
+        for patched in (False, True):
+            if patched:
+                def refuse(_):
+                    raise AssertionError("the filter index was built")
+
+                monkeypatch.setattr(kgec.trainer, "build_known_index", refuse)
+            params, log = train(dataset, [], config)
+            write_training_log(log, tmp_path / "log.csv")
+            runs.append((params.ent.tobytes() + params.rel.tobytes(),
+                         (tmp_path / "log.csv").read_bytes()))
+        assert runs[1] == runs[0]
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_aborts_on_non_finite_loss(self):
         dataset = tiny_kg()
