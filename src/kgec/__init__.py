@@ -19,7 +19,7 @@ from .model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from .objective import LossBreakdown
 from .trainer import TrainConfig, train
 from .evaluation import EvalResult, evaluate, filtered_rank, paired_ttest
-from .mining import MinedRule, classify_pairs, mine_entailments
+from .mining import MinedRule, mine_entailments
 
 __all__ = [
     "Dataset",
@@ -33,7 +33,6 @@ __all__ = [
     "Triple",
     "Vocab",
     "build_known_index",
-    "classify_pairs",
     "evaluate",
     "filtered_rank",
     "init_params",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +21,6 @@ import numpy as np
 
 from .data import Entailment, IdMap, Vocab, VocabularyError, read_tsv
 from .manifest import write_csv
-from .mining import PairClasses
 from . import objective
 from .objective import RuleArrays, _block_rows, _per_block, pack_entailments, rule_deltas
 
@@ -163,30 +162,50 @@ def write_heatmap_csv(
 
 
 def pair_residuals(
-    rel: np.ndarray, classes: PairClasses
+    rel: np.ndarray, ents: Sequence[Entailment], thresh: float
 ) -> tuple[np.ndarray, RuleArrays, np.ndarray]:
-    """Residuals of every classified relation pair, from one
-    :func:`~kgec.objective.rule_deltas` pass.
+    """Classify the rules' relation pairs at ``thresh`` and compute every
+    row's residuals in one :func:`~kgec.objective.rule_deltas` pass.
 
-    Pairs are read as rules: equivalence (p, q) as p -> q, inversion as
-    p^-1 -> q, the others as given. Returns each row's class name, the rules,
-    and (n, 3) columns max(|Re delta|, |Im delta|) (ideally 0 for equivalence
-    and inversion), max(Re delta, 0) and max |Im delta| (ideally 0 for the
+    (p, q) is an equivalence pair when p -> q and q -> p both have confidence
+    strictly above ``thresh``, and an inversion pair when p^-1 -> q and
+    q^-1 -> p do (a strong p^-1 -> p makes p self-inverse). The rows are the
+    equivalence pairs, read as p -> q with p < q, then the inversion pairs,
+    read as p^-1 -> q with p <= q, each sorted, then as ``others`` every rule,
+    in input order, that no pair of its own sign absorbs, whatever its
+    confidence. Returns each row's class name, the rows as rules, and (n, 3)
+    columns max(|Re delta|, |Im delta|) (ideally 0 for equivalence and
+    inversion), max(Re delta, 0) and max |Im delta| (ideally 0 for the
     others), NaN where the class leaves a column undefined.
     """
-    ents = [Entailment(p, False, q, 1.0) for p, q in classes.equivalence]
-    ents += [Entailment(p, True, q, 1.0) for p, q in classes.inversion]
-    rules = pack_entailments(ents + classes.others)
-    names = [field.name for field in fields(classes)]
-    kinds = np.repeat(names, [len(getattr(classes, name)) for name in names])
-    delta = rule_deltas(rel, rules)
+    if not 0.0 < thresh < 1.0:
+        raise ValueError(f"thresh must lie in (0, 1), got {thresh}")
+    rules = pack_entailments(ents)
+    p, q, inverted = rules.premise, rules.conclusion, (rules.sign < 0).astype(np.int64)
+    # One key per signed, unordered pair, inverted last; m spans every id, so none aliases.
+    m = int(np.max(np.concatenate([p, q]), initial=len(rel) - 1)) + 1
+    key = (inverted * m + np.minimum(p, q)) * m + np.maximum(p, q)
+    strong = rules.confidence > thresh
+    reverse_is_strong = np.isin((inverted * m + q) * m + p, ((inverted * m + p) * m + q)[strong])
+    pairs = np.unique(key[strong & reverse_is_strong])
+    others = ~np.isin(key, pairs)
+    pair_inverted, low, high = np.unravel_index(pairs, (2, m, m))
+    rows = RuleArrays(
+        premise=np.concatenate([low, p[others]]),
+        conclusion=np.concatenate([high, q[others]]),
+        sign=np.concatenate([1.0 - 2.0 * pair_inverted, rules.sign[others]]),
+        confidence=np.concatenate([np.ones(pairs.size), rules.confidence[others]]),
+    )
+    counts = np.bincount(pair_inverted, minlength=2).tolist() + [int(others.sum())]
+    kinds = np.repeat(["equivalence", "inversion", "others"], counts)
+    delta = rule_deltas(rel, rows)
     abs_im = np.abs(delta.imag).max(axis=1)
-    others = kinds == "others"
     residuals = np.full((kinds.size, 3), np.nan)
-    residuals[~others, 0] = np.maximum(np.abs(delta.real).max(axis=1), abs_im)[~others]
-    residuals[others, 1] = np.maximum(delta.real, 0.0).max(axis=1)[others]
-    residuals[others, 2] = abs_im[others]
-    return kinds, rules, residuals
+    k = pairs.size  # the pairs' rows come first
+    residuals[:k, 0] = np.maximum(np.abs(delta[:k].real).max(axis=1), abs_im[:k])
+    residuals[k:, 1] = np.maximum(delta[k:].real, 0.0).max(axis=1)
+    residuals[k:, 2] = abs_im[k:]
+    return kinds, rows, residuals
 
 
 def write_pair_diagnostics_csv(

@@ -36,7 +36,7 @@ from .evaluation import (
     write_rank_dump,
 )
 from .manifest import RunManifest, atomic_write, read_json
-from .mining import classify_pairs, mine_entailments, write_rules
+from .mining import mine_entailments, write_rules
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, parse_config, train, write_config, write_training_log
 from .trainer import _FIELD_TYPES, _cast_field
@@ -84,6 +84,10 @@ def _workers(args) -> int:
 def cmd_mine(args) -> int:
     if not args.train_file and not args.data:
         raise ValueError("mine needs --data or --train-file")
+    if not 0.0 < args.min_conf <= 1.0:  # NaN fails too
+        raise ValueError(f"--min-conf must lie in (0, 1], got {args.min_conf:g}")
+    if args.min_support < 1:
+        raise ValueError(f"--min-support must be at least 1, got {args.min_support}")
     triples, vocab = load_triples(args.train_file or Path(args.data) / "train.txt")
     rules = mine_entailments(triples, args.min_conf, args.min_support)
     out = Path(args.out)
@@ -230,6 +234,8 @@ def _load_model_and_data(args):
 def cmd_eval(args) -> int:
     workers = _workers(args)
     params, dataset = _load_model_and_data(args)
+    if not dataset.test:
+        raise ValueError(f"{Path(args.data, 'test.txt')}: eval needs test triples")
     known = build_known_index(dataset)
     result = evaluate(params, dataset.test, known, workers=workers)
     out_dir = Path(args.out)
@@ -280,8 +286,8 @@ def cmd_analyze(args) -> int:
             write_heatmap_csv(normalized[selected], names, out_dir / f"heatmap_{name}.csv")
 
     if args.ents:
-        classes = classify_pairs(load_entailments(args.ents, dataset.vocab), args.thresh)
-        residuals = pair_residuals(params.rel, classes)
+        ents = load_entailments(args.ents, dataset.vocab)
+        residuals = pair_residuals(params.rel, ents, args.thresh)
         write_pair_diagnostics_csv(*residuals, dataset.vocab, out_dir / "relation_pairs.csv")
 
     print(f"analysis written to {out_dir}")

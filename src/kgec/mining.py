@@ -171,60 +171,6 @@ def mine_entailments(
     ]
 
 
-@dataclass
-class PairClasses:
-    """Relation pairs grouped by the logical regularity they exhibit.
-
-    ``equivalence`` holds (p, q) pairs entailed in both forward directions;
-    ``inversion`` holds (p, q) pairs entailed in both inverted directions;
-    ``others`` keeps the entailments not absorbed by either class.
-    """
-
-    equivalence: list[tuple[int, int]]
-    inversion: list[tuple[int, int]]
-    others: list[Entailment]
-
-
-def classify_pairs(
-    rules: Sequence[Entailment],
-    thresh: float,
-) -> PairClasses:
-    """Partition entailments into equivalence / inversion pairs and the rest.
-
-    (p, q) is an equivalence pair when p -> q and q -> p both appear
-    (non-inverted) with confidence above ``thresh``; an inversion pair when
-    the two inverted-premise directions both appear above ``thresh``.
-    """
-    if not 0.0 < thresh < 1.0:
-        raise ValueError(f"thresh must lie in (0, 1), got {thresh}")
-
-    forward: set[tuple[int, int]] = set()
-    inverted: set[tuple[int, int]] = set()
-    for ent in rules:
-        if ent.confidence > thresh:
-            key = (ent.premise_rel, ent.conclusion_rel)
-            (inverted if ent.premise_inverted else forward).add(key)
-
-    equivalence = sorted(
-        {(p, q) for p, q in forward if p < q and (q, p) in forward}
-    )
-    inversion = sorted(
-        {(min(p, q), max(p, q)) for p, q in inverted if (q, p) in inverted}
-    )
-    eq_set, inv_set = set(equivalence), set(inversion)
-
-    others = []
-    for ent in rules:
-        key = (
-            min(ent.premise_rel, ent.conclusion_rel),
-            max(ent.premise_rel, ent.conclusion_rel),
-        )
-        absorbed = key in (inv_set if ent.premise_inverted else eq_set)
-        if not absorbed:
-            others.append(ent)
-    return PairClasses(equivalence, inversion, others)
-
-
 def write_rules(
     rules: Sequence[MinedRule],
     vocab: Vocab,

@@ -6,8 +6,8 @@ paths under test. The functions from ``sample_negatives`` on are reference
 forms of code that was rewritten: negative sampling as materialised triples,
 the gradient of a labelled batch scattered with ``np.add.at``, the AdaGrad
 step with a temporary per pass, the row-by-row heatmap, the per-dimension
-purity loop, the per-pair relation diagnostic, and the training kernel with
-one buffer row per entity term.
+purity loop, the per-pair relation diagnostic, the set-based relation-pair
+classifier, and the training kernel with one buffer row per entity term.
 """
 
 from __future__ import annotations
@@ -305,6 +305,37 @@ def oracle_relation_pair_diagnostic(params, pair, kind: str, premise_inverted: b
         "re_violation": float(np.maximum(diff.real, 0.0).max()),
         "im_max_abs_diff": float(np.abs(diff.imag).max()),
     }
+
+
+def oracle_classify_pairs(rules, thresh: float):
+    """Equivalence pairs, inversion pairs and the remaining rules, from sets.
+
+    (p, q) is an equivalence pair when p -> q and q -> p both appear
+    (non-inverted) with confidence above ``thresh``; an inversion pair when
+    the two inverted-premise directions both appear above ``thresh``. A rule
+    whose (min, max) pair is classified under its own sign is absorbed; the
+    rest are kept in order.
+    """
+    forward: set[tuple[int, int]] = set()
+    inverted: set[tuple[int, int]] = set()
+    for ent in rules:
+        if ent.confidence > thresh:
+            key = (ent.premise_rel, ent.conclusion_rel)
+            (inverted if ent.premise_inverted else forward).add(key)
+
+    equivalence = sorted({(p, q) for p, q in forward if p < q and (q, p) in forward})
+    inversion = sorted({(min(p, q), max(p, q)) for p, q in inverted if (q, p) in inverted})
+    eq_set, inv_set = set(equivalence), set(inversion)
+
+    others = []
+    for ent in rules:
+        key = (
+            min(ent.premise_rel, ent.conclusion_rel),
+            max(ent.premise_rel, ent.conclusion_rel),
+        )
+        if key not in (inv_set if ent.premise_inverted else eq_set):
+            others.append(ent)
+    return equivalence, inversion, others
 
 
 def oracle_row_buffer_kernel(

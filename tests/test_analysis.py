@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgec.objective
@@ -22,11 +22,15 @@ from kgec.analysis import (
     write_purity_csv,
 )
 from kgec.data import Entailment, IdMap, ParseError
-from kgec.mining import PairClasses
 from kgec.model import ModelParams, init_params
 
 from conftest import make_vocab
-from oracles import oracle_dimension_purity, oracle_heatmap, oracle_relation_pair_diagnostic
+from oracles import (
+    oracle_classify_pairs,
+    oracle_dimension_purity,
+    oracle_heatmap,
+    oracle_relation_pair_diagnostic,
+)
 
 
 def labels_of(assignments) -> TypeLabels:
@@ -181,36 +185,30 @@ class TestShannonEntropy:
 RESIDUAL_COLUMNS = ("max_abs_diff", "re_violation", "im_max_abs_diff")
 
 
-def residuals_of(params, equivalence=(), inversion=(), others=()) -> dict:
-    """The defined residuals of the single classified pair."""
-    _, _, residuals = pair_residuals(
-        params.rel, PairClasses(list(equivalence), list(inversion), list(others))
-    )
+def residuals_of(params, *rules) -> dict:
+    """The defined residuals of the single row the rules classify into."""
+    _, _, residuals = pair_residuals(params.rel, rules, 0.8)
     (row,) = residuals
     return {key: value for key, value in zip(RESIDUAL_COLUMNS, row) if not np.isnan(value)}
 
 
 @st.composite
-def pair_instances(draw):
-    m = draw(st.integers(2, 5))
+def rule_lists(draw):
+    m = draw(st.integers(1, 4))
     d = draw(st.integers(1, 4))
     dtype = draw(st.sampled_from([np.complex128, np.complex64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     rel = (rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))).astype(dtype)
     params = ModelParams(np.zeros((1, d), dtype), rel)
+    thresh = draw(st.sampled_from([0.5, 0.8]))
     ids = st.integers(0, m - 1)
-    pair = st.tuples(ids, ids)
-    # An inversion pair may be self-inverse (p == q); the other classes need
-    # a premise that differs from its conclusion as a signed relation.
-    equivalence = st.lists(pair.filter(lambda pq: pq[0] != pq[1]), max_size=4)
-    inversion = st.lists(pair, max_size=4)
-    others = st.lists(
-        st.tuples(ids, st.booleans(), ids).filter(lambda e: e[1] or e[0] != e[2]), max_size=4
+    # Few relations make duplicates and reverse rules common; a confidence
+    # may equal the threshold or fall below it. p^-1 -> p is self-inverse.
+    confidence = st.one_of(
+        st.sampled_from([0.3, thresh, 0.9, 1.0]), st.floats(0.01, 1.0, allow_subnormal=False)
     )
-    classes = PairClasses(
-        draw(equivalence), draw(inversion), [Entailment(*e, 0.9) for e in draw(others)]
-    )
-    return params, classes
+    rule = st.tuples(ids, st.booleans(), ids, confidence).filter(lambda e: e[1] or e[0] != e[2])
+    return params, [Entailment(*e) for e in draw(st.lists(rule, max_size=12))], thresh
 
 
 class TestPairDiagnostics:
@@ -218,20 +216,22 @@ class TestPairDiagnostics:
         params = init_params(2, 2, 4, seed=0)
         params.re_r[1] = params.re_r[0]
         params.im_r[1] = params.im_r[0]
-        assert residuals_of(params, equivalence=[(0, 1)]) == {"max_abs_diff": 0.0}
+        rules = [Entailment(0, False, 1, 0.9), Entailment(1, False, 0, 0.9)]
+        assert residuals_of(params, *rules) == {"max_abs_diff": 0.0}
 
     def test_conjugate_representations(self):
         params = init_params(2, 2, 4, seed=1)
         params.re_r[1] = params.re_r[0]
         params.im_r[1] = -params.im_r[0]
-        assert residuals_of(params, inversion=[(0, 1)]) == {"max_abs_diff": 0.0}
+        rules = [Entailment(0, True, 1, 0.9), Entailment(1, True, 0, 0.9)]
+        assert residuals_of(params, *rules) == {"max_abs_diff": 0.0}
 
     def test_satisfied_ordering_has_zero_violation(self):
         params = init_params(2, 2, 1, seed=2)
         params.re_r[0] = [0.1]
         params.re_r[1] = [0.3]
         params.im_r[1] = params.im_r[0]
-        residuals = residuals_of(params, others=[Entailment(0, False, 1, 0.9)])
+        residuals = residuals_of(params, Entailment(0, False, 1, 0.9))
         assert residuals["re_violation"] == 0.0
         assert residuals["im_max_abs_diff"] == 0.0
 
@@ -241,7 +241,7 @@ class TestPairDiagnostics:
         params.re_r[1] = [0.3, 0.1]
         params.im_r[0] = [0.0, 0.2]
         params.im_r[1] = [0.0, -0.2]
-        residuals = residuals_of(params, others=[Entailment(0, False, 1, 0.9)])
+        residuals = residuals_of(params, Entailment(0, False, 1, 0.9))
         assert residuals["re_violation"] == pytest.approx(0.2)
         assert residuals["im_max_abs_diff"] == pytest.approx(0.4)
 
@@ -250,27 +250,37 @@ class TestPairDiagnostics:
         params.re_r[0] = params.re_r[1] = [0.0]
         params.im_r[0] = [0.3]
         params.im_r[1] = [-0.3]
-        residuals = residuals_of(params, others=[Entailment(0, True, 1, 0.9)])
+        residuals = residuals_of(params, Entailment(0, True, 1, 0.9))
         assert residuals["im_max_abs_diff"] == 0.0
 
+    def test_an_out_of_range_relation_id_raises(self):
+        # With keys over the table's 2 relations, 0 <-> 2 would read as 1 -> 0.
+        params = init_params(2, 2, 1, seed=6)
+        with pytest.raises(IndexError):
+            pair_residuals(params.rel, [Entailment(0, False, 2, 0.9), Entailment(2, False, 0, 0.9)], 0.8)
+
     @settings(max_examples=300, deadline=None)
-    @given(pair_instances())
+    @given(rule_lists())
+    @example((init_params(2, 2, 3, seed=5), [], 0.8))
     def test_matches_the_per_pair_oracle_exactly(self, instance):
-        params, classes = instance
-        kinds, rules, residuals = pair_residuals(params.rel, classes)
-        want_kinds, want_pairs, want = [], [], []
-        for kind, pairs in (("equivalence", classes.equivalence), ("inversion", classes.inversion)):
+        params, rules, thresh = instance
+        kinds, rows, residuals = pair_residuals(params.rel, rules, thresh)
+        equivalence, inversion, others = oracle_classify_pairs(rules, thresh)
+        want_kinds, want_rows, want = [], [], []
+        for kind, pairs in (("equivalence", equivalence), ("inversion", inversion)):
             for pair in pairs:
                 want_kinds.append(kind)
-                want_pairs.append(pair)
+                want_rows.append((pair[0], kind == "inversion", pair[1], 1.0))
                 want.append(oracle_relation_pair_diagnostic(params, pair, kind))
-        for ent in classes.others:
+        for ent in others:
             pair = (ent.premise_rel, ent.conclusion_rel)
             want_kinds.append("others")
-            want_pairs.append(pair)
+            want_rows.append((pair[0], ent.premise_inverted, pair[1], ent.confidence))
             want.append(oracle_relation_pair_diagnostic(params, pair, "others", ent.premise_inverted))
         assert kinds.tolist() == want_kinds
-        assert list(zip(rules.premise.tolist(), rules.conclusion.tolist())) == want_pairs
+        got_rows = zip(rows.premise.tolist(), (rows.sign < 0).tolist(), rows.conclusion.tolist(),
+                       rows.confidence.tolist())
+        assert list(got_rows) == want_rows
         want = [[row.get(key, np.nan) for key in RESIDUAL_COLUMNS] for row in want]
         np.testing.assert_array_equal(residuals, np.reshape(want, (-1, 3)))
 

@@ -163,12 +163,30 @@ GOLDEN_PAIRS = GOLDEN_HEADER + (
     "others,r0,r2,,0.200000,0.250000\r\n"
     "others,r1,r2,,0.100000,0.450000\r\n"
 )
+# The equivalence pair r0 <-> r1 absorbs the weak r1 -> r0 too; r2^-1 -> r1
+# has only a weak reverse, so no pair; the duplicated r0 -> r2 stays twice.
+GOLDEN_RULES_REPEATED = (
+    "r1\tr0\t0.5\nr0\tr2\t0.7\nr0\tr1\t0.9\nr2^-1\tr1\t0.9\n"
+    "r1\tr0\t0.95\nr0\tr2\t0.7\nr1^-1\tr2\t0.6\nr2\tr0\t0.3\n"
+)
+GOLDEN_PAIRS_REPEATED = GOLDEN_HEADER + (
+    "equivalence,r0,r1,0.200000,,\r\n"
+    "others,r0,r2,,0.200000,0.250000\r\n"
+    "others,r2,r1,,0.500000,0.450000\r\n"
+    "others,r0,r2,,0.200000,0.250000\r\n"
+    "others,r1,r2,,0.100000,0.450000\r\n"
+    "others,r2,r0,,0.500000,0.250000\r\n"
+)
 
 
 @pytest.mark.parametrize(
     "rules, expected",
-    [(GOLDEN_RULES, GOLDEN_PAIRS), ("", GOLDEN_HEADER)],
-    ids=["every-class", "no-rules"],
+    [
+        (GOLDEN_RULES, GOLDEN_PAIRS),
+        ("", GOLDEN_HEADER),
+        (GOLDEN_RULES_REPEATED, GOLDEN_PAIRS_REPEATED),
+    ],
+    ids=["every-class", "no-rules", "duplicates-and-weak-reverses"],
 )
 def test_analyze_relation_pairs_golden(data_dir, tmp_path, rules, expected):
     vocab = load_dataset(data_dir).vocab
@@ -336,6 +354,42 @@ def test_train_checks_its_config_before_loading_the_data(tmp_path, capsys, flags
     err = capsys.readouterr().err
     assert message.format(file=path) in err
     assert "train.txt" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--min-conf", "1.5", "--min-conf must lie in (0, 1], got 1.5"),
+        ("--min-conf", "0", "--min-conf must lie in (0, 1], got 0"),
+        ("--min-conf", "nan", "--min-conf must lie in (0, 1], got nan"),
+        ("--min-support", "0", "--min-support must be at least 1, got 0"),
+    ],
+    ids=["--min-conf=1.5", "--min-conf=0", "--min-conf=nan", "--min-support=0"],
+)
+def test_mine_checks_its_flags_before_loading_the_data(tmp_path, capsys, flag, value, message):
+    # The data directory has no train.txt, so loading first would fail naming it.
+    data, out = tmp_path / "no-data", tmp_path / "rules.tsv"
+    data.mkdir()
+    assert main(["mine", "--data", str(data), "--out", str(out), flag, value]) == 1
+    assert capsys.readouterr().err == f"kgec mine: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split", ["empty", "missing"])
+def test_eval_without_test_triples_fails_naming_the_split(
+    data_dir, tmp_path, capsys, monkeypatch, split
+):
+    path = tmp_path / "c.kgec"
+    save_checkpoint(init_params(12, 3, 4, seed=0), path)
+    if split == "empty":
+        (data_dir / "test.txt").write_text("")
+    else:
+        (data_dir / "test.txt").unlink()
+    monkeypatch.setattr("kgec.cli.build_known_index", lambda dataset: pytest.fail("index built"))
+    argv = ["eval", "--data", str(data_dir), "--checkpoint", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == f"kgec eval: error: {data_dir / 'test.txt'}: eval needs test triples"
 
 
 def test_a_config_cfg_with_the_legacy_l2_full_line_trains_to_the_same_bytes(

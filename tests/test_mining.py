@@ -1,4 +1,7 @@
-"""Tests for rule mining with PCA confidence and relation-pair classification."""
+"""Tests for rule mining with PCA confidence and the relation-pair classes
+that ``analysis.pair_residuals`` reads off the rules."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgec import mining
+from kgec.analysis import pair_residuals
 from kgec.data import Entailment, Triple, load_entailments
-from kgec.mining import MinedRule, classify_pairs, mine_entailments, write_rules
+from kgec.mining import MinedRule, mine_entailments, write_rules
 
 from conftest import make_vocab
 from oracles import oracle_mine
@@ -200,6 +204,18 @@ class TestMineMatchesOracle:
             assert type(rule.pca_confidence) is float and type(ent.confidence) is float
             assert type(ent.premise_inverted) is bool
             assert type(ent.premise_rel) is int and type(ent.conclusion_rel) is int
+
+
+def classify_pairs(rules, thresh):
+    """pair_residuals' rows by class: (p, q) for the pairs, the others as rules."""
+    kinds, rows, _ = pair_residuals(np.zeros((2, 1), complex), rules, thresh)
+    classes = SimpleNamespace(equivalence=[], inversion=[], others=[])
+    fields = zip(kinds.tolist(), rows.premise.tolist(), (rows.sign < 0).tolist(),
+                 rows.conclusion.tolist(), rows.confidence.tolist())
+    for kind, p, inverted, q, conf in fields:
+        row = Entailment(p, inverted, q, conf) if kind == "others" else (p, q)
+        getattr(classes, kind).append(row)
+    return classes
 
 
 class TestClassifyPairs:
