@@ -269,20 +269,21 @@ def cmd_analyze(args) -> int:
 
     if args.types:
         labels = load_type_labels(args.types, dataset.vocab)
+        # Purity and the heatmaps read only the labeled rows: row i is entity labeled[i].
+        labeled = sorted(labels.labels)
+        types = np.array([labels.labels[e] for e in labeled], dtype=np.int64)
+        rows = dataclasses.replace(labels, labels=dict(enumerate(types.tolist())))
         rng = np.random.default_rng(args.seed)
-        by_type: dict[int, list[int]] = {}
-        for entity, type_id in sorted(labels.labels.items()):
-            by_type.setdefault(type_id, []).append(entity)
         selected: list[int] = []
-        for type_id in sorted(by_type):
-            members = np.asarray(by_type[type_id])
+        for type_id in np.unique(types):
+            members = np.flatnonzero(types == type_id)
             take = min(args.per_type, members.size)
             selected.extend(rng.choice(members, size=take, replace=False).tolist())
-        names = [dataset.vocab.entities.name(e) for e in selected]
+        names = [dataset.vocab.entities.name(labeled[row]) for row in selected]
         for name, component in (("real", params.re_e), ("imag", params.im_e)):
             # Purity is measured on the normalized activations that the heatmaps export.
-            normalized = activation_heatmap(component, range(params.n_entities))
-            write_purity_csv(purity_curve(normalized, labels, ks), out_dir / f"purity_{name}.csv")
+            normalized = activation_heatmap(component, labeled)
+            write_purity_csv(purity_curve(normalized, rows, ks), out_dir / f"purity_{name}.csv")
             write_heatmap_csv(normalized[selected], names, out_dir / f"heatmap_{name}.csv")
 
     if args.ents:

@@ -126,6 +126,9 @@ class Entailment:
             raise RangeError(
                 f"entailment confidence must lie in (0, 1], got {self.confidence}"
             )
+        bad = min(self.premise_rel, self.conclusion_rel)
+        if bad < 0:  # it would index the relation table from the end
+            raise RangeError(f"entailment names an unknown relation: id {bad} is negative")
         if not self.premise_inverted and self.premise_rel == self.conclusion_rel:
             raise ValueError(
                 "premise and conclusion name the same signed relation "

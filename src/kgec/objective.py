@@ -15,8 +15,11 @@ block gathers its own head, relation and tail rows and its B·k replacement
 rows, scores each negative against its positive's partial for the slot it
 replaces, and writes the block's gradient rows straight into the matrix the
 segment sum reads; no other array has a row per positive or per negative.
-Both gradient tables come from one weighted segment sum over the entity rows
-(heads, tails and partials) and the relation rows, relation ids offset by n.
+Both gradient tables come from one weighted segment sum (a CSR matrix) over
+the entity rows (heads, tails and partials) and the relation rows, relation
+ids offset by n. Each table's touched rows are then finished in one pass of
+blocks: a block writes its rows of the CSR product, adds its L2 term and sums
+its squares for the norm while they are in cache, so the clip only scales.
 Without rules no rule work is done.
 
 Every block loop of the step, here and in ``trainer.adagrad_step``, the
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import sparse
+from scipy.sparse import _sparsetools  # the CSR product, written into a given array
 from scipy.special import expit
 
 from .data import Entailment
@@ -84,22 +87,25 @@ class SparseGrads:
     ``ent_ids``/``rel_ids`` are sorted unique id vectors; ``ent``/``rel`` hold
     one complex gradient row per id, whose real and imaginary parts are the
     derivatives with respect to the real and imaginary components.
+    ``sq_norm`` is the sum of squares of every stored entry.
     """
 
     ent_ids: np.ndarray
     ent: np.ndarray
     rel_ids: np.ndarray
     rel: np.ndarray
+    sq_norm: float
 
     def clip_global_norm_(self, cap: float) -> float:
         """Rescale in place so the Euclidean norm over every stored entry is
-        at most ``cap``. Returns the norm before clipping.
+        at most ``cap``, taking the norm from ``sq_norm``, and record cap² as
+        the new ``sq_norm`` if it rescaled. Returns the norm before clipping.
         """
-        norm = math.sqrt(_sq_norm(self.ent) + _sq_norm(self.rel))
+        norm = math.sqrt(self.sq_norm)
         if norm > cap:
             for grad in (self.ent, self.rel):
-                step = _block_rows(grad, _BLOCK_BYTES)
-                _per_block(_scale_rows, len(grad), step, grad, cap / norm)
+                _per_block(_scale_rows, len(grad), _block_rows(grad, _BLOCK_BYTES), grad, cap / norm)
+            self.sq_norm = cap * cap
         return norm
 
 
@@ -132,14 +138,6 @@ def softplus(z: np.ndarray) -> np.ndarray:
     """log(1 + exp(z)) without overflow for large |z|."""
     z = np.asarray(z, dtype=float)
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def _sq_norm(z: np.ndarray) -> float:
-    """Sum of squared real and imaginary parts of a (rows, d) array: one
-    ``einsum`` per block of rows, the block sums added in block order. No BLAS
-    call and no thread count enters it, so the result depends on the data
-    alone."""
-    return float(sum(_per_block(_sum_sq, len(z), _block_rows(z, _BLOCK_BYTES), z), 0.0))
 
 
 def _sum_sq(z: np.ndarray, a: int = 0, e: int | None = None) -> float:
@@ -224,6 +222,7 @@ def loss_and_gradient_arrays(
     rules: RuleArrays,
     mu: float,
     eta: float,
+    out: np.ndarray | None = None,
 ) -> tuple[LossBreakdown, SparseGrads]:
     """Batch loss and its exact gradient over the touched parameter rows.
 
@@ -236,6 +235,10 @@ def loss_and_gradient_arrays(
     last, so ``eta=0`` gives the gradient of the logistic and entailment
     terms alone. Raises IndexError unless every entity and relation id,
     rules' included, is in range.
+
+    The gradient rows are written into a new array, or into the head of
+    ``out``, a C-contiguous (n + m, d) array of the parameters' dtype; the
+    returned gradients are then views of it, valid until its next use.
     """
     b, k = replacement.shape
     n, m, d = params.n_entities, params.n_relations, params.d
@@ -243,6 +246,8 @@ def loss_and_gradient_arrays(
     row_rels = np.concatenate([rels, rules.premise, rules.conclusion])
     _check_ids(row_ents, n, "entity")
     _check_ids(row_rels, m, "relation")
+    if out is not None and (out.shape != (n + m, d) or out.dtype != params.ent.dtype or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous ({n + m}, {d}) {params.ent.dtype} array")
 
     # Rows of q: the head gradients, the tail gradients, positive i's head
     # partial (row 2b + 2i) and tail partial (2b + 2i + 1), the positives'
@@ -272,19 +277,22 @@ def loss_and_gradient_arrays(
     ])
     weights = np.ones(row_ids.size, w.dtype)
     weights[2 * b : 2 * b + w.size] = w.ravel()
-    unique, g = _segment_sum(row_ids, q, cols, weights)
-    del q
+    unique, indptr, columns, data = _segment_sum(row_ids, cols, weights)
     split = np.searchsorted(unique, n)
+    g = np.empty((unique.size, d), q.dtype) if out is None else out[: unique.size]
     ent_ids, g_ent, rel_ids, g_rel = unique[:split], g[:split], unique[split:] - n, g[split:]
 
-    l2 = 0.0
-    for grad, table, ids in ((g_ent, params.ent, ent_ids), (g_rel, params.rel, rel_ids)):
-        step = _block_rows(table, _BLOCK_BYTES)
-        l2 = sum(_per_block(_l2_block, ids.size, step, grad, table, ids, eta), l2)
-    l2 = float(l2)
+    # Per table, the block sums of the L2 term and of the norm, added in block order.
+    l2 = sq_norm = 0.0
+    for grad, table, ids, ptr in ((g_ent, params.ent, ent_ids, indptr),
+                                  (g_rel, params.rel, rel_ids, indptr[split:])):
+        sums = _per_block(_grad_block, ids.size, _block_rows(table, _BLOCK_BYTES),
+                          ptr, columns, data, real_view(q), grad, table, ids, eta)
+        l2 += float(sum((block_l2 for block_l2, _ in sums), 0.0))
+        sq_norm += float(sum((block_sq for _, block_sq in sums), 0.0))
 
     breakdown = LossBreakdown(logistic, penalty, l2, logistic + mu * penalty + eta * l2)
-    return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel)
+    return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel, sq_norm)
 
 
 def _positive_block(params, heads, rels, tails, corrupt_head, replacement, q, z, w, a, e):
@@ -324,37 +332,38 @@ def _positive_block(params, heads, rels, tails, corrupt_head, replacement, q, z,
     tail_partial(s[:, 0], r, out=q[b + a : b + e])
 
 
-def _l2_block(grad, table, ids, eta, a, e) -> float:
-    """Gather ``table``'s rows ``ids[a:e]``, add 2·eta times them to their
-    rows of ``grad``, and return their sum of squares."""
+def _grad_block(indptr, columns, data, real, grad, table, ids, eta, a, e) -> tuple[float, float]:
+    """Gradient rows ``a:e``: write rows ``a:e`` of the product of the CSR
+    matrix ``(indptr, columns, data)`` with ``real``, gather ``table``'s rows
+    ``ids[a:e]`` and add 2·eta times them. Returns the sum of squares of the
+    gathered rows and of the finished gradient rows."""
+    lo, hi = indptr[a], indptr[e]
+    out = real_view(grad[a:e])
+    out[:] = 0.0  # the product adds into its output, as scipy's own `@` does on zeros
+    _sparsetools.csr_matvecs(e - a, real.shape[0], real.shape[1], indptr[a : e + 1] - lo,
+                             columns[lo:hi], data[lo:hi], real.reshape(-1), out.reshape(-1))
     rows = np.take(table, ids[a:e], axis=0, mode="wrap")
     sq = _sum_sq(rows)
     if eta != 0.0:
         rows *= 2.0 * eta
         grad[a:e] += rows
-    return sq
+    return sq, _sum_sq(grad, a, e)
 
 
-def _segment_sum(ids, rows, cols=None, weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted unique ``ids`` and, per id, the complex row sum
+def _segment_sum(ids, cols, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted unique ``ids`` and the weighted CSR matrix, one row per
+    unique id, as ``indptr, columns, data``: its product with the real view
+    of a complex array ``rows`` gives each id the row sum
     ``sum(weights[ids == id] * rows[cols[ids == id]])``.
 
-    Entry e reads row ``cols[e]`` (default e) with weight ``weights[e]``
-    (default 1). One stable argsort of ``ids`` gives both results, and the
-    sums come from one product of a weighted CSR matrix, one row per unique
-    id, with the real view of ``rows``. Each output row adds its terms in
-    entry order, as ``np.add.at`` does on a zeroed array, so the sums are the
-    same to the bit.
+    One stable argsort of ``ids`` gives both results. Each row keeps its
+    entries in entry order, and the product adds them in that order, as
+    ``np.add.at`` does on a zeroed array, so the sums are the same to the bit
+    for any cut of the rows into blocks.
     """
-    real = real_view(rows)
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     starts = np.empty(ids.size + 1, dtype=bool)  # a row starts here; the last marks the end
     starts[0] = starts[-1] = True
     np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=starts[1:-1])
-    indptr = np.flatnonzero(starts)
-    unique = sorted_ids[starts[:-1]]
-    data = np.ones(ids.size, real.dtype) if weights is None else weights[order]
-    columns = order if cols is None else cols[order]
-    matrix = sparse.csr_array((data, columns, indptr), (unique.size, rows.shape[0]))
-    return unique, (matrix @ real).view(rows.dtype)
+    return sorted_ids[starts[:-1]], np.flatnonzero(starts), cols[order], weights[order]

@@ -285,12 +285,13 @@ def train(
         raise ValueError("training needs at least 2 entities")
     rules = pack_entailments(ents)
     ids = np.concatenate([rules.premise, rules.conclusion])
-    bad = (ids < 0) | (ids >= m)
+    bad = ids >= m  # an Entailment rejects negative ids
     if bad.any():
         raise ValueError(f"entailment names an unknown relation: id {ids[bad][0]} not in [0, {m})")
 
     params = init_params(n, m, config.d, config.seed)
     state = AdaGradState.zeros_like(params)
+    grad_rows = np.empty((n + m, config.d), params.ent.dtype)  # every step's gradient, reused
     rng = np.random.default_rng(config.seed + 1)
     train_arr = triple_array(dataset.train)
     if train_arr.shape[0] == 0:
@@ -312,7 +313,7 @@ def train(
             corrupt_head, replacement = _corrupt_batch(heads, tails, config.neg_ratio, n, rng)
             breakdown, grads = loss_and_gradient_arrays(
                 params, heads, rels, tails, corrupt_head, replacement,
-                rules, config.mu, config.eta,
+                rules, config.mu, config.eta, out=grad_rows,
             )
             if not math.isfinite(breakdown.total):
                 raise RuntimeError(

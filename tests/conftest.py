@@ -12,6 +12,9 @@ import pytest
 from kgec.data import Dataset, Triple, Vocab, write_tsv
 from kgec.manifest import RunManifest, read_json, sha256_file
 from kgec.model import score_all_tails
+from kgec.objective import SparseGrads
+
+from oracles import oracle_sq_norm
 
 
 def make_vocab(n_entities: int, n_relations: int) -> Vocab:
@@ -49,6 +52,12 @@ def triple_scores(params, heads, rels, tails) -> np.ndarray:
     """Scores of the triples (heads[i], rels[i], tails[i]), read off the
     (B, n) matrix that ``score_all_tails`` computes."""
     return score_all_tails(params, heads, rels)[np.arange(len(heads)), tails]
+
+
+def sparse_grads(ent_ids, ent, rel_ids, rel) -> SparseGrads:
+    """Hand-made gradient rows as :class:`SparseGrads`, with the squared norm
+    that the training kernel would carry."""
+    return SparseGrads(ent_ids, ent, rel_ids, rel, oracle_sq_norm(ent) + oracle_sq_norm(rel))
 
 
 def random_dataset(

@@ -4,10 +4,12 @@ The oracles recompute results from first principles (complex arithmetic,
 explicit enumeration, sorting, grid search) and deliberately avoid the code
 paths under test. The functions from ``sample_negatives`` on are reference
 forms of code that was rewritten: negative sampling as materialised triples,
-the gradient of a labelled batch scattered with ``np.add.at``, the AdaGrad
-step with a temporary per pass, the row-by-row heatmap, the per-dimension
-purity loop, the per-pair relation diagnostic, the set-based relation-pair
-classifier, and the training kernel with one buffer row per entity term.
+the gradient of a labelled batch scattered with ``np.add.at``, the segment
+sum as ``np.add.at``, the AdaGrad step with a temporary per pass, the
+row-by-row heatmap, the per-dimension purity loop, the per-pair relation
+diagnostic, the set-based relation-pair classifier, and the training kernel
+with one buffer row per entity term. ``oracle_sq_norm`` is the blocked sum
+of squares that the kernel's L2 term and norm must equal to the bit.
 """
 
 from __future__ import annotations
@@ -17,17 +19,27 @@ import math
 import numpy as np
 from scipy.special import expit
 
+from kgec import objective
 from kgec.data import Triple
 from kgec.model import _check_ids, head_partial, real_dot, real_view, rel_partial, tail_partial
 from kgec.objective import (
     LossBreakdown,
     SparseGrads,
-    _segment_sum,
-    _sq_norm,
+    _block_rows,
+    _per_block,
+    _sum_sq,
     rule_penalty,
     softplus,
 )
 from kgec.trainer import _ADAGRAD_EPSILON, _corrupt_batch
+
+
+def oracle_sq_norm(z: np.ndarray) -> float:
+    """Sum of squared real and imaginary parts of a (rows, d) array: one
+    ``einsum`` per block of rows, the block sums added in block order, as the
+    training kernel sums the norm and the L2 term. No BLAS call and no thread
+    count enters it, so the result depends on the data alone."""
+    return float(sum(_per_block(_sum_sq, len(z), _block_rows(z, objective._BLOCK_BYTES), z), 0.0))
 
 
 def oracle_score(params, head: int, rel: int, tail: int) -> float:
@@ -217,7 +229,7 @@ def oracle_scatter_gradients(params, heads, rels, tails, labels, rules, mu: floa
     np.add.at(g_rel, np.searchsorted(rel_ids, rule_ids), mu * rule_grads)
 
     ent_rows, rel_rows = params.ent[ent_ids], params.rel[rel_ids]
-    l2 = _sq_norm(ent_rows) + _sq_norm(rel_rows)
+    l2 = oracle_sq_norm(ent_rows) + oracle_sq_norm(rel_rows)
     if eta != 0.0:
         g_ent += 2.0 * eta * ent_rows
         g_rel += 2.0 * eta * rel_rows
@@ -228,7 +240,7 @@ def oracle_scatter_gradients(params, heads, rels, tails, labels, rules, mu: floa
         l2=l2,
         total=logistic + mu * penalty + eta * l2,
     )
-    return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel)
+    return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel, oracle_sq_norm(g_ent) + oracle_sq_norm(g_rel))
 
 
 def oracle_adagrad_step(params, grads, state, lr: float, project: bool = False) -> None:
@@ -392,13 +404,13 @@ def oracle_row_buffer_kernel(
 
     penalty, rule_grads = rule_penalty(params.rel, rules)
     np.multiply(mu, rule_grads, out=rel_rows[b:])
-    ent_ids, g_ent = _segment_sum(row_ents, ent_rows)
-    rel_ids, g_rel = _segment_sum(row_rels, rel_rows)
+    ent_ids, g_ent = oracle_segment_sum(row_ents, ent_rows)
+    rel_ids, g_rel = oracle_segment_sum(row_rels, rel_rows)
 
     # The touched entity rows go into the spent row buffer for the L2 term.
     ent_rows = np.take(params.ent, ent_ids, axis=0, out=ent_rows[: ent_ids.size], mode="wrap")
     rel_rows = params.rel[rel_ids]
-    l2 = _sq_norm(ent_rows) + _sq_norm(rel_rows)
+    l2 = oracle_sq_norm(ent_rows) + oracle_sq_norm(rel_rows)
     if eta != 0.0:
         for grad, rows in ((g_ent, ent_rows), (g_rel, rel_rows)):
             rows *= 2.0 * eta
@@ -410,4 +422,13 @@ def oracle_row_buffer_kernel(
         l2=l2,
         total=logistic + mu * penalty + eta * l2,
     )
-    return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel)
+    return breakdown, SparseGrads(ent_ids, g_ent, rel_ids, g_rel, oracle_sq_norm(g_ent) + oracle_sq_norm(g_rel))
+
+
+def oracle_segment_sum(ids, rows):
+    """The sorted unique ``ids`` and, per id, the sum of its ``rows``, added
+    in row order by ``np.add.at`` on zeros."""
+    unique = np.unique(ids)
+    sums = np.zeros((unique.size, rows.shape[1]), rows.dtype)
+    np.add.at(sums, np.searchsorted(unique, ids), rows)
+    return unique, sums

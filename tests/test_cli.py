@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import kgec
+import kgec.cli
+from kgec.analysis import activation_heatmap, load_type_labels, purity_curve, write_purity_csv
 from kgec.cli import build_parser, main
 from kgec.data import Triple, load_dataset, write_tsv
 from kgec.manifest import RunManifest, sha256_file, write_csv
@@ -202,6 +204,40 @@ def test_analyze_relation_pairs_golden(data_dir, tmp_path, rules, expected):
             "--ents", str(rules_path), "--out", str(out)]
     assert main(argv) == 0
     assert (out / "relation_pairs.csv").read_bytes() == expected.encode()
+
+
+def test_analyze_normalizes_only_the_labeled_rows(data_dir, tmp_path, monkeypatch):
+    # Seven of the twelve entities are labeled. Purity must equal the curve
+    # over all rows normalized, and each heatmap row that entity's row
+    # normalized alone, while only labeled rows reach the normalization.
+    vocab = load_dataset(data_dir).vocab
+    params = init_params(len(vocab.entities), len(vocab.relations), 6, seed=1)
+    checkpoint = tmp_path / "model.kgec"
+    save_checkpoint(params, checkpoint)
+    types = tmp_path / "types.tsv"
+    types.write_text("".join(f"e{i}\tT{i % 3}\n" for i in (7, 2, 9, 4, 11, 0, 5)))
+    labels = load_type_labels(types, vocab)
+    normalized_ids = []
+
+    def spy(component, entity_ids):
+        normalized_ids.append(sorted(entity_ids))
+        return activation_heatmap(component, entity_ids)
+
+    monkeypatch.setattr(kgec.cli, "activation_heatmap", spy)
+    out = tmp_path / "analysis"
+    argv = ["analyze", "--data", str(data_dir), "--checkpoint", str(checkpoint),
+            "--types", str(types), "--per-type", "2", "--ks", "20,50,100", "--out", str(out)]
+    assert main(argv) == 0
+    assert normalized_ids == [sorted(labels.labels)] * 2
+    for name, component in (("real", params.re_e), ("imag", params.im_e)):
+        every_row = activation_heatmap(component, range(params.n_entities))
+        write_purity_csv(purity_curve(every_row, labels, (20, 50, 100)), tmp_path / "want.csv")
+        assert (out / f"purity_{name}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        lines = (out / f"heatmap_{name}.csv").read_text().splitlines()[1:]
+        entities = [vocab.entities.id(line.split(",")[0]) for line in lines]
+        assert len(entities) == 6 and set(entities) <= set(labels.labels)
+        for line, entity in zip(lines, entities):
+            assert line.split(",")[1:] == [f"{v:.6f}" for v in every_row[entity]]
 
 
 def test_train_is_reproducible_from_identical_inputs(data_dir, config_file, tmp_path):

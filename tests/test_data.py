@@ -314,6 +314,13 @@ class TestEntailments:
         # Inverted self-premise is allowed (symmetric relations).
         Entailment(0, True, 0, 0.9)
 
+    @pytest.mark.parametrize("premise, inverted, conclusion", [(-1, False, 0), (0, True, -2)])
+    def test_negative_relation_id_rejected(self, premise, inverted, conclusion):
+        # pair_residuals and rule_deltas would read it as a row from the end.
+        bad = min(premise, conclusion)
+        with pytest.raises(RangeError, match=f"unknown relation: id {bad} is negative"):
+            Entailment(premise, inverted, conclusion, 0.9)
+
     def test_write_read_round_trip(self, tmp_path):
         vocab = make_vocab(0, 3)
         ents = [Entailment(0, True, 1, 1.0), Entailment(2, False, 0, 0.85)]

@@ -14,10 +14,10 @@ from kgec.model import (
     score_all_heads,
     score_all_tails,
 )
-from kgec.objective import SparseGrads, pack_entailments, rule_penalty
+from kgec.objective import pack_entailments, rule_penalty
 from kgec.trainer import AdaGradState, adagrad_step
 
-from conftest import triple_scores
+from conftest import sparse_grads, triple_scores
 from oracles import oracle_score
 
 
@@ -32,7 +32,7 @@ def clamp(params: ModelParams, rows) -> None:
     here with a zero gradient on the entity ``rows`` so only the clamp acts."""
     ids = np.asarray(rows)
     zeros = np.zeros((ids.size, params.d), complex)
-    grads = SparseGrads(ids, zeros, np.empty(0, np.int64), np.empty((0, params.d), complex))
+    grads = sparse_grads(ids, zeros, np.empty(0, np.int64), np.empty((0, params.d), complex))
     adagrad_step(params, grads, AdaGradState.zeros_like(params), lr=1.0, project=True)
 
 

@@ -1,5 +1,6 @@
 """Tests for the loss terms and their sparse gradients."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 import kgec.objective
 from kgec.data import Entailment
-from kgec.model import ModelParams, init_params
+from kgec.model import ModelParams, init_params, real_view
 from kgec.objective import (
+    _grad_block,
     _segment_sum,
     loss_and_gradient_arrays,
     pack_entailments,
@@ -27,6 +29,7 @@ from oracles import (
     oracle_row_buffer_kernel,
     oracle_scatter_gradients,
     oracle_score,
+    oracle_sq_norm,
     slack_grid_minimum,
 )
 
@@ -333,6 +336,18 @@ def assert_close(got, want, name):
     assert np.all(np.abs(got - want) <= 1e-12 * scale), name
 
 
+def blocked_segment_sums(ids, rows, cols, weights, step):
+    """``_segment_sum``'s unique ids and its row sums of ``rows``, written by
+    ``_grad_block`` with eta = 0 in blocks of ``step`` ids over a NaN buffer."""
+    unique, indptr, columns, data = _segment_sum(ids, cols, weights)
+    sums = np.full((unique.size, rows.shape[1]), np.nan, rows.dtype)
+    table = np.zeros((8, rows.shape[1]), rows.dtype)
+    for a in range(0, unique.size, step):
+        _grad_block(indptr, columns, data, real_view(rows), sums, table, unique, 0.0,
+                    a, min(a + step, unique.size))
+    return unique, sums
+
+
 class TestScatterKernel:
     @settings(max_examples=300, deadline=None)
     @given(kernel_instances())
@@ -356,19 +371,20 @@ class TestScatterKernel:
                 st.lists(st.integers(0, 7), min_size=rows, max_size=rows),
                 st.integers(1, 3),
                 st.integers(0, 2**31 - 1),
+                st.integers(1, 4),
             )
         )
     )
     def test_matches_scatter_oracle_exactly(self, case):
         # The segment sum that scatters both gradient tables, against
         # np.add.at on zeros at the sorted unique ids.
-        ids, d, seed = case
+        ids, d, seed, step = case
         ids = np.array(ids, dtype=np.int64)
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(ids.size, d)) + 1j * rng.normal(size=(ids.size, d))
         want = np.zeros((ids.max() + 1 if ids.size else 0, d), complex)
         np.add.at(want, ids, rows)
-        got_ids, got = _segment_sum(ids, rows)
+        got_ids, got = blocked_segment_sums(ids, rows, np.arange(ids.size), np.ones(ids.size), step)
         np.testing.assert_array_equal(got_ids, np.unique(ids))
         np.testing.assert_array_equal(got, want[np.unique(ids)])
 
@@ -379,20 +395,21 @@ class TestScatterKernel:
                 st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9)), min_size=rows, max_size=rows),
                 st.integers(1, 3),
                 st.integers(0, 2**31 - 1),
+                st.integers(1, 4),
             )
         )
     )
     def test_weighted_segment_sum_matches_add_at_exactly(self, case):
         # Entry e adds weights[e] * rows[cols[e]] at ids[e]; columns repeat
         # and some rows are read by no entry.
-        entries, d, seed = case
+        entries, d, seed, step = case
         ids, cols = np.array(entries, dtype=np.int64).reshape(-1, 2).T
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(10, d)) + 1j * rng.normal(size=(10, d))
         weights = rng.uniform(-1.0, 1.0, size=ids.size)
         want = np.zeros((8, d), complex)
         np.add.at(want, ids, weights[:, None] * rows[cols])
-        got_ids, got = _segment_sum(ids, rows, cols, weights)
+        got_ids, got = blocked_segment_sums(ids, rows, cols, weights, step)
         np.testing.assert_array_equal(got_ids, np.unique(ids))
         np.testing.assert_array_equal(got, want[np.unique(ids)])
 
@@ -417,12 +434,14 @@ class TestBlockedKernel:
         else:
             assert abs(got_loss.l2 - want_loss.l2) <= 1e-12 * want_loss.l2
 
-    def test_peak_memory_has_no_row_per_negative(self):
+    def test_peak_memory_has_no_row_per_negative(self, monkeypatch):
         # The row-buffer kernel holds a (2B + B·k, d) complex buffer; the
-        # blocked kernel must peak at least half of it lower. Its blocks cost
-        # a fixed buffer of about _BLOCK_BYTES, so B is large enough that
-        # half the row buffer (3 MB) exceeds it.
-        n, b, k, d = 20_000, 1_000, 10, 32
+        # blocked kernel must peak at least half of it lower. Its gradient
+        # blocks gather table rows while q and the gradient are held, a fixed
+        # buffer of about _BLOCK_BYTES per part, so the part count is fixed
+        # and B is large enough that half the row buffer (9 MB) exceeds two.
+        monkeypatch.setattr(kgec.objective, "_WORKERS", 2)
+        n, b, k, d = 20_000, 3_000, 10, 32
         rng = np.random.default_rng(0)
         params = init_params(n, 4, d, seed=0)
         heads, rels, tails = rng.integers(n, size=b), rng.integers(4, size=b), rng.integers(n, size=b)
@@ -464,6 +483,78 @@ class TestBlockedKernel:
             extra.append(peak - q - grads.ent.nbytes - grads.rel.nbytes)
         half_row_block = 5_000 * d * params.ent.itemsize / 2
         assert extra[1] - extra[0] < half_row_block, (extra, half_row_block)
+
+
+def blocked_pass_instance(seed, b, rules=True):
+    """Twelve relations and d = 3, so that three-row blocks cut both gradient
+    tables into several blocks, and a batch of ``b`` positives with k = 3."""
+    n, m, d, k = 40, 12, 3, 3
+    rng = np.random.default_rng(seed)
+    params = init_params(n, m, d, seed=seed)
+    params.rel[:] = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+    heads, rels, tails = rng.integers(n, size=b), rng.integers(m, size=b), rng.integers(n, size=b)
+    batch = (heads, rels, tails, *_corrupt_batch(heads, tails, k, n, rng))
+    ents = [Entailment(p, bool(p % 2), (p + 5) % m, 0.5 + 0.04 * p) for p in range(m)]
+    return params, batch, pack_entailments(ents if rules else [])
+
+
+class TestBlockedPass:
+    """The gradient rows, their L2 term and their norm come from one pass
+    over blocks of touched rows, written into a new array or a given buffer."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.03])
+    @pytest.mark.parametrize("rules", [True, False])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_matches_row_buffer_oracle_bit_for_bit(self, workers, rules, eta, monkeypatch):
+        monkeypatch.setattr(kgec.objective, "_BLOCK_BYTES", 3 * 3 * 16)  # three rows a block
+        monkeypatch.setattr(kgec.objective, "_WORKERS", workers)
+        params, batch, packed = blocked_pass_instance(seed=workers, b=15, rules=rules)
+        want_loss, want = oracle_row_buffer_kernel(params, *batch, packed, 0.5, eta)
+        got_loss, got = loss_and_gradient_arrays(params, *batch, packed, 0.5, eta)
+        assert got.ent_ids.size > 9 and got.rel_ids.size > 6  # several blocks per table
+        for name in ("ent_ids", "rel_ids", "ent", "rel"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
+        assert got_loss == want_loss
+        assert got.sq_norm == want.sq_norm
+
+    @pytest.mark.parametrize("block_bytes", [48, 1_000, 2**21])
+    def test_carried_norm_is_sq_norm_of_the_rows(self, block_bytes, monkeypatch):
+        monkeypatch.setattr(kgec.objective, "_BLOCK_BYTES", block_bytes)
+        params, batch, packed = blocked_pass_instance(seed=7, b=30)
+        _, grads = loss_and_gradient_arrays(params, *batch, packed, 0.5, 0.03)
+        sq = oracle_sq_norm(grads.ent) + oracle_sq_norm(grads.rel)
+        assert grads.sq_norm == sq
+        assert grads.clip_global_norm_(1e-3) == math.sqrt(sq)  # the norm before clipping
+        assert grads.sq_norm == 1e-3 * 1e-3
+
+    def test_a_reused_buffer_gives_the_fresh_array_results(self, monkeypatch):
+        # The second step touches fewer rows than the first, so the buffer
+        # holds stale rows past its head; none may leak into the result.
+        monkeypatch.setattr(kgec.objective, "_BLOCK_BYTES", 3 * 3 * 16)
+        params, big, packed = blocked_pass_instance(seed=1, b=30)
+        _, small, _ = blocked_pass_instance(seed=2, b=3)
+        buffer = np.full((params.n_entities + params.n_relations, params.d), np.nan, complex)
+        _, first = loss_and_gradient_arrays(params, *big, packed, 0.5, 0.03, out=buffer)
+        touched = first.ent_ids.size + first.rel_ids.size
+        want_loss, want = loss_and_gradient_arrays(params, *small, packed, 0.5, 0.03)
+        got_loss, got = loss_and_gradient_arrays(params, *small, packed, 0.5, 0.03, out=buffer)
+        assert got.ent_ids.size + got.rel_ids.size < touched
+        assert np.shares_memory(got.ent, buffer) and np.shares_memory(got.rel, buffer)
+        for name in ("ent_ids", "rel_ids", "ent", "rel"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
+        assert got_loss == want_loss
+        assert got.sq_norm == want.sq_norm
+
+
+    @pytest.mark.parametrize("bad", ["rows", "dtype", "order"])
+    def test_a_buffer_the_product_cannot_write_into_fails(self, bad):
+        params, batch, packed = blocked_pass_instance(seed=1, b=3)
+        shape, dtype = (params.n_entities + params.n_relations, params.d), complex
+        buffer = {"rows": np.empty((shape[0] - 1, shape[1]), dtype),
+                  "dtype": np.empty(shape, np.complex64),
+                  "order": np.empty(shape, dtype, order="F")}[bad]
+        with pytest.raises(ValueError, match=r"out must be a C-contiguous \(52, 3\) complex128"):
+            loss_and_gradient_arrays(params, *batch, packed, 0.5, 0.03, out=buffer)
 
 
 class TestOneSegmentSum:
