@@ -98,11 +98,11 @@ def cmd_mine(args) -> int:
     return 0
 
 
-def _write_manifest(config, out_dir, input_paths, precision):
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _run_manifest(config, out_dir, input_paths, precision) -> RunManifest:
+    """The manifest of a run of ``config``, with its inputs hashed now, before training."""
     snapshot = dataclasses.asdict(config)
     snapshot["checkpoint_precision"] = precision
-    manifest = RunManifest.create(
+    return RunManifest.create(
         command="train",
         version=__version__,
         seed=config.seed,
@@ -110,10 +110,12 @@ def _write_manifest(config, out_dir, input_paths, precision):
         input_paths=input_paths,
         output_paths=[out_dir / name for name in _RUN_OUTPUTS],
     )
-    manifest.write(out_dir / "manifest.json")
 
 
-def _write_outputs(dataset, config, params, log, out_dir, precision):
+def _write_outputs(dataset, config, params, log, out_dir, precision, manifest):
+    """Replace the run's outputs; ``manifest.json`` is removed first and written
+    last, so a directory without one holds a run in progress or a broken one."""
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     ckpt, log_path, ent_vocab, rel_vocab = (out_dir / name for name in _RUN_OUTPUTS)
     dataset.vocab.dump(ent_vocab, rel_vocab)
     # Training arithmetic is float64; the stored precision is a disk format.
@@ -121,6 +123,7 @@ def _write_outputs(dataset, config, params, log, out_dir, precision):
     save_checkpoint(stored, ckpt, str(ent_vocab), str(rel_vocab))
     write_training_log(log, log_path)
     write_config(config, out_dir / "config.cfg")
+    manifest.write(out_dir / "manifest.json")
 
 
 def _grid_configs(base: TrainConfig, grid: dict, source: str) -> list[TrainConfig]:
@@ -169,39 +172,40 @@ def cmd_train(args) -> int:
     if config_path:
         input_paths.append(config_path)
 
+    if args.grid and not dataset.valid:
+        raise ValueError(f"{Path(args.data, 'valid.txt')}: --grid needs validation triples")
+    out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before training
     if not args.grid:
-        _write_manifest(config, out_dir, input_paths, args.precision)
+        manifest = _run_manifest(config, out_dir, input_paths, args.precision)
         params, log = train(dataset, ents, config)
-        _write_outputs(dataset, config, params, log, out_dir, args.precision)
+        _write_outputs(dataset, config, params, log, out_dir, args.precision, manifest)
         print(f"training done -> {out_dir / 'checkpoint.kgec'}")
         return 0
 
-    # Grid sweep: sequential, resumable through the state file.
-    if not dataset.valid:
-        raise ValueError(f"{Path(args.data, 'valid.txt')}: --grid needs validation triples")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Grid sweep: sequential, resumable through the state file. A new best
+    # point's outputs go before its state entry, so a stop in between
+    # re-trains that point on resume.
     state_path = out_dir / "grid_state.json"
     state = read_json(state_path) if state_path.exists() else {}
     if not isinstance(state, dict) or not all(type(mrr) in (int, float) for mrr in state.values()):
         raise ValueError(f"{state_path}: expected a JSON object mapping grid points to numbers")
 
     known = build_known_index(dataset)
-    best_key = max(state, key=lambda k: state[k], default=None)
-    best_mrr = state.get(best_key, -np.inf) if best_key else -np.inf
+    best_mrr = max(state.values(), default=-np.inf)
     for candidate in candidates:
         key = _grid_key(candidate)
         if key in state:
             continue
+        manifest = _run_manifest(candidate, out_dir, input_paths, args.precision)
         params, log = train(dataset, ents, candidate)
         mrrs = [row.valid_mrr for row in log if row.valid_mrr is not None]
         valid_mrr = max(mrrs) if mrrs else evaluate(params, dataset.valid, known).mrr
+        if valid_mrr > best_mrr:
+            best_mrr = valid_mrr
+            _write_outputs(dataset, candidate, params, log, out_dir, args.precision, manifest)
         state[key] = valid_mrr
         with atomic_write(state_path, encoding="utf-8") as fh:
             json.dump(state, fh, indent=2, sort_keys=True)
-        if valid_mrr > best_mrr:
-            best_mrr = valid_mrr
-            _write_manifest(candidate, out_dir, input_paths, args.precision)
-            _write_outputs(dataset, candidate, params, log, out_dir, args.precision)
         print(f"grid point valid_mrr={valid_mrr:.4f} {key}")
     print(f"grid done; best valid MRR {best_mrr:.4f} -> {out_dir / 'checkpoint.kgec'}")
     return 0

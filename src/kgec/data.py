@@ -7,20 +7,15 @@ File formats (all UTF-8, tab-separated):
                 may carry the suffix ``^-1`` to mark an inverted premise
   vocab dumps:  one name per line, the line number is the id
 
-The line loop of :func:`load_triples` runs with the cyclic garbage collector
-paused. The ``Triple`` named tuples it makes, about 151k for a WN18-shaped
-dataset, hold no cycles, but the collector tracks them for good (it untracks
-only exact tuples). Unpaused, the growing heap set off collection after
-collection, each rescanning what was loaded so far. The paused allocations
-still count, so one young collection follows the loop. The filter's
-:class:`KnownIndex` holds sorted int64 arrays, no object per triple.
+Loaded rows are plain ``(head, rel, tail)`` int tuples, not :class:`Triple`:
+the cyclic garbage collector stops tracking an exact tuple of ints at its
+first young collection, but tracks a tuple subclass for good, and 151k
+tracked rows at WN18 shape made collection after collection rescan the load.
 """
 
 from __future__ import annotations
 
-import gc
 import logging
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -33,20 +28,6 @@ from .manifest import atomic_write, read_lines
 logger = logging.getLogger(__name__)
 
 _INVERSE_SUFFIX = "^-1"
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Run the block with the cyclic garbage collector off; turn it back on
-    afterwards only if it was on at entry, so a caller's ``gc.disable()`` and
-    an enclosing pause stay in force, also when the block raises."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 class ParseError(ValueError):
@@ -218,7 +199,7 @@ def load_triples(
     path: str | Path,
     vocab: Vocab | None = None,
     grow: bool = True,
-) -> tuple[list[Triple], Vocab]:
+) -> tuple[list[tuple[int, int, int]], Vocab]:
     """Read a triple TSV file into integer-coded triples.
 
     Parameters
@@ -235,8 +216,8 @@ def load_triples(
     Returns
     -------
     (triples, vocab):
-        The integer-coded triples in file order, and the (possibly grown)
-        vocabulary.
+        The ``(head, rel, tail)`` id tuples in file order, and the
+        (possibly grown) vocabulary.
 
     Names are treated as opaque strings; no whitespace normalization is
     applied beyond removing the line terminator. Blank lines are skipped.
@@ -246,13 +227,12 @@ def load_triples(
     entity, relation = (
         (vocab.entities.add, vocab.relations.add) if grow else (vocab.entities.id, vocab.relations.id)
     )
-    triples: list[Triple] = []
-    with _gc_paused():
-        for lineno, (head_name, rel_name, tail_name) in read_tsv(path, 3):
-            try:
-                triples.append(Triple(entity(head_name), relation(rel_name), entity(tail_name)))
-            except VocabularyError as exc:
-                raise VocabularyError(f"{path}:{lineno}: {exc}") from None
+    triples: list[tuple[int, int, int]] = []
+    for lineno, (head_name, rel_name, tail_name) in read_tsv(path, 3):
+        try:
+            triples.append((entity(head_name), relation(rel_name), entity(tail_name)))
+        except VocabularyError as exc:
+            raise VocabularyError(f"{path}:{lineno}: {exc}") from None
     return triples, vocab
 
 
@@ -303,9 +283,9 @@ def write_entailments(
 class Dataset:
     """Train/valid/test triple splits sharing one vocabulary."""
 
-    train: list[Triple]
-    valid: list[Triple]
-    test: list[Triple]
+    train: list[tuple[int, int, int]]
+    valid: list[tuple[int, int, int]]
+    test: list[tuple[int, int, int]]
     vocab: Vocab
 
     @property
@@ -339,8 +319,8 @@ def load_dataset(directory: str | Path, vocab: Vocab | None = None) -> Dataset:
     grow = vocab is None
     train, vocab = load_triples(directory / "train.txt", vocab, grow)
 
-    valid: list[Triple] = []
-    test: list[Triple] = []
+    valid: list[tuple[int, int, int]] = []
+    test: list[tuple[int, int, int]] = []
     for name, out in (("valid.txt", valid), ("test.txt", test)):
         path = directory / name
         if not path.exists():

@@ -154,9 +154,10 @@ def write_rank_dump(
     write_csv(path, _RANK_DUMP_HEADER, rows)
 
 
-def load_rank_dump(path: str | Path) -> tuple[list[Triple], np.ndarray, np.ndarray]:
-    """Read a rank dump back as (triples, head_ranks, tail_ranks)."""
-    triples: list[Triple] = []
+def load_rank_dump(path: str | Path) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray]:
+    """Read a rank dump back as (triples, head_ranks, tail_ranks), the
+    triples as plain id tuples, as :func:`~kgec.data.load_triples` gives them."""
+    triples: list[tuple[int, int, int]] = []
     ranks: list[tuple[int, int]] = []
     reader = csv.reader(line for _, line in read_lines(path))
     header = next(reader, None)
@@ -169,7 +170,7 @@ def load_rank_dump(path: str | Path) -> tuple[list[Triple], np.ndarray, np.ndarr
                 raise ValueError(f"ranks must be at least 1, got {hr} and {tr}")
         except ValueError as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-        triples.append(Triple(h, r, t))
+        triples.append((h, r, t))
         ranks.append((hr, tr))
     head_ranks, tail_ranks = np.asarray(ranks, dtype=np.int64).reshape(-1, 2).T
     return triples, head_ranks, tail_ranks

@@ -1,8 +1,9 @@
 """How kgec reads and writes files: every output is replaced atomically
 through :func:`atomic_write`, CSV outputs go through :func:`write_csv`, text
 inputs through :func:`read_lines` and JSON inputs through :func:`read_json`.
-Also run manifests: a JSON snapshot of everything needed to reproduce a run,
-written before the run starts."""
+Also run manifests: a JSON snapshot of everything needed to reproduce a run.
+``train`` hashes the inputs before training and writes the manifest after
+every other output."""
 
 from __future__ import annotations
 

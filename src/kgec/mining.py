@@ -175,12 +175,10 @@ def write_rules(
     rules: Sequence[MinedRule],
     vocab: Vocab,
     rules_path: str | Path,
-    diagnostics_path: str | Path | None = None,
+    diagnostics_path: str | Path,
 ) -> None:
-    """Write the entailment TSV and, optionally, a counting diagnostics CSV."""
+    """Write the entailment TSV and a counting diagnostics CSV."""
     write_entailments(rules_path, [r.entailment for r in rules], vocab)
-    if diagnostics_path is None:
-        return
     name = vocab.relations.name
     rows = (
         [name(rule.entailment.premise_rel), int(rule.entailment.premise_inverted),

@@ -2,6 +2,7 @@
 package surface the README documents."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import logging
@@ -22,7 +23,7 @@ from kgec.cli import build_parser, main
 from kgec.data import Triple, load_dataset, write_tsv
 from kgec.manifest import RunManifest, sha256_file, write_csv
 from kgec.model import ModelParams, init_params, load_checkpoint, save_checkpoint
-from kgec.trainer import EpochStats, write_training_log
+from kgec.trainer import EpochStats, parse_config, write_training_log
 
 from conftest import load_manifest, make_vocab, verify_inputs, write_triples
 
@@ -463,7 +464,6 @@ def _counting_train(monkeypatch):
 
 def test_grid_trains_each_point_once(data_dir, config_file, tmp_path, monkeypatch):
     from kgec.cli import _grid_key
-    from kgec.trainer import parse_config
 
     grid_file = tmp_path / "grid.json"
     grid_file.write_text(json.dumps({"d": [4, 8], "lr": [0.5]}))
@@ -517,6 +517,84 @@ def test_grid_state_survives_a_crash_during_write(data_dir, config_file, tmp_pat
 
 class _Crash(Exception):
     pass
+
+
+def _raise_crash(*args, **kwargs):
+    raise _Crash
+
+
+def _grid_argv(data_dir, config_file, tmp_path, grid):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps(grid))
+    return ["train", "--data", str(data_dir), "--config", str(config_file),
+            "--grid", "--grid-file", str(grid_file), "--out", str(tmp_path / "grid")]
+
+
+@pytest.mark.parametrize("stop", ["train", "save_checkpoint"])
+def test_a_stopped_rerun_leaves_no_manifest_for_outputs_it_lacks(
+    data_dir, config_file, tmp_path, monkeypatch, stop
+):
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(data_dir), "--config", str(config_file), "--out", str(out)]
+    assert main(argv + ["--seed", "1"]) == 0
+    names = ("manifest.json", "checkpoint.kgec", "log.csv", "config.cfg")
+    old = {name: (out / name).read_bytes() for name in names}
+    monkeypatch.setattr(kgec.cli, stop, _raise_crash)
+    with pytest.raises(_Crash):
+        main(argv + ["--seed", "2"])
+    if stop == "train":  # nothing replaced yet: the old run stands, manifest and all
+        assert {name: (out / name).read_bytes() for name in names} == old
+        assert load_manifest(out / "manifest.json").seed == parse_config(out / "config.cfg").seed == 1
+    else:  # outputs part replaced: no manifest vouches for them
+        assert not (out / "manifest.json").exists()
+        assert (out / "checkpoint.kgec").read_bytes() == old["checkpoint.kgec"]
+
+
+def test_a_grid_stopped_writing_a_new_best_resumes_to_one_point(
+    data_dir, config_file, tmp_path, monkeypatch, capsys
+):
+    from kgec.cli import _grid_key
+
+    argv = _grid_argv(data_dir, config_file, tmp_path, {"d": [2, 10]})
+    out = tmp_path / "grid"
+    real_write = kgec.cli._write_outputs
+    written = []
+
+    def stop_at_second(*args):
+        written.append(args[1].d)
+        if len(written) == 2:
+            raise _Crash
+        real_write(*args)
+
+    monkeypatch.setattr(kgec.cli, "_write_outputs", stop_at_second)
+    with pytest.raises(_Crash):
+        main(argv)
+    assert written == [2, 10], "the second point must be a new best"
+    monkeypatch.setattr(kgec.cli, "_write_outputs", real_write)
+    capsys.readouterr()
+    assert main(argv) == 0
+    best = parse_config(out / "config.cfg")
+    state = json.loads((out / "grid_state.json").read_text())
+    assert state[_grid_key(best)] == max(state.values())
+    assert load_manifest(out / "manifest.json").config == {**dataclasses.asdict(best), "checkpoint_precision": 32}
+    assert load_checkpoint(out / "checkpoint.kgec")[0].d == best.d
+    assert f"grid done; best valid MRR {max(state.values()):.4f}" in capsys.readouterr().out
+
+
+def test_a_grid_tie_keeps_the_earlier_point(data_dir, config_file, tmp_path, monkeypatch):
+    real_train = kgec.cli.train
+
+    def tied(*args, **kwargs):
+        params, log = real_train(*args, **kwargs)
+        return params, [dataclasses.replace(row, valid_mrr=0.5) for row in log]
+
+    monkeypatch.setattr(kgec.cli, "train", tied)
+    out = tmp_path / "grid"
+    assert main(_grid_argv(data_dir, config_file, tmp_path, {"d": [4, 8]})) == 0
+    assert list(json.loads((out / "grid_state.json").read_text()).values()) == [0.5, 0.5]
+    assert parse_config(out / "config.cfg").d == 4
+    assert load_manifest(out / "manifest.json").config["d"] == 4
+    assert load_checkpoint(out / "checkpoint.kgec")[0].d == 4
 
 
 def _crash_in_checkpoint(params, path, monkeypatch):

@@ -105,11 +105,11 @@ class TestLoadTriples:
         path = tmp_path / "t.tsv"
         path.write_text(" a \tp\tb\n")
         triples, vocab = load_triples(path)
-        assert vocab.entities.name(triples[0].head) == " a "
+        assert vocab.entities.name(triples[0][0]) == " a "
         # Only the LF or CRLF terminator is removed; a lone CR ends no line.
         path.write_text(" a \tp\t b \r\n a \tp\tb\rc\n")
         triples, vocab = load_triples(path)
-        assert [vocab.entities.name(t.tail) for t in triples] == [" b ", "b\rc"]
+        assert [vocab.entities.name(t[2]) for t in triples] == [" b ", "b\rc"]
         lf = tmp_path / "lf.tsv"
         for read, line, _ in TSV_READERS:
             lf.write_text(f"{line}\n")
@@ -185,6 +185,17 @@ class TestLoadDataset:
             dataset = load_dataset(tmp_path)
         assert dataset.valid == [] and dataset.test == []
 
+    @pytest.mark.parametrize("shared", [None, ("train", "valid"), ("train", "test"), ("valid", "test")])
+    def test_warns_only_when_two_splits_share_a_triple(self, tmp_path, caplog, shared):
+        lines = {"train": "a\tp\tb\n", "valid": "b\tp\ta\n", "test": "a\tp\ta\n"}
+        if shared:
+            lines[shared[1]] += lines[shared[0]]
+        for name, text in lines.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+        with caplog.at_level(logging.WARNING):
+            load_dataset(tmp_path)
+        assert caplog.messages == (["dataset splits are not pairwise disjoint"] if shared else [])
+
 
 @pytest.fixture
 def restore_gc():
@@ -214,8 +225,8 @@ class TestTripleArray:
 
 
 class TestCollectorPause:
-    """Bulk loads make only acyclic objects, so they run with the cyclic
-    collector paused, and leave it on or off as they found it."""
+    """A load leaves the cyclic collector on or paused as it found it, and
+    its rows are plain int tuples, which the collector stops tracking."""
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     @pytest.mark.parametrize(
@@ -236,40 +247,33 @@ class TestCollectorPause:
             load_triples(path, vocab, grow=False)
         assert gc.isenabled() is enabled
 
-    def test_no_collection_while_a_bulk_loop_runs(self, tmp_path, restore_gc, monkeypatch):
+    def test_loaded_rows_are_untracked_and_start_no_full_collection(self, tmp_path, restore_gc):
         generated = random_dataset(2_000, 10, 20_000, 1_000, 1_000, seed=3)
         for name in ("train", "valid", "test"):
             write_triples(tmp_path / f"{name}.txt", getattr(generated, name), generated.vocab)
+        gc.enable()
+        gc.collect()  # every generation's count starts at zero
+        held = load_dataset(tmp_path)
+        gc.collect(0)  # a young collection untracks every tuple of ints it scans
+        splits = (held.train, held.valid, held.test)
+        assert sum(gc.is_tracked(row) for split in splits for row in split) == 0
 
-        def load_and_index():
-            starts = []
+        starts = []
 
-            def count(phase, info):
-                if phase == "start":
-                    starts.append(info["generation"])
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
 
-            gc.enable()
-            gc.collect()  # every generation's count starts at zero
-            gc.callbacks.append(count)
-            try:
-                dataset = load_dataset(tmp_path)
-                known = build_known_index(dataset)
-            finally:
-                gc.callbacks.remove(count)
-            return starts, dataset, known
-
-        starts, dataset, known = load_and_index()
-        # Each of the three paused loops (one per split) leaves its allocations
-        # counted, so one young collection starts at the first allocation
-        # after the loop ends; none starts while a loop runs. The index is
-        # built from arrays and makes no tracked objects per triple.
-        assert len(starts) <= 3 and set(starts) <= {0}, f"generations collected: {starts}"
-
-        monkeypatch.setattr("kgec.data._gc_paused", contextlib.nullcontext)
-        starts_on, dataset_on, known_on = load_and_index()
-        assert len(starts_on) > 4 * len(starts), "too few triples to make the collector run"
-        assert dataset == dataset_on
-        assert lookups(known, 2_000, 10) == lookups(known_on, 2_000, 10)
+        gc.callbacks.append(count)
+        try:
+            dataset = load_dataset(tmp_path)
+            build_known_index(dataset)
+        finally:
+            gc.callbacks.remove(count)
+        # Untracked rows never reach the old generation, so loading a second
+        # copy beside the first makes no full collection rescan both.
+        assert starts and 2 not in starts, f"generations collected: {starts}"
+        assert dataset == held
 
 
 class TestEntailments:
