@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -50,16 +51,28 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield ``(lineno, line)`` for each line of a UTF-8 text file.
 
     Only the LF or CRLF terminator is removed; a lone CR stays in the line.
-    Each line is decoded on its own, so a byte that is not UTF-8 raises
-    ValueError naming the file and line.
+    The file is read and decoded in one pass. A file that is not UTF-8 is
+    decoded again line by line, so its lines up to the first bad one are
+    yielded as before and that line raises ValueError naming the file and
+    line, with the error of that line alone.
     """
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").replace("\r\n", "\n").split("\n")
+    except UnicodeDecodeError:
+        for lineno, raw in enumerate(io.BytesIO(data), start=1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             yield lineno, line.removesuffix("\n").removesuffix("\r")
+        return
+    if lines[-1]:  # a last line with no LF loses one CR too
+        lines[-1] = lines[-1].removesuffix("\r")
+    else:  # the empty text after the final LF is no line
+        lines.pop()
+    yield from enumerate(lines, start=1)
 
 
 def read_json(path: str | Path):

@@ -1,0 +1,165 @@
+"""Mutation check: do the tests fail when an invariant of the code is broken?
+
+Each mutant names a file, an exact text that occurs once in it, the text
+that replaces it, and the tests to run. The script copies the repository to
+a temporary directory, runs the tests of every selected mutant once on the
+unchanged copy (they must pass), then applies one mutant at a time, runs its
+tests, and restores the file. A mutant is killed when a test fails and
+survives when all pass. The working tree is never modified.
+
+    python tests/mutate.py              # every mutant
+    python tests/mutate.py NAME ...     # the named mutants
+    python tests/mutate.py --list       # names and files
+
+The exit status is 0 when every mutant is killed, 1 when one survives, and
+2 when the unchanged copy fails its tests or a mutant's text is not found
+exactly once. pytest does not collect this file: it has no ``test_`` prefix.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str  # exact text; it must occur once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest paths or node ids, relative to the root
+
+
+DATA_TESTS = ("tests/test_data.py",)
+
+MUTANTS = [
+    Mutant(
+        "read_lines-crlf-keeps-cr",
+        "src/kgec/manifest.py",
+        '.replace("\\r\\n", "\\n")',
+        "",
+        DATA_TESTS,
+    ),
+    Mutant(
+        "read_lines-last-line-keeps-cr",
+        "src/kgec/manifest.py",
+        'lines[-1] = lines[-1].removesuffix("\\r")',
+        "pass",
+        DATA_TESTS,
+    ),
+    Mutant(
+        "read_lines-keeps-trailing-empty-line",
+        "src/kgec/manifest.py",
+        "lines.pop()",
+        "pass",
+        DATA_TESTS,
+    ),
+    Mutant(
+        "read_lines-no-line-by-line-fallback",
+        "src/kgec/manifest.py",
+        "    except UnicodeDecodeError:\n",
+        '    except UnicodeDecodeError as exc:\n        raise ValueError(f"{path}: {exc}") from None\n',
+        DATA_TESTS,
+    ),
+    Mutant(
+        "load_triples-tail-before-head",
+        "src/kgec/data.py",
+        "triples.append((entity(head_name), relation(rel_name), entity(tail_name)))",
+        "triples.append(tuple(reversed((entity(tail_name), relation(rel_name), entity(head_name)))))",
+        DATA_TESTS,
+    ),
+    Mutant(
+        "load_triples-no-grow-miss-grows",
+        "src/kgec/data.py",
+        "if grow else (vocab.entities.id, vocab.relations.id)",
+        "if True else None",
+        DATA_TESTS,
+    ),
+    Mutant(
+        "load_dataset-no-valid-test-overlap",
+        "src/kgec/data.py",
+        "valid_set.isdisjoint(test_set) and ",
+        "",
+        DATA_TESTS,
+    ),
+    Mutant(
+        "load_dataset-no-train-overlap",
+        "src/kgec/data.py",
+        "(valid_set | test_set).isdisjoint(train)",
+        "True",
+        DATA_TESTS,
+    ),
+]
+
+
+def _copy_repo(dest: Path) -> Path:
+    junk = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_*")
+    return Path(shutil.copytree(ROOT, dest / "repo", ignore=junk))
+
+
+def _run_tests(repo: Path, tests: tuple[str, ...]) -> tuple[bool, float]:
+    """Whether ``tests`` pass in ``repo``, and the seconds they took."""
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    start = time.perf_counter()
+    done = subprocess.run(cmd, cwd=repo, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode == 0, time.perf_counter() - start
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    if args.list:
+        for m in MUTANTS:
+            print(f"{m.name}\t{m.file}")
+        return 0
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] or MUTANTS
+
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="kgec-mutate-") as tmp:
+        repo = _copy_repo(Path(tmp))
+        for m in chosen:
+            count = (repo / m.file).read_text(encoding="utf-8").count(m.old)
+            if count != 1:
+                print(f"error: {m.name}: its text occurs {count} times in {m.file}, not once")
+                return 2
+        tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        ok, seconds = _run_tests(repo, tests)
+        print(f"{'baseline':10s}{'unchanged copy':40s}{seconds:7.1f} s")
+        if not ok:
+            print("error: the unchanged copy fails its tests")
+            return 2
+        survived = []
+        for m in chosen:
+            path = repo / m.file
+            original = path.read_text(encoding="utf-8")
+            path.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            try:
+                passed, seconds = _run_tests(repo, m.tests)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            if passed:
+                survived.append(m.name)
+            print(f"{'SURVIVED' if passed else 'killed':10s}{m.name:40s}{seconds:7.1f} s")
+    total = time.perf_counter() - start
+    print(f"{len(chosen)} mutants: {len(chosen) - len(survived)} killed, {len(survived)} survived, {total:.1f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

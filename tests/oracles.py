@@ -7,8 +7,9 @@ forms of code that was rewritten: negative sampling as materialised triples,
 the gradient of a labelled batch scattered with ``np.add.at``, the segment
 sum as ``np.add.at``, the AdaGrad step with a temporary per pass, the
 row-by-row heatmap, the per-dimension purity loop, the per-pair relation
-diagnostic, the set-based relation-pair classifier, and the training kernel
-with one buffer row per entity term. ``oracle_sq_norm`` is the blocked sum
+diagnostic, the set-based relation-pair classifier, the training kernel
+with one buffer row per entity term, and the file reader and triple loader
+that decode one line at a time. ``oracle_sq_norm`` is the blocked sum
 of squares that the kernel's L2 term and norm must equal to the bit.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.special import expit
 
 from kgec import objective
-from kgec.data import Triple
+from kgec.data import ParseError, Triple, Vocab, VocabularyError
 from kgec.model import _check_ids, head_partial, real_dot, real_view, rel_partial, tail_partial
 from kgec.objective import (
     LossBreakdown,
@@ -432,3 +433,37 @@ def oracle_segment_sum(ids, rows):
     sums = np.zeros((unique.size, rows.shape[1]), rows.dtype)
     np.add.at(sums, np.searchsorted(unique, ids), rows)
     return unique, sums
+
+
+def oracle_read_lines(path):
+    """``(lineno, line)`` per line of a UTF-8 file, each line decoded on its
+    own; only the LF or CRLF terminator is removed."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            yield lineno, line.removesuffix("\n").removesuffix("\r")
+
+
+def oracle_load_triples(path, vocab=None, grow=True):
+    """A triple TSV file read line by line through :func:`oracle_read_lines`,
+    each name resolved through ``IdMap.add`` (grow) or ``IdMap.id``."""
+    vocab = Vocab() if vocab is None else vocab
+    entity, relation = (
+        (vocab.entities.add, vocab.relations.add) if grow else (vocab.entities.id, vocab.relations.id)
+    )
+    triples = []
+    for lineno, line in oracle_read_lines(path):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        head_name, rel_name, tail_name = fields
+        try:
+            triples.append((entity(head_name), relation(rel_name), entity(tail_name)))
+        except VocabularyError as exc:
+            raise VocabularyError(f"{path}:{lineno}: {exc}") from None
+    return triples, vocab

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kgec.analysis import load_type_labels
@@ -29,8 +29,10 @@ from kgec.data import (
     triple_array,
     write_entailments,
 )
+from kgec.manifest import read_lines
 
 from conftest import make_vocab, random_dataset, wn18_train_path, write_triples
+from oracles import oracle_load_triples, oracle_read_lines
 
 # Each TSV reader with one valid line of its format and its field count.
 TSV_READERS = [
@@ -135,6 +137,86 @@ class TestLoadTriples:
         assert len(triples) == 2
 
 
+def _outcome(call):
+    """What ``call()`` returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _load_outcome(load, path, vocab, grow):
+    """The rows or error of ``load``, with the vocabulary it leaves behind."""
+    return _outcome(lambda: load(path, vocab, grow)[0]), list(vocab.entities), list(vocab.relations)
+
+
+class TestOnePassRead:
+    """The file is decoded in one pass, but rows, vocabulary order and every
+    error come out as a reader that decodes one line at a time gives them."""
+
+    def test_unknown_name_before_a_bad_byte_raises_the_vocabulary_error(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"a\tp\tb\na\tp\tzzz\nx\xff\tp\tb\n")
+        vocab = Vocab(IdMap(["a", "b"]), IdMap(["p"]))
+        with pytest.raises(VocabularyError) as info:
+            load_triples(path, vocab, grow=False)
+        assert str(info.value) == f"{path}:2: unknown name: 'zzz'"
+
+    def test_truncated_character_at_the_end_names_the_last_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"a\tp\tb\nc\tp\td\xc3")
+        message = f"{path}:2: 'utf-8' codec can't decode byte 0xc3 in position 5: unexpected end of data"
+        for read in (lambda: list(read_lines(path)), lambda: load_triples(path)):
+            with pytest.raises(ValueError) as info:
+                read()
+            assert str(info.value) == message
+
+    def test_one_cr_goes_with_each_lf_and_with_a_last_line_without_one(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"a\r\nb\r\r\nc\rd\ne\r")
+        assert list(read_lines(path)) == [(1, "a"), (2, "b\r"), (3, "c\rd"), (4, "e")]
+        path.write_bytes(b"a\n\r")
+        assert list(read_lines(path)) == [(1, "a"), (2, "")]
+
+    def test_a_file_of_newlines_is_blank_lines_and_no_rows(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"\n\n\n")
+        assert list(read_lines(path)) == [(1, ""), (2, ""), (3, "")]
+        triples, vocab = load_triples(path)
+        assert triples == [] and len(vocab.entities) == len(vocab.relations) == 0
+
+    @pytest.mark.parametrize(
+        "text,unknown",
+        [("x\tq\ty\n", "x"), ("a\tq\ty\n", "q"), ("a\tp\ty\n", "y"), ("a\tp\tb\nb\tp\ta\ny\tq\ta\n", "y")],
+    )
+    def test_names_resolve_head_then_relation_then_tail(self, tmp_path, text, unknown):
+        path = tmp_path / "t.tsv"
+        path.write_text(text)
+        vocab = Vocab(IdMap(["a", "b"]), IdMap(["p"]))
+        last_line = text.count("\n")
+        with pytest.raises(VocabularyError, match=re.escape(f"{path}:{last_line}: unknown name: {unknown!r}")):
+            load_triples(path, vocab, grow=False)
+        assert list(vocab.entities) == ["a", "b"] and list(vocab.relations) == ["p"]
+        # Grown, the first unknown name takes the first new id of its map.
+        _, vocab = load_triples(path, vocab)
+        assert unknown in list(vocab.entities)[2:3] + list(vocab.relations)[1:2]
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.sampled_from([b"a", b"b", b"x", b"p", b"q", b" ", b"\t", b"\t", b"\r", b"\n", b"\n", b"\xff", b"\xc3", b"\xc3\xa9"]),
+            max_size=40,
+        ),
+        st.booleans(),
+    )
+    def test_matches_the_line_by_line_reader(self, tmp_path, tokens, grow):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"".join(tokens))
+        assert _outcome(lambda: list(read_lines(path))) == _outcome(lambda: list(oracle_read_lines(path)))
+        new, old = (Vocab(IdMap(["a", "b"]), IdMap(["p"])) for _ in range(2))
+        assert _load_outcome(load_triples, path, new, grow) == _load_outcome(oracle_load_triples, path, old, grow)
+
+
 class TestVocab:
     def test_dump_and_load_round_trip(self, tmp_path):
         vocab = make_vocab(5, 3)
@@ -195,6 +277,14 @@ class TestLoadDataset:
         with caplog.at_level(logging.WARNING):
             load_dataset(tmp_path)
         assert caplog.messages == (["dataset splits are not pairwise disjoint"] if shared else [])
+
+    def test_a_triple_repeated_within_one_split_is_no_overlap(self, tmp_path, caplog):
+        for name, line in (("train", "a\tp\tb\n"), ("valid", "b\tp\ta\n"), ("test", "a\tp\ta\n")):
+            (tmp_path / f"{name}.txt").write_text(line * 3)
+        with caplog.at_level(logging.WARNING):
+            dataset = load_dataset(tmp_path)
+        assert caplog.messages == []
+        assert len(dataset.train) == len(dataset.valid) == len(dataset.test) == 3
 
 
 @pytest.fixture
