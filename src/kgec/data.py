@@ -257,18 +257,13 @@ def load_entailments(path: str | Path, vocab: Vocab) -> list[Entailment]:
         inverted = premise_name.endswith(_INVERSE_SUFFIX)
         if inverted:
             premise_name = premise_name[: -len(_INVERSE_SUFFIX)]
-        try:
+        try:  # every error names the line
             premise = vocab.relations.id(premise_name)
             conclusion = vocab.relations.id(conclusion_name)
-        except VocabularyError as exc:
-            raise VocabularyError(f"{path}:{lineno}: {exc}") from None
-        try:
-            confidence = float(conf_text)
-        except ValueError:
-            raise ParseError(
-                f"{path}:{lineno}: confidence is not a number: {conf_text!r}"
-            ) from None
-        try:
+            try:
+                confidence = float(conf_text)
+            except ValueError:
+                raise ParseError(f"confidence is not a number: {conf_text!r}") from None
             entailments.append(Entailment(premise, inverted, conclusion, confidence))
         except ValueError as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from None

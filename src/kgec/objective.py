@@ -203,13 +203,13 @@ def rule_penalty(rel: np.ndarray, rules: RuleArrays) -> tuple[float, np.ndarray]
     ``[premise, conclusion]``, to be added at that id. The hinge's
     subgradient at the kink is 0, so satisfied constraints stay inert.
     """
-    sign = rules.sign[:, None]
     delta = rule_deltas(rel, rules)
     conf = rules.confidence[:, None]
     penalty = float(np.sum(conf * (np.maximum(delta.real, 0.0) + delta.imag**2)))
     grad = conf * ((delta.real > 0.0) + 2j * delta.imag)
-    grad_premise = np.where(sign < 0.0, np.conj(grad), grad)
-    return penalty, np.concatenate([grad_premise, -grad])
+    grads = np.concatenate([grad, -grad])
+    grads[: len(grad)].imag *= rules.sign[:, None]  # conjugate inverted premises
+    return penalty, grads
 
 
 def loss_and_gradient_arrays(
@@ -242,22 +242,25 @@ def loss_and_gradient_arrays(
     """
     b, k = replacement.shape
     n, m, d = params.n_entities, params.n_relations, params.d
-    row_ents = np.concatenate([heads, tails, replacement.ravel()])
     row_rels = np.concatenate([rels, rules.premise, rules.conclusion])
-    _check_ids(row_ents, n, "entity")
+    _check_ids(np.concatenate([heads, tails, replacement.ravel()]), n, "entity")
     _check_ids(row_rels, m, "relation")
     if out is not None and (out.shape != (n + m, d) or out.dtype != params.ent.dtype or not out.flags.c_contiguous):
         raise ValueError(f"out must be a C-contiguous ({n + m}, {d}) {params.ent.dtype} array")
 
-    # Rows of q: the head gradients, the tail gradients, positive i's head
-    # partial (row 2b + 2i) and tail partial (2b + 2i + 1), the positives'
-    # relation gradients, then the rule rows in the [premise, conclusion]
-    # order of rule_penalty, as row_rels has them. Each block of positives
-    # fills its own rows, z[i] and z[b + i·k + j] (positive i and its
-    # negatives), and w[i].
-    q = np.empty((4 * b + row_rels.size, d), params.ent.dtype)
+    # Rows of q, in the order of the segment sum's entries: the head, tail
+    # and relation gradients, the rule rows in the [premise, conclusion]
+    # order of rule_penalty, then positive i's head partial (row own + 2i)
+    # and tail partial (own + 2i + 1). Heads, tails, relations and rules read
+    # their own rows with weight 1; negative (i, j) reads the partial it
+    # scored against with weight w[i, j]. Relation ids are offset by n, so
+    # the two tables share one segment sum. Each block of positives fills its
+    # own rows of q, z (z[i] and z[b + i·k + j]) and w.
+    own = 3 * b + 2 * rules.premise.size
+    q = np.empty((own + 2 * b, d), params.ent.dtype)
     z = np.empty(b * (k + 1), params.ent.real.dtype)
-    w = np.empty((b, k), z.dtype)
+    weights = np.ones(own + b * k, z.dtype)
+    w = weights[own:].reshape(b, k)
     _per_block(_positive_block, b, _block_rows(params.ent, _BLOCK_BYTES, k),
                params, heads, rels, tails, corrupt_head, replacement, q, z, w)
     logistic = float(softplus(z).sum())
@@ -265,18 +268,10 @@ def loss_and_gradient_arrays(
     penalty = 0.0
     if rules.premise.size:
         penalty, rule_grads = rule_penalty(params.rel, rules)
-        np.multiply(mu, rule_grads, out=q[5 * b :])
-    # One segment sum over both tables, relation ids offset by n: heads and
-    # tails read their own rows of q, negative (i, j) the partial it scored
-    # against with weight w[i, j], relations their own rows.
-    row_ids = np.concatenate([row_ents, row_rels + n])
-    slot = np.where(corrupt_head, 0, 1)
-    cols = np.concatenate([
-        np.arange(2 * b), (np.arange(2 * b, 4 * b, 2)[:, None] + slot).ravel(),
-        np.arange(4 * b, q.shape[0]),
-    ])
-    weights = np.ones(row_ids.size, w.dtype)
-    weights[2 * b : 2 * b + w.size] = w.ravel()
+        np.multiply(mu, rule_grads, out=q[3 * b : own])
+    row_ids = np.concatenate([heads, tails, row_rels + n, replacement.ravel()])
+    partials = np.arange(own, own + 2 * b, 2)[:, None] + np.where(corrupt_head, 0, 1)
+    cols = np.concatenate([np.arange(own), partials.ravel()])
     unique, indptr, columns, data = _segment_sum(row_ids, cols, weights)
     split = np.searchsorted(unique, n)
     g = np.empty((unique.size, d), q.dtype) if out is None else out[: unique.size]
@@ -309,7 +304,7 @@ def _positive_block(params, heads, rels, tails, corrupt_head, replacement, q, z,
     """
     ent, rel, (b, k), d = params.ent, params.rel, replacement.shape, params.d
     h, r, t = ent[heads[a:e]], rel[rels[a:e]], ent[tails[a:e]]
-    p = q[2 * b : 4 * b].reshape(b, 2, d)[a:e]
+    p = q[len(q) - 2 * b :].reshape(b, 2, d)[a:e]
     head_partial(r, t, out=p[:, 0])
     tail_partial(h, r, out=p[:, 1])
     np.negative(real_dot(p[:, 1], t), out=z[a:e])
@@ -325,8 +320,8 @@ def _positive_block(params, heads, rels, tails, corrupt_head, replacement, q, z,
     del rows, scores, weights  # the slots' temporaries reuse this memory
     w_pos = -expit(z[a:e])[:, None]
     s[:, 1] += w_pos * t
-    rel_partial(h, s[:, 1], out=q[4 * b + a : 4 * b + e])
-    q[4 * b + a : 4 * b + e] += rel_partial(s[:, 0], t)
+    rel_partial(h, s[:, 1], out=q[2 * b + a : 2 * b + e])
+    q[2 * b + a : 2 * b + e] += rel_partial(s[:, 0], t)
     s[:, 0] += w_pos * h
     head_partial(r, s[:, 1], out=q[a:e])
     tail_partial(s[:, 0], r, out=q[b + a : b + e])

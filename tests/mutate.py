@@ -13,7 +13,8 @@ survives when all pass. The working tree is never modified.
 
 The exit status is 0 when every mutant is killed, 1 when one survives, and
 2 when the unchanged copy fails its tests or a mutant's text is not found
-exactly once. pytest does not collect this file: it has no ``test_`` prefix.
+exactly once. pytest does not collect this file: it has no ``test_`` prefix;
+``tests/test_mutants.py`` checks at tier-1 that every mutant still applies.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ class Mutant(NamedTuple):
 
 
 DATA_TESTS = ("tests/test_data.py",)
+KERNEL_TESTS = ("tests/test_objective.py",)
+MODEL_TESTS = ("tests/test_model.py",)
+TRAINER_TESTS = ("tests/test_trainer.py",)
 
 MUTANTS = [
     Mutant(
@@ -97,6 +101,141 @@ MUTANTS = [
         "(valid_set | test_set).isdisjoint(train)",
         "True",
         DATA_TESTS,
+    ),
+    Mutant(
+        "load_entailments-error-drops-line-number",
+        "src/kgec/data.py",
+        'raise type(exc)(f"{path}:{lineno}: {exc}")',
+        'raise type(exc)(f"{path}: {exc}")',
+        DATA_TESTS,
+    ),
+    # The training kernel's row matrix q and its segment sum.
+    Mutant(
+        "kernel-negative-reads-other-partial",
+        "src/kgec/objective.py",
+        "np.where(corrupt_head, 0, 1)",
+        "np.where(corrupt_head, 1, 0)",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "kernel-rule-rows-one-block-early",
+        "src/kgec/objective.py",
+        "out=q[3 * b : own]",
+        "out=q[2 * b : own - b]",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "rule_penalty-no-premise-conjugation",
+        "src/kgec/objective.py",
+        "    grads[: len(grad)].imag *= rules.sign[:, None]  # conjugate inverted premises\n",
+        "",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "kernel-negative-weights-left-at-one",
+        "src/kgec/objective.py",
+        "wi = expit(neg_z, out=w[a:e])",
+        "wi = expit(neg_z)",
+        KERNEL_TESTS,
+    ),
+    # Error paths: each mutant deletes one check.
+    Mutant(
+        "cli-unknown-config-not-rejected",
+        "src/kgec/cli.py",
+        'raise FileNotFoundError(f"config not found: {name_or_path}")',
+        "return None",
+        ("tests/test_cli.py::test_train_with_an_unknown_config_fails",),
+    ),
+    Mutant(
+        "load_rank_dump-header-not-checked",
+        "src/kgec/evaluation.py",
+        "if header != _RANK_DUMP_HEADER:",
+        "if False:",
+        ("tests/test_evaluation.py::TestRankDumps",),
+    ),
+    Mutant(
+        "load_checkpoint-precision-flag-not-checked",
+        "src/kgec/model.py",
+        'raise ValueError(f"{path}: unsupported precision flag {precision}")',
+        "pass",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "save_checkpoint-dtype-not-checked",
+        "src/kgec/model.py",
+        'raise ValueError(f"unsupported parameter dtype {params.re_e.dtype}")',
+        "pass",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "ModelParams-real-arrays-accepted",
+        "src/kgec/model.py",
+        'raise TypeError("entity and relation embeddings must be complex arrays")',
+        "pass",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "parse_config-line-without-equals-accepted",
+        "src/kgec/trainer.py",
+        "raise ValueError(f\"{path}:{lineno}: expected 'key = value'\")",
+        "pass",
+        TRAINER_TESTS,
+    ),
+    Mutant(
+        "TrainConfig-zero-n_batches-accepted",
+        "src/kgec/trainer.py",
+        "self.n_batches < 1 or ",
+        "",
+        TRAINER_TESTS,
+    ),
+    Mutant(
+        "TrainConfig-zero-max_iters-accepted",
+        "src/kgec/trainer.py",
+        " or self.max_iters < 1:",
+        ":",
+        TRAINER_TESTS,
+    ),
+    Mutant(
+        "TrainConfig-zero-eval_every-accepted",
+        "src/kgec/trainer.py",
+        "if self.eval_every < 1:",
+        "if False:",
+        TRAINER_TESTS,
+    ),
+    Mutant(
+        "make_batches-zero-batches-accepted",
+        "src/kgec/trainer.py",
+        'raise ValueError("n_batches must be at least 1")',
+        "pass",
+        TRAINER_TESTS,
+    ),
+    Mutant(
+        "make_batches-no-empty-batch-warning",
+        "src/kgec/trainer.py",
+        "if n_batches > arr.shape[0]:",
+        "if False:",
+        TRAINER_TESTS,
+    ),
+    Mutant(
+        "train-one-entity-accepted",
+        "src/kgec/trainer.py",
+        'raise ValueError("training needs at least 2 entities")',
+        "pass",
+        TRAINER_TESTS,
+    ),
+    Mutant(
+        "train-empty-split-accepted",
+        "src/kgec/trainer.py",
+        'raise ValueError("training split is empty")',
+        "pass",
+        TRAINER_TESTS,
+    ),
+    Mutant(
+        "train-empty-batches-not-skipped",
+        "src/kgec/trainer.py",
+        "            if batch.shape[0] == 0:\n                continue\n",
+        "",
+        TRAINER_TESTS,
     ),
 ]
 

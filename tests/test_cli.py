@@ -934,6 +934,13 @@ def test_bad_input_fails_naming_the_file(
     assert len(err.strip().splitlines()) == 1
 
 
+def test_train_with_an_unknown_config_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # so no file named nosuch is found
+    argv = ["train", "--data", str(tmp_path / "data"), "--config", "nosuch", "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "kgec train: error: config not found: nosuch\n"
+
+
 def test_mine_without_inputs_fails(tmp_path, capsys):
     code = main(["mine", "--out", str(tmp_path / "rules.tsv")])
     assert code == 1

@@ -395,6 +395,14 @@ class TestEntailments:
         with pytest.raises(RangeError):
             load_entailments(path, vocab)
 
+    def test_non_number_confidence_names_the_line(self, tmp_path):
+        path = tmp_path / "ents.tsv"
+        path.write_text("r0\tr1\t0.5\nr1\tr0\thigh\n")
+        with pytest.raises(ParseError) as exc:
+            load_entailments(path, make_vocab(0, 2))
+        assert exc.type is ParseError
+        assert str(exc.value) == f"{path}:2: confidence is not a number: 'high'"
+
     def test_unknown_relation(self, tmp_path):
         vocab = make_vocab(0, 1)
         path = tmp_path / "ents.tsv"

@@ -388,6 +388,15 @@ class TestRankDumps:
         self_report = significance_report(dump_a, dump_a)
         assert all(p == 1.0 for p in self_report.values())
 
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "ranks.csv"
+        path.write_text("h,r,t,head_rank,tail_rank\n0,0,1,1,1\n")
+        with pytest.raises(ValueError) as exc:
+            load_rank_dump(path)
+        assert str(exc.value) == (
+            f"{path}: not a rank dump (bad header ['h', 'r', 't', 'head_rank', 'tail_rank'])"
+        )
+
     def test_mismatched_dumps_rejected(self, tmp_path):
         dataset = random_dataset(10, 2, 20, 2, 6, seed=14)
         known = build_known_index(dataset)

@@ -260,6 +260,18 @@ class TestInit:
                 init_params(n, m, d, seed=0)
 
 
+class TestParams:
+    @pytest.mark.parametrize("real", ["ent", "rel", "both"])
+    def test_real_arrays_are_rejected(self, real):
+        ent, rel = np.zeros((2, 3), complex), np.zeros((1, 3), complex)
+        if real in ("ent", "both"):
+            ent = ent.real.copy()
+        if real in ("rel", "both"):
+            rel = rel.real.copy()
+        with pytest.raises(TypeError, match="^entity and relation embeddings must be complex arrays$"):
+            ModelParams(ent, rel)
+
+
 class TestCheckpoint:
     def test_float64_round_trip(self, tmp_path):
         params = init_params(4, 2, 3, seed=1)
@@ -286,6 +298,23 @@ class TestCheckpoint:
         path.write_bytes(b"NOTKG" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    def test_unknown_precision_flag_is_rejected(self, tmp_path):
+        path = tmp_path / "half.kgec"
+        path.write_bytes(b"KGEC1" + struct.pack("<4I", 1, 1, 1, 16) + b"\x00" * 8)
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: unsupported precision flag 16"
+
+    @pytest.mark.skipif(np.dtype(np.longdouble).itemsize == 8, reason="longdouble is float64 here")
+    def test_unsupported_parameter_dtype_is_rejected(self, tmp_path):
+        params = init_params(2, 1, 2, seed=1)
+        wide = ModelParams(params.ent.astype(np.clongdouble), params.rel.astype(np.clongdouble))
+        path = tmp_path / "wide.kgec"
+        with pytest.raises(ValueError) as exc:
+            save_checkpoint(wide, path)
+        assert str(exc.value) == f"unsupported parameter dtype {np.dtype(np.longdouble)}"
+        assert not path.exists()
 
     def test_truncation_is_detected(self, tmp_path):
         params = init_params(4, 2, 3, seed=1)

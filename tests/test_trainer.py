@@ -105,6 +105,10 @@ class TestMakeBatches:
         assert set(sizes) == {1414, 1415}
         assert sum(sizes) == 141_442
 
+    def test_zero_batches_rejected(self, rng):
+        with pytest.raises(ValueError, match="^n_batches must be at least 1$"):
+            make_batches([Triple(0, 0, 1)], 0, rng)
+
     def test_more_batches_than_triples_warns(self, rng, caplog):
         triples = [Triple(0, 0, 1)]
         with caplog.at_level(logging.WARNING):
@@ -265,6 +269,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(path)
 
+    def test_rejects_a_line_without_equals_naming_the_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("d = 16\nlr 0.2\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}:2: expected 'key = value'"
+
+    @pytest.mark.parametrize("field, message", [
+        ("n_batches", "n_batches and max_iters must be at least 1"),
+        ("max_iters", "n_batches and max_iters must be at least 1"),
+        ("eval_every", "eval_every must be at least 1"),
+    ])
+    def test_rejects_a_zero_count(self, field, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**{field: 0})
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\n\nd = 16\nlr = 0.2\n")
@@ -413,6 +433,27 @@ class TestTrain:
         assert len(seen) == 4
         np.testing.assert_array_equal(params.ent, before.ent)
         np.testing.assert_array_equal(params.rel, before.rel)
+
+    def test_rejects_a_one_entity_dataset(self):
+        dataset = Dataset([Triple(0, 0, 0)], [], [], make_vocab(1, 1))
+        with pytest.raises(ValueError, match="^training needs at least 2 entities$"):
+            train(dataset, [], fast_config(max_iters=1))
+
+    def test_rejects_an_empty_training_split(self):
+        dataset = Dataset([], [], [], make_vocab(4, 1))
+        with pytest.raises(ValueError, match="^training split is empty$"):
+            train(dataset, [], fast_config(max_iters=1))
+
+    def test_more_batches_than_triples_skips_the_empty_ones(self, caplog):
+        dataset = tiny_kg(n_triples=3)
+        steps = []
+        with caplog.at_level(logging.WARNING, logger="kgec"):
+            params, log = train(dataset, [], fast_config(n_batches=5, max_iters=2),
+                                on_step=lambda params, epoch, batch: steps.append(epoch))
+        assert "n_batches=5 exceeds the number of triples (3); some batches are empty" in caplog.text
+        assert steps == [1, 1, 1, 2, 2, 2]
+        assert len(log) == 2 and all(row.logistic > 0.0 for row in log)
+        assert np.isfinite(params.ent).all() and np.isfinite(params.rel).all()
 
     def test_rejects_entailment_with_unknown_relation(self):
         dataset = tiny_kg(n_relations=2)
