@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Entailment, IdMap, Vocab, VocabularyError, read_tsv
+from .data import Entailment, Vocab, VocabularyError, read_tsv
 from .manifest import write_csv
 from . import objective
 from .objective import RuleArrays, _block_rows, _per_block, pack_entailments, rule_deltas
@@ -29,21 +29,21 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class TypeLabels:
-    """Single type label per (labeled) entity id."""
+    """One type label per labeled entity, as aligned arrays: ``entities``
+    holds the labeled ids in ascending order, ``types`` their type ids, which
+    lie in [0, ``n_types``)."""
 
-    labels: dict[int, int]
-    type_names: IdMap
-
-    @property
-    def n_types(self) -> int:
-        return len(self.type_names)
+    entities: np.ndarray
+    types: np.ndarray
+    n_types: int
 
 
 def load_type_labels(path: str | Path, vocab: Vocab) -> TypeLabels:
     """Read an ``entity<TAB>type`` TSV; entities missing from the vocabulary
-    are skipped with a warning, later lines override earlier ones."""
+    are skipped with a warning, later lines override earlier ones, and types
+    are numbered in first-seen order."""
     labels: dict[int, int] = {}
-    type_names = IdMap()
+    type_ids: dict[str, int] = {}
     skipped = 0
     for _, (entity_name, type_name) in read_tsv(path, 2):
         try:
@@ -51,10 +51,12 @@ def load_type_labels(path: str | Path, vocab: Vocab) -> TypeLabels:
         except VocabularyError:
             skipped += 1
             continue
-        labels[entity] = type_names.add(type_name)
+        labels[entity] = type_ids.setdefault(type_name, len(type_ids))
     if skipped:
         logger.warning("skipped %d type labels for entities not in the vocabulary", skipped)
-    return TypeLabels(labels, type_names)
+    entities, types = (np.fromiter(ids, np.int64, len(labels)) for ids in (labels, labels.values()))
+    order = np.argsort(entities)
+    return TypeLabels(entities[order], types[order], len(type_ids))
 
 
 def minmax_normalize(x: np.ndarray) -> np.ndarray:
@@ -73,8 +75,8 @@ def minmax_normalize(x: np.ndarray) -> np.ndarray:
 
 
 def shannon_entropy(counts: Sequence[int] | np.ndarray) -> float | np.ndarray:
-    """Natural-log entropy of a count distribution, or of each row of a
-    count matrix."""
+    """Natural-log entropy of a count distribution, or of each one along the
+    last axis of a count array."""
     counts = np.asarray(counts, dtype=float)
     seen = counts > 0
     total = counts.sum(axis=-1, keepdims=True)
@@ -106,32 +108,27 @@ def purity_curve(
     for k_percent in k_percents:
         if not 0.0 < k_percent <= 100.0:
             raise ValueError(f"k_percent must lie in (0, 100], got {k_percent}")
-    if not labels.labels:
+    if not labels.entities.size:
         raise ValueError("no labeled entities")
-    labeled_ids = np.asarray(sorted(labels.labels), dtype=np.int64)
-    type_ids = np.asarray([labels.labels[i] for i in labeled_ids], dtype=np.int64)
     component = np.asarray(component)
     n_dims, n_types = component.shape[1], labels.n_types
-    ks = [math.ceil(k_percent / 100.0 * labeled_ids.size) for k_percent in k_percents]
+    ks = [math.ceil(k_percent / 100.0 * labels.entities.size) for k_percent in k_percents]
 
     def top_k_counts(a, e):
         # One stable sort per dimension: rows are in ascending id, so ties keep
         # the lower id first. Row j of `ranked` holds dimension a + j's types in
         # rank order, offset by n_types * j so one bincount counts the block.
-        negated = np.negative(component[labeled_ids, a:e].T, dtype=float, order="C")
-        ranked = type_ids[np.argsort(negated, axis=1, kind="stable")]
+        negated = np.negative(component[labels.entities, a:e].T, dtype=float, order="C")
+        ranked = labels.types[np.argsort(negated, axis=1, kind="stable")]
         ranked += n_types * np.arange(e - a)[:, None]
-        return [np.bincount(ranked[:, :k].ravel(), minlength=(e - a) * n_types) for k in ks]
+        counts = [np.bincount(ranked[:, :k].ravel(), minlength=(e - a) * n_types) for k in ks]
+        return np.reshape(counts, (len(ks), e - a, n_types))
 
     # A block column holds activations, their order and their types: 3 x 8 bytes a label.
-    step = _block_rows(labeled_ids[None], objective._BLOCK_BYTES, 3)
-    blocks = _per_block(top_k_counts, n_dims, step)
-    points = []
-    for i, k_percent in enumerate(k_percents):
-        counts = np.concatenate([block[i] for block in blocks])
-        entropies = shannon_entropy(counts.reshape(n_dims, n_types))
-        points.append((k_percent, float(entropies.mean())))
-    return PurityCurve(points)
+    step = _block_rows(labels.entities[None], objective._BLOCK_BYTES, 3)
+    counts = np.concatenate(_per_block(top_k_counts, n_dims, step), axis=1)  # (K, dims, types)
+    entropies = shannon_entropy(counts).mean(axis=1)
+    return PurityCurve([(k, float(h)) for k, h in zip(k_percents, entropies)])
 
 
 def write_purity_csv(curve: PurityCurve, path: str | Path) -> None:

@@ -274,9 +274,8 @@ def cmd_analyze(args) -> int:
     if args.types:
         labels = load_type_labels(args.types, dataset.vocab)
         # Purity and the heatmaps read only the labeled rows: row i is entity labeled[i].
-        labeled = sorted(labels.labels)
-        types = np.array([labels.labels[e] for e in labeled], dtype=np.int64)
-        rows = dataclasses.replace(labels, labels=dict(enumerate(types.tolist())))
+        labeled, types = labels.entities, labels.types
+        rows = dataclasses.replace(labels, entities=np.arange(labeled.size))
         rng = np.random.default_rng(args.seed)
         selected: list[int] = []
         for type_id in np.unique(types):

@@ -180,14 +180,6 @@ class Vocab:
     entities: IdMap = field(default_factory=IdMap)
     relations: IdMap = field(default_factory=IdMap)
 
-    @property
-    def n_entities(self) -> int:
-        return len(self.entities)
-
-    @property
-    def n_relations(self) -> int:
-        return len(self.relations)
-
     def dump(self, entities_path: str | Path, relations_path: str | Path) -> None:
         self.entities.save(entities_path)
         self.relations.save(relations_path)
@@ -294,11 +286,11 @@ class Dataset:
 
     @property
     def n_entities(self) -> int:
-        return self.vocab.n_entities
+        return len(self.vocab.entities)
 
     @property
     def n_relations(self) -> int:
-        return self.vocab.n_relations
+        return len(self.vocab.relations)
 
 
 def _warn_unseen(kind: str, id_map: IdMap, n_before: int, split: str) -> None:

@@ -196,7 +196,7 @@ def save_checkpoint(
         fh.write(CHECKPOINT_MAGIC)
         fh.write(_HEADER.pack(params.n_entities, params.n_relations, params.d, precision))
         for block in (params.re_e, params.im_e, params.re_r, params.im_r):
-            fh.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
+            fh.write(np.ascontiguousarray(block, dtype=dtype))  # its buffer, not a bytes copy
     sidecar = {
         "checkpoint": path.name,
         "precision": precision,

@@ -5,15 +5,17 @@ that replaces it, and the tests to run. The script copies the repository to
 a temporary directory, runs the tests of every selected mutant once on the
 unchanged copy (they must pass), then applies one mutant at a time, runs its
 tests, and restores the file. A mutant is killed when a test fails and
-survives when all pass. The working tree is never modified.
+survives when all pass; one recorded as equivalent, with the reason no test
+can tell it from the code, is reported as equivalent when it survives. The
+working tree is never modified.
 
     python tests/mutate.py              # every mutant
     python tests/mutate.py NAME ...     # the named mutants
     python tests/mutate.py --list       # names and files
 
-The exit status is 0 when every mutant is killed, 1 when one survives, and
-2 when the unchanged copy fails its tests or a mutant's text is not found
-exactly once. pytest does not collect this file: it has no ``test_`` prefix;
+The exit status is 0 when every mutant is killed or equivalent, 1 when one
+survives, and 2 when the unchanged copy fails its tests or a mutant's text
+is not found exactly once. pytest does not collect this file: it has no ``test_`` prefix;
 ``tests/test_mutants.py`` checks at tier-1 that every mutant still applies.
 """
 
@@ -38,10 +40,15 @@ class Mutant(NamedTuple):
     old: str  # exact text; it must occur once in the file
     new: str
     tests: tuple[str, ...]  # pytest paths or node ids, relative to the root
+    equivalent: str = ""  # why no test can kill it, if none can
 
 
+ANALYSIS_TESTS = ("tests/test_analysis.py",)
+CLI_TESTS = ("tests/test_cli.py",)
 DATA_TESTS = ("tests/test_data.py",)
+EVAL_TESTS = ("tests/test_evaluation.py",)
 KERNEL_TESTS = ("tests/test_objective.py",)
+MINING_TESTS = ("tests/test_mining.py",)
 MODEL_TESTS = ("tests/test_model.py",)
 TRAINER_TESTS = ("tests/test_trainer.py",)
 
@@ -137,6 +144,174 @@ MUTANTS = [
         "wi = expit(neg_z, out=w[a:e])",
         "wi = expit(neg_z)",
         KERNEL_TESTS,
+    ),
+    Mutant(
+        "grad_block-no-zeroing",
+        "src/kgec/objective.py",
+        "    out[:] = 0.0  # the product adds into its output, as scipy's own `@` does on zeros\n",
+        "",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "segment_sum-unstable-sort",
+        "src/kgec/objective.py",
+        'np.argsort(ids, kind="stable")',
+        "np.argsort(ids)",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "rule_penalty-no-hinge",
+        "src/kgec/objective.py",
+        "np.maximum(delta.real, 0.0)",
+        "delta.real",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "rule_penalty-gradient-one-at-the-kink",
+        "src/kgec/objective.py",
+        "(delta.real > 0.0)",
+        "(delta.real >= 0.0)",
+        KERNEL_TESTS,
+    ),
+    # AdaGrad.
+    Mutant(
+        "adagrad-no-epsilon",
+        "src/kgec/trainer.py",
+        "    step += _ADAGRAD_EPSILON\n",
+        "",
+        TRAINER_TESTS,
+    ),
+    Mutant(
+        "adagrad-rate-ignored",
+        "src/kgec/trainer.py",
+        "    step *= lr\n",
+        "",
+        TRAINER_TESTS,
+    ),
+    Mutant(
+        "adagrad-no-clamp",
+        "src/kgec/trainer.py",
+        "np.clip(rows, 0.0, 1.0, out=rows)",
+        "pass",
+        TRAINER_TESTS,
+    ),
+    Mutant(
+        "adagrad-clamp-without-upper-bound",
+        "src/kgec/trainer.py",
+        "np.clip(rows, 0.0, 1.0, out=rows)",
+        "np.clip(rows, 0.0, None, out=rows)",
+        TRAINER_TESTS,
+    ),
+    # The filter and the ranks.
+    Mutant(
+        "known_index-head-side-key-swapped",
+        "src/kgec/data.py",
+        "((m + rels) * n + tails) * n + heads",
+        "((m + rels) * n + heads) * n + tails",
+        DATA_TESTS + EVAL_TESTS,
+    ),
+    Mutant(
+        "known_index-out-of-range-query-not-masked",
+        "src/kgec/data.py",
+        "query[(e.view(np.uint64) >= self._n) | (r.view(np.uint64) >= self._m)] = -1",
+        "pass",
+        DATA_TESTS + EVAL_TESTS,
+    ),
+    Mutant(
+        "rank_from_scores-gold-not-excluded",
+        "src/kgec/evaluation.py",
+        "    competing[rows, gold] = False\n",
+        "",
+        EVAL_TESTS,
+        equivalent="`competing` holds the scores strictly above the gold's, which the gold's "
+        "own score never is; the line is dead until ties are counted",
+    ),
+    # Mining.
+    Mutant(
+        "mine-support-threshold-strict",
+        "src/kgec/mining.py",
+        "support >= min_support",
+        "support > min_support",
+        MINING_TESTS,
+    ),
+    Mutant(
+        "mine-confidence-threshold-inclusive",
+        "src/kgec/mining.py",
+        "confidence > min_conf",
+        "confidence >= min_conf",
+        MINING_TESTS,
+    ),
+    Mutant(
+        "mine-pca-body-unweighted",
+        "src/kgec/mining.py",
+        "cells, weight)",
+        "cells)",
+        MINING_TESTS,
+    ),
+    # Outputs and the run directory.
+    Mutant(
+        "atomic_write-writes-in-place",
+        "src/kgec/manifest.py",
+        'tmp = path.with_name(path.name + ".tmp")',
+        "tmp = path",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "atomic_write-keeps-temp-on-error",
+        "src/kgec/manifest.py",
+        "tmp.unlink(missing_ok=True)",
+        "pass",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "sidecar-vocab-read-at-stored-path",
+        "src/kgec/cli.py",
+        "directory / Path(dump).name",
+        "Path(dump)",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "grid-tie-takes-later-point",
+        "src/kgec/cli.py",
+        "if valid_mrr > best_mrr:",
+        "if valid_mrr >= best_mrr:",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "grid-resume-retrains-done-points",
+        "src/kgec/cli.py",
+        "        if key in state:\n            continue\n",
+        "",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "save_checkpoint-writes-a-bytes-copy",
+        "src/kgec/model.py",
+        "fh.write(np.ascontiguousarray(block, dtype=dtype))",
+        "fh.write(np.ascontiguousarray(block, dtype=dtype).tobytes())",
+        MODEL_TESTS,
+    ),
+    # Type labels and the purity curve.
+    Mutant(
+        "load_type_labels-first-line-wins",
+        "src/kgec/analysis.py",
+        "labels[entity] = type_ids.setdefault(type_name, len(type_ids))",
+        "labels.setdefault(entity, type_ids.setdefault(type_name, len(type_ids)))",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "load_type_labels-file-order",
+        "src/kgec/analysis.py",
+        "order = np.argsort(entities)",
+        "order = np.arange(entities.size)",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "purity_curve-unstable-sort",
+        "src/kgec/analysis.py",
+        'np.argsort(negated, axis=1, kind="stable")',
+        "np.argsort(negated, axis=1)",
+        ANALYSIS_TESTS,
     ),
     # Error paths: each mutant deletes one check.
     Mutant(
@@ -262,7 +437,7 @@ def main(argv=None) -> int:
     by_name = {m.name: m for m in MUTANTS}
     if args.list:
         for m in MUTANTS:
-            print(f"{m.name}\t{m.file}")
+            print(f"{m.name}\t{m.file}" + (f"\tequivalent: {m.equivalent}" if m.equivalent else ""))
         return 0
     unknown = [n for n in args.names if n not in by_name]
     if unknown:
@@ -279,11 +454,11 @@ def main(argv=None) -> int:
                 return 2
         tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
         ok, seconds = _run_tests(repo, tests)
-        print(f"{'baseline':10s}{'unchanged copy':40s}{seconds:7.1f} s")
+        print(f"{'baseline':11s}{'unchanged copy':45s}{seconds:7.1f} s")
         if not ok:
             print("error: the unchanged copy fails its tests")
             return 2
-        survived = []
+        survived, equivalent = [], []
         for m in chosen:
             path = repo / m.file
             original = path.read_text(encoding="utf-8")
@@ -293,10 +468,13 @@ def main(argv=None) -> int:
             finally:
                 path.write_text(original, encoding="utf-8")
             if passed:
-                survived.append(m.name)
-            print(f"{'SURVIVED' if passed else 'killed':10s}{m.name:40s}{seconds:7.1f} s")
+                (equivalent if m.equivalent else survived).append(m.name)
+            verdict = "killed" if not passed else "equivalent" if m.equivalent else "SURVIVED"
+            print(f"{verdict:11s}{m.name:45s}{seconds:7.1f} s")
     total = time.perf_counter() - start
-    print(f"{len(chosen)} mutants: {len(chosen) - len(survived)} killed, {len(survived)} survived, {total:.1f} s")
+    killed = len(chosen) - len(survived) - len(equivalent)
+    print(f"{len(chosen)} mutants: {killed} killed, {len(equivalent)} equivalent, "
+          f"{len(survived)} survived, {total:.1f} s")
     return 1 if survived else 0
 
 

@@ -4,7 +4,8 @@ The oracles recompute results from first principles (complex arithmetic,
 explicit enumeration, sorting, grid search) and deliberately avoid the code
 paths under test. The functions from ``sample_negatives`` on are reference
 forms of code that was rewritten: negative sampling as materialised triples,
-the gradient of a labelled batch scattered with ``np.add.at``, the segment
+the gradient of a labelled batch scattered with ``np.add.at``, the
+entailment penalty and its gradient one rule at a time, the segment
 sum as ``np.add.at``, the AdaGrad step with a temporary per pass, the
 row-by-row heatmap, the per-dimension purity loop, the per-pair relation
 diagnostic, the set-based relation-pair classifier, the training kernel
@@ -29,7 +30,6 @@ from kgec.objective import (
     _block_rows,
     _per_block,
     _sum_sq,
-    rule_penalty,
     softplus,
 )
 from kgec.trainer import _ADAGRAD_EPSILON, _corrupt_batch
@@ -202,6 +202,30 @@ def sample_negatives(positive, k: int, n: int, rng):
     return [Triple(int(h), int(r), int(t)) for h, r, t in zip(heads[1:], rels[1:], tails[1:])]
 
 
+def oracle_rule_penalty(rel, rules):
+    """Reference form of ``rule_penalty``, one rule at a time. The premise p*
+    is the premise row, or its complex conjugate when the premise is
+    inverted; delta = p* - q. Rule k costs c times the hinge max(0, Re delta)
+    plus the squared imaginary gap (Im delta)**2, per coordinate; its
+    gradient with respect to delta is c * (1[Re delta > 0] + 2i Im delta).
+    The conclusion row gets minus that, and the premise row gets it, or its
+    conjugate when the premise is inverted, since p* = conj(p) flips the
+    imaginary derivative. The costs are summed in one ``np.sum``, as
+    ``rule_penalty`` sums them."""
+    costs, premise_grads, conclusion_grads = [], [], []
+    for p, q, sign, c in zip(rules.premise, rules.conclusion, rules.sign, rules.confidence):
+        premise = np.conj(rel[p]) if sign < 0 else rel[p]
+        delta = premise - rel[q]
+        costs.append(c * (np.maximum(delta.real, 0.0) + delta.imag**2))
+        hinge = np.where(delta.real > 0.0, 1.0, 0.0)
+        grad = c * (hinge + 2j * delta.imag)
+        premise_grads.append(np.conj(grad) if sign < 0 else grad)
+        conclusion_grads.append(-grad)
+    d = rel.shape[1]
+    penalty = float(np.sum(np.reshape(costs, (-1, d))))
+    return penalty, np.reshape(premise_grads + conclusion_grads, (-1, d))
+
+
 def oracle_scatter_gradients(params, heads, rels, tails, labels, rules, mu: float, eta: float):
     """Reference form of ``loss_and_gradient_arrays``: every gradient term is
     scattered into its row with ``np.add.at`` at the ``searchsorted`` position
@@ -225,7 +249,7 @@ def oracle_scatter_gradients(params, heads, rels, tails, labels, rules, mu: floa
         grad_rows *= dphi
         np.add.at(real_view(g), np.searchsorted(ids, rows), grad_rows)
 
-    penalty, rule_grads = rule_penalty(params.rel, rules)
+    penalty, rule_grads = oracle_rule_penalty(params.rel, rules)
     rule_ids = np.concatenate([rules.premise, rules.conclusion])
     np.add.at(g_rel, np.searchsorted(rel_ids, rule_ids), mu * rule_grads)
 
@@ -286,8 +310,7 @@ def oracle_dimension_purity(component, labels, k_percent: float) -> float:
     """Reference form of one purity point: per dimension, sort the labeled
     entities by descending activation then ascending id, take the top
     ceil(K/100 * n_labeled), and average the entropies of their types."""
-    labeled_ids = np.asarray(sorted(labels.labels), dtype=np.int64)
-    type_ids = np.asarray([labels.labels[i] for i in labeled_ids], dtype=np.int64)
+    labeled_ids, type_ids = labels.entities, labels.types
     k = math.ceil(k_percent / 100.0 * labeled_ids.size)
     activations = np.asarray(component, dtype=float)[labeled_ids, :]
     entropies = []
@@ -403,7 +426,7 @@ def oracle_row_buffer_kernel(
     tail_partial(s[:, 0], r, out=ent_rows[b : 2 * b])
     del h, r, t, e, partials, s
 
-    penalty, rule_grads = rule_penalty(params.rel, rules)
+    penalty, rule_grads = oracle_rule_penalty(params.rel, rules)
     np.multiply(mu, rule_grads, out=rel_rows[b:])
     ent_ids, g_ent = oracle_segment_sum(row_ents, ent_rows)
     rel_ids, g_rel = oracle_segment_sum(row_rels, rel_rows)

@@ -19,7 +19,6 @@ from kgec.analysis import TypeLabels, activation_heatmap, purity_curve
 from kgec.data import (
     Dataset,
     Entailment,
-    IdMap,
     Triple,
     build_known_index,
     load_dataset,
@@ -248,10 +247,7 @@ def typed_segregated_kg(seed=11, per_type=30, n_types=4, facts_per_rel=60):
                     pairs.add((int(h), int(t)))
             for h, t in sorted(pairs):
                 train.append(Triple(h, 2 * type_id + j, t))
-    labels = TypeLabels(
-        {e: e // per_type for e in range(n)},
-        IdMap([f"T{i}" for i in range(n_types)]),
-    )
+    labels = TypeLabels(np.arange(n), np.arange(n) // per_type, n_types)
     return Dataset(train, [], [], make_vocab(n, 2 * n_types)), labels
 
 

@@ -21,7 +21,7 @@ from kgec.analysis import (
     write_heatmap_csv,
     write_purity_csv,
 )
-from kgec.data import Entailment, IdMap, ParseError
+from kgec.data import Entailment, ParseError
 from kgec.model import ModelParams, init_params
 
 from conftest import make_vocab
@@ -34,11 +34,13 @@ from oracles import (
 
 
 def labels_of(assignments) -> TypeLabels:
-    type_names = IdMap()
-    labels = {}
-    for entity, type_name in assignments.items():
-        labels[entity] = type_names.add(type_name)
-    return TypeLabels(labels, type_names)
+    """``{entity: type name}`` as labels, types numbered in first-seen order."""
+    type_ids = {}
+    for type_name in assignments.values():
+        type_ids.setdefault(type_name, len(type_ids))
+    entities = sorted(assignments)
+    types = [type_ids[assignments[entity]] for entity in entities]
+    return TypeLabels(np.array(entities, dtype=np.int64), np.array(types, dtype=np.int64), len(type_ids))
 
 
 class TestMinmaxNormalize:
@@ -294,10 +296,26 @@ class TestTypeLabelIO:
         path.write_text("e0\treptile\ne1\tspecies\ne2\treptile\nghost\tspecies\n")
         with caplog.at_level(logging.WARNING):
             labels = load_type_labels(path, vocab)
-        assert len(labels.labels) == 3
+        assert labels.entities.tolist() == [0, 1, 2]
         assert labels.n_types == 2
-        assert labels.labels[0] == labels.labels[2]
+        assert labels.types[0] == labels.types[2]
         assert "skipped 1" in caplog.text
+
+    def test_a_later_line_overrides_an_earlier_one(self, tmp_path):
+        path = tmp_path / "types.tsv"
+        path.write_text("e0\tA\ne1\tB\ne0\tB\ne1\tC\n")
+        labels = load_type_labels(path, make_vocab(2, 0))
+        assert labels.entities.tolist() == [0, 1]
+        assert labels.types.tolist() == [1, 2]  # A, B, C numbered in first-seen order
+        assert labels.n_types == 3
+
+    def test_entities_come_back_ascending_with_their_types(self, tmp_path):
+        path = tmp_path / "types.tsv"
+        path.write_text("e3\tX\ne0\tY\ne2\tZ\ne1\tY\n")
+        labels = load_type_labels(path, make_vocab(4, 0))
+        assert labels.entities.dtype == np.int64 and labels.types.dtype == np.int64
+        assert labels.entities.tolist() == [0, 1, 2, 3]
+        assert labels.types.tolist() == [1, 1, 2, 0]
 
     def test_rejects_malformed_line(self, tmp_path):
         vocab = make_vocab(1, 0)

@@ -229,14 +229,14 @@ def test_analyze_normalizes_only_the_labeled_rows(data_dir, tmp_path, monkeypatc
     argv = ["analyze", "--data", str(data_dir), "--checkpoint", str(checkpoint),
             "--types", str(types), "--per-type", "2", "--ks", "20,50,100", "--out", str(out)]
     assert main(argv) == 0
-    assert normalized_ids == [sorted(labels.labels)] * 2
+    assert normalized_ids == [labels.entities.tolist()] * 2
     for name, component in (("real", params.re_e), ("imag", params.im_e)):
         every_row = activation_heatmap(component, range(params.n_entities))
         write_purity_csv(purity_curve(every_row, labels, (20, 50, 100)), tmp_path / "want.csv")
         assert (out / f"purity_{name}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         lines = (out / f"heatmap_{name}.csv").read_text().splitlines()[1:]
         entities = [vocab.entities.id(line.split(",")[0]) for line in lines]
-        assert len(entities) == 6 and set(entities) <= set(labels.labels)
+        assert len(entities) == 6 and set(entities) <= set(labels.entities.tolist())
         for line, entity in zip(lines, entities):
             assert line.split(",")[1:] == [f"{v:.6f}" for v in every_row[entity]]
 

@@ -1,6 +1,7 @@
 """Tests for embedding storage, the bilinear score, the box clamp, and checkpoints."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,21 @@ class TestCheckpoint:
         assert loaded.re_e.dtype == np.float32
         assert sidecar["precision"] == 32
         np.testing.assert_array_equal(loaded.re_r, params.re_r)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_save_holds_one_copy_of_a_block(self, tmp_path, dtype):
+        # Each embedding block is written from its one contiguous copy; a
+        # bytes copy of it on top would double the peak.
+        params = init_params(4_000, 2, 50, seed=1).astype(dtype)
+        block = params.re_e.size * np.dtype(dtype).itemsize
+        save_checkpoint(params, tmp_path / "warm.kgec")  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            save_checkpoint(params, tmp_path / "model.kgec")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block, (peak, block)
 
     def test_magic_is_checked(self, tmp_path):
         path = tmp_path / "bad.kgec"

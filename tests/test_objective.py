@@ -13,6 +13,7 @@ import kgec.objective
 from kgec.data import Entailment
 from kgec.model import ModelParams, init_params, real_view
 from kgec.objective import (
+    RuleArrays,
     _grad_block,
     _segment_sum,
     loss_and_gradient_arrays,
@@ -27,6 +28,7 @@ from oracles import (
     central_difference,
     labelled_batch,
     oracle_row_buffer_kernel,
+    oracle_rule_penalty,
     oracle_scatter_gradients,
     oracle_score,
     oracle_sq_norm,
@@ -108,6 +110,23 @@ class TestLogisticTerm:
 
 
 class TestEntailmentPenalty:
+    def test_matches_the_rule_by_rule_oracle_exactly(self, rng):
+        # Rules over few relations, a third of them with inverted premises;
+        # rounded rows tie, so some coordinates sit on the hinge's kink.
+        for _ in range(50):
+            m, d, r = rng.integers(1, 5), rng.integers(1, 7), rng.integers(0, 12)
+            rel = rng.normal(size=(m, d)).round(1) + 1j * rng.normal(size=(m, d)).round(1)
+            rules = RuleArrays(
+                premise=rng.integers(m, size=r),
+                conclusion=rng.integers(m, size=r),
+                sign=np.where(rng.random(r) < 1 / 3, -1.0, 1.0),
+                confidence=rng.uniform(0.05, 1.0, size=r),
+            )
+            penalty, grads = rule_penalty(rel, rules)
+            want_penalty, want_grads = oracle_rule_penalty(rel, rules)
+            assert penalty == want_penalty
+            assert grads.shape == want_grads.shape and grads.tobytes() == want_grads.tobytes()
+
     def test_hand_case(self):
         # c=0.9, d=2, d_re=[0.2, -0.1], d_im=[0.1, 0] -> 0.9*0.2 + 0.9*0.01
         params = zero_params(m=2)
