@@ -28,7 +28,7 @@ from .analysis import (
     write_pair_diagnostics_csv,
     write_purity_csv,
 )
-from .data import Vocab, build_known_index, load_dataset, load_entailments, load_triples
+from .data import IdMap, Vocab, build_known_index, load_dataset, load_entailments, load_triples
 from .evaluation import (
     evaluate,
     significance_report,
@@ -117,7 +117,8 @@ def _write_outputs(dataset, config, params, log, out_dir, precision, manifest):
     last, so a directory without one holds a run in progress or a broken one."""
     (out_dir / "manifest.json").unlink(missing_ok=True)
     ckpt, log_path, ent_vocab, rel_vocab = (out_dir / name for name in _RUN_OUTPUTS)
-    dataset.vocab.dump(ent_vocab, rel_vocab)
+    dataset.vocab.entities.save(ent_vocab)
+    dataset.vocab.relations.save(rel_vocab)
     # Training arithmetic is float64; the stored precision is a disk format.
     stored = params.astype(np.float32) if precision == 32 else params
     save_checkpoint(stored, ckpt, str(ent_vocab), str(rel_vocab))
@@ -221,7 +222,7 @@ def _load_model_and_data(args):
     if dumps is None or any(type(dump) not in (str, type(None)) for dump in dumps):
         raise ValueError(f"{args.checkpoint}.manifest.json: vocab paths must be strings or null")
     directory = Path(args.checkpoint).parent
-    vocab = None if None in dumps else Vocab.load(*(directory / Path(dump).name for dump in dumps))
+    vocab = None if None in dumps else Vocab(*(IdMap.load(directory / Path(dump).name) for dump in dumps))
     if vocab is None:
         logger.warning("%s: the sidecar names no vocabulary dumps; ids follow the order of first "
                        "appearance in %s", args.checkpoint, Path(args.data, "train.txt"))

@@ -77,7 +77,7 @@ class Triple(NamedTuple):
     tail: int
 
 
-def triple_array(triples: Sequence[Triple] | np.ndarray) -> np.ndarray:
+def triple_array(triples: Sequence[tuple[int, int, int]] | np.ndarray) -> np.ndarray:
     """The triples as an (N, 3) int64 array of (head, relation, tail) ids.
 
     A sequence is read in one ``np.fromiter`` pass over its flattened ids;
@@ -179,14 +179,6 @@ class Vocab:
 
     entities: IdMap = field(default_factory=IdMap)
     relations: IdMap = field(default_factory=IdMap)
-
-    def dump(self, entities_path: str | Path, relations_path: str | Path) -> None:
-        self.entities.save(entities_path)
-        self.relations.save(relations_path)
-
-    @classmethod
-    def load(cls, entities_path: str | Path, relations_path: str | Path) -> "Vocab":
-        return cls(IdMap.load(entities_path), IdMap.load(relations_path))
 
 
 def load_triples(
@@ -346,7 +338,7 @@ class KnownIndex:
     by two binary searches; an id outside the index's range finds none.
     """
 
-    def __init__(self, triples: Iterable[Triple] | np.ndarray = ()):
+    def __init__(self, triples: Iterable[tuple[int, int, int]] | np.ndarray = ()):
         array = triple_array(triples if isinstance(triples, np.ndarray) else list(triples))
         heads, rels, tails = array.T
         self._n = n = int(array[:, ::2].max(initial=-1)) + 1

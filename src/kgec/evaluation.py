@@ -36,9 +36,10 @@ HITS_AT = (1, 3, 10)
 
 @dataclass
 class EvalResult:
-    """Per-triple (head_rank, tail_rank) pairs and aggregate metrics."""
+    """Per-triple ranks, an (N, 2) int64 array of (head_rank, tail_rank)
+    rows in test order, and aggregate metrics."""
 
-    per_triple: list[tuple[int, int]]
+    per_triple: np.ndarray
     mrr: float
     hits: dict[int, float]
 
@@ -75,12 +76,12 @@ def filtered_rank(params: ModelParams, triple: Triple, side: str, known: KnownIn
     sides = ("head", "tail")
     if side not in sides:
         raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
-    return evaluate(params, [triple], known).per_triple[0][sides.index(side)]
+    return int(evaluate(params, [triple], known).per_triple[0, sides.index(side)])
 
 
 def evaluate(
     params: ModelParams,
-    test: Sequence[Triple],
+    test: Sequence[tuple[int, int, int]],
     known: KnownIndex,
     workers: int = 1,
 ) -> EvalResult:
@@ -98,24 +99,23 @@ def evaluate(
     triples = triple_array(test)
     per_chunk = max(1, _CHUNK_BYTES // (params.n_entities * params.ent.real.itemsize))
 
-    def rank_chunk(a: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """Head and tail ranks of triples ``a:e``; each id vector is checked once."""
+    def rank_chunk(a: int, e: int) -> np.ndarray:
+        """The (head_rank, tail_rank) rows of triples ``a:e``; each id vector is checked once."""
         heads, rels, tails = triples[a:e].T
         head_filter, tail_filter = known.heads(rels, tails), known.tails(heads, rels)
         _check_ids(rels, params.n_relations, "relation")
         entities = np.concatenate([tails, heads, head_filter[1], tail_filter[1]])
         _check_ids(entities, params.n_entities, "entity")
-        return (
+        return np.column_stack([
             rank_from_scores(score_all_heads(params, rels, tails, check=False), heads, head_filter, check=False),
             rank_from_scores(score_all_tails(params, heads, rels, check=False), tails, tail_filter, check=False),
-        )
+        ])
 
-    chunks = _per_block(rank_chunk, len(triples), per_chunk, parts=workers)
-    head_ranks, tail_ranks = map(np.concatenate, zip(*chunks))
-    all_ranks = np.concatenate([head_ranks, tail_ranks])
+    per_triple = np.concatenate(_per_block(rank_chunk, len(triples), per_chunk, parts=workers))
+    all_ranks = per_triple.T.ravel()  # every head rank, then every tail rank
     mrr = float(np.mean(1.0 / all_ranks))
     hits = {k: float(np.mean(all_ranks <= k)) for k in HITS_AT}
-    return EvalResult(list(zip(head_ranks.tolist(), tail_ranks.tolist())), mrr, hits)
+    return EvalResult(per_triple, mrr, hits)
 
 
 def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
@@ -147,18 +147,18 @@ def write_metrics_csv(result: EvalResult, path: str | Path) -> None:
 
 
 def write_rank_dump(
-    test: Sequence[Triple], result: EvalResult, path: str | Path
+    test: Sequence[tuple[int, int, int]], result: EvalResult, path: str | Path
 ) -> None:
-    """Per-triple rank dump for later significance testing between runs."""
-    rows = ([*triple, *ranks] for triple, ranks in zip(test, result.per_triple))
-    write_csv(path, _RANK_DUMP_HEADER, rows)
+    """Per-triple rank dump for later significance testing between runs. A
+    ``test`` of another length than the result raises ValueError before the
+    file is opened."""
+    write_csv(path, _RANK_DUMP_HEADER, np.column_stack([triple_array(test), result.per_triple]).tolist())
 
 
-def load_rank_dump(path: str | Path) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray]:
-    """Read a rank dump back as (triples, head_ranks, tail_ranks), the
-    triples as plain id tuples, as :func:`~kgec.data.load_triples` gives them."""
-    triples: list[tuple[int, int, int]] = []
-    ranks: list[tuple[int, int]] = []
+def load_rank_dump(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a rank dump back as (triples, ranks): an (N, 3) int64 array of
+    (head, rel, tail) ids and an (N, 2) one of (head_rank, tail_rank) rows."""
+    rows: list[tuple[int, ...]] = []
     reader = csv.reader(line for _, line in read_lines(path))
     header = next(reader, None)
     if header != _RANK_DUMP_HEADER:
@@ -170,10 +170,9 @@ def load_rank_dump(path: str | Path) -> tuple[list[tuple[int, int, int]], np.nda
                 raise ValueError(f"ranks must be at least 1, got {hr} and {tr}")
         except ValueError as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-        triples.append((h, r, t))
-        ranks.append((hr, tr))
-    head_ranks, tail_ranks = np.asarray(ranks, dtype=np.int64).reshape(-1, 2).T
-    return triples, head_ranks, tail_ranks
+        rows.append((h, r, t, hr, tr))
+    table = np.asarray(rows, dtype=np.int64).reshape(-1, 5)
+    return table[:, :3], table[:, 3:]
 
 
 def significance_report(dump_a: str | Path, dump_b: str | Path) -> dict[str, float]:
@@ -183,12 +182,11 @@ def significance_report(dump_a: str | Path, dump_b: str | Path) -> dict[str, flo
     separately. Reciprocal ranks pair for the MRR test; HITS@N, for each N in
     ``HITS_AT``, pairs the 0/1 top-N indicators.
     """
-    triples_a, heads_a, tails_a = load_rank_dump(dump_a)
-    triples_b, heads_b, tails_b = load_rank_dump(dump_b)
-    if triples_a != triples_b:
+    triples_a, ranks_a = load_rank_dump(dump_a)
+    triples_b, ranks_b = load_rank_dump(dump_b)
+    if not np.array_equal(triples_a, triples_b):
         raise ValueError("rank dumps cover different test triples")
-    ranks_a = np.concatenate([heads_a, tails_a]).astype(float)
-    ranks_b = np.concatenate([heads_b, tails_b]).astype(float)
+    ranks_a, ranks_b = (ranks.T.ravel().astype(float) for ranks in (ranks_a, ranks_b))
     report = {"mrr": paired_ttest(1.0 / ranks_a, 1.0 / ranks_b)}
     for k in HITS_AT:
         report[f"hits@{k}"] = paired_ttest(

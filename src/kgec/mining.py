@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Entailment, Triple, Vocab, triple_array, write_entailments
+from .data import Entailment, Vocab, triple_array, write_entailments
 from .manifest import write_csv
 
 # Matches one join step expands at once; see _join_count.
@@ -81,7 +81,7 @@ def _join_count(
 
 
 def mine_entailments(
-    train: Sequence[Triple],
+    train: Sequence[tuple[int, int, int]],
     min_conf: float = 0.8,
     min_support: int = 10,
 ) -> list[MinedRule]:

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, Entailment, Triple, build_known_index, triple_array
+from .data import Dataset, Entailment, build_known_index, triple_array
+from .evaluation import evaluate
 from .manifest import atomic_write, read_lines, write_csv
 from .model import ModelParams, init_params, real_view
 from .objective import SparseGrads, _block_rows, _per_block, loss_and_gradient_arrays
@@ -210,7 +211,7 @@ def _corrupt_batch(
 
 
 def make_batches(
-    train: Sequence[Triple] | np.ndarray,
+    train: Sequence[tuple[int, int, int]] | np.ndarray,
     n_batches: int,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
@@ -278,8 +279,6 @@ def train(
     gradient moves each entry by at most ``lr`` per step, so the parameters
     then stay finite too.
     """
-    from .evaluation import evaluate  # local import to avoid a module cycle
-
     n, m = dataset.n_entities, dataset.n_relations
     if n < 2:
         raise ValueError("training needs at least 2 entities")

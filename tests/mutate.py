@@ -173,6 +173,47 @@ MUTANTS = [
         "(delta.real >= 0.0)",
         KERNEL_TESTS,
     ),
+    # The block cuts and the L2 order of the gradient pass.
+    Mutant(
+        "_blocks-blocks-overlap-by-one-row",
+        "src/kgec/objective.py",
+        "min(a + step, hi)",
+        "min(a + step + 1, hi)",
+        KERNEL_TESTS + EVAL_TESTS,
+    ),
+    Mutant(
+        "_per_block-parts-not-cut-at-block-edges",
+        "src/kgec/objective.py",
+        "per = -(-blocks // min(max(parts, 1), _WORKERS, blocks)) * step",
+        "per = -(-blocks // min(max(parts, 1), _WORKERS, blocks)) * step - 1",
+        KERNEL_TESTS + EVAL_TESTS,
+    ),
+    Mutant(
+        "kernel-l2-block-sums-out-of-order",
+        "src/kgec/objective.py",
+        "for block_l2, _ in sums)",
+        "for block_l2, _ in reversed(sums))",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "grad_block-l2-term-before-product",
+        "src/kgec/objective.py",
+        "    _sparsetools.csr_matvecs(e - a, real.shape[0], real.shape[1], indptr[a : e + 1] - lo,\n"
+        "                             columns[lo:hi], data[lo:hi], real.reshape(-1), out.reshape(-1))\n"
+        "    rows = np.take(table, ids[a:e], axis=0, mode=\"wrap\")\n"
+        "    sq = _sum_sq(rows)\n"
+        "    if eta != 0.0:\n"
+        "        rows *= 2.0 * eta\n"
+        "        grad[a:e] += rows\n",
+        "    rows = np.take(table, ids[a:e], axis=0, mode=\"wrap\")\n"
+        "    sq = _sum_sq(rows)\n"
+        "    if eta != 0.0:\n"
+        "        rows *= 2.0 * eta\n"
+        "        grad[a:e] += rows\n"
+        "    _sparsetools.csr_matvecs(e - a, real.shape[0], real.shape[1], indptr[a : e + 1] - lo,\n"
+        "                             columns[lo:hi], data[lo:hi], real.reshape(-1), out.reshape(-1))\n",
+        KERNEL_TESTS,
+    ),
     # AdaGrad.
     Mutant(
         "adagrad-no-epsilon",
@@ -225,6 +266,28 @@ MUTANTS = [
         EVAL_TESTS,
         equivalent="`competing` holds the scores strictly above the gold's, which the gold's "
         "own score never is; the line is dead until ties are counted",
+    ),
+    # Per-triple ranks: one (N, 2) array of head then tail ranks.
+    Mutant(
+        "evaluate-head-and-tail-columns-swapped",
+        "src/kgec/evaluation.py",
+        "parts=workers))",
+        "parts=workers))[:, ::-1]",
+        EVAL_TESTS,
+    ),
+    Mutant(
+        "significance-pairs-row-by-row",
+        "src/kgec/evaluation.py",
+        "ranks.T.ravel().astype(float)",
+        "ranks.ravel().astype(float)",
+        EVAL_TESTS,
+    ),
+    Mutant(
+        "rank_dump-ranks-before-the-triple",
+        "src/kgec/evaluation.py",
+        "np.column_stack([triple_array(test), result.per_triple])",
+        "np.column_stack([result.per_triple, triple_array(test)])",
+        EVAL_TESTS,
     ),
     # Mining.
     Mutant(
@@ -312,6 +375,56 @@ MUTANTS = [
         'np.argsort(negated, axis=1, kind="stable")',
         "np.argsort(negated, axis=1)",
         ANALYSIS_TESTS,
+    ),
+    # Parse errors name the file and the line.
+    Mutant(
+        "read_tsv-error-drops-line-number",
+        "src/kgec/data.py",
+        'f"{path}:{lineno}: expected {n_fields} tab-separated fields, "',
+        'f"{path}: expected {n_fields} tab-separated fields, "',
+        DATA_TESTS,
+    ),
+    Mutant(
+        "load_triples-vocabulary-error-drops-line-number",
+        "src/kgec/data.py",
+        'raise VocabularyError(f"{path}:{lineno}: {exc}")',
+        'raise VocabularyError(f"{path}: {exc}")',
+        DATA_TESTS,
+    ),
+    Mutant(
+        "IdMap.load-error-drops-line-number",
+        "src/kgec/data.py",
+        'raise ValueError(f"{path}:{lineno}: name {name!r} repeats line {idx + 1}")',
+        'raise ValueError(f"{path}: name {name!r} repeats line {idx + 1}")',
+        DATA_TESTS,
+    ),
+    Mutant(
+        "parse_config-unknown-key-drops-line-number",
+        "src/kgec/trainer.py",
+        'raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")',
+        'raise ValueError(f"{path}: unknown config key {key!r}")',
+        TRAINER_TESTS,
+    ),
+    Mutant(
+        "parse_config-cast-error-drops-line-number",
+        "src/kgec/trainer.py",
+        'raise ValueError(f"{path}:{lineno}: {exc}") from None',
+        'raise ValueError(f"{path}: {exc}") from None',
+        ("tests/test_cli.py::test_bad_input_fails_naming_the_file",),
+    ),
+    Mutant(
+        "load_rank_dump-error-drops-line-number",
+        "src/kgec/evaluation.py",
+        'raise ValueError(f"{path}:{reader.line_num}: {exc}")',
+        'raise ValueError(f"{path}: {exc}")',
+        ("tests/test_cli.py::test_bad_input_fails_naming_the_file",),
+    ),
+    Mutant(
+        "read_lines-fallback-error-drops-line-number",
+        "src/kgec/manifest.py",
+        'raise ValueError(f"{path}:{lineno}: {exc}")',
+        'raise ValueError(f"{path}: {exc}")',
+        DATA_TESTS,
     ),
     # Error paths: each mutant deletes one check.
     Mutant(

@@ -220,24 +220,21 @@ class TestOnePassRead:
 class TestVocab:
     def test_dump_and_load_round_trip(self, tmp_path):
         vocab = make_vocab(5, 3)
-        vocab.dump(tmp_path / "ent.txt", tmp_path / "rel.txt")
-        reloaded = Vocab.load(tmp_path / "ent.txt", tmp_path / "rel.txt")
-        assert reloaded.entities == vocab.entities
-        assert reloaded.relations == vocab.relations
+        vocab.entities.save(tmp_path / "ent.txt")
+        vocab.relations.save(tmp_path / "rel.txt")
+        assert IdMap.load(tmp_path / "ent.txt") == vocab.entities
+        assert IdMap.load(tmp_path / "rel.txt") == vocab.relations
         assert (tmp_path / "ent.txt").read_text().splitlines()[2] == "e2"
         # Names are opaque: empty, padded, or holding a lone CR.
-        vocab = Vocab(IdMap(["", " a ", "b\rc"]), IdMap(["r"]))
-        vocab.dump(tmp_path / "ent.txt", tmp_path / "rel.txt")
-        reloaded = Vocab.load(tmp_path / "ent.txt", tmp_path / "rel.txt")
-        assert list(reloaded.entities) == ["", " a ", "b\rc"]
+        IdMap(["", " a ", "b\rc"]).save(tmp_path / "ent.txt")
+        assert list(IdMap.load(tmp_path / "ent.txt")) == ["", " a ", "b\rc"]
 
     def test_repeated_name_in_a_dump_fails_naming_the_line(self, tmp_path):
         # A repeat would shift the id of every later name by one.
         ent, rel = tmp_path / "ent.txt", tmp_path / "rel.txt"
         ent.write_text("a\nb\na\nc\n")
-        rel.write_text("r\n")
         with pytest.raises(ValueError, match=re.escape(f"{ent}:3: name 'a' repeats line 1")):
-            Vocab.load(ent, rel)
+            IdMap.load(ent)
         rel.write_text("\nr\n\n")
         with pytest.raises(ValueError, match=re.escape(f"{rel}:3: name '' repeats line 1")):
             IdMap.load(rel)

@@ -9,6 +9,7 @@ import pytest
 import kgec.objective
 from kgec.data import KnownIndex, Triple
 from kgec.evaluation import (
+    EvalResult,
     evaluate,
     filtered_rank,
     load_rank_dump,
@@ -158,7 +159,7 @@ class TestEvaluate:
         assert result.hits[1] == pytest.approx(0.5)
         assert result.hits[3] == pytest.approx(1.0)
         assert result.hits[10] == pytest.approx(1.0)
-        assert result.per_triple == [(2, 1)]
+        assert result.per_triple.tolist() == [[2, 1]]
 
     def test_all_rank_one(self, monkeypatch):
         import kgec.evaluation as evaluation
@@ -188,7 +189,7 @@ class TestEvaluate:
         known = build_known_index(dataset)
         sequential = evaluate(params, dataset.test, known, workers=1)
         threaded = evaluate(params, dataset.test, known, workers=4)
-        assert sequential.per_triple == threaded.per_triple
+        assert sequential.per_triple.tolist() == threaded.per_triple.tolist()
         assert sequential.mrr == threaded.mrr
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -221,11 +222,28 @@ class TestEvaluate:
         monkeypatch.setattr(evaluation, "_CHUNK_BYTES", 3 * n * 8)
         result = evaluate(params, test, known, workers=3)
         expected = [
-            (oracle_filtered_rank(params, triple, "head", known),
-             oracle_filtered_rank(params, triple, "tail", known))
+            [oracle_filtered_rank(params, triple, "head", known),
+             oracle_filtered_rank(params, triple, "tail", known)]
             for triple in test
         ]
-        assert result.per_triple == expected
+        assert result.per_triple.tolist() == expected
+
+    def test_the_reads_the_bench_makes_give_the_ranks_and_mrr(self):
+        # bench/run.py collects a result's rows with list.extend, takes the
+        # MRR of np.asarray(rows, dtype=float) and names each row's ranks by
+        # zip(("head", "tail"), row); a result of another form fails here first.
+        dataset = random_dataset(14, 3, 40, 5, 10, seed=11)
+        known = build_known_index(dataset)
+        params = init_params(14, 3, 4, seed=12)
+        result = evaluate(params, dataset.test, known)
+        assert result.per_triple.dtype == np.int64
+        rows = []
+        rows.extend(result.per_triple)
+        assert len(rows) == len(dataset.test)
+        assert float(np.mean(1.0 / np.asarray(rows, dtype=float))) == pytest.approx(result.mrr, rel=1e-12)
+        for triple, row in zip(dataset.test, rows):
+            named = {side: int(rank) for side, rank in zip(("head", "tail"), row)}
+            assert named == {side: oracle_filtered_rank(params, triple, side, known) for side in ("head", "tail")}
 
     def test_one_product_per_side_per_chunk(self, monkeypatch):
         import kgec.evaluation as evaluation
@@ -275,7 +293,7 @@ class TestChunksInParts:
             monkeypatch.setattr(kgec.objective, "_WORKERS", cpus)
             for workers in (1, 2, 3, 8):
                 result = evaluate(params, test, known, workers=workers)
-                assert result.per_triple == want.per_triple
+                assert result.per_triple.tolist() == want.per_triple.tolist()
                 assert result.mrr == want.mrr and result.hits == want.hits
 
     def test_chunks_reach_the_pool_only_with_two_workers_and_two_cpus(self, monkeypatch):
@@ -305,13 +323,13 @@ class TestChunksInParts:
 
         params, test, known = self._case(monkeypatch)
         monkeypatch.setattr(kgec.objective, "_WORKERS", 2)
-        want = evaluate(params, test, known, workers=2).per_triple  # the pool's thread now runs
+        want = evaluate(params, test, known, workers=2).per_triple.tolist()  # the pool's thread now runs
         pid = os.fork()
         if pid == 0:  # the child: a chunk left to the parent's pool would never be ranked
             signal.alarm(20)
             code = 1
             try:
-                code = 0 if evaluate(params, test, known, workers=2).per_triple == want else 1
+                code = 0 if evaluate(params, test, known, workers=2).per_triple.tolist() == want else 1
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
@@ -375,10 +393,9 @@ class TestRankDumps:
         write_rank_dump(dataset.test, result_a, dump_a)
         write_rank_dump(dataset.test, result_b, dump_b)
 
-        triples, head_ranks, tail_ranks = load_rank_dump(dump_a)
-        assert triples == list(dataset.test)
-        assert head_ranks.tolist() == [r for r, _ in result_a.per_triple]
-        assert tail_ranks.tolist() == [r for _, r in result_a.per_triple]
+        triples, ranks = load_rank_dump(dump_a)
+        assert triples.tolist() == [list(triple) for triple in dataset.test]
+        assert ranks.tolist() == result_a.per_triple.tolist()
 
         report = significance_report(dump_a, dump_b)
         assert set(report) == {"mrr", "hits@1", "hits@3", "hits@10"}
@@ -387,6 +404,40 @@ class TestRankDumps:
         # Self-comparison is the degenerate all-zero-differences case.
         self_report = significance_report(dump_a, dump_a)
         assert all(p == 1.0 for p in self_report.values())
+
+    def test_dump_rows_are_the_triple_then_its_head_and_tail_ranks(self, tmp_path):
+        test = [Triple(0, 0, 1), (2, 1, 3)]
+        result = EvalResult(np.array([[4, 1], [2, 7]]), 0.0, {})
+        write_rank_dump(test, result, tmp_path / "ranks.csv")
+        assert (tmp_path / "ranks.csv").read_bytes() == (
+            b"head,rel,tail,head_rank,tail_rank\r\n0,0,1,4,1\r\n2,1,3,2,7\r\n"
+        )
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_a_test_list_of_another_length_writes_nothing(self, tmp_path, extra):
+        dataset = random_dataset(10, 2, 20, 2, 6, seed=14)
+        result = evaluate(init_params(10, 2, 3, seed=15), dataset.test, build_known_index(dataset))
+        test = dataset.test + dataset.test[:1] if extra > 0 else dataset.test[:-1]
+        path = tmp_path / "ranks.csv"
+        with pytest.raises(ValueError):
+            write_rank_dump(test, result, path)
+        assert not path.exists()
+        assert not (tmp_path / "ranks.csv.tmp").exists()
+
+    def test_significance_pairs_every_head_rank_then_every_tail_rank(self, tmp_path):
+        # Pairing row by row holds the same pairs in another order; at these
+        # ranks that order rounds the MRR and HITS@1 p-values differently.
+        rng = np.random.default_rng(4)
+        ranks = rng.integers(1, 15, size=(12, 2)), rng.integers(1, 15, size=(12, 2))
+        test = [(i, 0, i + 1) for i in range(12)]
+        dumps = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for per_triple, dump in zip(ranks, dumps):
+            write_rank_dump(test, EvalResult(per_triple, 0.0, {}), dump)
+        a, b = (np.concatenate([r[:, 0], r[:, 1]]).astype(float) for r in ranks)
+        want = {"mrr": paired_ttest(1.0 / a, 1.0 / b)}
+        want.update({f"hits@{k}": paired_ttest((a <= k).astype(float), (b <= k).astype(float))
+                     for k in (1, 3, 10)})
+        assert significance_report(*dumps) == want
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "ranks.csv"

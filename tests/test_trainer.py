@@ -248,6 +248,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="learning_rate"):
             parse_config(path)
 
+    def test_rejects_an_unknown_key_naming_the_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("d = 16\n\nlearning_rate = 0.1\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}:3: unknown config key 'learning_rate'"
+
     def test_rejects_bad_boolean(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("project = maybe\n")
