@@ -99,7 +99,7 @@ def purity_curve(
 ) -> PurityCurve:
     """Mean type entropy across dimensions at each top-K percentage.
 
-    For each dimension, the ceil(K/100 * L) of the L labeled entities with the
+    For each dimension, the ceil(K * L / 100) of the L labeled entities with the
     highest activation are selected (ties broken toward the lower entity id)
     and the natural-log entropy of their type distribution is computed; the
     mean over dimensions is the (K, entropy) point. Low entropy means the
@@ -112,7 +112,7 @@ def purity_curve(
         raise ValueError("no labeled entities")
     component = np.asarray(component)
     n_dims, n_types = component.shape[1], labels.n_types
-    ks = [math.ceil(k_percent / 100.0 * labels.entities.size) for k_percent in k_percents]
+    ks = [math.ceil(k_percent * labels.entities.size / 100) for k_percent in k_percents]
 
     def top_k_counts(a, e):
         # One stable sort per dimension: rows are in ascending id, so ties keep

@@ -1,6 +1,6 @@
 """Command-line entry point: mine, train, eval, analyze, significance.
 
-Every subcommand returns exit code 0 on success and prints a one-line
+Every subcommand exits with code 0 on success and prints a one-line
 diagnostic to stderr on failure. Subcommands never modify their input files.
 """
 
@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .evaluation import (
     write_metrics_csv,
     write_rank_dump,
 )
-from .manifest import RunManifest, atomic_write, read_json
+from .manifest import atomic_write, read_json, sha256_file
 from .mining import mine_entailments, write_rules
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, parse_config, train, write_config, write_training_log
@@ -81,7 +82,7 @@ def _workers(args) -> int:
     return workers
 
 
-def cmd_mine(args) -> int:
+def cmd_mine(args) -> None:
     if not args.train_file and not args.data:
         raise ValueError("mine needs --data or --train-file")
     if not 0.0 < args.min_conf <= 1.0:  # NaN fails too
@@ -95,21 +96,19 @@ def cmd_mine(args) -> int:
     diagnostics = out.with_suffix(".diagnostics.csv")
     write_rules(rules, vocab, out, diagnostics)
     print(f"mined {len(rules)} rules -> {out} (diagnostics: {diagnostics})")
-    return 0
 
 
-def _run_manifest(config, out_dir, input_paths, precision) -> RunManifest:
+def _run_manifest(config, out_dir, input_paths, precision) -> dict:
     """The manifest of a run of ``config``, with its inputs hashed now, before training."""
-    snapshot = dataclasses.asdict(config)
-    snapshot["checkpoint_precision"] = precision
-    return RunManifest.create(
-        command="train",
-        version=__version__,
-        seed=config.seed,
-        config=snapshot,
-        input_paths=input_paths,
-        output_paths=[out_dir / name for name in _RUN_OUTPUTS],
-    )
+    return {
+        "command": "train",
+        "version": __version__,
+        "seed": config.seed,
+        "config": {**dataclasses.asdict(config), "checkpoint_precision": precision},
+        "inputs": {str(path): sha256_file(path) for path in input_paths},
+        "outputs": [str(out_dir / name) for name in _RUN_OUTPUTS],
+        "created": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 def _write_outputs(dataset, config, params, log, out_dir, precision, manifest):
@@ -124,7 +123,9 @@ def _write_outputs(dataset, config, params, log, out_dir, precision, manifest):
     save_checkpoint(stored, ckpt, str(ent_vocab), str(rel_vocab))
     write_training_log(log, log_path)
     write_config(config, out_dir / "config.cfg")
-    manifest.write(out_dir / "manifest.json")
+    with atomic_write(out_dir / "manifest.json", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _grid_configs(base: TrainConfig, grid: dict, source: str) -> list[TrainConfig]:
@@ -153,7 +154,7 @@ def _grid_key(config: TrainConfig) -> str:
     return json.dumps(dataclasses.asdict(config), sort_keys=True)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     if args.grid_file and not args.grid:
         raise ValueError("--grid-file needs --grid")
     config_path = _resolve_config(args.config) if args.config else None
@@ -181,7 +182,7 @@ def cmd_train(args) -> int:
         params, log = train(dataset, ents, config)
         _write_outputs(dataset, config, params, log, out_dir, args.precision, manifest)
         print(f"training done -> {out_dir / 'checkpoint.kgec'}")
-        return 0
+        return
 
     # Grid sweep: sequential, resumable through the state file. A new best
     # point's outputs go before its state entry, so a stop in between
@@ -209,7 +210,6 @@ def cmd_train(args) -> int:
             json.dump(state, fh, indent=2, sort_keys=True)
         print(f"grid point valid_mrr={valid_mrr:.4f} {key}")
     print(f"grid done; best valid MRR {best_mrr:.4f} -> {out_dir / 'checkpoint.kgec'}")
-    return 0
 
 
 def _load_model_and_data(args):
@@ -236,7 +236,7 @@ def _load_model_and_data(args):
     return params, dataset
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     workers = _workers(args)
     params, dataset = _load_model_and_data(args)
     if not dataset.test:
@@ -251,10 +251,9 @@ def cmd_eval(args) -> int:
     print(f"mrr {result.mrr:.4f}")
     for k in sorted(result.hits):
         print(f"hits@{k} {result.hits[k]:.4f}")
-    return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     if args.per_type < 1:
         raise ValueError(f"--per-type must be at least 1, got {args.per_type}")
     if args.seed < 0:
@@ -296,10 +295,9 @@ def cmd_analyze(args) -> int:
         write_pair_diagnostics_csv(*residuals, dataset.vocab, out_dir / "relation_pairs.csv")
 
     print(f"analysis written to {out_dir}")
-    return 0
 
 
-def cmd_significance(args) -> int:
+def cmd_significance(args) -> None:
     report = significance_report(args.ranks_a, args.ranks_b)
     rows = (f"{metric},{p:.6g},{'yes' if p < 0.05 else 'no'}" for metric, p in report.items())
     text = "\n".join(["metric,p_value,significant_at_0.05", *rows])
@@ -308,7 +306,6 @@ def cmd_significance(args) -> int:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with atomic_write(args.out, encoding="utf-8") as fh:
             fh.write(text + "\n")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,12 +379,13 @@ def main(argv=None) -> int:
     handler.setFormatter(logging.Formatter(f"kgec {args.command}: warning: %(message)s"))
     logging.getLogger("kgec").addHandler(handler)
     try:
-        return args.func(args)
+        args.func(args)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"kgec {args.command}: error: {exc}", file=sys.stderr)
         return 1
     finally:
         logging.getLogger("kgec").removeHandler(handler)
+    return 0
 
 
 if __name__ == "__main__":

@@ -122,11 +122,9 @@ class Entailment:
 class IdMap:
     """Bidirectional name<->id map with dense, insertion-ordered ids."""
 
-    def __init__(self, names: Iterable[str] = ()):
+    def __init__(self):
         self._name_to_id: dict[str, int] = {}
         self._id_to_name: list[str] = []
-        for name in names:
-            self.add(name)
 
     def add(self, name: str) -> int:
         """Return the id of ``name``, assigning the next free id if unseen."""
@@ -146,14 +144,6 @@ class IdMap:
 
     def __len__(self) -> int:
         return len(self._id_to_name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._id_to_name)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IdMap):
-            return NotImplemented
-        return self._id_to_name == other._id_to_name
 
     def save(self, path: str | Path) -> None:
         """Write one name per line; the line number is the id."""

@@ -1,9 +1,7 @@
 """How kgec reads and writes files: every output is replaced atomically
 through :func:`atomic_write`, CSV outputs go through :func:`write_csv`, text
-inputs through :func:`read_lines` and JSON inputs through :func:`read_json`.
-Also run manifests: a JSON snapshot of everything needed to reproduce a run.
-``train`` hashes the inputs before training and writes the manifest after
-every other output."""
+inputs through :func:`read_lines` and JSON inputs through :func:`read_json`,
+and :func:`sha256_file` hashes a file."""
 
 from __future__ import annotations
 
@@ -13,8 +11,6 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -90,41 +86,3 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-@dataclass
-class RunManifest:
-    """Config snapshot, input hashes, and planned outputs of one run."""
-
-    command: str
-    version: str
-    seed: int
-    config: dict
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
-    created: str = ""
-
-    @classmethod
-    def create(
-        cls,
-        command: str,
-        version: str,
-        seed: int,
-        config: dict,
-        input_paths: list[str | Path],
-        output_paths: list[str | Path],
-    ) -> "RunManifest":
-        return cls(
-            command=command,
-            version=version,
-            seed=seed,
-            config=config,
-            inputs={str(p): sha256_file(p) for p in input_paths},
-            outputs=[str(p) for p in output_paths],
-            created=datetime.now(timezone.utc).isoformat(),
-        )
-
-    def write(self, path: str | Path) -> None:
-        with atomic_write(path, encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")

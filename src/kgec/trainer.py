@@ -296,7 +296,7 @@ def train(
     if train_arr.shape[0] == 0:
         raise ValueError("training split is empty")
 
-    validates = dataset.valid and config.eval_every <= config.max_iters
+    validates = len(dataset.valid) > 0 and config.eval_every <= config.max_iters
     known = build_known_index(dataset) if validates else None
 
     best_params: ModelParams | None = None

@@ -9,12 +9,25 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from kgec.data import Dataset, Triple, Vocab, write_tsv
-from kgec.manifest import RunManifest, read_json, sha256_file
+from kgec.data import Dataset, IdMap, Triple, Vocab, write_tsv
+from kgec.manifest import read_json, sha256_file
 from kgec.model import score_all_tails
 from kgec.objective import SparseGrads
 
 from oracles import oracle_sq_norm
+
+
+def id_map(*names: str) -> IdMap:
+    """A map giving ``names`` the ids 0, 1, ... in order."""
+    idmap = IdMap()
+    for name in names:
+        idmap.add(name)
+    return idmap
+
+
+def names_of(idmap: IdMap) -> list[str]:
+    """The map's names in id order."""
+    return [idmap.name(i) for i in range(len(idmap))]
 
 
 def make_vocab(n_entities: int, n_relations: int) -> Vocab:
@@ -32,14 +45,16 @@ def write_triples(path: str | Path, triples: Iterable[Triple], vocab: Vocab) -> 
     write_tsv(path, ((entity(h), relation(r), entity(t)) for h, r, t in triples))
 
 
-def load_manifest(path: str | Path) -> RunManifest:
-    """Read a run manifest written by ``RunManifest.write``."""
-    return RunManifest(**read_json(path))
+def load_manifest(path: str | Path) -> dict:
+    """Read the ``manifest.json`` a training run writes, checking its keys."""
+    manifest = read_json(path)
+    assert set(manifest) == {"command", "version", "seed", "config", "inputs", "outputs", "created"}
+    return manifest
 
 
-def verify_inputs(manifest: RunManifest) -> None:
+def verify_inputs(manifest: dict) -> None:
     """Recompute the manifest's input hashes; raise ValueError on any mismatch."""
-    for path, recorded in manifest.inputs.items():
+    for path, recorded in manifest["inputs"].items():
         actual = sha256_file(path)
         if actual != recorded:
             raise ValueError(

@@ -348,6 +348,29 @@ MUTANTS = [
         CLI_TESTS,
     ),
     Mutant(
+        "manifest-hashes-inputs-after-training",
+        "src/kgec/cli.py",
+        "        manifest = _run_manifest(config, out_dir, input_paths, args.precision)\n"
+        "        params, log = train(dataset, ents, config)\n",
+        "        params, log = train(dataset, ents, config)\n"
+        "        manifest = _run_manifest(config, out_dir, input_paths, args.precision)\n",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "manifest-not-removed-first",
+        "src/kgec/cli.py",
+        '(out_dir / "manifest.json").unlink(missing_ok=True)',
+        "pass",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "manifest-written-in-place",
+        "src/kgec/cli.py",
+        'with atomic_write(out_dir / "manifest.json", encoding="utf-8") as fh:',
+        'with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:',
+        CLI_TESTS,
+    ),
+    Mutant(
         "save_checkpoint-writes-a-bytes-copy",
         "src/kgec/model.py",
         "fh.write(np.ascontiguousarray(block, dtype=dtype))",
@@ -374,6 +397,13 @@ MUTANTS = [
         "src/kgec/analysis.py",
         'np.argsort(negated, axis=1, kind="stable")',
         "np.argsort(negated, axis=1)",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "purity_curve-float-k-count",
+        "src/kgec/analysis.py",
+        "math.ceil(k_percent * labels.entities.size / 100)",
+        "math.ceil(k_percent / 100.0 * labels.entities.size)",
         ANALYSIS_TESTS,
     ),
     # Parse errors name the file and the line.
@@ -523,6 +553,13 @@ MUTANTS = [
         "src/kgec/trainer.py",
         "            if batch.shape[0] == 0:\n                continue\n",
         "",
+        TRAINER_TESTS,
+    ),
+    Mutant(
+        "train-valid-split-truth-test",
+        "src/kgec/trainer.py",
+        "validates = len(dataset.valid) > 0 and",
+        "validates = dataset.valid and",
         TRAINER_TESTS,
     ),
 ]

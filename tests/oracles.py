@@ -309,9 +309,9 @@ def oracle_heatmap(component, entity_ids) -> np.ndarray:
 def oracle_dimension_purity(component, labels, k_percent: float) -> float:
     """Reference form of one purity point: per dimension, sort the labeled
     entities by descending activation then ascending id, take the top
-    ceil(K/100 * n_labeled), and average the entropies of their types."""
+    ceil(K * n_labeled / 100), and average the entropies of their types."""
     labeled_ids, type_ids = labels.entities, labels.types
-    k = math.ceil(k_percent / 100.0 * labeled_ids.size)
+    k = math.ceil(k_percent * labeled_ids.size / 100)
     activations = np.asarray(component, dtype=float)[labeled_ids, :]
     entropies = []
     for dim in range(activations.shape[1]):

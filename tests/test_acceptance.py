@@ -30,7 +30,7 @@ from kgec.model import ModelParams, init_params, save_checkpoint
 from kgec.objective import loss_and_gradient_arrays, pack_entailments, rule_penalty
 from kgec.trainer import TrainConfig, parse_config, train
 
-from conftest import make_vocab, random_dataset, triple_scores, wn18_train_path
+from conftest import make_vocab, names_of, random_dataset, triple_scores, wn18_train_path
 from oracles import central_difference, oracle_filtered_rank, oracle_mine, slack_grid_minimum
 from test_objective import random_instance
 
@@ -288,7 +288,7 @@ def test_c08_wn18_rule_spot_check():
         rules = mine_entailments(triples, min_conf=0.8, min_support=10)
 
         def rel_id(name: str) -> int:
-            for candidate in vocab.relations:
+            for candidate in names_of(vocab.relations):
                 if candidate.strip("_") == name:
                     return vocab.relations.id(candidate)
             raise AssertionError(f"relation {name} not in WN18 vocabulary")

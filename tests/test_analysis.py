@@ -142,6 +142,14 @@ class TestDimensionPurity:
         _, entropy = purity_curve(component, labels, (25.0,)).points[0]
         assert entropy == 0.0  # ceil(0.25 * 4) = 1 labeled entity
 
+    @pytest.mark.parametrize("k", [7, 14, 28, 56])
+    def test_a_point_takes_exactly_k_percent_of_the_labels(self, k):
+        # k / 100.0 * 100 lands just above k, whose ceiling would take one more.
+        component = np.arange(100, 0, -1, dtype=float)[:, None]
+        labels = labels_of({i: "A" if i < k else "B" for i in range(100)})
+        assert purity_curve(component, labels, (k,)).points == [(k, 0.0)]
+        assert oracle_dimension_purity(component, labels, k) == 0.0
+
     def test_validates_inputs(self):
         labels = labels_of({0: "A"})
         with pytest.raises(ValueError):

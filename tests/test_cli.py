@@ -20,10 +20,10 @@ import kgec
 import kgec.cli
 from kgec.analysis import activation_heatmap, load_type_labels, purity_curve, write_purity_csv
 from kgec.cli import build_parser, main
-from kgec.data import Triple, load_dataset, write_tsv
-from kgec.manifest import RunManifest, sha256_file, write_csv
+from kgec.data import Dataset, Triple, load_dataset, write_tsv
+from kgec.manifest import sha256_file, write_csv
 from kgec.model import ModelParams, init_params, load_checkpoint, save_checkpoint
-from kgec.trainer import EpochStats, parse_config, write_training_log
+from kgec.trainer import EpochStats, TrainConfig, parse_config, write_training_log
 
 from conftest import load_manifest, make_vocab, verify_inputs, write_triples
 
@@ -99,8 +99,8 @@ def test_train_eval_analyze_significance_pipeline(data_dir, config_file, tmp_pat
     assert (run_dir / "entities.txt").exists()
     manifest = load_manifest(run_dir / "manifest.json")
     verify_inputs(manifest)
-    assert manifest.command == "train"
-    assert str(ckpt) in manifest.outputs
+    assert manifest["command"] == "train"
+    assert str(ckpt) in manifest["outputs"]
 
     eval_dir = tmp_path / "eval"
     code = main(
@@ -269,8 +269,8 @@ def test_train_mu_and_projection_flags(data_dir, config_file, tmp_path):
     )
     assert code == 0
     manifest = load_manifest(out / "manifest.json")
-    assert manifest.config["mu"] == 0
-    assert manifest.config["project"] is False
+    assert manifest["config"]["mu"] == 0
+    assert manifest["config"]["project"] is False
     params, sidecar = load_checkpoint(out / "checkpoint.kgec")
     assert sidecar["precision"] == 32  # training checkpoints default to float32
     assert params.re_e.min() < 0 or params.re_e.max() > 1
@@ -329,7 +329,7 @@ def test_grid_values_are_cast_as_in_a_config_file(data_dir, config_file, tmp_pat
             "--grid", "--grid-file", str(grid_file), "--out", str(out)]
     assert main(argv) == 0
     assert "project = false\n" in (out / "config.cfg").read_text()
-    assert load_manifest(out / "manifest.json").config["project"] is False
+    assert load_manifest(out / "manifest.json")["config"]["project"] is False
     params, _ = load_checkpoint(out / "checkpoint.kgec")
     assert params.re_e.min() < 0 or params.re_e.max() > 1
 
@@ -544,7 +544,7 @@ def test_a_stopped_rerun_leaves_no_manifest_for_outputs_it_lacks(
         main(argv + ["--seed", "2"])
     if stop == "train":  # nothing replaced yet: the old run stands, manifest and all
         assert {name: (out / name).read_bytes() for name in names} == old
-        assert load_manifest(out / "manifest.json").seed == parse_config(out / "config.cfg").seed == 1
+        assert load_manifest(out / "manifest.json")["seed"] == parse_config(out / "config.cfg").seed == 1
     else:  # outputs part replaced: no manifest vouches for them
         assert not (out / "manifest.json").exists()
         assert (out / "checkpoint.kgec").read_bytes() == old["checkpoint.kgec"]
@@ -576,7 +576,7 @@ def test_a_grid_stopped_writing_a_new_best_resumes_to_one_point(
     best = parse_config(out / "config.cfg")
     state = json.loads((out / "grid_state.json").read_text())
     assert state[_grid_key(best)] == max(state.values())
-    assert load_manifest(out / "manifest.json").config == {**dataclasses.asdict(best), "checkpoint_precision": 32}
+    assert load_manifest(out / "manifest.json")["config"] == {**dataclasses.asdict(best), "checkpoint_precision": 32}
     assert load_checkpoint(out / "checkpoint.kgec")[0].d == best.d
     assert f"grid done; best valid MRR {max(state.values()):.4f}" in capsys.readouterr().out
 
@@ -593,7 +593,7 @@ def test_a_grid_tie_keeps_the_earlier_point(data_dir, config_file, tmp_path, mon
     assert main(_grid_argv(data_dir, config_file, tmp_path, {"d": [4, 8]})) == 0
     assert list(json.loads((out / "grid_state.json").read_text()).values()) == [0.5, 0.5]
     assert parse_config(out / "config.cfg").d == 4
-    assert load_manifest(out / "manifest.json").config["d"] == 4
+    assert load_manifest(out / "manifest.json")["config"]["d"] == 4
     assert load_checkpoint(out / "checkpoint.kgec")[0].d == 4
 
 
@@ -637,10 +637,17 @@ def _crash_in_tsv(params, path, monkeypatch):
 
 
 def _crash_in_manifest(params, path, monkeypatch):
-    import kgec.manifest
+    # The run's outputs go into path's directory; the manifest's own dump fails.
+    config = TrainConfig(d=3)
+    manifest = kgec.cli._run_manifest(config, path.parent, [], 32)
+    real_dump = json.dump
 
-    monkeypatch.setattr(kgec.manifest.json, "dump", _partial_json_dump)
-    RunManifest("train", "0.1.0", 1, {"d": 3}).write(path)
+    def dump(obj, fh, **kwargs):
+        (_partial_json_dump if obj is manifest else real_dump)(obj, fh, **kwargs)
+
+    monkeypatch.setattr(kgec.cli.json, "dump", dump)
+    dataset = Dataset([], [], [], make_vocab(4, 2))
+    kgec.cli._write_outputs(dataset, config, params, [], path.parent, 32, manifest)
 
 
 @pytest.mark.parametrize(
@@ -661,13 +668,16 @@ def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch, crash, targ
     write_training_log([EpochStats(1, 2.0, 0.0, 1.0, 3.0)], tmp_path / "log.csv")
     write_csv(tmp_path / "table.csv", ["a", "b"], [["old", "row"]])
     write_tsv(tmp_path / "table.tsv", [["old", "row"]])
-    RunManifest("train", "0.1.0", 0, {"d": 2}).write(tmp_path / "manifest.json")
+    (tmp_path / "manifest.json").write_text('{"seed": 0}\n')
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     path = tmp_path / ("ckpt.kgec" if target == "ckpt.kgec.manifest.json" else target)
     with pytest.raises((_Crash, ValueError)):
         crash(init_params(4, 2, 3, seed=1), path, monkeypatch)
     after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    assert after[target] == before[target]
+    if target == "manifest.json":  # removed before the run's other outputs were replaced
+        assert target not in after
+    else:
+        assert after[target] == before[target]
     assert not [name for name in after if name.endswith(".tmp")]
 
 
@@ -1051,14 +1061,34 @@ def test_cli_import_does_not_load_scipy_stats():
 def test_manifest_detects_tampered_inputs(tmp_path):
     source = tmp_path / "input.txt"
     source.write_text("original\n")
-    manifest = RunManifest.create("train", "0.1.0", 7, {"d": 4}, [source], [])
-    path = tmp_path / "manifest.json"
-    manifest.write(path)
-    loaded = load_manifest(path)
+    config = TrainConfig(d=4, seed=7)
+    manifest = kgec.cli._run_manifest(config, tmp_path, [source], 32)
+    params = init_params(2, 1, config.d, config.seed)
+    kgec.cli._write_outputs(Dataset([], [], [], make_vocab(2, 1)), config, params, [], tmp_path, 32, manifest)
+    loaded = load_manifest(tmp_path / "manifest.json")
     verify_inputs(loaded)
     source.write_text("tampered\n")
     with pytest.raises(ValueError, match="changed"):
         verify_inputs(loaded)
+
+
+def test_the_manifest_holds_the_input_hashes_from_before_training(data_dir, config_file, tmp_path, monkeypatch):
+    train_file = data_dir / "train.txt"
+    before = sha256_file(train_file)
+    real_train = kgec.cli.train
+
+    def train_then_edit_the_input(*args, **kwargs):
+        result = real_train(*args, **kwargs)
+        train_file.write_text(train_file.read_text() + "e0\tr2\te1\n")
+        return result
+
+    monkeypatch.setattr(kgec.cli, "train", train_then_edit_the_input)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--config", str(config_file), "--out", str(out)]) == 0
+    manifest = load_manifest(out / "manifest.json")
+    assert manifest["inputs"][str(train_file)] == before
+    with pytest.raises(ValueError, match="changed"):
+        verify_inputs(manifest)
 
 
 def test_subcommands_do_not_modify_inputs(data_dir, config_file, tmp_path):

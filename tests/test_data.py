@@ -31,12 +31,19 @@ from kgec.data import (
 )
 from kgec.manifest import read_lines
 
-from conftest import make_vocab, random_dataset, wn18_train_path, write_triples
+from conftest import id_map, make_vocab, names_of, random_dataset, wn18_train_path, write_triples
 from oracles import oracle_load_triples, oracle_read_lines
+
+
+def _load_triples_and_names(path):
+    """``load_triples`` with the vocabulary as its name lists, which compare by value."""
+    triples, vocab = load_triples(path)
+    return triples, names_of(vocab.entities), names_of(vocab.relations)
+
 
 # Each TSV reader with one valid line of its format and its field count.
 TSV_READERS = [
-    (load_triples, "a\tp\tb", 3),
+    (_load_triples_and_names, "a\tp\tb", 3),
     (lambda path: load_entailments(path, make_vocab(0, 2)), "r0\tr1\t0.5", 3),
     (lambda path: load_type_labels(path, make_vocab(1, 0)), "e0\tT0", 2),
 ]
@@ -147,7 +154,7 @@ def _outcome(call):
 
 def _load_outcome(load, path, vocab, grow):
     """The rows or error of ``load``, with the vocabulary it leaves behind."""
-    return _outcome(lambda: load(path, vocab, grow)[0]), list(vocab.entities), list(vocab.relations)
+    return _outcome(lambda: load(path, vocab, grow)[0]), names_of(vocab.entities), names_of(vocab.relations)
 
 
 class TestOnePassRead:
@@ -157,7 +164,7 @@ class TestOnePassRead:
     def test_unknown_name_before_a_bad_byte_raises_the_vocabulary_error(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_bytes(b"a\tp\tb\na\tp\tzzz\nx\xff\tp\tb\n")
-        vocab = Vocab(IdMap(["a", "b"]), IdMap(["p"]))
+        vocab = Vocab(id_map("a", "b"), id_map("p"))
         with pytest.raises(VocabularyError) as info:
             load_triples(path, vocab, grow=False)
         assert str(info.value) == f"{path}:2: unknown name: 'zzz'"
@@ -192,14 +199,14 @@ class TestOnePassRead:
     def test_names_resolve_head_then_relation_then_tail(self, tmp_path, text, unknown):
         path = tmp_path / "t.tsv"
         path.write_text(text)
-        vocab = Vocab(IdMap(["a", "b"]), IdMap(["p"]))
+        vocab = Vocab(id_map("a", "b"), id_map("p"))
         last_line = text.count("\n")
         with pytest.raises(VocabularyError, match=re.escape(f"{path}:{last_line}: unknown name: {unknown!r}")):
             load_triples(path, vocab, grow=False)
-        assert list(vocab.entities) == ["a", "b"] and list(vocab.relations) == ["p"]
+        assert names_of(vocab.entities) == ["a", "b"] and names_of(vocab.relations) == ["p"]
         # Grown, the first unknown name takes the first new id of its map.
         _, vocab = load_triples(path, vocab)
-        assert unknown in list(vocab.entities)[2:3] + list(vocab.relations)[1:2]
+        assert unknown in names_of(vocab.entities)[2:3] + names_of(vocab.relations)[1:2]
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -213,7 +220,7 @@ class TestOnePassRead:
         path = tmp_path / "t.tsv"
         path.write_bytes(b"".join(tokens))
         assert _outcome(lambda: list(read_lines(path))) == _outcome(lambda: list(oracle_read_lines(path)))
-        new, old = (Vocab(IdMap(["a", "b"]), IdMap(["p"])) for _ in range(2))
+        new, old = (Vocab(id_map("a", "b"), id_map("p")) for _ in range(2))
         assert _load_outcome(load_triples, path, new, grow) == _load_outcome(oracle_load_triples, path, old, grow)
 
 
@@ -222,12 +229,12 @@ class TestVocab:
         vocab = make_vocab(5, 3)
         vocab.entities.save(tmp_path / "ent.txt")
         vocab.relations.save(tmp_path / "rel.txt")
-        assert IdMap.load(tmp_path / "ent.txt") == vocab.entities
-        assert IdMap.load(tmp_path / "rel.txt") == vocab.relations
+        assert names_of(IdMap.load(tmp_path / "ent.txt")) == names_of(vocab.entities)
+        assert names_of(IdMap.load(tmp_path / "rel.txt")) == names_of(vocab.relations)
         assert (tmp_path / "ent.txt").read_text().splitlines()[2] == "e2"
         # Names are opaque: empty, padded, or holding a lone CR.
-        IdMap(["", " a ", "b\rc"]).save(tmp_path / "ent.txt")
-        assert list(IdMap.load(tmp_path / "ent.txt")) == ["", " a ", "b\rc"]
+        id_map("", " a ", "b\rc").save(tmp_path / "ent.txt")
+        assert names_of(IdMap.load(tmp_path / "ent.txt")) == ["", " a ", "b\rc"]
 
     def test_repeated_name_in_a_dump_fails_naming_the_line(self, tmp_path):
         # A repeat would shift the id of every later name by one.
@@ -328,7 +335,7 @@ class TestCollectorPause:
     def test_load_leaves_the_collector_as_it_found_it(self, tmp_path, restore_gc, enabled, text, error):
         path = tmp_path / "t.tsv"
         path.write_text(text)
-        vocab = Vocab(IdMap(["a", "b", "c"]), IdMap(["p"]))
+        vocab = Vocab(id_map("a", "b", "c"), id_map("p"))
         (gc.enable if enabled else gc.disable)()
         with pytest.raises(error) if error else contextlib.nullcontext():
             load_triples(path, vocab, grow=False)
@@ -360,7 +367,9 @@ class TestCollectorPause:
         # Untracked rows never reach the old generation, so loading a second
         # copy beside the first makes no full collection rescan both.
         assert starts and 2 not in starts, f"generations collected: {starts}"
-        assert dataset == held
+        assert (dataset.train, dataset.valid, dataset.test) == splits
+        assert names_of(dataset.vocab.entities) == names_of(held.vocab.entities)
+        assert names_of(dataset.vocab.relations) == names_of(held.vocab.relations)
 
 
 class TestEntailments:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kgec.trainer
-from kgec.data import Dataset, Entailment, Triple
+from kgec.data import Dataset, Entailment, Triple, triple_array
 from kgec.model import init_params, score_all_tails
 from kgec.objective import pack_entailments, rule_penalty
 from kgec.trainer import (
@@ -409,6 +409,19 @@ class TestTrain:
 
                 monkeypatch.setattr(kgec.trainer, "build_known_index", refuse)
             params, log = train(dataset, [], config)
+            write_training_log(log, tmp_path / "log.csv")
+            runs.append((params.ent.tobytes() + params.rel.tobytes(),
+                         (tmp_path / "log.csv").read_bytes()))
+        assert runs[1] == runs[0]
+
+    def test_array_splits_train_as_list_splits_do(self, tmp_path):
+        dataset = tiny_kg(n_triples=30)
+        splits = (dataset.train[:25], dataset.train[25:], [])
+        config = fast_config(max_iters=20, eval_every=5)
+        runs = []
+        for as_split in (list, triple_array):
+            params, log = train(Dataset(*map(as_split, splits), dataset.vocab), [], config)
+            assert [row.valid_mrr is not None for row in log].count(True) == 4
             write_training_log(log, tmp_path / "log.csv")
             runs.append((params.ent.tobytes() + params.rel.tobytes(),
                          (tmp_path / "log.csv").read_bytes()))
