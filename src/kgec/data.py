@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -128,10 +128,16 @@ class IdMap:
 
     def add(self, name: str) -> int:
         """Return the id of ``name``, assigning the next free id if unseen."""
-        idx = self._name_to_id.setdefault(name, len(self._id_to_name))
-        if idx == len(self._id_to_name):
-            self._id_to_name.append(name)
+        idx = self._name_to_id.setdefault(name, len(self._name_to_id))
+        self._sync()
         return idx
+
+    def _sync(self) -> None:
+        """Bring the id -> name list up to date with the name -> id dict, the
+        map itself: names enter it by ``setdefault(name, len(dict))``, so the
+        names the list lacks are the dict's newest keys, in id order."""
+        gained = len(self._name_to_id) - len(self._id_to_name)
+        self._id_to_name += reversed(list(islice(reversed(self._name_to_id), gained)))
 
     def id(self, name: str) -> int:
         try:
@@ -156,10 +162,12 @@ class IdMap:
         A repeated name raises ValueError naming the file and line, since it
         would shift the id of every later name."""
         idmap = cls()
+        ids = idmap._name_to_id
         for lineno, name in read_lines(path):
-            idx = idmap.add(name)
+            idx = ids.setdefault(name, lineno - 1)
             if idx != lineno - 1:
                 raise ValueError(f"{path}:{lineno}: name {name!r} repeats line {idx + 1}")
+        idmap._sync()
         return idmap
 
 
@@ -197,23 +205,36 @@ def load_triples(
 
     Names are treated as opaque strings; no whitespace normalization is
     applied beyond removing the line terminator. Blank lines are skipped.
-    The file is decoded in one pass (:func:`read_lines`) and each name is one
-    dict lookup; a line with a name the vocabulary lacks resolves head,
-    relation, then tail through :meth:`IdMap.add` or :meth:`IdMap.id`.
+    The file is decoded in one pass (:func:`read_lines`) and each name,
+    head, relation, then tail, is one dict lookup: a ``setdefault`` when
+    growing, after which each map's name list is brought up to date once,
+    also when the file fails part-way; else a subscript, with a miss
+    resolved again in that order through :meth:`IdMap.id` to raise.
     """
     if vocab is None:
         vocab = Vocab()
-    entity, relation = (
-        (vocab.entities.add, vocab.relations.add) if grow else (vocab.entities.id, vocab.relations.id)
-    )
     entity_ids, relation_ids = vocab.entities._name_to_id, vocab.relations._name_to_id
     triples: list[tuple[int, int, int]] = []
-    for lineno, (head_name, rel_name, tail_name) in read_tsv(path, 3):
+    rows = read_tsv(path, 3)
+    if grow:
+        entity, relation = entity_ids.setdefault, relation_ids.setdefault
+        try:
+            for _, (head_name, rel_name, tail_name) in rows:
+                triples.append((
+                    entity(head_name, len(entity_ids)),
+                    relation(rel_name, len(relation_ids)),
+                    entity(tail_name, len(entity_ids)),
+                ))
+        finally:
+            vocab.entities._sync()
+            vocab.relations._sync()
+        return triples, vocab
+    for lineno, (head_name, rel_name, tail_name) in rows:
         try:
             triples.append((entity_ids[head_name], relation_ids[rel_name], entity_ids[tail_name]))
         except KeyError:
-            try:
-                triples.append((entity(head_name), relation(rel_name), entity(tail_name)))
+            try:  # raises for the first name the vocabulary lacks
+                vocab.entities.id(head_name), vocab.relations.id(rel_name), vocab.entities.id(tail_name)
             except VocabularyError as exc:
                 raise VocabularyError(f"{path}:{lineno}: {exc}") from None
     return triples, vocab

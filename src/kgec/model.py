@@ -17,10 +17,12 @@ interleaves real and imaginary parts.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -91,12 +93,21 @@ def real_view(z: np.ndarray) -> np.ndarray:
     return z.view(z.real.dtype)
 
 
-def _from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Complex array with exactly the given real and imaginary components."""
-    z = np.empty(re.shape, np.result_type(re.dtype, np.complex64))
-    z.real = re
-    z.imag = im
-    return z
+_PIECE_BYTES = 1 << 18  # one piece of the checkpoint and init loops, 256 KB
+
+
+def _pieces(blocks: tuple[np.ndarray, ...], dtype: np.dtype) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Walk (rows, d) real arrays (the components of the tables) in order,
+    in pieces of whole rows of about ``_PIECE_BYTES`` of ``dtype``. Yields
+    ``(piece, buf)``: a view of the piece's rows, and a C-contiguous
+    ``dtype`` array of its shape, one buffer reused for every piece."""
+    d = blocks[0].shape[1]
+    rows = max(1, _PIECE_BYTES // max(1, d * dtype.itemsize))
+    buf = np.empty((rows, d), dtype)
+    for block in blocks:
+        for a in range(0, len(block), rows):
+            piece = block[a : a + rows]
+            yield piece, buf[: len(piece)]
 
 
 def init_params(n: int, m: int, d: int, seed: int) -> ModelParams:
@@ -111,9 +122,14 @@ def init_params(n: int, m: int, d: int, seed: int) -> ModelParams:
         raise ValueError(f"sizes must be at least 1, got n={n}, m={m}, d={d}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d)
-    # random() draws the bits of uniform(0, 1) without its scaling pass.
-    ent = _from_parts(rng.random((n, d)), rng.random((n, d)))
-    rel = _from_parts(rng.normal(0.0, scale, size=(m, d)), rng.normal(0.0, scale, size=(m, d)))
+    # random() draws the bits of uniform(0, 1) without its scaling pass; drawn
+    # piece by piece, the stream and every bit are those of one (n, d) draw.
+    ent = np.empty((n, d), np.complex128)
+    for piece, buf in _pieces((ent.real, ent.imag), np.dtype(np.float64)):
+        piece[...] = rng.random(out=buf)
+    rel = np.empty((m, d), np.complex128)
+    rel.real = rng.normal(0.0, scale, size=(m, d))
+    rel.imag = rng.normal(0.0, scale, size=(m, d))
     return ModelParams(ent, rel)
 
 
@@ -183,7 +199,8 @@ def save_checkpoint(
     Layout: magic ``KGEC1``, then n, m, d and the precision in bits as
     little-endian uint32, then the four embedding blocks (entity real,
     entity imaginary, relation real, relation imaginary) row-major in
-    little-endian floats of the stored precision. Vocabulary dumps are
+    little-endian floats of the stored precision, written one piece at a
+    time, so a save holds no copy of a block. Vocabulary dumps are
     referenced by path in ``<path>.manifest.json``, not embedded.
     """
     itemsize = params.re_e.dtype.itemsize
@@ -195,8 +212,9 @@ def save_checkpoint(
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(_HEADER.pack(params.n_entities, params.n_relations, params.d, precision))
-        for block in (params.re_e, params.im_e, params.re_r, params.im_r):
-            fh.write(np.ascontiguousarray(block, dtype=dtype))  # its buffer, not a bytes copy
+        for piece, buf in _pieces((params.re_e, params.im_e, params.re_r, params.im_r), dtype):
+            buf[...] = piece
+            fh.write(buf)  # its buffer, not a bytes copy
     sidecar = {
         "checkpoint": path.name,
         "precision": precision,
@@ -213,8 +231,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
 
     Returns the parameters in their stored precision (complex64 for float32
     blocks, complex128 for float64) and the sidecar manifest (an empty dict
-    when the sidecar is missing). A file whose size differs from the one its
-    header implies, or that holds NaN or Inf, raises ValueError naming it.
+    when the sidecar is missing). Each block is read piece by piece straight
+    into its component of the final tables. A file whose size differs from
+    the one its header implies, that ends before its last piece, or that
+    holds NaN or Inf raises ValueError naming it.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -233,11 +253,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         if size != expected:
             problem = "truncated" if size < expected else "has trailing bytes"
             raise ValueError(f"{path}: checkpoint {problem}: {size} bytes, header implies {expected}")
-        values = np.fromfile(fh, dtype=dtype, count=2 * (n + m) * d)  # into one array, no bytes copy
-    # min and max propagate NaN, and need no temporary array.
-    if values.size and not np.isfinite([values.min(), values.max()]).all():
-        raise ValueError(f"{path}: checkpoint holds NaN or infinite values")
-    ent, rel = np.split(values, [2 * n * d])
-    params = ModelParams(_from_parts(*ent.reshape(2, n, d)), _from_parts(*rel.reshape(2, m, d)))
+        ctype = np.result_type(dtype, np.complex64)
+        params = ModelParams(np.empty((n, d), ctype), np.empty((m, d), ctype))
+        for piece, buf in _pieces((params.re_e, params.im_e, params.re_r, params.im_r), dtype):
+            if fh.readinto(buf) != buf.nbytes:  # the file shrank after its size was read
+                raise ValueError(f"{path}: checkpoint truncated: read {fh.tell()} bytes, header implies {expected}")
+            # min and max propagate NaN, and need no temporary array.
+            if buf.size and not (math.isfinite(buf.min()) and math.isfinite(buf.max())):
+                raise ValueError(f"{path}: checkpoint holds NaN or infinite values")
+            piece[...] = buf
     sidecar = Path(str(path) + ".manifest.json")
     return params, (read_json(sidecar) if sidecar.exists() else {})

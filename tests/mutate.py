@@ -84,15 +84,50 @@ MUTANTS = [
     Mutant(
         "load_triples-tail-before-head",
         "src/kgec/data.py",
-        "triples.append((entity(head_name), relation(rel_name), entity(tail_name)))",
-        "triples.append(tuple(reversed((entity(tail_name), relation(rel_name), entity(head_name)))))",
+        "entity(head_name, len(entity_ids)),\n"
+        "                    relation(rel_name, len(relation_ids)),\n"
+        "                    entity(tail_name, len(entity_ids)),\n"
+        "                ))",
+        "*reversed((\n"
+        "                    entity(tail_name, len(entity_ids)),\n"
+        "                    relation(rel_name, len(relation_ids)),\n"
+        "                    entity(head_name, len(entity_ids)),\n"
+        "                )),))",
+        DATA_TESTS,
+    ),
+    Mutant(
+        "load_triples-no-grow-error-names-tail-first",
+        "src/kgec/data.py",
+        "vocab.entities.id(head_name), vocab.relations.id(rel_name), vocab.entities.id(tail_name)",
+        "vocab.entities.id(tail_name), vocab.relations.id(rel_name), vocab.entities.id(head_name)",
         DATA_TESTS,
     ),
     Mutant(
         "load_triples-no-grow-miss-grows",
         "src/kgec/data.py",
-        "if grow else (vocab.entities.id, vocab.relations.id)",
-        "if True else None",
+        "    if grow:\n",
+        "    if True:\n",
+        DATA_TESTS,
+    ),
+    Mutant(
+        "load_triples-names-not-synced-after-a-failed-file",
+        "src/kgec/data.py",
+        "        finally:\n            vocab.entities._sync()",
+        "        except ValueError:\n            raise\n        else:\n            vocab.entities._sync()",
+        DATA_TESTS,
+    ),
+    Mutant(
+        "IdMap-sync-appends-newest-first",
+        "src/kgec/data.py",
+        "self._id_to_name += reversed(list(",
+        "self._id_to_name += (list(",
+        DATA_TESTS,
+    ),
+    Mutant(
+        "IdMap.load-list-not-synced",
+        "src/kgec/data.py",
+        "        idmap._sync()\n        return idmap",
+        "        return idmap",
         DATA_TESTS,
     ),
     Mutant(
@@ -373,8 +408,39 @@ MUTANTS = [
     Mutant(
         "save_checkpoint-writes-a-bytes-copy",
         "src/kgec/model.py",
-        "fh.write(np.ascontiguousarray(block, dtype=dtype))",
-        "fh.write(np.ascontiguousarray(block, dtype=dtype).tobytes())",
+        "fh.write(buf)",
+        "fh.write(buf.tobytes())",
+        MODEL_TESTS,
+    ),
+    # The piece loop of checkpoint reads, writes and init_params.
+    Mutant(
+        "load_checkpoint-imaginary-piece-into-real-view",
+        "src/kgec/model.py",
+        "params = ModelParams(np.empty((n, d), ctype), np.empty((m, d), ctype))\n"
+        "        for piece, buf in _pieces((params.re_e, params.im_e,",
+        "params = ModelParams(np.empty((n, d), ctype), np.empty((m, d), ctype))\n"
+        "        for piece, buf in _pieces((params.re_e, params.re_e,",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "load_checkpoint-read-count-unchecked",
+        "src/kgec/model.py",
+        "if fh.readinto(buf) != buf.nbytes:",
+        "if fh.readinto(buf) < 0:",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "load_checkpoint-finite-check-on-first-piece-only",
+        "src/kgec/model.py",
+        "if buf.size and not (math.isfinite",
+        "if fh.tell() == len(CHECKPOINT_MAGIC) + _HEADER.size + buf.nbytes and not (math.isfinite",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "load_checkpoint-finite-check-on-full-pieces-only",
+        "src/kgec/model.py",
+        "if buf.size and not (math.isfinite",
+        "if buf.size == buf.base.size and not (math.isfinite",
         MODEL_TESTS,
     ),
     # Type labels and the purity curve.

@@ -208,6 +208,20 @@ class TestOnePassRead:
         _, vocab = load_triples(path, vocab)
         assert unknown in names_of(vocab.entities)[2:3] + names_of(vocab.relations)[1:2]
 
+    @pytest.mark.parametrize("bad", [b"y\tq\n", b"y\xff\tq\tz\n"], ids=["fields", "utf-8"])
+    def test_a_grown_load_failing_part_way_keeps_the_names_read_before(self, tmp_path, bad):
+        # The maps hold the names of the lines before the bad one, in id
+        # order, and a later load goes on from there.
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"a\tp\tx\nw\tq\tb\n" + bad + b"v\tr\tu\n")
+        vocab = Vocab(id_map("a", "b"), id_map("p"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+            load_triples(path, vocab)
+        assert names_of(vocab.entities) == ["a", "b", "x", "w"] and names_of(vocab.relations) == ["p", "q"]
+        path.write_bytes(b"u\tr\tx\n")
+        assert load_triples(path, vocab)[0] == [(4, 2, 2)]
+        assert names_of(vocab.entities) == ["a", "b", "x", "w", "u"] and names_of(vocab.relations) == ["p", "q", "r"]
+
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         st.lists(

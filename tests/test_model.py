@@ -1,11 +1,15 @@
 """Tests for embedding storage, the bilinear score, the box clamp, and checkpoints."""
 
+import os
+import re
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import kgec.model
 from kgec.data import Entailment
 from kgec.model import (
     ModelParams,
@@ -243,6 +247,32 @@ class TestInit:
         for got, expected in zip((params.re_e, params.im_e, params.re_r, params.im_r), want):
             np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("n, m, d, seed", [(7, 2, 3, 0), (8, 3, 3, 4), (1, 1, 1, 2), (5, 1, 8, 9)])
+    def test_draws_in_pieces_are_one_draw(self, monkeypatch, n, m, d, seed):
+        # Three rows of d = 3 a piece: n = 7 ends on a short piece, n = 8 on
+        # a two-row one; at d = 8 a piece is one row, less than its budget.
+        monkeypatch.setattr(kgec.model, "_PIECE_BYTES", 3 * 3 * 8)
+        rng = np.random.default_rng(seed)
+        want = [rng.uniform(0.0, 1.0, size=(n, d)) for _ in range(2)]
+        want += [rng.normal(0.0, 1.0 / np.sqrt(d), size=(m, d)) for _ in range(2)]
+        params = init_params(n, m, d, seed=seed)
+        for got, expected in zip((params.re_e, params.im_e, params.re_r, params.im_r), want):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_holds_one_entity_table(self):
+        # The entity table is filled in place, one piece at a time; two whole
+        # draws beside it would make the peak about twice the table.
+        n, m, d = 4_000, 2, 50
+        table = n * d * np.dtype(np.complex128).itemsize
+        init_params(n, m, d, seed=1)  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            init_params(n, m, d, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * table, (peak, table)
+
     def test_entities_in_box(self):
         params = init_params(50, 5, 20, seed=7)
         assert np.all(params.re_e >= 0) and np.all(params.re_e <= 1)
@@ -295,11 +325,13 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.re_r, params.re_r)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_save_holds_one_copy_of_a_block(self, tmp_path, dtype):
-        # Each embedding block is written from its one contiguous copy; a
-        # bytes copy of it on top would double the peak.
+    def test_save_holds_one_piece(self, tmp_path, dtype):
+        # Each embedding block is written through one reused piece buffer; a
+        # contiguous copy of a block, or a bytes copy of a piece, would not fit.
         params = init_params(4_000, 2, 50, seed=1).astype(dtype)
         block = params.re_e.size * np.dtype(dtype).itemsize
+        bound = kgec.model._PIECE_BYTES + 2**16
+        assert block > 2 * bound
         save_checkpoint(params, tmp_path / "warm.kgec")  # warm-up: lazy imports and caches
         tracemalloc.start()
         try:
@@ -307,7 +339,70 @@ class TestCheckpoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * block, (peak, block)
+        assert peak < bound, (peak, block)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_load_holds_one_copy_of_the_tables(self, tmp_path, dtype):
+        # Blocks are read straight into the final tables through one piece
+        # buffer (about 1.1 times the tables at float64); a second copy of
+        # the tables would double the peak.
+        path = tmp_path / "model.kgec"
+        save_checkpoint(init_params(4_000, 2, 50, seed=1).astype(dtype), path)
+        tables = (4_000 + 2) * 50 * 2 * np.dtype(dtype).itemsize
+        load_checkpoint(path)  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tables + kgec.model._PIECE_BYTES + 2**16, (peak, tables)
+
+    @pytest.mark.parametrize("bits, dtype", [(64, "<f8"), (32, "<f4")])
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_blocks_of_several_pieces_round_trip_byte_for_byte(self, tmp_path, monkeypatch, bits, dtype, n):
+        # Two rows a piece: the entity blocks end on a full or a one-row piece.
+        m, d = 3, 4
+        monkeypatch.setattr(kgec.model, "_PIECE_BYTES", 2 * d * np.dtype(dtype).itemsize)
+        rng = np.random.default_rng(3)
+        blocks = [rng.normal(size=(rows, d)).astype(dtype) for rows in (n, n, m, m)]
+        raw = b"KGEC1" + struct.pack("<4I", n, m, d, bits) + b"".join(b.tobytes() for b in blocks)
+        path = tmp_path / "golden.kgec"
+        path.write_bytes(raw)
+        loaded, _ = load_checkpoint(path)
+        for got, want in zip((loaded.re_e, loaded.im_e, loaded.re_r, loaded.im_r), blocks):
+            np.testing.assert_array_equal(got, want)
+        save_checkpoint(loaded, tmp_path / "resaved.kgec")
+        assert (tmp_path / "resaved.kgec").read_bytes() == raw
+
+    @pytest.mark.parametrize("keep", [0, 8, 3 * 3 * 8, 3 * 3 * 8 + 8, 2 * 7 * 3 * 8 + 8])
+    def test_file_cut_after_its_size_check_names_it(self, tmp_path, monkeypatch, keep):
+        # The file loses its tail between the size check and the reads: the
+        # read of the piece it cuts comes up short. Cuts fall in the first
+        # piece, at the end of one, in the second, and in the relation blocks.
+        monkeypatch.setattr(kgec.model, "_PIECE_BYTES", 3 * 3 * 8)  # three rows a piece
+        path = tmp_path / "model.kgec"
+        save_checkpoint(init_params(7, 2, 3, seed=1), path)
+        data, header = path.read_bytes(), len(b"KGEC1") + 4 * 4
+        path.write_bytes(data[: header + keep])
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=len(data)))
+        message = f"{path}: checkpoint truncated: read {header + keep} bytes, header implies {len(data)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", ["re_e", "im_e", "re_r", "im_r"])
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_non_finite_value_in_any_piece_is_rejected(self, tmp_path, monkeypatch, value, block, row):
+        # Three rows a piece: the entity blocks are three pieces, the last
+        # one row; the relation blocks are one piece of two rows.
+        monkeypatch.setattr(kgec.model, "_PIECE_BYTES", 3 * 3 * 8)
+        params = init_params(7, 2, 3, seed=1)
+        getattr(params, block)[row, 1] = value
+        path = tmp_path / "model.kgec"
+        save_checkpoint(params, path)
+        with pytest.raises(ValueError, match="model.kgec.*NaN or infinite"):
+            load_checkpoint(path)
 
     def test_magic_is_checked(self, tmp_path):
         path = tmp_path / "bad.kgec"
