@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -64,9 +64,13 @@ def read_tsv(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]
 
 
 def write_tsv(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
-    """Replace ``path`` atomically by one tab-joined line per row."""
+    """Replace ``path`` atomically by one tab-joined line per row.
+
+    A line ends in LF, or in CRLF when its last field ends in CR: a reader
+    removes one CR before each LF (:func:`read_tsv`), so the field reads back whole.
+    """
     with atomic_write(path, encoding="utf-8") as fh:
-        fh.writelines("\t".join(row) + "\n" for row in rows)
+        fh.writelines(line + ("\r\n" if line.endswith("\r") else "\n") for line in map("\t".join, rows))
 
 
 class Triple(NamedTuple):
@@ -120,24 +124,16 @@ class Entailment:
 
 
 class IdMap:
-    """Bidirectional name<->id map with dense, insertion-ordered ids."""
+    """Bidirectional name<->id map with dense, insertion-ordered ids.
+
+    Its one table is the name -> id dict, which a name joins only at the next
+    id (``setdefault(name, len(dict))``), so the keys are the names in id order.
+    """
+
+    _names: tuple[str, ...] = ()  # the dict's keys, rebuilt by name() once the dict has grown
 
     def __init__(self):
         self._name_to_id: dict[str, int] = {}
-        self._id_to_name: list[str] = []
-
-    def add(self, name: str) -> int:
-        """Return the id of ``name``, assigning the next free id if unseen."""
-        idx = self._name_to_id.setdefault(name, len(self._name_to_id))
-        self._sync()
-        return idx
-
-    def _sync(self) -> None:
-        """Bring the id -> name list up to date with the name -> id dict, the
-        map itself: names enter it by ``setdefault(name, len(dict))``, so the
-        names the list lacks are the dict's newest keys, in id order."""
-        gained = len(self._name_to_id) - len(self._id_to_name)
-        self._id_to_name += reversed(list(islice(reversed(self._name_to_id), gained)))
 
     def id(self, name: str) -> int:
         try:
@@ -146,14 +142,16 @@ class IdMap:
             raise VocabularyError(f"unknown name: {name!r}") from None
 
     def name(self, idx: int) -> str:
-        return self._id_to_name[idx]
+        if len(self._names) != len(self._name_to_id):
+            self._names = tuple(self._name_to_id)
+        return self._names[idx]
 
     def __len__(self) -> int:
-        return len(self._id_to_name)
+        return len(self._name_to_id)
 
     def save(self, path: str | Path) -> None:
         """Write one name per line; the line number is the id."""
-        write_tsv(path, ((name,) for name in self._id_to_name))
+        write_tsv(path, ((name,) for name in self._name_to_id))
 
     @classmethod
     def load(cls, path: str | Path) -> "IdMap":
@@ -167,7 +165,6 @@ class IdMap:
             idx = ids.setdefault(name, lineno - 1)
             if idx != lineno - 1:
                 raise ValueError(f"{path}:{lineno}: name {name!r} repeats line {idx + 1}")
-        idmap._sync()
         return idmap
 
 
@@ -206,9 +203,9 @@ def load_triples(
     Names are treated as opaque strings; no whitespace normalization is
     applied beyond removing the line terminator. Blank lines are skipped.
     The file is decoded in one pass (:func:`read_lines`) and each name,
-    head, relation, then tail, is one dict lookup: a ``setdefault`` when
-    growing, after which each map's name list is brought up to date once,
-    also when the file fails part-way; else a subscript, with a miss
+    head, relation, then tail, is one dict lookup: a ``setdefault`` at the
+    map's next id when growing, so a file that fails part-way leaves the
+    names of the lines before the bad one; else a subscript, with a miss
     resolved again in that order through :meth:`IdMap.id` to raise.
     """
     if vocab is None:
@@ -218,16 +215,12 @@ def load_triples(
     rows = read_tsv(path, 3)
     if grow:
         entity, relation = entity_ids.setdefault, relation_ids.setdefault
-        try:
-            for _, (head_name, rel_name, tail_name) in rows:
-                triples.append((
-                    entity(head_name, len(entity_ids)),
-                    relation(rel_name, len(relation_ids)),
-                    entity(tail_name, len(entity_ids)),
-                ))
-        finally:
-            vocab.entities._sync()
-            vocab.relations._sync()
+        for _, (head_name, rel_name, tail_name) in rows:
+            triples.append((
+                entity(head_name, len(entity_ids)),
+                relation(rel_name, len(relation_ids)),
+                entity(tail_name, len(entity_ids)),
+            ))
         return triples, vocab
     for lineno, (head_name, rel_name, tail_name) in rows:
         try:

@@ -217,18 +217,11 @@ def make_batches(
 ) -> list[np.ndarray]:
     """Shuffle one epoch and split it into ``n_batches`` near-equal parts.
 
-    Batch sizes differ by at most one. If there are more batches than
-    triples, the surplus batches are empty and a warning is logged.
+    Batch sizes differ by at most one.
     """
     if n_batches < 1:
         raise ValueError("n_batches must be at least 1")
     arr = triple_array(train)
-    if n_batches > arr.shape[0]:
-        logger.warning(
-            "n_batches=%d exceeds the number of triples (%d); some batches are empty",
-            n_batches,
-            arr.shape[0],
-        )
     perm = rng.permutation(arr.shape[0])
     return [arr[idx] for idx in np.array_split(perm, n_batches)]
 
@@ -295,6 +288,9 @@ def train(
     train_arr = triple_array(dataset.train)
     if train_arr.shape[0] == 0:
         raise ValueError("training split is empty")
+    if config.n_batches > train_arr.shape[0]:
+        logger.warning("n_batches=%d exceeds the number of triples (%d); some batches are empty",
+                       config.n_batches, train_arr.shape[0])
 
     validates = len(dataset.valid) > 0 and config.eval_every <= config.max_iters
     known = build_known_index(dataset) if validates else None

@@ -14,14 +14,14 @@ from kgec.manifest import read_json, sha256_file
 from kgec.model import score_all_tails
 from kgec.objective import SparseGrads
 
-from oracles import oracle_sq_norm
+from oracles import grow_id, oracle_sq_norm
 
 
 def id_map(*names: str) -> IdMap:
     """A map giving ``names`` the ids 0, 1, ... in order."""
     idmap = IdMap()
     for name in names:
-        idmap.add(name)
+        grow_id(idmap, name)
     return idmap
 
 
@@ -31,12 +31,7 @@ def names_of(idmap: IdMap) -> list[str]:
 
 
 def make_vocab(n_entities: int, n_relations: int) -> Vocab:
-    vocab = Vocab()
-    for i in range(n_entities):
-        vocab.entities.add(f"e{i}")
-    for k in range(n_relations):
-        vocab.relations.add(f"r{k}")
-    return vocab
+    return Vocab(id_map(*(f"e{i}" for i in range(n_entities))), id_map(*(f"r{k}" for k in range(n_relations))))
 
 
 def write_triples(path: str | Path, triples: Iterable[Triple], vocab: Vocab) -> None:

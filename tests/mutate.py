@@ -85,14 +85,14 @@ MUTANTS = [
         "load_triples-tail-before-head",
         "src/kgec/data.py",
         "entity(head_name, len(entity_ids)),\n"
-        "                    relation(rel_name, len(relation_ids)),\n"
-        "                    entity(tail_name, len(entity_ids)),\n"
-        "                ))",
+        "                relation(rel_name, len(relation_ids)),\n"
+        "                entity(tail_name, len(entity_ids)),\n"
+        "            ))",
         "*reversed((\n"
-        "                    entity(tail_name, len(entity_ids)),\n"
-        "                    relation(rel_name, len(relation_ids)),\n"
-        "                    entity(head_name, len(entity_ids)),\n"
-        "                )),))",
+        "                entity(tail_name, len(entity_ids)),\n"
+        "                relation(rel_name, len(relation_ids)),\n"
+        "                entity(head_name, len(entity_ids)),\n"
+        "            )),))",
         DATA_TESTS,
     ),
     Mutant(
@@ -110,25 +110,32 @@ MUTANTS = [
         DATA_TESTS,
     ),
     Mutant(
-        "load_triples-names-not-synced-after-a-failed-file",
+        "IdMap.name-rebuilds-only-an-empty-tuple",
         "src/kgec/data.py",
-        "        finally:\n            vocab.entities._sync()",
-        "        except ValueError:\n            raise\n        else:\n            vocab.entities._sync()",
+        "if len(self._names) != len(self._name_to_id):",
+        "if not self._names:",
         DATA_TESTS,
     ),
     Mutant(
-        "IdMap-sync-appends-newest-first",
+        "IdMap-len-counts-the-name-tuple",
         "src/kgec/data.py",
-        "self._id_to_name += reversed(list(",
-        "self._id_to_name += (list(",
+        "return len(self._name_to_id)",
+        "return len(self._names)",
         DATA_TESTS,
     ),
     Mutant(
-        "IdMap.load-list-not-synced",
+        "IdMap.save-writes-the-name-tuple",
         "src/kgec/data.py",
-        "        idmap._sync()\n        return idmap",
-        "        return idmap",
+        "for name in self._name_to_id))",
+        "for name in self._names))",
         DATA_TESTS,
+    ),
+    Mutant(
+        "write_tsv-cr-ending-line-ends-in-lf",
+        "src/kgec/data.py",
+        'line + ("\\r\\n" if line.endswith("\\r") else "\\n")',
+        'line + "\\n"',
+        DATA_TESTS + CLI_TESTS,
     ),
     Mutant(
         "load_dataset-no-valid-test-overlap",
@@ -596,7 +603,7 @@ MUTANTS = [
     Mutant(
         "make_batches-no-empty-batch-warning",
         "src/kgec/trainer.py",
-        "if n_batches > arr.shape[0]:",
+        "if config.n_batches > train_arr.shape[0]:",
         "if False:",
         TRAINER_TESTS,
     ),

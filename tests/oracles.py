@@ -17,12 +17,13 @@ of squares that the kernel's L2 term and norm must equal to the bit.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
 
 from kgec import objective
-from kgec.data import ParseError, Triple, Vocab, VocabularyError
+from kgec.data import IdMap, ParseError, Triple, Vocab, VocabularyError
 from kgec.model import _check_ids, head_partial, real_dot, real_view, rel_partial, tail_partial
 from kgec.objective import (
     LossBreakdown,
@@ -470,13 +471,20 @@ def oracle_read_lines(path):
             yield lineno, line.removesuffix("\n").removesuffix("\r")
 
 
+def grow_id(idmap: IdMap, name: str) -> int:
+    """The id of ``name`` in ``idmap``, given the next free id if unseen."""
+    ids = idmap._name_to_id
+    return ids.setdefault(name, len(ids))
+
+
 def oracle_load_triples(path, vocab=None, grow=True):
     """A triple TSV file read line by line through :func:`oracle_read_lines`,
-    each name resolved through ``IdMap.add`` (grow) or ``IdMap.id``."""
+    each name resolved through :func:`grow_id` (grow) or ``IdMap.id``."""
     vocab = Vocab() if vocab is None else vocab
-    entity, relation = (
-        (vocab.entities.add, vocab.relations.add) if grow else (vocab.entities.id, vocab.relations.id)
-    )
+    if grow:
+        entity, relation = partial(grow_id, vocab.entities), partial(grow_id, vocab.relations)
+    else:
+        entity, relation = vocab.entities.id, vocab.relations.id
     triples = []
     for lineno, line in oracle_read_lines(path):
         if not line:

@@ -25,7 +25,7 @@ from kgec.manifest import sha256_file, write_csv
 from kgec.model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from kgec.trainer import EpochStats, TrainConfig, parse_config, write_training_log
 
-from conftest import load_manifest, make_vocab, verify_inputs, write_triples
+from conftest import load_manifest, make_vocab, names_of, verify_inputs, write_triples
 
 
 @pytest.fixture
@@ -781,7 +781,7 @@ def test_eval_reads_a_checkpoint_with_the_names_it_was_trained_on(
     (shuffled / "train.txt").write_text("".join(reversed(lines)))
     for name in ("valid.txt", "test.txt"):
         (shuffled / name).write_bytes((data_dir / name).read_bytes())
-    assert load_dataset(shuffled).vocab != load_dataset(data_dir).vocab
+    assert names_of(load_dataset(shuffled).vocab.entities) != names_of(load_dataset(data_dir).vocab.entities)
     # The run directory is moved as a whole; the sidecar still names "run/...".
     moved = tmp_path / "moved"
     run.rename(moved)
@@ -803,6 +803,23 @@ def test_eval_reads_a_checkpoint_with_the_names_it_was_trained_on(
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"{shuffled / 'test.txt'}:{n_lines}: unknown name: 'stranger'" in err
+
+
+def test_eval_reads_back_a_name_ending_in_cr(config_file, tmp_path):
+    # The tail of the first line is "b\r", beside a name "b": read back
+    # without its CR, the dump would repeat "b" and eval would fail.
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.txt").write_bytes(b"a\tp\tb\r\r\nb\tp\tc\nc\tp\ta\n")
+    (data / "test.txt").write_bytes(b"c\tp\tb\r\r\nb\tp\ta\n")
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--config", str(config_file), "--out", str(run)]) == 0
+    assert (run / "entities.txt").read_bytes() == b"a\nb\r\r\nb\nc\n"
+    argv = ["eval", "--data", str(data), "--checkpoint", str(run / "checkpoint.kgec"),
+            "--out", str(tmp_path / "eval"), "--dump-ranks"]
+    assert main(argv) == 0
+    ranks = (tmp_path / "eval" / "ranks.csv").read_text().splitlines()
+    assert [row.split(",")[:3] for row in ranks[1:]] == [["3", "0", "1"], ["2", "0", "0"]]
 
 
 @pytest.mark.parametrize(

@@ -103,9 +103,7 @@ class TestLoadTriples:
     def test_grow_false_rejects_unseen_name(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("a\tp\tzzz\n")
-        vocab = Vocab()
-        vocab.entities.add("a")
-        vocab.relations.add("p")
+        vocab = Vocab(id_map("a"), id_map("p"))
         with pytest.raises(VocabularyError, match="zzz"):
             load_triples(path, vocab, grow=False)
 
@@ -246,9 +244,12 @@ class TestVocab:
         assert names_of(IdMap.load(tmp_path / "ent.txt")) == names_of(vocab.entities)
         assert names_of(IdMap.load(tmp_path / "rel.txt")) == names_of(vocab.relations)
         assert (tmp_path / "ent.txt").read_text().splitlines()[2] == "e2"
-        # Names are opaque: empty, padded, or holding a lone CR.
-        id_map("", " a ", "b\rc").save(tmp_path / "ent.txt")
-        assert names_of(IdMap.load(tmp_path / "ent.txt")) == ["", " a ", "b\rc"]
+        # Names are opaque: empty, padded, or holding a lone CR, also at the
+        # end, where the line ends in CRLF so that the reader strips only that.
+        names = ["", " a ", "b\rc", "b\r", "b"]
+        id_map(*names).save(tmp_path / "ent.txt")
+        assert (tmp_path / "ent.txt").read_bytes() == b"\n a \nb\rc\nb\r\r\nb\n"
+        assert names_of(IdMap.load(tmp_path / "ent.txt")) == names
 
     def test_repeated_name_in_a_dump_fails_naming_the_line(self, tmp_path):
         # A repeat would shift the id of every later name by one.
@@ -260,10 +261,17 @@ class TestVocab:
         with pytest.raises(ValueError, match=re.escape(f"{rel}:3: name '' repeats line 1")):
             IdMap.load(rel)
 
-    def test_ids_dense_and_stable(self):
-        vocab = Vocab()
-        ids = [vocab.entities.add(name) for name in ("x", "y", "x", "z")]
-        assert ids == [0, 1, 0, 2]
+    def test_ids_dense_and_stable(self, tmp_path):
+        # Ids are dense in first-seen order; names read before a map grows
+        # keep their ids, and the new names follow them.
+        path = tmp_path / "t.tsv"
+        path.write_text("x\tp\ty\ny\tp\tx\n")
+        triples, vocab = load_triples(path)
+        assert triples == [(0, 0, 1), (1, 0, 0)]
+        assert names_of(vocab.entities) == ["x", "y"]
+        path.write_text("z\tq\tx\n")
+        assert load_triples(path, vocab)[0] == [(2, 1, 0)]
+        assert names_of(vocab.entities) == ["x", "y", "z"] and names_of(vocab.relations) == ["p", "q"]
 
 
 class TestLoadDataset:
@@ -388,18 +396,14 @@ class TestCollectorPause:
 
 class TestEntailments:
     def test_inverted_premise(self, tmp_path):
-        vocab = Vocab()
-        vocab.relations.add("hypernym")
-        vocab.relations.add("hyponym")
+        vocab = Vocab(relations=id_map("hypernym", "hyponym"))
         path = tmp_path / "ents.tsv"
         path.write_text("hypernym^-1\thyponym\t1.00\n")
         ents = load_entailments(path, vocab)
         assert ents == [Entailment(0, True, 1, 1.0)]
 
     def test_plain_premise(self, tmp_path):
-        vocab = Vocab()
-        vocab.relations.add("owner")
-        vocab.relations.add("owning_company")
+        vocab = Vocab(relations=id_map("owner", "owning_company"))
         path = tmp_path / "ents.tsv"
         path.write_text("owner\towning_company\t0.95\n")
         ents = load_entailments(path, vocab)
