@@ -21,6 +21,7 @@ import numpy as np
 
 from .data import Entailment, Vocab, VocabularyError, read_tsv
 from .manifest import write_csv
+from .model import _check_ids
 from . import objective
 from .objective import RuleArrays, _block_rows, _per_block, pack_entailments, rule_deltas
 
@@ -103,7 +104,8 @@ def purity_curve(
     highest activation are selected (ties broken toward the lower entity id)
     and the natural-log entropy of their type distribution is computed; the
     mean over dimensions is the (K, entropy) point. Low entropy means the
-    dimension is semantically pure.
+    dimension is semantically pure. A labeled id outside the component's rows
+    raises IndexError.
     """
     for k_percent in k_percents:
         if not 0.0 < k_percent <= 100.0:
@@ -111,6 +113,7 @@ def purity_curve(
     if not labels.entities.size:
         raise ValueError("no labeled entities")
     component = np.asarray(component)
+    _check_ids(labels.entities, len(component), "entity")
     n_dims, n_types = component.shape[1], labels.n_types
     ks = [math.ceil(k_percent * labels.entities.size / 100) for k_percent in k_percents]
 
@@ -138,8 +141,10 @@ def write_purity_csv(curve: PurityCurve, path: str | Path) -> None:
 
 def activation_heatmap(component: np.ndarray, entity_ids: Sequence[int]) -> np.ndarray:
     """Row-normalized activation matrix for the selected entities; each block
-    of rows is gathered and normalized into its own rows of the output."""
+    of rows is gathered and normalized into its own rows of the output. An id
+    outside the component's rows raises IndexError."""
     entity_ids = np.asarray(entity_ids, dtype=np.int64)
+    _check_ids(entity_ids, len(component), "entity")
     out = np.empty((entity_ids.size, component.shape[1]))
 
     def normalize_rows(a, e):

@@ -67,10 +67,15 @@ def write_tsv(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
     """Replace ``path`` atomically by one tab-joined line per row.
 
     A line ends in LF, or in CRLF when its last field ends in CR: a reader
-    removes one CR before each LF (:func:`read_tsv`), so the field reads back whole.
+    removes one CR before each LF (:func:`read_tsv`), so the field reads back
+    whole. For the same reason a first line that starts with U+FEFF gets one
+    more in front, since a reader drops one at the start of a file.
     """
+    lines = (line + ("\r\n" if line.endswith("\r") else "\n") for line in map("\t".join, rows))
     with atomic_write(path, encoding="utf-8") as fh:
-        fh.writelines(line + ("\r\n" if line.endswith("\r") else "\n") for line in map("\t".join, rows))
+        first = next(lines, "")
+        fh.write("\ufeff" + first if first.startswith("\ufeff") else first)
+        fh.writelines(lines)
 
 
 class Triple(NamedTuple):

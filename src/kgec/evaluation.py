@@ -2,12 +2,13 @@
 significance testing between runs.
 
 Test triples are ranked in chunks, spread by ``objective._per_block`` over
-at most ``workers`` parts on its thread pool. Each side of a chunk takes its
-filter from one batched ``KnownIndex`` lookup, is scored against every entity
-with one matrix product and is ranked with one vectorised comparison. Ranks
-are "optimistic": only candidates scoring strictly higher than the gold
-entity count, so they do not depend on candidate order. Candidates that
-form known triples are removed, except the gold entity itself.
+at most ``workers`` parts on its thread pool. A chunk checks and gathers its
+head, relation and tail rows once. Each side of it takes its filter from one
+batched ``KnownIndex`` lookup, is scored against every entity with one matrix
+product and is ranked with one vectorised comparison. Ranks are
+"optimistic": only candidates scoring strictly higher than the gold entity
+count, so they do not depend on candidate order. Candidates that form known
+triples are removed, except the gold entity itself.
 """
 
 from __future__ import annotations
@@ -44,9 +45,7 @@ class EvalResult:
     hits: dict[int, float]
 
 
-def rank_from_scores(
-    scores: np.ndarray, gold: Sequence[int], filtered: tuple | None = None, *, check: bool = True
-) -> np.ndarray:
+def rank_from_scores(scores: np.ndarray, gold: Sequence[int], filtered: tuple | None = None) -> np.ndarray:
     """Optimistic filtered ranks of a batch of gold candidates, as a (B,) array.
 
     Row i of the (B, n) ``scores`` scores every candidate of query i, whose
@@ -56,14 +55,13 @@ def rank_from_scores(
     scoring strictly higher than the gold one, after removing the filtered
     ids. The gold entity itself never competes and is never filtered out.
     ``scores`` is not modified. Raises IndexError unless every gold and
-    filtered id indexes a column or ``check`` is False.
+    filtered id indexes a column.
     """
     rows = np.arange(len(scores))
     gold = np.asarray(gold, dtype=np.int64)
     counts, cols = filtered if filtered is not None else (0, ())
     cols = np.asarray(cols, dtype=np.int64)
-    if check:
-        _check_ids(np.concatenate([gold, cols]), scores.shape[1], "entity")
+    _check_ids(np.concatenate([gold, cols]), scores.shape[1], "entity")
     competing = scores > scores[rows, gold][:, None]
     competing[rows.repeat(counts), cols] = False
     competing[rows, gold] = False
@@ -100,15 +98,14 @@ def evaluate(
     per_chunk = max(1, _CHUNK_BYTES // (params.n_entities * params.ent.real.itemsize))
 
     def rank_chunk(a: int, e: int) -> np.ndarray:
-        """The (head_rank, tail_rank) rows of triples ``a:e``; each id vector is checked once."""
+        """The (head_rank, tail_rank) rows of triples ``a:e``, from one gather of their rows."""
         heads, rels, tails = triples[a:e].T
-        head_filter, tail_filter = known.heads(rels, tails), known.tails(heads, rels)
         _check_ids(rels, params.n_relations, "relation")
-        entities = np.concatenate([tails, heads, head_filter[1], tail_filter[1]])
-        _check_ids(entities, params.n_entities, "entity")
+        _check_ids(triples[a:e, ::2], params.n_entities, "entity")  # heads and tails
+        h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
         return np.column_stack([
-            rank_from_scores(score_all_heads(params, rels, tails, check=False), heads, head_filter, check=False),
-            rank_from_scores(score_all_tails(params, heads, rels, check=False), tails, tail_filter, check=False),
+            rank_from_scores(score_all_heads(params, r, t), heads, known.heads(rels, tails)),
+            rank_from_scores(score_all_tails(params, h, r), tails, known.tails(heads, rels)),
         ])
 
     per_triple = np.concatenate(_per_block(rank_chunk, len(triples), per_chunk, parts=workers))

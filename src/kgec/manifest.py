@@ -5,6 +5,7 @@ and :func:`sha256_file` hashes a file."""
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -47,13 +48,14 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield ``(lineno, line)`` for each line of a UTF-8 text file.
 
     Only the LF or CRLF terminator is removed; a lone CR stays in the line.
+    One byte-order mark (U+FEFF) at the very start of the file is dropped.
     The file is read and decoded in one pass. A file that is not UTF-8 is
     decoded again line by line, so its lines up to the first bad one are
     yielded as before and that line raises ValueError naming the file and
     line, with the error of that line alone.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         lines = data.decode("utf-8").replace("\r\n", "\n").split("\n")
     except UnicodeDecodeError:

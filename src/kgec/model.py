@@ -8,10 +8,10 @@ imaginary parts times imaginary parts) of any slot with that slot's partial:
 
     head: conj(r) * t        tail: h * r        relation: conj(h) * t
 
-The candidate scorers here (``score_all_heads``/``score_all_tails``) and the
-training gradient are built from these three expressions. AdaGrad and its
-box clamp act entrywise on the (rows, 2d) real view of the arrays, which
-interleaves real and imaginary parts.
+The candidate scorers here (``score_all_heads``/``score_all_tails``) take
+gathered rows and, like the training gradient, are built from these three
+expressions. AdaGrad and its box clamp act entrywise on the (rows, 2d) real
+view of the arrays, which interleaves real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -154,35 +154,25 @@ def real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_ids(ids, count: int, kind: str) -> None:
-    """Raise IndexError unless every id in the scalar or array is in [0, count).
+    """Raise IndexError unless every id in the scalar or array is in [0, count),
+    from one max over the ids read as uint64, where a negative id exceeds 2**63.
     The message names the lowest id if it is negative, else the highest."""
-    ids = np.asarray(ids)
-    if ids.size:
-        lo, hi = ids.min(), ids.max()
-        if lo < 0 or hi >= count:
-            raise IndexError(f"{kind} id {lo if lo < 0 else hi} out of range [0, {count})")
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and ids.view(np.uint64).max() >= count:
+        lo = ids.min()
+        raise IndexError(f"{kind} id {lo if lo < 0 else ids.max()} out of range [0, {count})")
 
 
-def score_all_heads(params: ModelParams, rel, tail, *, check: bool = True) -> np.ndarray:
-    """Scores of (e, rel, tail) for every entity e, from one matrix product: an
-    (n,) vector for scalar ids, a (B, n) matrix for B-long id arrays. Raises
-    IndexError unless every id is in range or ``check`` is False."""
-    if check:
-        _check_ids(rel, params.n_relations, "relation")
-        _check_ids(tail, params.n_entities, "entity")
-    partial = head_partial(params.rel[rel], params.ent[tail])
-    return real_view(partial) @ real_view(params.ent).T
+def score_all_heads(params: ModelParams, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Scores of (e, r, t) for every entity e, given the relation and tail rows,
+    from one matrix product: (n,) for (d,) rows, (B, n) for (B, d) rows."""
+    return real_view(head_partial(r, t)) @ real_view(params.ent).T
 
 
-def score_all_tails(params: ModelParams, head, rel, *, check: bool = True) -> np.ndarray:
-    """Scores of (head, rel, e) for every entity e, from one matrix product: an
-    (n,) vector for scalar ids, a (B, n) matrix for B-long id arrays. Raises
-    IndexError unless every id is in range or ``check`` is False."""
-    if check:
-        _check_ids(head, params.n_entities, "entity")
-        _check_ids(rel, params.n_relations, "relation")
-    partial = tail_partial(params.ent[head], params.rel[rel])
-    return real_view(partial) @ real_view(params.ent).T
+def score_all_tails(params: ModelParams, h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Scores of (h, r, e) for every entity e, given the head and relation rows,
+    from one matrix product: (n,) for (d,) rows, (B, n) for (B, d) rows."""
+    return real_view(tail_partial(h, r)) @ real_view(params.ent).T
 
 
 _PRECISION_DTYPES = {64: np.dtype("<f8"), 32: np.dtype("<f4")}

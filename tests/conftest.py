@@ -61,7 +61,7 @@ def verify_inputs(manifest: dict) -> None:
 def triple_scores(params, heads, rels, tails) -> np.ndarray:
     """Scores of the triples (heads[i], rels[i], tails[i]), read off the
     (B, n) matrix that ``score_all_tails`` computes."""
-    return score_all_tails(params, heads, rels)[np.arange(len(heads)), tails]
+    return score_all_tails(params, params.ent[heads], params.rel[rels])[np.arange(len(heads)), tails]
 
 
 def sparse_grads(ent_ids, ent, rel_ids, rel) -> SparseGrads:

@@ -75,6 +75,13 @@ MUTANTS = [
         DATA_TESTS,
     ),
     Mutant(
+        "read_lines-keeps-a-leading-byte-order-mark",
+        "src/kgec/manifest.py",
+        "data = fh.read().removeprefix(codecs.BOM_UTF8)",
+        "data = fh.read()",
+        DATA_TESTS,
+    ),
+    Mutant(
         "read_lines-no-line-by-line-fallback",
         "src/kgec/manifest.py",
         "    except UnicodeDecodeError:\n",
@@ -136,6 +143,13 @@ MUTANTS = [
         'line + ("\\r\\n" if line.endswith("\\r") else "\\n")',
         'line + "\\n"',
         DATA_TESTS + CLI_TESTS,
+    ),
+    Mutant(
+        "write_tsv-no-mark-before-a-marked-first-line",
+        "src/kgec/data.py",
+        'fh.write("\\ufeff" + first if first.startswith("\\ufeff") else first)',
+        "fh.write(first)",
+        DATA_TESTS,
     ),
     Mutant(
         "load_dataset-no-valid-test-overlap",
@@ -308,6 +322,56 @@ MUTANTS = [
         EVAL_TESTS,
         equivalent="`competing` holds the scores strictly above the gold's, which the gold's "
         "own score never is; the line is dead until ties are counted",
+    ),
+    # Each function checks the ids it indexes.
+    Mutant(
+        "_check_ids-signed-max",
+        "src/kgec/model.py",
+        "ids.view(np.uint64).max() >= count",
+        "ids.max() >= count",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "rank_from_scores-ids-unchecked",
+        "src/kgec/evaluation.py",
+        '    _check_ids(np.concatenate([gold, cols]), scores.shape[1], "entity")\n',
+        "",
+        EVAL_TESTS,
+    ),
+    Mutant(
+        "evaluate-relations-unchecked",
+        "src/kgec/evaluation.py",
+        '_check_ids(rels, params.n_relations, "relation")',
+        "pass",
+        EVAL_TESTS,
+    ),
+    Mutant(
+        "evaluate-entities-unchecked",
+        "src/kgec/evaluation.py",
+        '_check_ids(triples[a:e, ::2], params.n_entities, "entity")',
+        "pass",
+        EVAL_TESTS,
+    ),
+    Mutant(
+        "evaluate-entity-check-skips-tails",
+        "src/kgec/evaluation.py",
+        "_check_ids(triples[a:e, ::2],",
+        "_check_ids(triples[a:e, 0],",
+        EVAL_TESTS,
+    ),
+    Mutant(
+        "activation_heatmap-ids-unchecked",
+        "src/kgec/analysis.py",
+        '    _check_ids(entity_ids, len(component), "entity")\n',
+        "",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "purity_curve-ids-unchecked",
+        "src/kgec/analysis.py",
+        '    _check_ids(labels.entities, len(component), "entity")\n',
+        "",
+        ANALYSIS_TESTS,
     ),
     # Per-triple ranks: one (N, 2) array of head then tail ranks.
     Mutant(

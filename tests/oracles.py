@@ -461,9 +461,14 @@ def oracle_segment_sum(ids, rows):
 
 def oracle_read_lines(path):
     """``(lineno, line)`` per line of a UTF-8 file, each line decoded on its
-    own; only the LF or CRLF terminator is removed."""
+    own; only the LF or CRLF terminator, and a byte-order mark that starts
+    the first line, are removed."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if lineno == 1:
+                raw = raw.removeprefix(b"\xef\xbb\xbf")
+                if not raw:  # the file held the mark alone
+                    return
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:

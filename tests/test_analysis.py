@@ -150,6 +150,13 @@ class TestDimensionPurity:
         assert purity_curve(component, labels, (k,)).points == [(k, 0.0)]
         assert oracle_dimension_purity(component, labels, k) == 0.0
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_a_labeled_id_outside_the_rows_raises(self, bad):
+        # -1 would otherwise count the last row.
+        labels = labels_of({0: "A", 1: "B", bad: "B"})
+        with pytest.raises(IndexError, match=rf"^entity id {bad} out of range \[0, 4\)$"):
+            purity_curve(np.arange(8.0).reshape(4, 2), labels, (50.0,))
+
     def test_validates_inputs(self):
         labels = labels_of({0: "A"})
         with pytest.raises(ValueError):
@@ -353,6 +360,12 @@ class TestExports:
         ids = rng.permutation(30)[:20]
         np.testing.assert_array_equal(activation_heatmap(params.re_e, ids),
                                       oracle_heatmap(params.re_e, ids))
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_heatmap_rejects_an_id_outside_the_rows(self, bad):
+        # -1 would otherwise normalise the last row.
+        with pytest.raises(IndexError, match=rf"^entity id {bad} out of range \[0, 4\)$"):
+            activation_heatmap(np.arange(12.0).reshape(4, 3), [0, bad])
 
     def test_heatmap_rows_are_normalized(self, tmp_path):
         component = np.array([[1.0, 3.0, 5.0], [2.0, 2.0, 2.0]])

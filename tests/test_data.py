@@ -183,6 +183,22 @@ class TestOnePassRead:
         path.write_bytes(b"a\n\r")
         assert list(read_lines(path)) == [(1, "a"), (2, "")]
 
+    def test_one_byte_order_mark_at_the_start_is_dropped(self, tmp_path):
+        # Kept, it would make "\ufeffa" an entity of its own beside "a".
+        bom = b"\xef\xbb\xbf"
+        path = tmp_path / "train.txt"
+        path.write_bytes(bom + b"a\tp\tb\na\tp\tc\n")
+        triples, vocab = load_triples(path)
+        assert triples == [(0, 0, 1), (0, 0, 2)] and names_of(vocab.entities) == ["a", "b", "c"]
+        # Only one, only at the start of the file, on the line-by-line path too.
+        path.write_bytes(bom + bom + b"a\n" + bom + b"b\n")
+        assert list(read_lines(path)) == [(1, "\ufeffa"), (2, "\ufeffb")]
+        path.write_bytes(bom + b"a\n\xff\n")
+        read = []
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+            read.extend(read_lines(path))
+        assert read == [(1, "a")]
+
     def test_a_file_of_newlines_is_blank_lines_and_no_rows(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_bytes(b"\n\n\n")
@@ -223,7 +239,10 @@ class TestOnePassRead:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         st.lists(
-            st.sampled_from([b"a", b"b", b"x", b"p", b"q", b" ", b"\t", b"\t", b"\r", b"\n", b"\n", b"\xff", b"\xc3", b"\xc3\xa9"]),
+            st.sampled_from([
+                b"a", b"b", b"x", b"p", b"q", b" ", b"\t", b"\t", b"\r", b"\n", b"\n", b"\xff", b"\xc3", b"\xc3\xa9",
+                b"\xef\xbb\xbf",  # a byte-order mark
+            ]),
             max_size=40,
         ),
         st.booleans(),
@@ -249,6 +268,11 @@ class TestVocab:
         names = ["", " a ", "b\rc", "b\r", "b"]
         id_map(*names).save(tmp_path / "ent.txt")
         assert (tmp_path / "ent.txt").read_bytes() == b"\n a \nb\rc\nb\r\r\nb\n"
+        assert names_of(IdMap.load(tmp_path / "ent.txt")) == names
+        # A first name starting with U+FEFF gets one more, which the reader drops.
+        names = ["\ufeffa", "\ufeff", "b"]
+        id_map(*names).save(tmp_path / "ent.txt")
+        assert (tmp_path / "ent.txt").read_bytes() == b"\xef\xbb\xbf\xef\xbb\xbfa\n\xef\xbb\xbf\nb\n"
         assert names_of(IdMap.load(tmp_path / "ent.txt")) == names
 
     def test_repeated_name_in_a_dump_fails_naming_the_line(self, tmp_path):

@@ -138,12 +138,22 @@ class TestFilteredRank:
 
 class TestEvaluate:
     @pytest.mark.parametrize(
-        "bad, kind", [((0, 0, 5), "entity"), ((-1, 0, 1), "entity"), ((0, 1, 1), "relation")]
+        "bad, kind",
+        [((0, 0, 5), "entity"), ((-1, 0, 1), "entity"), ((0, 1, 1), "relation"), ((0, -1, 1), "relation")],
     )
     def test_out_of_range_ids(self, bad, kind):
         test = [Triple(0, 0, 1), Triple(*bad)]
         with pytest.raises(IndexError, match=f"{kind} id"):
             evaluate(init_params(5, 1, 3, seed=0), test, KnownIndex())
+
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_a_known_entity_past_the_table_raises(self, side):
+        # The index holds entity 5, which a 5-entity checkpoint lacks, as a
+        # filtered candidate of the test triple's head or tail query.
+        extra = Triple(5, 0, 1) if side == "head" else Triple(0, 0, 5)
+        known = KnownIndex([Triple(0, 0, 1), extra])
+        with pytest.raises(IndexError, match=r"entity id 5 out of range \[0, 5\)"):
+            evaluate(init_params(5, 1, 3, seed=0), [Triple(0, 0, 1)], known)
 
     def test_aggregation_arithmetic(self, monkeypatch):
         import kgec.evaluation as evaluation
@@ -151,7 +161,7 @@ class TestEvaluate:
         # Each chunk ranks its head side, then its tail side.
         sides = itertools.cycle([2, 1])
         monkeypatch.setattr(
-            evaluation, "rank_from_scores", lambda s, gold, f, check: np.full(len(gold), next(sides))
+            evaluation, "rank_from_scores", lambda s, gold, f: np.full(len(gold), next(sides))
         )
         params = init_params(2, 1, 1, seed=0)
         result = evaluation.evaluate(params, [Triple(0, 0, 1)], KnownIndex())
@@ -164,7 +174,7 @@ class TestEvaluate:
     def test_all_rank_one(self, monkeypatch):
         import kgec.evaluation as evaluation
 
-        monkeypatch.setattr(evaluation, "rank_from_scores", lambda s, gold, f, check: np.ones(len(gold)))
+        monkeypatch.setattr(evaluation, "rank_from_scores", lambda s, gold, f: np.ones(len(gold)))
         params = init_params(2, 1, 1, seed=0)
         result = evaluation.evaluate(params, [Triple(0, 0, 1)] * 4, KnownIndex())
         assert result.mrr == 1.0
@@ -255,8 +265,8 @@ class TestEvaluate:
         calls = []
 
         def recording(scorer):
-            def scores(*args, check):
-                result = scorer(*args, check=check)
+            def scores(*args):
+                result = scorer(*args)
                 calls.append((scorer.__name__, result.shape))
                 return result
 

@@ -29,7 +29,7 @@ from oracles import oracle_score
 def score(params: ModelParams, triple) -> float:
     """One triple's score, read off the candidate vector of its tail."""
     head, rel, tail = triple
-    return float(score_all_tails(params, head, rel)[tail])
+    return float(score_all_tails(params, params.ent[head], params.rel[rel])[tail])
 
 
 def clamp(params: ModelParams, rows) -> None:
@@ -80,26 +80,6 @@ class TestScore:
                 oracle_score(params, h, r, t), abs=1e-12
             )
 
-    def test_out_of_range_ids(self):
-        params = init_params(3, 2, 4, seed=0)
-        with pytest.raises(IndexError):
-            score_all_tails(params, 3, 0)
-        with pytest.raises(IndexError):
-            score_all_tails(params, 0, 2)
-        with pytest.raises(IndexError):
-            score_all_heads(params, 0, -1)
-        with pytest.raises(IndexError):
-            score_all_heads(params, np.array([0, 1]), np.array([0, -1]))
-        with pytest.raises(IndexError):
-            score_all_tails(params, np.array([0, 3]), np.array([0, 1]))
-        with pytest.raises(IndexError):
-            score_all_tails(params, np.array([0, 1]), np.array([2, 0]))
-        # Negative ids would otherwise index from the end of the table.
-        with pytest.raises(IndexError, match="entity id"):
-            score_all_tails(params, -1, 0)
-        with pytest.raises(IndexError, match="relation id"):
-            score_all_heads(params, -1, 0)
-
     def test_batch_and_candidate_scorers_agree(self, rng):
         params = init_params(9, 4, 6, seed=3)
         heads = rng.integers(0, 9, size=30)
@@ -109,15 +89,13 @@ class TestScore:
         for i in range(30):
             single = score(params, (heads[i], rels[i], tails[i]))
             assert batch[i] == pytest.approx(single, abs=1e-12)
-            assert score_all_heads(params, rels[i], tails[i])[heads[i]] == pytest.approx(
-                single, abs=1e-12
-            )
-            assert score_all_tails(params, heads[i], rels[i])[tails[i]] == pytest.approx(
-                single, abs=1e-12
-            )
+            h, r, t = params.ent[heads[i]], params.rel[rels[i]], params.ent[tails[i]]
+            assert score_all_heads(params, r, t)[heads[i]] == pytest.approx(single, abs=1e-12)
+            assert score_all_tails(params, h, r)[tails[i]] == pytest.approx(single, abs=1e-12)
         rows = np.arange(30)
-        np.testing.assert_allclose(score_all_heads(params, rels, tails)[rows, heads], batch, atol=1e-12)
-        np.testing.assert_allclose(score_all_tails(params, heads, rels)[rows, tails], batch, atol=1e-12)
+        h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
+        np.testing.assert_allclose(score_all_heads(params, r, t)[rows, heads], batch, atol=1e-12)
+        np.testing.assert_allclose(score_all_tails(params, h, r)[rows, tails], batch, atol=1e-12)
 
     def test_score_is_affine_in_each_component_row(self, rng):
         params = init_params(5, 2, 4, seed=8)
@@ -134,6 +112,32 @@ class TestScore:
             slope_a = (values[1] - values[0]) / 0.5
             slope_b = (values[2] - values[0]) / 1.5
             assert slope_a == pytest.approx(slope_b, abs=1e-10)
+
+
+class TestCheckIds:
+    @pytest.mark.parametrize(
+        "ids",
+        [2, np.empty(0, np.int64), [np.int32(0), np.int32(2)], np.array([[0, -1, 2], [1, 7, 0]])[:, ::2]],
+        ids=["scalar", "empty", "int32-list", "strided-2d-view"],
+    )
+    def test_accepts_ids_in_range(self, ids):
+        kgec.model._check_ids(ids, 3, "entity")
+
+    @pytest.mark.parametrize(
+        "ids, named",
+        [
+            (3, 3),
+            (-1, -1),
+            ([np.int32(3), np.int32(-2), np.int32(5), np.int32(-4)], -4),
+            (np.array([5, 1, 3]), 5),
+            (np.array([[0, -1, 2], [4, -1, 0]])[:, ::2], 4),  # the view hides the -1s
+            (np.array([np.iinfo(np.int64).min, 2**63 - 1]), np.iinfo(np.int64).min),
+        ],
+        ids=["scalar-high", "scalar-negative", "mixed-int32", "high", "strided-2d-view", "int64-ends"],
+    )
+    def test_names_the_lowest_negative_else_the_highest(self, ids, named):
+        with pytest.raises(IndexError, match=rf"^entity id {named} out of range \[0, 3\)$"):
+            kgec.model._check_ids(ids, 3, "entity")
 
 
 def inverted_penalty(params: ModelParams, premise: int, conclusion: int) -> float:
@@ -174,7 +178,7 @@ class TestInverseRelation:
         rels = rng.integers(0, 6, size=1000)
         tails = rng.integers(0, 20, size=1000)
         forward = triple_scores(params, heads, rels, tails)
-        backward = score_all_heads(conj, rels, heads)[np.arange(1000), tails]
+        backward = score_all_heads(conj, conj.rel[rels], conj.ent[heads])[np.arange(1000), tails]
         np.testing.assert_allclose(forward, backward, atol=1e-12, rtol=0)
 
 

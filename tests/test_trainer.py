@@ -10,7 +10,7 @@ import pytest
 
 import kgec.trainer
 from kgec.data import Dataset, Entailment, Triple, triple_array
-from kgec.model import init_params, score_all_tails
+from kgec.model import init_params
 from kgec.objective import pack_entailments, rule_penalty
 from kgec.trainer import (
     AdaGradState,
@@ -289,6 +289,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{message}$"):
             TrainConfig(**{field: 0})
 
+    def test_a_byte_order_mark_at_the_start_is_dropped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfd = 16\nseed = 3\n")
+        assert parse_config(path) == TrainConfig(d=16, seed=3)
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\n\nd = 16\nlr = 0.2\n")
@@ -333,7 +338,7 @@ class TestTrain:
         rng = np.random.default_rng(99)
         separated = 0
         for positive in dataset.train:
-            pos_score = score_all_tails(params, positive.head, positive.rel)[positive.tail]
+            pos_score = triple_scores(params, [positive.head], [positive.rel], [positive.tail])[0]
             negatives = [
                 negative
                 for negative in sample_negatives(positive, 10, dataset.n_entities, rng)
