@@ -46,6 +46,8 @@ logger = logging.getLogger("kgec.cli")  # not "__main__" under python -m kgec.cl
 
 # Files a training run writes besides manifest.json and config.cfg.
 _RUN_OUTPUTS = ("checkpoint.kgec", "log.csv", "entities.txt", "relations.txt")
+# Every file `train` writes in --out.
+_TRAIN_FILES = (*_RUN_OUTPUTS, "checkpoint.kgec.manifest.json", "config.cfg", "manifest.json", "grid_state.json")
 
 # Hyperparameter grid swept by `train --grid`, selected on validation MRR.
 GRID = {
@@ -82,6 +84,14 @@ def _workers(args) -> int:
     return workers
 
 
+def _refuse_overwrite(outputs, inputs) -> None:
+    """Raise ValueError naming the first input that an output path resolves to."""
+    written = {Path(path).resolve() for path in outputs if path}
+    for path in filter(None, inputs):
+        if Path(path).resolve() in written:
+            raise ValueError(f"{path}: an output would overwrite this input")
+
+
 def cmd_mine(args) -> None:
     if not args.train_file and not args.data:
         raise ValueError("mine needs --data or --train-file")
@@ -89,31 +99,22 @@ def cmd_mine(args) -> None:
         raise ValueError(f"--min-conf must lie in (0, 1], got {args.min_conf:g}")
     if args.min_support < 1:
         raise ValueError(f"--min-support must be at least 1, got {args.min_support}")
-    triples, vocab = load_triples(args.train_file or Path(args.data) / "train.txt")
-    rules = mine_entailments(triples, args.min_conf, args.min_support)
+    train_file = args.train_file or Path(args.data) / "train.txt"
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     diagnostics = out.with_suffix(".diagnostics.csv")
+    _refuse_overwrite([out, diagnostics], [train_file])
+    triples, vocab = load_triples(train_file)
+    rules = mine_entailments(triples, args.min_conf, args.min_support)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_rules(rules, vocab, out, diagnostics)
     print(f"mined {len(rules)} rules -> {out} (diagnostics: {diagnostics})")
 
 
-def _run_manifest(config, out_dir, input_paths, precision) -> dict:
-    """The manifest of a run of ``config``, with its inputs hashed now, before training."""
-    return {
-        "command": "train",
-        "version": __version__,
-        "seed": config.seed,
-        "config": {**dataclasses.asdict(config), "checkpoint_precision": precision},
-        "inputs": {str(path): sha256_file(path) for path in input_paths},
-        "outputs": [str(out_dir / name) for name in _RUN_OUTPUTS],
-        "created": datetime.now(timezone.utc).isoformat(),
-    }
-
-
-def _write_outputs(dataset, config, params, log, out_dir, precision, manifest):
+def _write_outputs(dataset, config, params, log, out_dir, precision, inputs):
     """Replace the run's outputs; ``manifest.json`` is removed first and written
-    last, so a directory without one holds a run in progress or a broken one."""
+    last, so a directory without one holds a run in progress or a broken one.
+    The manifest records ``inputs``, the hashes `train` took before it read
+    its inputs, and ``created``, the time it is written."""
     (out_dir / "manifest.json").unlink(missing_ok=True)
     ckpt, log_path, ent_vocab, rel_vocab = (out_dir / name for name in _RUN_OUTPUTS)
     dataset.vocab.entities.save(ent_vocab)
@@ -123,6 +124,10 @@ def _write_outputs(dataset, config, params, log, out_dir, precision, manifest):
     save_checkpoint(stored, ckpt, str(ent_vocab), str(rel_vocab))
     write_training_log(log, log_path)
     write_config(config, out_dir / "config.cfg")
+    manifest = {"command": "train", "version": __version__, "seed": config.seed,
+                "config": {**dataclasses.asdict(config), "checkpoint_precision": precision},
+                "inputs": inputs, "outputs": [str(out_dir / name) for name in _RUN_OUTPUTS],
+                "created": datetime.now(timezone.utc).isoformat()}
     with atomic_write(out_dir / "manifest.json", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -158,39 +163,45 @@ def cmd_train(args) -> None:
     if args.grid_file and not args.grid:
         raise ValueError("--grid-file needs --grid")
     config_path = _resolve_config(args.config) if args.config else None
+    out_dir = Path(args.out)
+    splits = (Path(args.data) / f"{split}.txt" for split in ("train", "valid", "test"))
+    input_paths = [path for path in splits if path.exists()]
+    input_paths += [Path(path) for path in (args.ents, config_path) if path]
+    _refuse_overwrite([out_dir / name for name in _TRAIN_FILES], [*input_paths, args.grid_file])
     config = parse_config(config_path) if config_path else TrainConfig()
     overrides = {"seed": args.seed, "mu": args.mu, "project": False if args.no_projection else None}
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     grid = (read_json(args.grid_file) if args.grid_file else GRID) if args.grid else {}
     candidates = _grid_configs(config, grid, args.grid_file or "the default grid")
+    inputs = {str(path): sha256_file(path) for path in input_paths}  # the bytes read below
     dataset = load_dataset(args.data)
     ents = load_entailments(args.ents, dataset.vocab) if args.ents else []
-
-    out_dir = Path(args.out)
-    splits = (Path(args.data) / f"{split}.txt" for split in ("train", "valid", "test"))
-    input_paths = [path for path in splits if path.exists()]
-    if args.ents:
-        input_paths.append(Path(args.ents))
-    if config_path:
-        input_paths.append(config_path)
 
     if args.grid and not dataset.valid:
         raise ValueError(f"{Path(args.data, 'valid.txt')}: --grid needs validation triples")
     out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before training
     if not args.grid:
-        manifest = _run_manifest(config, out_dir, input_paths, args.precision)
         params, log = train(dataset, ents, config)
-        _write_outputs(dataset, config, params, log, out_dir, args.precision, manifest)
+        _write_outputs(dataset, config, params, log, out_dir, args.precision, inputs)
         print(f"training done -> {out_dir / 'checkpoint.kgec'}")
         return
 
     # Grid sweep: sequential, resumable through the state file. A new best
     # point's outputs go before its state entry, so a stop in between
-    # re-trains that point on resume.
-    state_path = out_dir / "grid_state.json"
+    # re-trains that point on resume. A state is resumed only on the inputs
+    # its manifest records; without a manifest it resumes as it stands.
+    state_path, manifest_path = out_dir / "grid_state.json", out_dir / "manifest.json"
     state = read_json(state_path) if state_path.exists() else {}
     if not isinstance(state, dict) or not all(type(mrr) in (int, float) for mrr in state.values()):
         raise ValueError(f"{state_path}: expected a JSON object mapping grid points to numbers")
+    recorded = read_json(manifest_path) if state and manifest_path.exists() else {"inputs": inputs}
+    recorded = recorded.get("inputs") if isinstance(recorded, dict) else None
+    if not isinstance(recorded, dict):
+        raise ValueError(f"{manifest_path}: expected an 'inputs' object")
+    ours, theirs = list(inputs.values()), list(recorded.values())  # contents, not path strings
+    differs = [p for p, h in [*inputs.items(), *recorded.items()] if ours.count(h) != theirs.count(h)]
+    if differs:
+        raise ValueError(f"{state_path}: the sweep it records ran on other inputs ({differs[0]} differs)")
 
     known = build_known_index(dataset)
     best_mrr = max(state.values(), default=-np.inf)
@@ -198,13 +209,12 @@ def cmd_train(args) -> None:
         key = _grid_key(candidate)
         if key in state:
             continue
-        manifest = _run_manifest(candidate, out_dir, input_paths, args.precision)
         params, log = train(dataset, ents, candidate)
         mrrs = [row.valid_mrr for row in log if row.valid_mrr is not None]
         valid_mrr = max(mrrs) if mrrs else evaluate(params, dataset.valid, known).mrr
         if valid_mrr > best_mrr:
             best_mrr = valid_mrr
-            _write_outputs(dataset, candidate, params, log, out_dir, args.precision, manifest)
+            _write_outputs(dataset, candidate, params, log, out_dir, args.precision, inputs)
         state[key] = valid_mrr
         with atomic_write(state_path, encoding="utf-8") as fh:
             json.dump(state, fh, indent=2, sort_keys=True)
@@ -298,6 +308,7 @@ def cmd_analyze(args) -> None:
 
 
 def cmd_significance(args) -> None:
+    _refuse_overwrite([args.out], [args.ranks_a, args.ranks_b])
     report = significance_report(args.ranks_a, args.ranks_b)
     rows = (f"{metric},{p:.6g},{'yes' if p < 0.05 else 'no'}" for metric, p in report.items())
     text = "\n".join(["metric,p_value,significant_at_0.05", *rows])

@@ -266,11 +266,15 @@ def load_entailments(path: str | Path, vocab: Vocab) -> list[Entailment]:
 def write_entailments(
     path: str | Path, entailments: Iterable[Entailment], vocab: Vocab
 ) -> None:
-    """Write entailments to the TSV format accepted by :func:`load_entailments`."""
+    """Write entailments to the TSV format accepted by :func:`load_entailments`;
+    a forward premise whose name ends in ``^-1``, which would read back as
+    another relation inverted, raises ValueError naming it and writes no file."""
     def row(ent: Entailment) -> tuple[str, str, str]:
         premise = vocab.relations.name(ent.premise_rel)
         if ent.premise_inverted:
             premise += _INVERSE_SUFFIX
+        elif premise.endswith(_INVERSE_SUFFIX):
+            raise ValueError(f"relation {premise!r}: a forward premise cannot end in {_INVERSE_SUFFIX!r}")
         return premise, vocab.relations.name(ent.conclusion_rel), f"{ent.confidence:.6f}"
 
     write_tsv(path, map(row, entailments))

@@ -453,13 +453,27 @@ MUTANTS = [
         "",
         CLI_TESTS,
     ),
+    # Each manifest hashes its inputs as it is written, after the data is
+    # loaded and the point trained.
     Mutant(
         "manifest-hashes-inputs-after-training",
         "src/kgec/cli.py",
-        "        manifest = _run_manifest(config, out_dir, input_paths, args.precision)\n"
-        "        params, log = train(dataset, ents, config)\n",
-        "        params, log = train(dataset, ents, config)\n"
-        "        manifest = _run_manifest(config, out_dir, input_paths, args.precision)\n",
+        '"inputs": inputs,',
+        '"inputs": {path: sha256_file(path) for path in inputs},',
+        CLI_TESTS,
+    ),
+    Mutant(
+        "grid-resume-inputs-unchecked",
+        "src/kgec/cli.py",
+        "    if differs:\n",
+        "    if False:\n",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "refuse_overwrite-is-a-no-op",
+        "src/kgec/cli.py",
+        "written = {Path(path).resolve() for path in outputs if path}",
+        "written = set()",
         CLI_TESTS,
     ),
     Mutant(
@@ -542,6 +556,13 @@ MUTANTS = [
         "math.ceil(k_percent * labels.entities.size / 100)",
         "math.ceil(k_percent / 100.0 * labels.entities.size)",
         ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "write_entailments-forward-premise-suffix-unchecked",
+        "src/kgec/data.py",
+        "elif premise.endswith(_INVERSE_SUFFIX):",
+        "elif False:",
+        DATA_TESTS + CLI_TESTS,
     ),
     # Parse errors name the file and the line.
     Mutant(

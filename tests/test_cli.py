@@ -9,6 +9,7 @@ import logging
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -638,16 +639,14 @@ def _crash_in_tsv(params, path, monkeypatch):
 
 def _crash_in_manifest(params, path, monkeypatch):
     # The run's outputs go into path's directory; the manifest's own dump fails.
-    config = TrainConfig(d=3)
-    manifest = kgec.cli._run_manifest(config, path.parent, [], 32)
     real_dump = json.dump
 
     def dump(obj, fh, **kwargs):
-        (_partial_json_dump if obj is manifest else real_dump)(obj, fh, **kwargs)
+        (_partial_json_dump if Path(fh.name) == path.with_name("manifest.json.tmp") else real_dump)(obj, fh, **kwargs)
 
     monkeypatch.setattr(kgec.cli.json, "dump", dump)
     dataset = Dataset([], [], [], make_vocab(4, 2))
-    kgec.cli._write_outputs(dataset, config, params, [], path.parent, 32, manifest)
+    kgec.cli._write_outputs(dataset, TrainConfig(d=3), params, [], path.parent, 32, {})
 
 
 @pytest.mark.parametrize(
@@ -1079,9 +1078,9 @@ def test_manifest_detects_tampered_inputs(tmp_path):
     source = tmp_path / "input.txt"
     source.write_text("original\n")
     config = TrainConfig(d=4, seed=7)
-    manifest = kgec.cli._run_manifest(config, tmp_path, [source], 32)
+    inputs = {str(source): sha256_file(source)}
     params = init_params(2, 1, config.d, config.seed)
-    kgec.cli._write_outputs(Dataset([], [], [], make_vocab(2, 1)), config, params, [], tmp_path, 32, manifest)
+    kgec.cli._write_outputs(Dataset([], [], [], make_vocab(2, 1)), config, params, [], tmp_path, 32, inputs)
     loaded = load_manifest(tmp_path / "manifest.json")
     verify_inputs(loaded)
     source.write_text("tampered\n")
@@ -1089,23 +1088,106 @@ def test_manifest_detects_tampered_inputs(tmp_path):
         verify_inputs(loaded)
 
 
-def test_the_manifest_holds_the_input_hashes_from_before_training(data_dir, config_file, tmp_path, monkeypatch):
+@pytest.mark.parametrize("sweep", [False, True], ids=["single-run", "sweep"])
+def test_the_manifest_holds_the_input_hashes_from_before_training(data_dir, config_file, tmp_path, monkeypatch, sweep):
+    # In the sweep the input is edited after the first point, and the second
+    # point, trained after the edit, is the best one.
     train_file = data_dir / "train.txt"
     before = sha256_file(train_file)
     real_train = kgec.cli.train
+    points = []
 
     def train_then_edit_the_input(*args, **kwargs):
-        result = real_train(*args, **kwargs)
+        params, log = real_train(*args, **kwargs)
+        points.append(args[2].d)
         train_file.write_text(train_file.read_text() + "e0\tr2\te1\n")
-        return result
+        return params, [dataclasses.replace(row, valid_mrr=len(points) / 10) for row in log]
 
     monkeypatch.setattr(kgec.cli, "train", train_then_edit_the_input)
-    out = tmp_path / "run"
-    assert main(["train", "--data", str(data_dir), "--config", str(config_file), "--out", str(out)]) == 0
+    if sweep:
+        argv, out = _grid_argv(data_dir, config_file, tmp_path, {"d": [2, 10]}), tmp_path / "grid"
+    else:
+        out = tmp_path / "run"
+        argv = ["train", "--data", str(data_dir), "--config", str(config_file), "--out", str(out)]
+    assert main(argv) == 0
+    assert points == ([2, 10] if sweep else [8])
     manifest = load_manifest(out / "manifest.json")
+    assert manifest["config"]["d"] == points[-1]
     assert manifest["inputs"][str(train_file)] == before
     with pytest.raises(ValueError, match="changed"):
         verify_inputs(manifest)
+
+
+def test_a_sweep_resumes_only_on_the_inputs_its_manifest_records(data_dir, config_file, tmp_path, capsys):
+    argv = _grid_argv(data_dir, config_file, tmp_path, {"d": [2, 4]})
+    out = tmp_path / "grid"
+    assert main(argv) == 0
+    data_b = tmp_path / "data_b"
+    shutil.copytree(data_dir, data_b)
+    (data_b / "test.txt").write_text("e0\tr2\te1\n")
+    argv_b = [str(data_b) if arg == str(data_dir) else arg for arg in argv]
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(argv_b) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"kgec train: error: {out / 'grid_state.json'}: ") and f"({data_b / 'test.txt'} differs)" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # The same bytes from another directory resume: every point is done.
+    shutil.copytree(data_dir, tmp_path / "data_c")
+    assert main([str(tmp_path / "data_c") if arg == str(data_dir) else arg for arg in argv]) == 0
+    assert "grid point" not in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    (out / "manifest.json").write_text('{"seed": 0}\n')
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"kgec train: error: {out / 'manifest.json'}: expected an 'inputs' object\n"
+    )
+    # A state without a manifest (a stop inside _write_outputs) resumes as it stands.
+    (out / "manifest.json").unlink()
+    assert main(argv_b) == 0
+    assert "grid point" not in capsys.readouterr().out
+
+
+def _assert_refused(argv, victim, capsys):
+    before = victim.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"kgec {argv[0]}: error: {victim}: an output would overwrite this input\n"
+    assert victim.read_bytes() == before
+
+
+def test_train_refuses_to_overwrite_its_config(data_dir, config_file, tmp_path, capsys):
+    run = tmp_path / "runX"
+    assert main(["train", "--data", str(data_dir), "--config", str(config_file), "--out", str(run)]) == 0
+    config = run / "config.cfg"
+    config.write_text("# my notes\n" + config.read_text() + "l2_full = false\n")
+    _assert_refused(["train", "--data", str(data_dir), "--config", str(config), "--out", str(run)], config, capsys)
+
+
+def test_mine_refuses_to_overwrite_its_training_split(data_dir, tmp_path, capsys):
+    train_file = data_dir / "train.txt"
+    _assert_refused(["mine", "--train-file", str(train_file), "--out", str(train_file)], train_file, capsys)
+
+
+def test_significance_refuses_to_overwrite_a_rank_dump(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("h,r,t,head_rank,tail_rank\n0,0,1,1,2\n1,0,2,3,1\n")
+    b.write_text("h,r,t,head_rank,tail_rank\n0,0,1,2,2\n1,0,2,1,4\n")
+    _assert_refused(["significance", "--ranks-a", str(a), "--ranks-b", str(b), "--out", str(a)], a, capsys)
+
+
+def test_mine_refuses_a_forward_premise_ending_in_the_inverse_suffix(tmp_path, capsys):
+    # x^-1 -> y holds; written as a forward premise it would read back as x inverted.
+    pairs = [(f"e{i}", f"e{i + 1}") for i in range(4)]
+    lines = [f"{h}\t{r}\t{t}" for h, t in pairs for r in ("x^-1", "y")] + ["e0\tx\te3"]
+    train_file = tmp_path / "t.tsv"
+    train_file.write_text("\n".join(lines) + "\n")
+    rules = tmp_path / "rules.tsv"
+    assert main(["mine", "--train-file", str(train_file), "--out", str(rules), "--min-support", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "kgec mine: error: relation 'x^-1': a forward premise cannot end in '^-1'\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tsv"]
 
 
 def test_subcommands_do_not_modify_inputs(data_dir, config_file, tmp_path):

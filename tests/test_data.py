@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import itertools
 import logging
 import re
 import tracemalloc
@@ -477,6 +478,23 @@ class TestEntailments:
         path = tmp_path / "ents.tsv"
         write_entailments(path, ents, vocab)
         assert load_entailments(path, vocab) == ents
+
+    def test_every_written_rule_reads_back_equal(self, tmp_path):
+        vocab = Vocab(relations=id_map("x", "x^-1", "y^-1^-1", "z"))
+        path = tmp_path / "ents.tsv"
+        for premise, inverted, conclusion in itertools.product(range(4), (False, True), range(4)):
+            if premise == conclusion and not inverted:
+                continue
+            ent = Entailment(premise, inverted, conclusion, 0.5)
+            name = vocab.relations.name(premise)
+            if not inverted and name.endswith("^-1"):
+                with pytest.raises(ValueError, match=re.escape(f"relation {name!r}")):
+                    write_entailments(path, [ent], vocab)
+                assert not path.exists()
+                continue
+            write_entailments(path, [ent], vocab)
+            assert load_entailments(path, vocab) == [ent]
+            path.unlink()
 
 
 def split_ids(counts, ids) -> list[set[int]]:
