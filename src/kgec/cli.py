@@ -189,19 +189,23 @@ def cmd_train(args) -> None:
     # Grid sweep: sequential, resumable through the state file. A new best
     # point's outputs go before its state entry, so a stop in between
     # re-trains that point on resume. A state is resumed only on the inputs
-    # its manifest records; without a manifest it resumes as it stands.
+    # it records under "inputs" and on those its manifest records, where
+    # each record exists: a state written before states recorded their
+    # inputs has none, and a stop inside _write_outputs leaves no manifest.
     state_path, manifest_path = out_dir / "grid_state.json", out_dir / "manifest.json"
     state = read_json(state_path) if state_path.exists() else {}
-    if not isinstance(state, dict) or not all(type(mrr) in (int, float) for mrr in state.values()):
+    stated = state.pop("inputs", inputs) if isinstance(state, dict) else None
+    if not isinstance(stated, dict) or not all(type(mrr) in (int, float) for mrr in state.values()):
         raise ValueError(f"{state_path}: expected a JSON object mapping grid points to numbers")
     recorded = read_json(manifest_path) if state and manifest_path.exists() else {"inputs": inputs}
     recorded = recorded.get("inputs") if isinstance(recorded, dict) else None
     if not isinstance(recorded, dict):
         raise ValueError(f"{manifest_path}: expected an 'inputs' object")
-    ours, theirs = list(inputs.values()), list(recorded.values())  # contents, not path strings
-    differs = [p for p, h in [*inputs.items(), *recorded.items()] if ours.count(h) != theirs.count(h)]
-    if differs:
-        raise ValueError(f"{state_path}: the sweep it records ran on other inputs ({differs[0]} differs)")
+    for record in (stated, recorded):
+        ours, theirs = list(inputs.values()), list(record.values())  # contents, not path strings
+        differs = [p for p, h in [*inputs.items(), *record.items()] if ours.count(h) != theirs.count(h)]
+        if differs:
+            raise ValueError(f"{state_path}: the sweep it records ran on other inputs ({differs[0]} differs)")
 
     known = build_known_index(dataset)
     best_mrr = max(state.values(), default=-np.inf)
@@ -217,7 +221,7 @@ def cmd_train(args) -> None:
             _write_outputs(dataset, candidate, params, log, out_dir, args.precision, inputs)
         state[key] = valid_mrr
         with atomic_write(state_path, encoding="utf-8") as fh:
-            json.dump(state, fh, indent=2, sort_keys=True)
+            json.dump({**state, "inputs": inputs}, fh, indent=2, sort_keys=True)
         print(f"grid point valid_mrr={valid_mrr:.4f} {key}")
     print(f"grid done; best valid MRR {best_mrr:.4f} -> {out_dir / 'checkpoint.kgec'}")
 

@@ -373,12 +373,48 @@ MUTANTS = [
         "",
         ANALYSIS_TESTS,
     ),
-    # Per-triple ranks: one (N, 2) array of head then tail ranks.
+    # Per-triple ranks: one (N, 2) array of head then tail ranks, which every
+    # chunk writes in its own rows; MRR and HITS@k are means over its 2N ranks.
     Mutant(
         "evaluate-head-and-tail-columns-swapped",
         "src/kgec/evaluation.py",
-        "parts=workers))",
-        "parts=workers))[:, ::-1]",
+        "    _per_block(rank_chunk, len(triples), per_chunk, parts=workers)\n",
+        "    _per_block(rank_chunk, len(triples), per_chunk, parts=workers)\n    per_triple = per_triple[:, ::-1]\n",
+        EVAL_TESTS,
+    ),
+    Mutant(
+        "evaluate-chunk-writes-tail-ranks-in-the-head-column",
+        "src/kgec/evaluation.py",
+        "per_triple[a:e, 1] = rank_from_scores(",
+        "per_triple[a:e, 0] = rank_from_scores(",
+        EVAL_TESTS,
+    ),
+    Mutant(
+        "evaluate-chunk-writes-at-the-wrong-row-offset",
+        "src/kgec/evaluation.py",
+        "per_triple[a:e, 0] = rank_from_scores(",
+        "per_triple[: e - a, 0] = rank_from_scores(",
+        EVAL_TESTS,
+    ),
+    Mutant(
+        "rank_from_scores-counts-over-every-row",
+        "src/kgec/evaluation.py",
+        "1 + competing.sum(axis=1)",
+        "1 + competing.sum()",
+        EVAL_TESTS,
+    ),
+    Mutant(
+        "mrr-divides-by-the-triple-count",
+        "src/kgec/evaluation.py",
+        "(1.0 / all_ranks).sum() / all_ranks.size",
+        "(1.0 / all_ranks).sum() / len(per_triple)",
+        EVAL_TESTS,
+    ),
+    Mutant(
+        "hits-counts-ranks-below-k",
+        "src/kgec/evaluation.py",
+        "(all_ranks <= k).sum()",
+        "(all_ranks < k).sum()",
         EVAL_TESTS,
     ),
     Mutant(
@@ -465,8 +501,31 @@ MUTANTS = [
     Mutant(
         "grid-resume-inputs-unchecked",
         "src/kgec/cli.py",
-        "    if differs:\n",
-        "    if False:\n",
+        "        if differs:\n",
+        "        if False:\n",
+        CLI_TESTS,
+    ),
+    # The state records the inputs with every write, and a resume checks both
+    # the state's record and the manifest's.
+    Mutant(
+        "grid-state-records-no-inputs",
+        "src/kgec/cli.py",
+        'json.dump({**state, "inputs": inputs}, fh',
+        "json.dump(state, fh",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "grid-resume-ignores-the-state-inputs",
+        "src/kgec/cli.py",
+        "for record in (stated, recorded):",
+        "for record in (recorded,):",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "grid-resume-ignores-the-manifest-inputs",
+        "src/kgec/cli.py",
+        "for record in (stated, recorded):",
+        "for record in (stated,):",
         CLI_TESTS,
     ),
     Mutant(

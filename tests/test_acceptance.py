@@ -8,6 +8,7 @@ reproduction (criterion 9) additionally requires KGEC_FULL_REPRO=1 since it
 runs for hours.
 """
 
+import multiprocessing
 import os
 import time
 from contextlib import contextmanager
@@ -199,29 +200,37 @@ def planted_subset_kg(seed=7, n=200, q_size=150, p_size=50, holdout=30):
     return Dataset(train, [], test, make_vocab(n, 10))
 
 
+def _on_two_processes(fn, jobs):
+    """``[fn(*job) for job in jobs]``, computed on two worker processes started
+    with ``spawn`` (so no thread pool is forked) and gathered in job order;
+    raises ``multiprocessing.TimeoutError`` after the tests' 300 s budget."""
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        return pool.starmap_async(fn, jobs, chunksize=1).get(timeout=300)
+
+
+def _c06_mrr(seed: int, constrained: bool) -> float:
+    """Test MRR of one C06 training: NNE+AER on the planted rules, or plain ComplEx."""
+    dataset = planted_subset_kg()
+    ents = [
+        Entailment(0, False, 1, 0.9),
+        Entailment(2, False, 3, 0.9),
+        Entailment(4, False, 5, 0.9),
+    ]
+    base = dict(
+        d=50, eta=0.01, neg_ratio=2, lr=0.5, n_batches=20,
+        max_iters=300, grad_norm_cap=1.0, eval_every=10_000,
+    )
+    if constrained:
+        params, _ = train(dataset, ents, TrainConfig(mu=1.0, project=True, seed=seed, **base))
+    else:
+        params, _ = train(dataset, [], TrainConfig(mu=0.0, project=False, seed=seed, **base))
+    return evaluate(params, dataset.test, build_known_index(dataset)).mrr
+
+
 def test_c06_entailment_constraints_lift_test_mrr():
     with report("C06 constrained model beats plain ComplEx on planted rules", 300.0):
-        dataset = planted_subset_kg()
-        known = build_known_index(dataset)
-        ents = [
-            Entailment(0, False, 1, 0.9),
-            Entailment(2, False, 3, 0.9),
-            Entailment(4, False, 5, 0.9),
-        ]
-        base = dict(
-            d=50, eta=0.01, neg_ratio=2, lr=0.5, n_batches=20,
-            max_iters=300, grad_norm_cap=1.0, eval_every=10_000,
-        )
-        plain, constrained = [], []
-        for seed in range(5):
-            p_plain, _ = train(
-                dataset, [], TrainConfig(mu=0.0, project=False, seed=seed, **base)
-            )
-            plain.append(evaluate(p_plain, dataset.test, known).mrr)
-            p_aer, _ = train(
-                dataset, ents, TrainConfig(mu=1.0, project=True, seed=seed, **base)
-            )
-            constrained.append(evaluate(p_aer, dataset.test, known).mrr)
+        mrrs = _on_two_processes(_c06_mrr, [(seed, aer) for seed in range(5) for aer in (False, True)])
+        plain, constrained = mrrs[0::2], mrrs[1::2]
         mean_plain, mean_constrained = np.mean(plain), np.mean(constrained)
         print(
             f"    ComplEx MRR {mean_plain:.4f}, ComplEx-NNE+AER MRR {mean_constrained:.4f}"
@@ -251,25 +260,30 @@ def typed_segregated_kg(seed=11, per_type=30, n_types=4, facts_per_rel=60):
     return Dataset(train, [], [], make_vocab(n, 2 * n_types)), labels
 
 
+def _c07_entropy(seed: int, name: str) -> float:
+    """Purity entropy at K=5 of one C07 training of variant ``name``."""
+    dataset, labels = typed_segregated_kg()
+    ents = [Entailment(2 * t, False, 2 * t + 1, 0.9) for t in range(4)]
+    base = dict(
+        d=16, eta=0.03, neg_ratio=10, lr=0.1, n_batches=10,
+        max_iters=300, eval_every=10_000,
+    )
+    variants = {
+        "complex": (TrainConfig(mu=0.0, project=False, seed=seed, **base), []),
+        "nne": (TrainConfig(mu=0.0, project=True, seed=seed, **base), []),
+        "aer": (TrainConfig(mu=1.0, project=True, seed=seed, **base), ents),
+    }
+    config, constraint_set = variants[name]
+    params, _ = train(dataset, constraint_set, config)
+    normalized = activation_heatmap(params.re_e, range(dataset.n_entities))
+    return purity_curve(normalized, labels, (5.0,)).points[0][1]
+
+
 def test_c07_purity_entropy_ordering():
     with report("C07 dimension purity orders AER <= NNE < ComplEx", 300.0):
-        dataset, labels = typed_segregated_kg()
-        ents = [Entailment(2 * t, False, 2 * t + 1, 0.9) for t in range(4)]
-        base = dict(
-            d=16, eta=0.03, neg_ratio=10, lr=0.1, n_batches=10,
-            max_iters=300, eval_every=10_000,
-        )
-        entropies = {"complex": [], "nne": [], "aer": []}
-        for seed in range(3):
-            variants = (
-                ("complex", TrainConfig(mu=0.0, project=False, seed=seed, **base), []),
-                ("nne", TrainConfig(mu=0.0, project=True, seed=seed, **base), []),
-                ("aer", TrainConfig(mu=1.0, project=True, seed=seed, **base), ents),
-            )
-            for name, config, constraint_set in variants:
-                params, _ = train(dataset, constraint_set, config)
-                normalized = activation_heatmap(params.re_e, range(dataset.n_entities))
-                entropies[name].append(purity_curve(normalized, labels, (5.0,)).points[0][1])
+        names = ("complex", "nne", "aer")
+        values = _on_two_processes(_c07_entropy, [(seed, name) for seed in range(3) for name in names])
+        entropies = {name: values[i::3] for i, name in enumerate(names)}
         means = {name: float(np.mean(vals)) for name, vals in entropies.items()}
         print(
             f"    mean entropy at K=5: ComplEx {means['complex']:.3f}, "

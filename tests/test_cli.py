@@ -308,7 +308,7 @@ def test_grid_mode_is_resumable(data_dir, config_file, tmp_path, capsys):
     ]
     assert main(argv) == 0
     state = json.loads((out / "grid_state.json").read_text())
-    assert len(state) == 2
+    assert len(_grid_points(out)) == 2
     assert (out / "checkpoint.kgec").exists()
     # Resuming with a completed state re-trains nothing and keeps the state.
     assert main(argv) == 0
@@ -475,7 +475,7 @@ def test_grid_trains_each_point_once(data_dir, config_file, tmp_path, monkeypatc
     assert main(argv) == 0
     assert len(calls) == 2
     # The written outputs are those of the best point, as a single run gives them.
-    state = json.loads((out / "grid_state.json").read_text())
+    state = _grid_points(out)
     best = parse_config(out / "config.cfg")
     assert state[_grid_key(best)] == max(state.values())
     single = tmp_path / "single"
@@ -494,7 +494,7 @@ def test_grid_state_survives_a_crash_during_write(data_dir, config_file, tmp_pat
 
     def crashing_dump(obj, fh, **kwargs):
         # Fail while writing the second grid point's state, mid-file.
-        if "grid_state" in fh.name and len(obj) == 2:
+        if "grid_state" in fh.name and len(obj) == 3:  # two points and the inputs
             fh.write('{\n  "partial')
             raise Crash
         real_dump(obj, fh, **kwargs)
@@ -508,12 +508,12 @@ def test_grid_state_survives_a_crash_during_write(data_dir, config_file, tmp_pat
     with pytest.raises(Crash):
         main(argv)
     monkeypatch.setattr(kgec.cli.json, "dump", real_dump)
-    assert len(json.loads((out / "grid_state.json").read_text())) == 1
+    assert len(_grid_points(out)) == 1
     assert sorted(p.name for p in out.iterdir() if "grid_state" in p.name) == ["grid_state.json"]
     calls = _counting_train(monkeypatch)
     assert main(argv) == 0
     assert len(calls) == 1
-    assert len(json.loads((out / "grid_state.json").read_text())) == 2
+    assert len(_grid_points(out)) == 2
 
 
 class _Crash(Exception):
@@ -522,6 +522,13 @@ class _Crash(Exception):
 
 def _raise_crash(*args, **kwargs):
     raise _Crash
+
+
+def _grid_points(out):
+    """A sweep's grid points and their validation MRRs: its state without the inputs it records."""
+    state = json.loads((out / "grid_state.json").read_text())
+    del state["inputs"]
+    return state
 
 
 def _grid_argv(data_dir, config_file, tmp_path, grid):
@@ -575,7 +582,7 @@ def test_a_grid_stopped_writing_a_new_best_resumes_to_one_point(
     capsys.readouterr()
     assert main(argv) == 0
     best = parse_config(out / "config.cfg")
-    state = json.loads((out / "grid_state.json").read_text())
+    state = _grid_points(out)
     assert state[_grid_key(best)] == max(state.values())
     assert load_manifest(out / "manifest.json")["config"] == {**dataclasses.asdict(best), "checkpoint_precision": 32}
     assert load_checkpoint(out / "checkpoint.kgec")[0].d == best.d
@@ -592,7 +599,7 @@ def test_a_grid_tie_keeps_the_earlier_point(data_dir, config_file, tmp_path, mon
     monkeypatch.setattr(kgec.cli, "train", tied)
     out = tmp_path / "grid"
     assert main(_grid_argv(data_dir, config_file, tmp_path, {"d": [4, 8]})) == 0
-    assert list(json.loads((out / "grid_state.json").read_text()).values()) == [0.5, 0.5]
+    assert list(_grid_points(out).values()) == [0.5, 0.5]
     assert parse_config(out / "config.cfg").d == 4
     assert load_manifest(out / "manifest.json")["config"]["d"] == 4
     assert load_checkpoint(out / "checkpoint.kgec")[0].d == 4
@@ -1122,6 +1129,10 @@ def test_a_sweep_resumes_only_on_the_inputs_its_manifest_records(data_dir, confi
     argv = _grid_argv(data_dir, config_file, tmp_path, {"d": [2, 4]})
     out = tmp_path / "grid"
     assert main(argv) == 0
+    # A state written before states recorded their inputs: only the manifest's record is checked.
+    state = json.loads((out / "grid_state.json").read_text())
+    del state["inputs"]
+    (out / "grid_state.json").write_text(json.dumps(state))
     data_b = tmp_path / "data_b"
     shutil.copytree(data_dir, data_b)
     (data_b / "test.txt").write_text("e0\tr2\te1\n")
@@ -1142,8 +1153,36 @@ def test_a_sweep_resumes_only_on_the_inputs_its_manifest_records(data_dir, confi
     assert capsys.readouterr().err == (
         f"kgec train: error: {out / 'manifest.json'}: expected an 'inputs' object\n"
     )
-    # A state without a manifest (a stop inside _write_outputs) resumes as it stands.
+
+
+def test_a_sweep_without_a_manifest_resumes_only_on_the_inputs_its_state_records(
+    data_dir, config_file, tmp_path, capsys
+):
+    argv = _grid_argv(data_dir, config_file, tmp_path, {"d": [2, 4]})
+    out = tmp_path / "grid"
+    assert main(argv) == 0
+    state = json.loads((out / "grid_state.json").read_text())
+    assert state["inputs"] == json.loads((out / "manifest.json").read_text())["inputs"]
+    data_b = tmp_path / "data_b"
+    shutil.copytree(data_dir, data_b)
+    (data_b / "test.txt").write_text("e0\tr2\te1\n")
+    argv_b = [str(data_b) if arg == str(data_dir) else arg for arg in argv]
+    # A state without a manifest (a stop inside _write_outputs) is checked against its own record.
     (out / "manifest.json").unlink()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(argv_b) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"kgec train: error: {out / 'grid_state.json'}: ") and f"({data_b / 'test.txt'} differs)" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # The same bytes from another directory resume: every point is done.
+    shutil.copytree(data_dir, tmp_path / "data_c")
+    assert main([str(tmp_path / "data_c") if arg == str(data_dir) else arg for arg in argv]) == 0
+    assert "grid point" not in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # A state written before states recorded their inputs, with no manifest, resumes as it stands.
+    del state["inputs"]
+    (out / "grid_state.json").write_text(json.dumps(state))
     assert main(argv_b) == 0
     assert "grid point" not in capsys.readouterr().out
 

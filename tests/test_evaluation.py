@@ -9,6 +9,7 @@ import pytest
 import kgec.objective
 from kgec.data import KnownIndex, Triple
 from kgec.evaluation import (
+    HITS_AT,
     EvalResult,
     evaluate,
     filtered_rank,
@@ -280,6 +281,51 @@ class TestEvaluate:
         assert calls == [
             (name, shape) for shape in shapes for name in ("score_all_heads", "score_all_tails")
         ]
+
+
+class TestAggregates:
+    """``evaluate`` writes every chunk's ranks into one array and takes MRR
+    and HITS@k in one pass; both equal ``np.mean`` over every head rank, then
+    every tail rank, bit for bit, for any chunking and number of parts."""
+
+    N_ENTITIES = 24
+
+    @classmethod
+    def _tied_case(cls):
+        n = cls.N_ENTITIES
+        dataset = random_dataset(n, 3, 60, 5, 11, seed=21)
+        params = init_params(n, 3, 4, seed=22)
+        # The second half of the entities repeats the first, so every query
+        # has candidates that tie the gold entity or each other.
+        params.ent[n // 2 :] = params.ent[: n // 2]
+        return params, dataset.test, build_known_index(dataset)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("per_chunk", [1, 4, None])  # None: one chunk holds every triple
+    @pytest.mark.parametrize("split", ["all", "one"])
+    def test_metrics_are_np_mean_of_the_oracle_ranks(self, monkeypatch, workers, per_chunk, split):
+        import kgec.evaluation as evaluation
+
+        params, test, known = self._tied_case()
+        test = test if split == "all" else test[5:6]
+        rows = per_chunk or len(test)
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", rows * self.N_ENTITIES * params.ent.real.itemsize)
+        monkeypatch.setattr(kgec.objective, "_WORKERS", 2)
+        result = evaluate(params, test, known, workers=workers)
+
+        expected = [
+            [oracle_filtered_rank(params, triple, side, known) for side in ("head", "tail")]
+            for triple in test
+        ]
+        assert result.per_triple.dtype == np.int64
+        assert result.per_triple.tolist() == expected
+        r = result.per_triple.T.ravel()
+        assert result.mrr == float(np.mean(1.0 / r))
+        assert list(result.hits) == list(HITS_AT)
+        for k in HITS_AT:
+            assert result.hits[k] == float(np.mean(r <= k))
+        if split == "all":  # the ranks spread across every cut-off
+            assert r.min() == 1 and r.max() > max(HITS_AT) and len(set(r.tolist())) > 4
 
 
 class TestChunksInParts:
