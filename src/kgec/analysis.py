@@ -118,17 +118,28 @@ def purity_curve(
     ks = [math.ceil(k_percent * labels.entities.size / 100) for k_percent in k_percents]
 
     def top_k_counts(a, e):
-        # One stable sort per dimension: rows are in ascending id, so ties keep
-        # the lower id first. Row j of `ranked` holds dimension a + j's types in
-        # rank order, offset by n_types * j so one bincount counts the block.
-        negated = np.negative(component[labels.entities, a:e].T, dtype=float, order="C")
-        ranked = labels.types[np.argsort(negated, axis=1, kind="stable")]
+        # Rows are in ascending id. The default (quicksort) argsort leaves ties
+        # in any order; numbering the runs of equal sorted values (-0.0 ties
+        # 0.0, and the NaNs, which sort last, are one run) and sorting
+        # run * L + position once more puts each run back in ascending id
+        # order. Row j of `ranked` holds dimension a + j's types in rank order,
+        # offset by n_types * j so one bincount counts the block.
+        values = np.negative(component[labels.entities, a:e].T, dtype=float, order="C")
+        order = np.argsort(values, axis=1)
+        values.sort(axis=1)
+        run = np.zeros_like(order)
+        np.cumsum((values[:, 1:] != values[:, :-1]) & ~np.isnan(values[:, :-1]), axis=1, out=run[:, 1:])
+        run *= labels.entities.size
+        order += run
+        order.sort(axis=1)
+        order -= run
+        ranked = labels.types[order]
         ranked += n_types * np.arange(e - a)[:, None]
         counts = [np.bincount(ranked[:, :k].ravel(), minlength=(e - a) * n_types) for k in ks]
         return np.reshape(counts, (len(ks), e - a, n_types))
 
-    # A block column holds activations, their order and their types: 3 x 8 bytes a label.
-    step = _block_rows(labels.entities[None], objective._BLOCK_BYTES, 3)
+    # A block column holds activations, their order, run ids and types: 4 x 8 bytes a label.
+    step = _block_rows(labels.entities[None], objective._BLOCK_BYTES, 4)
     counts = np.concatenate(_per_block(top_k_counts, n_dims, step), axis=1)  # (K, dims, types)
     entropies = shannon_entropy(counts).mean(axis=1)
     return PurityCurve([(k, float(h)) for k, h in zip(k_percents, entropies)])

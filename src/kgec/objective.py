@@ -351,12 +351,13 @@ def _segment_sum(ids, cols, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray
     of a complex array ``rows`` gives each id the row sum
     ``sum(weights[ids == id] * rows[cols[ids == id]])``.
 
-    One stable argsort of ``ids`` gives both results. Each row keeps its
-    entries in entry order, and the product adds them in that order, as
-    ``np.add.at`` does on a zeroed array, so the sums are the same to the bit
-    for any cut of the rows into blocks.
+    One stable argsort of ``ids`` gives both results; it sorts them in the
+    smallest unsigned type that holds them, a radix sort below 2**16. Each row
+    keeps its entries in entry order, and the product adds them in that
+    order, as ``np.add.at`` does on a zeroed array, so the sums are the same
+    to the bit for any cut of the rows into blocks.
     """
-    order = np.argsort(ids, kind="stable")
+    order = np.argsort(ids.astype(np.min_scalar_type(ids.max(initial=0))), kind="stable")
     sorted_ids = ids[order]
     starts = np.empty(ids.size + 1, dtype=bool)  # a row starts here; the last marks the end
     starts[0] = starts[-1] = True

@@ -211,8 +211,15 @@ MUTANTS = [
     Mutant(
         "segment_sum-unstable-sort",
         "src/kgec/objective.py",
-        'np.argsort(ids, kind="stable")',
-        "np.argsort(ids)",
+        ', kind="stable")',
+        ")",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "segment_sum-sorts-ids-as-uint8",
+        "src/kgec/objective.py",
+        "ids.astype(np.min_scalar_type(ids.max(initial=0)))",
+        "ids.astype(np.uint8)",
         KERNEL_TESTS,
     ),
     Mutant(
@@ -605,8 +612,15 @@ MUTANTS = [
     Mutant(
         "purity_curve-unstable-sort",
         "src/kgec/analysis.py",
-        'np.argsort(negated, axis=1, kind="stable")',
-        "np.argsort(negated, axis=1)",
+        "        order.sort(axis=1)\n",
+        "",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "purity_curve-run-splits-nans",
+        "src/kgec/analysis.py",
+        " & ~np.isnan(values[:, :-1])",
+        "",
         ANALYSIS_TESTS,
     ),
     Mutant(

@@ -428,7 +428,7 @@ class TestBlocksAndParts:
         labeled = rng.permutation(3_000)[:1_500]
         labels = labels_of({int(i): f"T{rng.integers(4)}" for i in labeled})
         ks = (1, 5, 33, 100)
-        monkeypatch.setattr(kgec.objective, "_BLOCK_BYTES", 2 * 3 * 8 * 1_500)
+        monkeypatch.setattr(kgec.objective, "_BLOCK_BYTES", 2 * 4 * 8 * 1_500)
         curves = []
         for workers in (1, 2):
             monkeypatch.setattr(kgec.objective, "_WORKERS", workers)
@@ -440,6 +440,35 @@ class TestBlocksAndParts:
         for k, entropy in curves[0].points:
             want = oracle_dimension_purity(component, labels, k)
             assert entropy == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("block_columns", [1, 2, 3])
+    def test_purity_keeps_nan_inf_and_signed_zero_ties_in_id_order(
+        self, monkeypatch, submitted, block_columns
+    ):
+        # Every entry ties: each column draws from NaN, +-inf, -0.0 and 0.0
+        # and two finite values, some rows are NaN throughout, and an all-NaN,
+        # a constant and a -0.0/0.0 column repeat across block edges. About
+        # half of each mixed column is NaN, so the larger K cut inside the
+        # NaNs' run, which sorts last.
+        rng = np.random.default_rng(17)
+        n, pool = 2_000, [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 0.5]
+        mixed = rng.choice(pool, size=(n, 3), p=[0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
+        mixed[rng.random(n) < 0.1] = np.nan
+        signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        columns = np.column_stack([mixed, np.full(n, np.nan), np.full(n, 2.0), signed_zeros])
+        component = columns[:, [0, 3, 3, 1, 4, 5, 4, 2, 5, 0]]
+        labeled = rng.permutation(n)[:1_600]
+        labels = labels_of({int(i): f"T{rng.integers(5)}" for i in labeled})
+        ks = (3, 20, 45, 60, 70, 85, 99, 100)
+        monkeypatch.setattr(kgec.objective, "_BLOCK_BYTES", block_columns * 4 * 8 * 1_600)
+        curves = []
+        for workers in (1, 2):
+            monkeypatch.setattr(kgec.objective, "_WORKERS", workers)
+            curves.append(purity_curve(component, labels, ks))
+        assert "top_k_counts" in submitted
+        assert curves[1] == curves[0]
+        for k, entropy in curves[0].points:
+            assert entropy == pytest.approx(oracle_dimension_purity(component, labels, k), abs=1e-12)
 
     def test_a_planted_shaped_analysis_runs_without_the_pool(self, monkeypatch):
         # At C06's shape (200 x 50) both loops are one block, run inline.

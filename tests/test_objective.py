@@ -432,6 +432,23 @@ class TestScatterKernel:
         np.testing.assert_array_equal(got_ids, np.unique(ids))
         np.testing.assert_array_equal(got, want[np.unique(ids)])
 
+    @pytest.mark.parametrize("top", [2**8 - 1, 2**16 - 1, 2**16 + 4_999])
+    def test_segment_sum_matches_an_int64_stable_argsort(self, top):
+        # Ids up to `top` are sorted as uint8, uint16 and uint32. They take
+        # 500 values, each about 40 times, so the order among equal ids shows
+        # in `columns` and `data`.
+        rng = np.random.default_rng(top)
+        ids = rng.choice(np.append(rng.integers(top, size=499), top), size=20_000)
+        cols = rng.permutation(ids.size)
+        weights = rng.normal(size=ids.size)
+        order = np.argsort(ids, kind="stable")
+        unique, counts = np.unique(ids, return_counts=True)
+        got = _segment_sum(ids, cols, weights)
+        np.testing.assert_array_equal(got[0], unique)
+        np.testing.assert_array_equal(got[1], np.concatenate([[0], np.cumsum(counts)]))
+        np.testing.assert_array_equal(got[2], cols[order])
+        np.testing.assert_array_equal(got[3], weights[order])
+
 
 class TestBlockedKernel:
     @settings(max_examples=300, deadline=None)
