@@ -194,7 +194,7 @@ def pair_residuals(
     if not 0.0 < thresh < 1.0:
         raise ValueError(f"thresh must lie in (0, 1), got {thresh}")
     rules = pack_entailments(ents)
-    p, q, inverted = rules.premise, rules.conclusion, (rules.sign < 0).astype(np.int64)
+    p, q, inverted = rules.premise, rules.conclusion, rules.inverted
     # One key per signed, unordered pair, inverted last; m spans every id, so none aliases.
     m = int(np.max(np.concatenate([p, q]), initial=len(rel) - 1)) + 1
     key = (inverted * m + np.minimum(p, q)) * m + np.maximum(p, q)
@@ -206,7 +206,7 @@ def pair_residuals(
     rows = RuleArrays(
         premise=np.concatenate([low, p[others]]),
         conclusion=np.concatenate([high, q[others]]),
-        sign=np.concatenate([1.0 - 2.0 * pair_inverted, rules.sign[others]]),
+        inverted=np.concatenate([pair_inverted == 1, inverted[others]]),
         confidence=np.concatenate([np.ones(pairs.size), rules.confidence[others]]),
     )
     counts = np.bincount(pair_inverted, minlength=2).tolist() + [int(others.sum())]

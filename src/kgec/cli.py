@@ -168,6 +168,9 @@ def cmd_train(args) -> None:
     input_paths = [path for path in splits if path.exists()]
     input_paths += [Path(path) for path in (args.ents, config_path) if path]
     _refuse_overwrite([out_dir / name for name in _TRAIN_FILES], [*input_paths, args.grid_file])
+    state_path, manifest_path = out_dir / "grid_state.json", out_dir / "manifest.json"
+    if not args.grid and state_path.exists():
+        raise ValueError(f"{state_path}: --out holds a grid sweep, which a single run would overwrite")
     config = parse_config(config_path) if config_path else TrainConfig()
     overrides = {"seed": args.seed, "mu": args.mu, "project": False if args.no_projection else None}
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
@@ -192,7 +195,6 @@ def cmd_train(args) -> None:
     # it records under "inputs" and on those its manifest records, where
     # each record exists: a state written before states recorded their
     # inputs has none, and a stop inside _write_outputs leaves no manifest.
-    state_path, manifest_path = out_dir / "grid_state.json", out_dir / "manifest.json"
     state = read_json(state_path) if state_path.exists() else {}
     stated = state.pop("inputs", inputs) if isinstance(state, dict) else None
     if not isinstance(stated, dict) or not all(type(mrr) in (int, float) for mrr in state.values()):

@@ -45,7 +45,7 @@ class EvalResult:
     hits: dict[int, float]
 
 
-def rank_from_scores(scores: np.ndarray, gold: Sequence[int], filtered: tuple | None = None) -> np.ndarray:
+def rank_from_scores(scores: np.ndarray, gold: Sequence[int], filtered: tuple) -> np.ndarray:
     """Optimistic filtered ranks of a batch of gold candidates, as a (B,) array.
 
     Row i of the (B, n) ``scores`` scores every candidate of query i, whose
@@ -59,8 +59,7 @@ def rank_from_scores(scores: np.ndarray, gold: Sequence[int], filtered: tuple | 
     """
     rows = np.arange(len(scores))
     gold = np.asarray(gold, dtype=np.int64)
-    counts, cols = filtered if filtered is not None else (0, ())
-    cols = np.asarray(cols, dtype=np.int64)
+    counts, cols = filtered[0], np.asarray(filtered[1], dtype=np.int64)
     _check_ids(np.concatenate([gold, cols]), scores.shape[1], "entity")
     competing = scores > scores[rows, gold][:, None]
     competing[rows.repeat(counts), cols] = False

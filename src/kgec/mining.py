@@ -46,7 +46,6 @@ class MinedRule:
     entailment: Entailment
     support: int
     pca_body: int
-    pca_confidence: float
 
 
 def _join_count(
@@ -166,7 +165,7 @@ def mine_entailments(
         confidence[keep].tolist(),
     )
     return [
-        MinedRule(Entailment(p, inv, q, conf), support, body, conf)
+        MinedRule(Entailment(p, inv, q, conf), support, body)
         for p, inv, q, support, body, conf in fields
     ]
 
@@ -183,7 +182,7 @@ def write_rules(
     rows = (
         [name(rule.entailment.premise_rel), int(rule.entailment.premise_inverted),
          name(rule.entailment.conclusion_rel), rule.support, rule.pca_body,
-         f"{rule.pca_confidence:.6f}"]
+         f"{rule.entailment.confidence:.6f}"]
         for rule in rules
     )
     header = ["premise", "premise_inverted", "conclusion", "support", "pca_body", "pca_confidence"]

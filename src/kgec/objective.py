@@ -113,13 +113,12 @@ class SparseGrads:
 class RuleArrays:
     """Entailments packed as parallel arrays, one entry per rule.
 
-    ``sign`` is -1.0 where the premise is inverted (and so conjugated), +1.0
-    otherwise.
+    ``inverted`` is True where the premise is inverted, and so conjugated.
     """
 
     premise: np.ndarray
     conclusion: np.ndarray
-    sign: np.ndarray
+    inverted: np.ndarray
     confidence: np.ndarray
 
 
@@ -129,7 +128,7 @@ def pack_entailments(ents: Iterable[Entailment]) -> RuleArrays:
     return RuleArrays(
         premise=np.array([e.premise_rel for e in ents], dtype=np.int64),
         conclusion=np.array([e.conclusion_rel for e in ents], dtype=np.int64),
-        sign=np.array([-1.0 if e.premise_inverted else 1.0 for e in ents]),
+        inverted=np.array([e.premise_inverted for e in ents], dtype=bool),
         confidence=np.array([e.confidence for e in ents], dtype=float),
     )
 
@@ -187,9 +186,9 @@ def _blocks(fn, step: int, args: tuple, lo: int, hi: int) -> list:
 
 def rule_deltas(rel: np.ndarray, rules: RuleArrays) -> np.ndarray:
     """Residual rows delta = p* - q, one per rule: the premise row, conjugated
-    where ``sign`` is -1, minus the conclusion row."""
+    where ``inverted``, minus the conclusion row."""
     delta = rel[rules.premise]
-    delta.imag *= rules.sign[:, None]
+    np.conjugate(delta, out=delta, where=rules.inverted[:, None])
     delta -= rel[rules.conclusion]
     return delta
 
@@ -208,7 +207,7 @@ def rule_penalty(rel: np.ndarray, rules: RuleArrays) -> tuple[float, np.ndarray]
     penalty = float(np.sum(conf * (np.maximum(delta.real, 0.0) + delta.imag**2)))
     grad = conf * ((delta.real > 0.0) + 2j * delta.imag)
     grads = np.concatenate([grad, -grad])
-    grads[: len(grad)].imag *= rules.sign[:, None]  # conjugate inverted premises
+    np.conjugate(grad, out=grads[: len(grad)], where=rules.inverted[:, None])  # inverted premises
     return penalty, grads
 
 

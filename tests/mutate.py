@@ -190,9 +190,23 @@ MUTANTS = [
     Mutant(
         "rule_penalty-no-premise-conjugation",
         "src/kgec/objective.py",
-        "    grads[: len(grad)].imag *= rules.sign[:, None]  # conjugate inverted premises\n",
+        "    np.conjugate(grad, out=grads[: len(grad)], where=rules.inverted[:, None])  # inverted premises\n",
         "",
         KERNEL_TESTS,
+    ),
+    Mutant(
+        "rule_deltas-no-premise-conjugation",
+        "src/kgec/objective.py",
+        "    np.conjugate(delta, out=delta, where=rules.inverted[:, None])\n",
+        "",
+        KERNEL_TESTS,
+    ),
+    Mutant(
+        "pair_residuals-pairs-drop-their-inversion-flag",
+        "src/kgec/analysis.py",
+        "inverted=np.concatenate([pair_inverted == 1,",
+        "inverted=np.concatenate([pair_inverted == 2,",
+        ANALYSIS_TESTS,
     ),
     Mutant(
         "kernel-negative-weights-left-at-one",

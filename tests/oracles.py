@@ -214,13 +214,13 @@ def oracle_rule_penalty(rel, rules):
     imaginary derivative. The costs are summed in one ``np.sum``, as
     ``rule_penalty`` sums them."""
     costs, premise_grads, conclusion_grads = [], [], []
-    for p, q, sign, c in zip(rules.premise, rules.conclusion, rules.sign, rules.confidence):
-        premise = np.conj(rel[p]) if sign < 0 else rel[p]
+    for p, q, inverted, c in zip(rules.premise, rules.conclusion, rules.inverted, rules.confidence):
+        premise = np.conj(rel[p]) if inverted else rel[p]
         delta = premise - rel[q]
         costs.append(c * (np.maximum(delta.real, 0.0) + delta.imag**2))
         hinge = np.where(delta.real > 0.0, 1.0, 0.0)
         grad = c * (hinge + 2j * delta.imag)
-        premise_grads.append(np.conj(grad) if sign < 0 else grad)
+        premise_grads.append(np.conj(grad) if inverted else grad)
         conclusion_grads.append(-grad)
     d = rel.shape[1]
     penalty = float(np.sum(np.reshape(costs, (-1, d))))

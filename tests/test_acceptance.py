@@ -163,7 +163,7 @@ def test_c05_mined_rules_match_enumeration_oracle():
                     r.entailment.premise_rel,
                     r.entailment.premise_inverted,
                     r.entailment.conclusion_rel,
-                ): (r.support, r.pca_body, r.pca_confidence)
+                ): (r.support, r.pca_body, r.entailment.confidence)
                 for r in mine_entailments(kg, min_conf, min_support)
             }
             assert mined == oracle_mine(kg, min_conf, min_support)
@@ -203,8 +203,14 @@ def planted_subset_kg(seed=7, n=200, q_size=150, p_size=50, holdout=30):
 def _on_two_processes(fn, jobs):
     """``[fn(*job) for job in jobs]``, computed on two worker processes started
     with ``spawn`` (so no thread pool is forked) and gathered in job order;
-    raises ``multiprocessing.TimeoutError`` after the tests' 300 s budget."""
-    with multiprocessing.get_context("spawn").Pool(2) as pool:
+    raises ``multiprocessing.TimeoutError`` after the tests' 300 s budget.
+
+    Each worker sets ``OPENBLAS_NUM_THREADS=1`` in its own environment before
+    its first job is unpickled, and so before that job's imports load numpy:
+    two workers then run two BLAS threads, not four. This process's
+    environment is not changed."""
+    blas = ("OPENBLAS_NUM_THREADS", "1")
+    with multiprocessing.get_context("spawn").Pool(2, initializer=os.putenv, initargs=blas) as pool:
         return pool.starmap_async(fn, jobs, chunksize=1).get(timeout=300)
 
 
@@ -317,7 +323,7 @@ def test_c08_wn18_rule_spot_check():
                 r.entailment.premise_rel,
                 r.entailment.premise_inverted,
                 r.entailment.conclusion_rel,
-            ): r.pca_confidence
+            ): r.entailment.confidence
             for r in rules
         }
         for premise, conclusion, printed in expected:

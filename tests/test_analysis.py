@@ -295,7 +295,7 @@ class TestPairDiagnostics:
             want_rows.append((pair[0], ent.premise_inverted, pair[1], ent.confidence))
             want.append(oracle_relation_pair_diagnostic(params, pair, "others", ent.premise_inverted))
         assert kinds.tolist() == want_kinds
-        got_rows = zip(rows.premise.tolist(), (rows.sign < 0).tolist(), rows.conclusion.tolist(),
+        got_rows = zip(rows.premise.tolist(), rows.inverted.tolist(), rows.conclusion.tolist(),
                        rows.confidence.tolist())
         assert list(got_rows) == want_rows
         want = [[row.get(key, np.nan) for key in RESIDUAL_COLUMNS] for row in want]

@@ -1187,6 +1187,27 @@ def test_a_sweep_without_a_manifest_resumes_only_on_the_inputs_its_state_records
     assert "grid point" not in capsys.readouterr().out
 
 
+def test_a_single_run_refuses_an_out_that_holds_a_sweep(data_dir, config_file, tmp_path, capsys, monkeypatch):
+    argv = _grid_argv(data_dir, config_file, tmp_path, {"d": [2, 4]})
+    out = tmp_path / "grid"
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    single = ["train", "--data", str(data_dir), "--config", str(config_file), "--seed", "7", "--out", str(out)]
+    with monkeypatch.context() as patch:  # refused before the config or the data is read
+        patch.setattr(kgec.cli, "parse_config", _raise_crash)
+        patch.setattr(kgec.cli, "load_dataset", _raise_crash)
+        assert main(single) == 1
+    assert capsys.readouterr().err == (
+        f"kgec train: error: {out / 'grid_state.json'}: --out holds a grid sweep, which a single run would overwrite\n"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # The sweep still resumes, with every point done.
+    assert main(argv) == 0
+    assert "grid point" not in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def _assert_refused(argv, victim, capsys):
     before = victim.read_bytes()
     capsys.readouterr()

@@ -26,10 +26,14 @@ from kgec.data import build_known_index
 from oracles import oracle_filtered_rank
 
 
+# One query with no filtered ids.
+_UNFILTERED = ([0], [])
+
+
 class TestRankFromScores:
     def test_counts_strictly_greater(self):
         scores = np.array([[0.9, 0.95, 0.8]])
-        assert rank_from_scores(scores, gold=[0]).tolist() == [2]
+        assert rank_from_scores(scores, gold=[0], filtered=_UNFILTERED).tolist() == [2]
 
     def test_filtering_removes_competitor(self):
         scores = np.array([[0.9, 0.95, 0.8]])
@@ -37,7 +41,7 @@ class TestRankFromScores:
 
     def test_gold_highest(self):
         scores = np.array([[0.99, 0.95, 0.8]])
-        assert rank_from_scores(scores, gold=[0]).tolist() == [1]
+        assert rank_from_scores(scores, gold=[0], filtered=_UNFILTERED).tolist() == [1]
 
     def test_gold_never_filtered_out(self):
         scores = np.array([[0.9, 0.95]])
@@ -46,7 +50,7 @@ class TestRankFromScores:
 
     def test_ties_rank_optimistically(self):
         scores = np.array([[0.5, 0.5, 0.5, 0.9]])
-        assert rank_from_scores(scores, gold=[0]).tolist() == [2]
+        assert rank_from_scores(scores, gold=[0], filtered=_UNFILTERED).tolist() == [2]
 
     def test_invariant_under_monotone_transforms(self, rng):
         for _ in range(50):
@@ -61,7 +65,7 @@ class TestRankFromScores:
     def test_rejects_gold_outside_the_columns(self, gold):
         # A negative gold id would otherwise wrap round to the last column.
         with pytest.raises(IndexError, match="entity id"):
-            rank_from_scores(np.zeros((1, 3)), gold=[gold])
+            rank_from_scores(np.zeros((1, 3)), gold=[gold], filtered=_UNFILTERED)
 
     @pytest.mark.parametrize("ids", [[-1], [3]])
     def test_rejects_filtered_ids_outside_the_columns(self, ids):

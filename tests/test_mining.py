@@ -32,13 +32,13 @@ class TestMineEntailments:
         rule = rules[(0, False, 1)]
         assert rule.support == 1
         assert rule.pca_body == 1  # (c, d) excluded: c has no q-fact
-        assert rule.pca_confidence == 1.0
+        assert rule.entailment.confidence == 1.0
 
     def test_inverted_premise_rule(self):
         train = [Triple(0, 0, 1), Triple(1, 1, 0)]
         rules = rules_by_key(mine_entailments(train, min_conf=0.5, min_support=1))
         assert (0, True, 1) in rules
-        assert rules[(0, True, 1)].pca_confidence == 1.0
+        assert rules[(0, True, 1)].entailment.confidence == 1.0
         assert (0, False, 1) not in rules  # support 0 in the forward direction
 
     def test_threshold_is_strict(self):
@@ -47,7 +47,7 @@ class TestMineEntailments:
         rules = rules_by_key(mine_entailments(train, min_conf=0.5, min_support=1))
         assert (0, False, 1) not in rules
         rules = rules_by_key(mine_entailments(train, min_conf=0.49, min_support=1))
-        assert rules[(0, False, 1)].pca_confidence == 0.5
+        assert rules[(0, False, 1)].entailment.confidence == 0.5
         # A confidence-1.0 rule survives min_conf=0.8 but not min_conf=1.0.
         exact = [Triple(0, 0, 1), Triple(0, 1, 1)]
         assert rules_by_key(mine_entailments(exact, 0.8, 1))[(0, False, 1)]
@@ -62,7 +62,7 @@ class TestMineEntailments:
         train = [Triple(0, 0, 1), Triple(1, 0, 0)]
         rules = rules_by_key(mine_entailments(train, min_conf=0.5, min_support=1))
         assert (0, False, 0) not in rules
-        assert rules[(0, True, 0)].pca_confidence == 1.0
+        assert rules[(0, True, 0)].entailment.confidence == 1.0
 
     def test_duplicate_triples_do_not_change_confidence(self):
         train = [Triple(0, 0, 1), Triple(0, 1, 1), Triple(2, 0, 3)]
@@ -89,7 +89,7 @@ class TestMineEntailments:
             rule = mined[key]
             assert rule.support == support
             assert rule.pca_body == body
-            assert rule.pca_confidence == confidence
+            assert rule.entailment.confidence == confidence
 
     def test_output_is_sorted(self):
         rng = np.random.default_rng(22)
@@ -142,7 +142,7 @@ class TestMineEntailments:
         mined = rules_by_key(mine_entailments(triples, min_conf=0.1, min_support=1))
         expected = oracle_mine(triples, min_conf=0.1, min_support=1)
         assert expected
-        assert {k: (r.support, r.pca_body, r.pca_confidence) for k, r in mined.items()} == expected
+        assert {k: (r.support, r.pca_body, r.entailment.confidence) for k, r in mined.items()} == expected
 
 
 # Relation ids with gaps: 1, 3, 4, 6 and 7 never occur, and a drawn split may
@@ -192,16 +192,15 @@ class TestMineMatchesOracle:
         expected = oracle_mine(train, min_conf=min_conf, min_support=min_support)
 
         found = [
-            (k, (r.support, r.pca_body, r.pca_confidence)) for k, r in rules_by_key(mined).items()
+            (k, (r.support, r.pca_body, r.entailment.confidence)) for k, r in rules_by_key(mined).items()
         ]
         assert len(found) == len(mined)
         # Equal, and in (premise, direction, conclusion) order.
         assert found == sorted(expected.items())
         for rule in mined:
             ent = rule.entailment
-            assert ent.confidence == rule.pca_confidence
             assert type(rule.support) is int and type(rule.pca_body) is int
-            assert type(rule.pca_confidence) is float and type(ent.confidence) is float
+            assert type(ent.confidence) is float
             assert type(ent.premise_inverted) is bool
             assert type(ent.premise_rel) is int and type(ent.conclusion_rel) is int
 
@@ -210,7 +209,7 @@ def classify_pairs(rules, thresh):
     """pair_residuals' rows by class: (p, q) for the pairs, the others as rules."""
     kinds, rows, _ = pair_residuals(np.zeros((2, 1), complex), rules, thresh)
     classes = SimpleNamespace(equivalence=[], inversion=[], others=[])
-    fields = zip(kinds.tolist(), rows.premise.tolist(), (rows.sign < 0).tolist(),
+    fields = zip(kinds.tolist(), rows.premise.tolist(), rows.inverted.tolist(),
                  rows.conclusion.tolist(), rows.confidence.tolist())
     for kind, p, inverted, q, conf in fields:
         row = Entailment(p, inverted, q, conf) if kind == "others" else (p, q)
@@ -263,8 +262,8 @@ class TestWriteRules:
     def test_tsv_round_trips_through_loader(self, tmp_path):
         vocab = make_vocab(0, 3)
         rules = [
-            MinedRule(Entailment(0, True, 1, 1.0), 12, 12, 1.0),
-            MinedRule(Entailment(2, False, 0, 0.875), 7, 8, 0.875),
+            MinedRule(Entailment(0, True, 1, 1.0), 12, 12),
+            MinedRule(Entailment(2, False, 0, 0.875), 7, 8),
         ]
         rules_path = tmp_path / "rules.tsv"
         diag_path = tmp_path / "rules.diagnostics.csv"

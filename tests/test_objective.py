@@ -119,7 +119,7 @@ class TestEntailmentPenalty:
             rules = RuleArrays(
                 premise=rng.integers(m, size=r),
                 conclusion=rng.integers(m, size=r),
-                sign=np.where(rng.random(r) < 1 / 3, -1.0, 1.0),
+                inverted=rng.random(r) < 1 / 3,
                 confidence=rng.uniform(0.05, 1.0, size=r),
             )
             penalty, grads = rule_penalty(rel, rules)
