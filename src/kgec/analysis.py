@@ -42,7 +42,8 @@ class TypeLabels:
 def load_type_labels(path: str | Path, vocab: Vocab) -> TypeLabels:
     """Read an ``entity<TAB>type`` TSV; entities missing from the vocabulary
     are skipped with a warning, later lines override earlier ones, and types
-    are numbered in first-seen order."""
+    are numbered in first-seen order. A file that labels no entity of the
+    vocabulary raises ValueError naming it."""
     labels: dict[int, int] = {}
     type_ids: dict[str, int] = {}
     skipped = 0
@@ -53,6 +54,8 @@ def load_type_labels(path: str | Path, vocab: Vocab) -> TypeLabels:
             skipped += 1
             continue
         labels[entity] = type_ids.setdefault(type_name, len(type_ids))
+    if not labels:
+        raise ValueError(f"{path}: no type label names an entity of the vocabulary")
     if skipped:
         logger.warning("skipped %d type labels for entities not in the vocabulary", skipped)
     entities, types = (np.fromiter(ids, np.int64, len(labels)) for ids in (labels, labels.values()))

@@ -11,7 +11,6 @@ import dataclasses
 import itertools
 import json
 import logging
-import os
 import sys
 from datetime import datetime, timezone
 from importlib import resources
@@ -68,20 +67,6 @@ def _resolve_config(name_or_path: str) -> Path:
     if packaged.is_file():
         return Path(str(packaged))
     raise FileNotFoundError(f"config not found: {name_or_path}")
-
-
-def _workers(args) -> int:
-    """The eval worker count: ``--workers``, else ``KGEC_WORKERS``, else 1."""
-    name, workers = "--workers", args.workers
-    if workers is None:
-        name, env = "KGEC_WORKERS", os.environ.get("KGEC_WORKERS")
-        try:
-            workers = int(env) if env else 1
-        except ValueError:
-            raise ValueError(f"KGEC_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"{name} must be at least 1, got {workers}")
-    return workers
 
 
 def _refuse_overwrite(outputs, inputs) -> None:
@@ -168,7 +153,7 @@ def cmd_train(args) -> None:
     input_paths = [path for path in splits if path.exists()]
     input_paths += [Path(path) for path in (args.ents, config_path) if path]
     _refuse_overwrite([out_dir / name for name in _TRAIN_FILES], [*input_paths, args.grid_file])
-    state_path, manifest_path = out_dir / "grid_state.json", out_dir / "manifest.json"
+    state_path = out_dir / "grid_state.json"
     if not args.grid and state_path.exists():
         raise ValueError(f"{state_path}: --out holds a grid sweep, which a single run would overwrite")
     config = parse_config(config_path) if config_path else TrainConfig()
@@ -177,6 +162,17 @@ def cmd_train(args) -> None:
     grid = (read_json(args.grid_file) if args.grid_file else GRID) if args.grid else {}
     candidates = _grid_configs(config, grid, args.grid_file or "the default grid")
     inputs = {str(path): sha256_file(path) for path in input_paths}  # the bytes read below
+    # A sweep resumes only on the inputs its state records, compared as
+    # contents, not paths, and checked before the data is read.
+    state = read_json(state_path) if args.grid and state_path.exists() else {"inputs": inputs}
+    stated = state.pop("inputs", None) if isinstance(state, dict) else None
+    if not isinstance(stated, dict) or not all(type(mrr) in (int, float) for mrr in state.values()):
+        raise ValueError(f"{state_path}: expected a JSON object mapping grid points to numbers "
+                         'and "inputs" to an object')
+    ours, theirs = list(inputs.values()), list(stated.values())
+    differs = [p for p, h in [*inputs.items(), *stated.items()] if ours.count(h) != theirs.count(h)]
+    if differs:
+        raise ValueError(f"{state_path}: the sweep it records ran on other inputs ({differs[0]} differs)")
     dataset = load_dataset(args.data)
     ents = load_entailments(args.ents, dataset.vocab) if args.ents else []
 
@@ -191,24 +187,7 @@ def cmd_train(args) -> None:
 
     # Grid sweep: sequential, resumable through the state file. A new best
     # point's outputs go before its state entry, so a stop in between
-    # re-trains that point on resume. A state is resumed only on the inputs
-    # it records under "inputs" and on those its manifest records, where
-    # each record exists: a state written before states recorded their
-    # inputs has none, and a stop inside _write_outputs leaves no manifest.
-    state = read_json(state_path) if state_path.exists() else {}
-    stated = state.pop("inputs", inputs) if isinstance(state, dict) else None
-    if not isinstance(stated, dict) or not all(type(mrr) in (int, float) for mrr in state.values()):
-        raise ValueError(f"{state_path}: expected a JSON object mapping grid points to numbers")
-    recorded = read_json(manifest_path) if state and manifest_path.exists() else {"inputs": inputs}
-    recorded = recorded.get("inputs") if isinstance(recorded, dict) else None
-    if not isinstance(recorded, dict):
-        raise ValueError(f"{manifest_path}: expected an 'inputs' object")
-    for record in (stated, recorded):
-        ours, theirs = list(inputs.values()), list(record.values())  # contents, not path strings
-        differs = [p for p, h in [*inputs.items(), *record.items()] if ours.count(h) != theirs.count(h)]
-        if differs:
-            raise ValueError(f"{state_path}: the sweep it records ran on other inputs ({differs[0]} differs)")
-
+    # re-trains that point on resume.
     known = build_known_index(dataset)
     best_mrr = max(state.values(), default=-np.inf)
     for candidate in candidates:
@@ -253,12 +232,13 @@ def _load_model_and_data(args):
 
 
 def cmd_eval(args) -> None:
-    workers = _workers(args)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     params, dataset = _load_model_and_data(args)
     if not dataset.test:
         raise ValueError(f"{Path(args.data, 'test.txt')}: eval needs test triples")
     known = build_known_index(dataset)
-    result = evaluate(params, dataset.test, known, workers=workers)
+    result = evaluate(params, dataset.test, known, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result, out_dir / "metrics.csv")
@@ -284,11 +264,13 @@ def cmd_analyze(args) -> None:
         if not 0.0 < k <= 100.0:
             raise ValueError(f"--ks entries must lie in (0, 100], got {k:g}")
     params, dataset = _load_model_and_data(args)
+    # Every input is read before --out is made, so a bad one leaves no file.
+    labels = load_type_labels(args.types, dataset.vocab) if args.types else None
+    ents = load_entailments(args.ents, dataset.vocab) if args.ents else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.types:
-        labels = load_type_labels(args.types, dataset.vocab)
+    if labels is not None:
         # Purity and the heatmaps read only the labeled rows: row i is entity labeled[i].
         labeled, types = labels.entities, labels.types
         rows = dataclasses.replace(labels, entities=np.arange(labeled.size))
@@ -305,8 +287,7 @@ def cmd_analyze(args) -> None:
             write_purity_csv(purity_curve(normalized, rows, ks), out_dir / f"purity_{name}.csv")
             write_heatmap_csv(normalized[selected], names, out_dir / f"heatmap_{name}.csv")
 
-    if args.ents:
-        ents = load_entailments(args.ents, dataset.vocab)
+    if ents is not None:
         residuals = pair_residuals(params.rel, ents, args.thresh)
         write_pair_diagnostics_csv(*residuals, dataset.vocab, out_dir / "relation_pairs.csv")
 
@@ -365,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dump-ranks", action="store_true", help="also write per-triple ranks")
-    p.add_argument("--workers", type=int, help="rank chunks of test triples on at most this "
-                   "many threads, and at most one per usable CPU (default: KGEC_WORKERS, else 1)")
+    p.add_argument("--workers", type=int, default=1, help="rank chunks of test triples on at most "
+                   "this many threads, and at most one per usable CPU (default: 1)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="interpretability analyses")

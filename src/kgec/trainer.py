@@ -92,9 +92,8 @@ def parse_config(path: str | Path) -> TrainConfig:
     """Read a ``key = value`` config file into a :class:`TrainConfig`.
 
     Lines starting with ``#`` and blank lines are ignored. Keys must match
-    TrainConfig field names; values are cast to the field type. The line
-    ``l2_full = false`` of older configs is skipped. Errors name the file,
-    and the line where there is one.
+    TrainConfig field names; values are cast to the field type. Errors name
+    the file, and the line where there is one.
     """
     values: dict = {}
     for lineno, line in read_lines(path):
@@ -105,10 +104,6 @@ def parse_config(path: str | Path) -> TrainConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "l2_full":  # older runs' config.cfg holds it; its false value trains as now
-            if _BOOL_WORDS.get(value.lower()) is False:
-                continue
-            raise ValueError(f"{path}:{lineno}: l2_full = {value}: full-parameter L2 was removed")
         if key not in _FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:

@@ -522,12 +522,12 @@ MUTANTS = [
     Mutant(
         "grid-resume-inputs-unchecked",
         "src/kgec/cli.py",
-        "        if differs:\n",
-        "        if False:\n",
+        "    if differs:\n",
+        "    if False:\n",
         CLI_TESTS,
     ),
-    # The state records the inputs with every write, and a resume checks both
-    # the state's record and the manifest's.
+    # The state records the inputs with every write, and a resume refuses a
+    # state without that record.
     Mutant(
         "grid-state-records-no-inputs",
         "src/kgec/cli.py",
@@ -536,17 +536,10 @@ MUTANTS = [
         CLI_TESTS,
     ),
     Mutant(
-        "grid-resume-ignores-the-state-inputs",
+        "grid-resume-accepts-a-state-without-inputs",
         "src/kgec/cli.py",
-        "for record in (stated, recorded):",
-        "for record in (recorded,):",
-        CLI_TESTS,
-    ),
-    Mutant(
-        "grid-resume-ignores-the-manifest-inputs",
-        "src/kgec/cli.py",
-        "for record in (stated, recorded):",
-        "for record in (stated,):",
+        'state.pop("inputs", None)',
+        'state.pop("inputs", inputs)',
         CLI_TESTS,
     ),
     Mutant(
@@ -615,6 +608,27 @@ MUTANTS = [
         "labels[entity] = type_ids.setdefault(type_name, len(type_ids))",
         "labels.setdefault(entity, type_ids.setdefault(type_name, len(type_ids)))",
         ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "load_type_labels-accepts-a-file-that-labels-no-entity",
+        "src/kgec/analysis.py",
+        "    if not labels:\n",
+        "    if False:\n",
+        ANALYSIS_TESTS + ("tests/test_cli.py::test_analyze_reads_every_input_before_writing",),
+    ),
+    # analyze reads its labels and rules before it makes --out.
+    Mutant(
+        "analyze-makes-out-before-reading-its-inputs",
+        "src/kgec/cli.py",
+        "    labels = load_type_labels(args.types, dataset.vocab) if args.types else None\n"
+        "    ents = load_entailments(args.ents, dataset.vocab) if args.ents else None\n"
+        "    out_dir = Path(args.out)\n"
+        "    out_dir.mkdir(parents=True, exist_ok=True)\n",
+        "    out_dir = Path(args.out)\n"
+        "    out_dir.mkdir(parents=True, exist_ok=True)\n"
+        "    labels = load_type_labels(args.types, dataset.vocab) if args.types else None\n"
+        "    ents = load_entailments(args.ents, dataset.vocab) if args.ents else None\n",
+        ("tests/test_cli.py::test_analyze_reads_every_input_before_writing",),
     ),
     Mutant(
         "load_type_labels-file-order",

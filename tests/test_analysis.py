@@ -316,6 +316,14 @@ class TestTypeLabelIO:
         assert labels.types[0] == labels.types[2]
         assert "skipped 1" in caplog.text
 
+    @pytest.mark.parametrize("text", ["ghost\tT0\n", ""], ids=["unknown-entity", "empty"])
+    def test_a_file_that_labels_no_entity_raises_naming_it(self, tmp_path, text):
+        path = tmp_path / "types.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_type_labels(path, make_vocab(2, 0))
+        assert str(exc.value) == f"{path}: no type label names an entity of the vocabulary"
+
     def test_a_later_line_overrides_an_earlier_one(self, tmp_path):
         path = tmp_path / "types.tsv"
         path.write_text("e0\tA\ne1\tB\ne0\tB\ne1\tC\n")

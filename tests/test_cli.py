@@ -242,6 +242,31 @@ def test_analyze_normalizes_only_the_labeled_rows(data_dir, tmp_path, monkeypatc
             assert line.split(",")[1:] == [f"{v:.6f}" for v in every_row[entity]]
 
 
+@pytest.mark.parametrize(
+    "types, rules, bad, message",
+    [
+        ("e0\tT0\ne1\tT1\n", "r0\tr9\t0.9\n", "rules", ":1: "),
+        ("ghost\tT0\n", None, "types", ": no type label names an entity of the vocabulary"),
+    ],
+    ids=["rules-name-an-unknown-relation", "types-label-no-entity"],
+)
+def test_analyze_reads_every_input_before_writing(data_dir, tmp_path, capsys, types, rules, bad, message):
+    vocab = load_dataset(data_dir).vocab
+    checkpoint = tmp_path / "model.kgec"
+    save_checkpoint(init_params(len(vocab.entities), len(vocab.relations), 4, seed=0), checkpoint)
+    paths = {"types": tmp_path / "types.tsv", "rules": tmp_path / "rules.tsv"}
+    out = tmp_path / "analysis"
+    argv = ["analyze", "--data", str(data_dir), "--checkpoint", str(checkpoint), "--out", str(out)]
+    for flag, name, text in (("--types", "types", types), ("--ents", "rules", rules)):
+        if text is not None:
+            paths[name].write_text(text)
+            argv += [flag, str(paths[name])]
+    assert main(argv) == 1
+    error = capsys.readouterr().err.splitlines()[-1]  # after the warning that the sidecar names no vocabulary
+    assert error.startswith(f"kgec analyze: error: {paths[bad]}{message}")
+    assert not out.exists()
+
+
 def test_train_is_reproducible_from_identical_inputs(data_dir, config_file, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -430,23 +455,15 @@ def test_eval_without_test_triples_fails_naming_the_split(
     assert error == f"kgec eval: error: {data_dir / 'test.txt'}: eval needs test triples"
 
 
-def test_a_config_cfg_with_the_legacy_l2_full_line_trains_to_the_same_bytes(
-    data_dir, config_file, tmp_path
-):
+def test_a_config_with_an_l2_full_line_is_refused(data_dir, config_file, tmp_path, capsys):
     # config.cfg of runs made before full-parameter L2 was removed ends with it.
-    legacy = tmp_path / "legacy.cfg"
-    legacy.write_text(config_file.read_text() + "project = true\nl2_full = false\n")
-    runs = []
-    for name, config in (("new", config_file), ("legacy", legacy)):
-        runs.append(tmp_path / name)
-        argv = ["train", "--data", str(data_dir), "--config", str(config), "--out", str(runs[-1])]
-        assert main(argv + ["--precision", "64"]) == 0
-    for name in ("checkpoint.kgec", "log.csv", "config.cfg", "entities.txt"):
-        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
-    assert "l2_full" not in (runs[1] / "config.cfg").read_text()
-    legacy.write_text(config_file.read_text() + "l2_full = true\n")
-    argv = ["train", "--data", str(data_dir), "--config", str(legacy), "--out", str(tmp_path / "x")]
-    assert main(argv) == 1
+    config = tmp_path / "old.cfg"
+    config.write_text(config_file.read_text() + "l2_full = false\n")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--config", str(config), "--out", str(out)]) == 1
+    line = len(config.read_text().splitlines())
+    assert capsys.readouterr().err == f"kgec train: error: {config}:{line}: unknown config key 'l2_full'\n"
+    assert not out.exists()
 
 
 def _counting_train(monkeypatch):
@@ -687,29 +704,15 @@ def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch, crash, targ
     assert not [name for name in after if name.endswith(".tmp")]
 
 
-def test_workers_env_fallback(monkeypatch):
-    from kgec.cli import _workers
-
-    class Args:
-        workers = None
-
-    monkeypatch.setenv("KGEC_WORKERS", "3")
-    assert _workers(Args()) == 3
-    monkeypatch.delenv("KGEC_WORKERS")
-    assert _workers(Args()) == 1
-    monkeypatch.setenv("KGEC_WORKERS", "x")
-    with pytest.raises(ValueError, match="KGEC_WORKERS must be an integer, got 'x'"):
-        _workers(Args())
+def test_eval_rejects_a_worker_count_below_one_before_loading(data_dir, tmp_path, capsys):
+    # The checkpoint does not exist, so only a check made before loading names the flag.
+    out = tmp_path / "out"
+    argv = ["eval", "--data", str(data_dir), "--checkpoint", str(tmp_path / "missing.kgec"), "--out", str(out)]
+    assert build_parser().parse_args(argv).workers == 1
     for count in ("0", "-2"):
-        monkeypatch.setenv("KGEC_WORKERS", count)
-        with pytest.raises(ValueError, match=f"KGEC_WORKERS must be at least 1, got {count}"):
-            _workers(Args())
-    Args.workers = 7
-    assert _workers(Args()) == 7
-    for count in (0, -2):
-        Args.workers = count
-        with pytest.raises(ValueError, match=f"--workers must be at least 1, got {count}"):
-            _workers(Args())
+        assert main(argv + ["--workers", count]) == 1
+        assert capsys.readouterr().err == f"kgec eval: error: --workers must be at least 1, got {count}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1125,38 +1128,26 @@ def test_the_manifest_holds_the_input_hashes_from_before_training(data_dir, conf
         verify_inputs(manifest)
 
 
-def test_a_sweep_resumes_only_on_the_inputs_its_manifest_records(data_dir, config_file, tmp_path, capsys):
+def test_a_sweep_refuses_a_state_without_inputs(data_dir, config_file, tmp_path, capsys, monkeypatch):
     argv = _grid_argv(data_dir, config_file, tmp_path, {"d": [2, 4]})
     out = tmp_path / "grid"
     assert main(argv) == 0
-    # A state written before states recorded their inputs: only the manifest's record is checked.
     state = json.loads((out / "grid_state.json").read_text())
     del state["inputs"]
     (out / "grid_state.json").write_text(json.dumps(state))
-    data_b = tmp_path / "data_b"
-    shutil.copytree(data_dir, data_b)
-    (data_b / "test.txt").write_text("e0\tr2\te1\n")
-    argv_b = [str(data_b) if arg == str(data_dir) else arg for arg in argv]
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
-    assert main(argv_b) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"kgec train: error: {out / 'grid_state.json'}: ") and f"({data_b / 'test.txt'} differs)" in err
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-    # The same bytes from another directory resume: every point is done.
-    shutil.copytree(data_dir, tmp_path / "data_c")
-    assert main([str(tmp_path / "data_c") if arg == str(data_dir) else arg for arg in argv]) == 0
-    assert "grid point" not in capsys.readouterr().out
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-    (out / "manifest.json").write_text('{"seed": 0}\n')
+    monkeypatch.setattr(kgec.cli, "load_dataset", _raise_crash)  # refused before the data is read
     assert main(argv) == 1
     assert capsys.readouterr().err == (
-        f"kgec train: error: {out / 'manifest.json'}: expected an 'inputs' object\n"
+        f"kgec train: error: {out / 'grid_state.json'}: expected a JSON object mapping grid points "
+        'to numbers and "inputs" to an object\n'
     )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_a_sweep_without_a_manifest_resumes_only_on_the_inputs_its_state_records(
-    data_dir, config_file, tmp_path, capsys
+    data_dir, config_file, tmp_path, capsys, monkeypatch
 ):
     argv = _grid_argv(data_dir, config_file, tmp_path, {"d": [2, 4]})
     out = tmp_path / "grid"
@@ -1171,7 +1162,9 @@ def test_a_sweep_without_a_manifest_resumes_only_on_the_inputs_its_state_records
     (out / "manifest.json").unlink()
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
-    assert main(argv_b) == 1
+    with monkeypatch.context() as patch:  # refused before the data is read
+        patch.setattr(kgec.cli, "load_dataset", _raise_crash)
+        assert main(argv_b) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"kgec train: error: {out / 'grid_state.json'}: ") and f"({data_b / 'test.txt'} differs)" in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -1180,11 +1173,13 @@ def test_a_sweep_without_a_manifest_resumes_only_on_the_inputs_its_state_records
     assert main([str(tmp_path / "data_c") if arg == str(data_dir) else arg for arg in argv]) == 0
     assert "grid point" not in capsys.readouterr().out
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-    # A state written before states recorded their inputs, with no manifest, resumes as it stands.
+    # A state without its inputs is refused, with or without a manifest.
     del state["inputs"]
     (out / "grid_state.json").write_text(json.dumps(state))
-    assert main(argv_b) == 0
-    assert "grid point" not in capsys.readouterr().out
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(argv_b) == 1
+    assert capsys.readouterr().err.startswith(f"kgec train: error: {out / 'grid_state.json'}: expected ")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_a_single_run_refuses_an_out_that_holds_a_sweep(data_dir, config_file, tmp_path, capsys, monkeypatch):
