@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Entailment, Vocab, VocabularyError, read_tsv
-from .manifest import write_csv
+from .data import Entailment, Vocab, VocabularyError, read_tsv, write_csv
 from .model import _check_ids
 from . import objective
 from .objective import RuleArrays, _block_rows, _per_block, pack_entailments, rule_deltas

@@ -28,14 +28,9 @@ from .analysis import (
     write_pair_diagnostics_csv,
     write_purity_csv,
 )
-from .data import IdMap, Vocab, build_known_index, load_dataset, load_entailments, load_triples
-from .evaluation import (
-    evaluate,
-    significance_report,
-    write_metrics_csv,
-    write_rank_dump,
-)
-from .manifest import atomic_write, read_json, sha256_file
+from .data import IdMap, Vocab, atomic_write, build_known_index, load_dataset, load_entailments
+from .data import load_triples, read_json, sha256_file
+from .evaluation import evaluate, significance_report, write_metrics_csv, write_rank_dump
 from .mining import mine_entailments, write_rules
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, parse_config, train, write_config, write_training_log
@@ -234,12 +229,13 @@ def _load_model_and_data(args):
 def cmd_eval(args) -> None:
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    out_dir = Path(args.out)
+    _refuse_overwrite([out_dir / "metrics.csv", args.dump_ranks and out_dir / "ranks.csv"], [args.checkpoint])
     params, dataset = _load_model_and_data(args)
     if not dataset.test:
         raise ValueError(f"{Path(args.data, 'test.txt')}: eval needs test triples")
     known = build_known_index(dataset)
     result = evaluate(params, dataset.test, known, workers=args.workers)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result, out_dir / "metrics.csv")
     if args.dump_ranks:
@@ -263,11 +259,14 @@ def cmd_analyze(args) -> None:
     for k in ks:
         if not 0.0 < k <= 100.0:
             raise ValueError(f"--ks entries must lie in (0, 100], got {k:g}")
+    out_dir = Path(args.out)
+    written = [f"{kind}_{part}.csv" for kind in ("purity", "heatmap") for part in ("real", "imag") if args.types]
+    written += ["relation_pairs.csv"] if args.ents else []
+    _refuse_overwrite([out_dir / name for name in written], [args.checkpoint, args.types, args.ents])
     params, dataset = _load_model_and_data(args)
     # Every input is read before --out is made, so a bad one leaves no file.
     labels = load_type_labels(args.types, dataset.vocab) if args.types else None
     ents = load_entailments(args.ents, dataset.vocab) if args.ents else None
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if labels is not None:

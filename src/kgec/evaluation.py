@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import stdtr
 
-from .data import KnownIndex, Triple, triple_array
-from .manifest import read_lines, write_csv
+from .data import KnownIndex, Triple, read_lines, triple_array, write_csv
 from .model import ModelParams, _check_ids, score_all_heads, score_all_tails
 from .objective import _per_block
 

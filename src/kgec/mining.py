@@ -32,8 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Entailment, Vocab, triple_array, write_entailments
-from .manifest import write_csv
+from .data import Entailment, Vocab, triple_array, write_csv, write_entailments
 
 # Matches one join step expands at once; see _join_count.
 _JOIN_CHUNK = 1 << 18

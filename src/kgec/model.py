@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .manifest import atomic_write, read_json
+from .data import atomic_write, read_json
 
 CHECKPOINT_MAGIC = b"KGEC1"
 _HEADER = struct.Struct("<4I")  # n, m, d, precision bits

@@ -19,9 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, Entailment, build_known_index, triple_array
+from .data import Dataset, Entailment, atomic_write, build_known_index, read_lines, triple_array, write_csv
 from .evaluation import evaluate
-from .manifest import atomic_write, read_lines, write_csv
 from .model import ModelParams, init_params, real_view
 from .objective import SparseGrads, _block_rows, _per_block, loss_and_gradient_arrays
 from .objective import pack_entailments
@@ -92,8 +91,8 @@ def parse_config(path: str | Path) -> TrainConfig:
     """Read a ``key = value`` config file into a :class:`TrainConfig`.
 
     Lines starting with ``#`` and blank lines are ignored. Keys must match
-    TrainConfig field names; values are cast to the field type. Errors name
-    the file, and the line where there is one.
+    TrainConfig field names, each at most once; values are cast to the field
+    type. Errors name the file, and the line where there is one.
     """
     values: dict = {}
     for lineno, line in read_lines(path):
@@ -106,6 +105,8 @@ def parse_config(path: str | Path) -> TrainConfig:
         key, value = key.strip(), value.strip()
         if key not in _FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
         try:
             values[key] = _cast_field(key, value)
         except ValueError as exc:

@@ -9,8 +9,7 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from kgec.data import Dataset, IdMap, Triple, Vocab, write_tsv
-from kgec.manifest import read_json, sha256_file
+from kgec.data import Dataset, IdMap, Triple, Vocab, read_json, sha256_file, write_tsv
 from kgec.model import score_all_tails
 from kgec.objective import SparseGrads
 

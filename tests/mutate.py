@@ -55,35 +55,35 @@ TRAINER_TESTS = ("tests/test_trainer.py",)
 MUTANTS = [
     Mutant(
         "read_lines-crlf-keeps-cr",
-        "src/kgec/manifest.py",
+        "src/kgec/data.py",
         '.replace("\\r\\n", "\\n")',
         "",
         DATA_TESTS,
     ),
     Mutant(
         "read_lines-last-line-keeps-cr",
-        "src/kgec/manifest.py",
+        "src/kgec/data.py",
         'lines[-1] = lines[-1].removesuffix("\\r")',
         "pass",
         DATA_TESTS,
     ),
     Mutant(
         "read_lines-keeps-trailing-empty-line",
-        "src/kgec/manifest.py",
+        "src/kgec/data.py",
         "lines.pop()",
         "pass",
         DATA_TESTS,
     ),
     Mutant(
         "read_lines-keeps-a-leading-byte-order-mark",
-        "src/kgec/manifest.py",
+        "src/kgec/data.py",
         "data = fh.read().removeprefix(codecs.BOM_UTF8)",
         "data = fh.read()",
         DATA_TESTS,
     ),
     Mutant(
         "read_lines-no-line-by-line-fallback",
-        "src/kgec/manifest.py",
+        "src/kgec/data.py",
         "    except UnicodeDecodeError:\n",
         '    except UnicodeDecodeError as exc:\n        raise ValueError(f"{path}: {exc}") from None\n',
         DATA_TESTS,
@@ -477,17 +477,24 @@ MUTANTS = [
     # Outputs and the run directory.
     Mutant(
         "atomic_write-writes-in-place",
-        "src/kgec/manifest.py",
+        "src/kgec/data.py",
         'tmp = path.with_name(path.name + ".tmp")',
         "tmp = path",
         CLI_TESTS,
     ),
     Mutant(
         "atomic_write-keeps-temp-on-error",
-        "src/kgec/manifest.py",
+        "src/kgec/data.py",
         "tmp.unlink(missing_ok=True)",
         "pass",
         CLI_TESTS,
+    ),
+    Mutant(
+        "read_json-repeated-key-takes-the-last",
+        "src/kgec/data.py",
+        "json.load(fh, object_pairs_hook=_unique_keys)",
+        "json.load(fh)",
+        DATA_TESTS,
     ),
     Mutant(
         "sidecar-vocab-read-at-stored-path",
@@ -547,6 +554,20 @@ MUTANTS = [
         "src/kgec/cli.py",
         "written = {Path(path).resolve() for path in outputs if path}",
         "written = set()",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "eval-overwrites-its-checkpoint",
+        "src/kgec/cli.py",
+        '    _refuse_overwrite([out_dir / "metrics.csv", args.dump_ranks and out_dir / "ranks.csv"], [args.checkpoint])\n',
+        "",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "analyze-overwrites-its-inputs",
+        "src/kgec/cli.py",
+        "    _refuse_overwrite([out_dir / name for name in written], [args.checkpoint, args.types, args.ents])\n",
+        "",
         CLI_TESTS,
     ),
     Mutant(
@@ -622,9 +643,7 @@ MUTANTS = [
         "src/kgec/cli.py",
         "    labels = load_type_labels(args.types, dataset.vocab) if args.types else None\n"
         "    ents = load_entailments(args.ents, dataset.vocab) if args.ents else None\n"
-        "    out_dir = Path(args.out)\n"
         "    out_dir.mkdir(parents=True, exist_ok=True)\n",
-        "    out_dir = Path(args.out)\n"
         "    out_dir.mkdir(parents=True, exist_ok=True)\n"
         "    labels = load_type_labels(args.types, dataset.vocab) if args.types else None\n"
         "    ents = load_entailments(args.ents, dataset.vocab) if args.ents else None\n",
@@ -695,6 +714,13 @@ MUTANTS = [
         TRAINER_TESTS,
     ),
     Mutant(
+        "parse_config-repeated-key-takes-the-last",
+        "src/kgec/trainer.py",
+        '        if key in values:\n            raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")\n',
+        "",
+        TRAINER_TESTS,
+    ),
+    Mutant(
         "parse_config-cast-error-drops-line-number",
         "src/kgec/trainer.py",
         'raise ValueError(f"{path}:{lineno}: {exc}") from None',
@@ -710,7 +736,7 @@ MUTANTS = [
     ),
     Mutant(
         "read_lines-fallback-error-drops-line-number",
-        "src/kgec/manifest.py",
+        "src/kgec/data.py",
         'raise ValueError(f"{path}:{lineno}: {exc}")',
         'raise ValueError(f"{path}: {exc}")',
         DATA_TESTS,

@@ -21,8 +21,7 @@ import kgec
 import kgec.cli
 from kgec.analysis import activation_heatmap, load_type_labels, purity_curve, write_purity_csv
 from kgec.cli import build_parser, main
-from kgec.data import Dataset, Triple, load_dataset, write_tsv
-from kgec.manifest import sha256_file, write_csv
+from kgec.data import Dataset, Triple, load_dataset, sha256_file, write_csv, write_tsv
 from kgec.model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from kgec.trainer import EpochStats, TrainConfig, parse_config, write_training_log
 
@@ -399,12 +398,14 @@ def test_train_rejects_a_negative_seed_before_writing(data_dir, config_file, tmp
     "flags, file, message",
     [
         (["--seed", "-1"], None, "seed must be non-negative, got -1"),
-        (["--config", "{file}"], "d = 8\nd = 0\n", "{file}: d must be at least 1"),
+        (["--config", "{file}"], "d = 0\n", "{file}: d must be at least 1"),
+        (["--config", "{file}"], "d = 8\nd = 0\n", "{file}:2: repeated config key 'd'"),
         (["--grid", "--grid-file", "{file}"], '{"depth": [2]}', "{file}: unknown grid key 'depth'"),
         (["--grid", "--grid-file", "{file}"], '{"l2_full": [false]}',
          "{file}: unknown grid key 'l2_full'"),
+        (["--grid", "--grid-file", "{file}"], '{"d": [4], "d": [8]}', "{file}: invalid JSON: repeated key 'd'"),
     ],
-    ids=["--seed", "config", "--grid-file", "grid-l2_full"],
+    ids=["--seed", "config", "config-repeated-key", "--grid-file", "grid-l2_full", "grid-repeated-key"],
 )
 def test_train_checks_its_config_before_loading_the_data(tmp_path, capsys, flags, file, message):
     # The data directory has no train.txt, so loading first would fail naming it.
@@ -1229,6 +1230,36 @@ def test_significance_refuses_to_overwrite_a_rank_dump(tmp_path, capsys):
     a.write_text("h,r,t,head_rank,tail_rank\n0,0,1,1,2\n1,0,2,3,1\n")
     b.write_text("h,r,t,head_rank,tail_rank\n0,0,1,2,2\n1,0,2,1,4\n")
     _assert_refused(["significance", "--ranks-a", str(a), "--ranks-b", str(b), "--out", str(a)], a, capsys)
+
+
+@pytest.mark.parametrize("name, flags", [("metrics.csv", []), ("ranks.csv", ["--dump-ranks"])],
+                         ids=["metrics", "ranks"])
+def test_eval_refuses_to_overwrite_its_checkpoint(data_dir, tmp_path, capsys, name, flags):
+    out = tmp_path / "out"
+    out.mkdir()
+    checkpoint = out / name
+    save_checkpoint(init_params(12, 3, 4, seed=0), checkpoint)
+    before = sorted(out.iterdir())
+    argv = ["eval", "--data", str(data_dir), "--checkpoint", str(checkpoint), "--out", str(out), *flags]
+    _assert_refused(argv, checkpoint, capsys)
+    assert sorted(out.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "flag, name, text",
+    [("--types", "purity_real.csv", "e0\tT0\ne1\tT1\n"), ("--ents", "relation_pairs.csv", "r0\tr1\t0.9\n")],
+    ids=["types-at-a-purity-output", "rules-at-the-pairs-output"],
+)
+def test_analyze_refuses_to_overwrite_an_input(data_dir, tmp_path, capsys, flag, name, text):
+    checkpoint = tmp_path / "model.kgec"
+    save_checkpoint(init_params(12, 3, 4, seed=0), checkpoint)
+    out = tmp_path / "analysis"
+    out.mkdir()
+    victim = out / name
+    victim.write_text(text)
+    argv = ["analyze", "--data", str(data_dir), "--checkpoint", str(checkpoint), "--out", str(out), flag, str(victim)]
+    _assert_refused(argv, victim, capsys)
+    assert list(out.iterdir()) == [victim]
 
 
 def test_mine_refuses_a_forward_premise_ending_in_the_inverse_suffix(tmp_path, capsys):

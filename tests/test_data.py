@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import itertools
+import json
 import logging
 import re
 import tracemalloc
@@ -27,10 +28,11 @@ from kgec.data import (
     load_dataset,
     load_entailments,
     load_triples,
+    read_json,
+    read_lines,
     triple_array,
     write_entailments,
 )
-from kgec.manifest import read_lines
 
 from conftest import id_map, make_vocab, names_of, random_dataset, wn18_train_path, write_triples
 from oracles import oracle_load_triples, oracle_read_lines
@@ -254,6 +256,28 @@ class TestOnePassRead:
         assert _outcome(lambda: list(read_lines(path))) == _outcome(lambda: list(oracle_read_lines(path)))
         new, old = (Vocab(id_map("a", "b"), id_map("p")) for _ in range(2))
         assert _load_outcome(load_triples, path, new, grow) == _load_outcome(oracle_load_triples, path, old, grow)
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("text, key", [
+        ('{"d": [4], "d": [8]}', "d"),
+        ('{"a": 1, "b": 1, "b": 2, "a": 2}', "b"),
+        ('{"grid": {"mu": [1], "eta": [2], "mu": [3]}}', "mu"),
+        ('[{"x": 1}, {"y": null, "y": null}]', "y"),
+    ], ids=["top-level", "first-key-seen-twice", "nested", "in-a-list"])
+    def test_a_repeated_key_in_any_object_raises_naming_the_file(self, tmp_path, text, key):
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_json(path)
+        assert str(info.value) == f"{path}: invalid JSON: repeated key {key!r}"
+
+    def test_objects_without_a_repeated_key_read_as_json_loads_reads_them(self, tmp_path):
+        text = '{"b": [1, {"a": null, "c": 2.5}], "a": {"": true}, "B": "b"}'
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        assert read_json(path) == json.loads(text)
+        assert list(read_json(path)) == ["b", "a", "B"]
 
 
 class TestVocab:

@@ -267,6 +267,14 @@ class TestConfig:
             parse_config(path)
         assert str(exc.value) == f"{path}:2: unknown config key 'l2_full'"
 
+    def test_rejects_a_repeated_key_naming_its_second_line(self, tmp_path):
+        # Taking the last value would train at mu = 0.1 while the file also says 10.
+        path = tmp_path / "run.cfg"
+        path.write_text("mu = 10\nd = 16\nmu = 0.1\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}:3: repeated config key 'mu'"
+
     def test_rejects_a_line_without_equals_naming_the_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("d = 16\nlr 0.2\n")
