@@ -332,9 +332,12 @@ def load_entailments(path: str | Path, vocab: Vocab) -> list[Entailment]:
 
     Each line is ``premise<TAB>conclusion<TAB>confidence``. A premise name
     ending in ``^-1`` marks an inverted premise. Relation names must already
-    be present in ``vocab``; the confidence must lie in (0, 1].
+    be present in ``vocab``; the confidence must lie in (0, 1]. A rule given
+    twice, whatever its confidences, raises ValueError naming both lines,
+    since its penalty would count twice.
     """
     entailments: list[Entailment] = []
+    first_lines: dict[tuple[int, bool, int], int] = {}
     for lineno, (premise_name, conclusion_name, conf_text) in read_tsv(path, 3):
         inverted = premise_name.endswith(_INVERSE_SUFFIX)
         if inverted:
@@ -342,6 +345,9 @@ def load_entailments(path: str | Path, vocab: Vocab) -> list[Entailment]:
         try:  # every error names the line
             premise = vocab.relations.id(premise_name)
             conclusion = vocab.relations.id(conclusion_name)
+            first = first_lines.setdefault((premise, inverted, conclusion), lineno)
+            if first != lineno:
+                raise ValueError(f"repeated rule: line {first} gives the same premise and conclusion")
             try:
                 confidence = float(conf_text)
             except ValueError:

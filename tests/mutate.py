@@ -172,6 +172,13 @@ MUTANTS = [
         'raise type(exc)(f"{path}: {exc}")',
         DATA_TESTS,
     ),
+    Mutant(
+        "load_entailments-accepts-a-repeated-rule",
+        "src/kgec/data.py",
+        "            if first != lineno:\n",
+        "            if False:\n",
+        DATA_TESTS,
+    ),
     # The training kernel's row matrix q and its segment sum.
     Mutant(
         "kernel-negative-reads-other-partial",

@@ -4,6 +4,7 @@ package surface the README documents."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import logging
 import os
@@ -19,9 +20,16 @@ import pytest
 
 import kgec
 import kgec.cli
-from kgec.analysis import activation_heatmap, load_type_labels, purity_curve, write_purity_csv
+from kgec.analysis import (
+    activation_heatmap,
+    load_type_labels,
+    pair_residuals,
+    purity_curve,
+    write_pair_diagnostics_csv,
+    write_purity_csv,
+)
 from kgec.cli import build_parser, main
-from kgec.data import Dataset, Triple, load_dataset, sha256_file, write_csv, write_tsv
+from kgec.data import Dataset, Entailment, Triple, load_dataset, sha256_file, write_csv, write_tsv
 from kgec.model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from kgec.trainer import EpochStats, TrainConfig, parse_config, write_training_log
 
@@ -166,8 +174,17 @@ GOLDEN_PAIRS = GOLDEN_HEADER + (
     "others,r0,r2,,0.200000,0.250000\r\n"
     "others,r1,r2,,0.100000,0.450000\r\n"
 )
-# The equivalence pair r0 <-> r1 absorbs the weak r1 -> r0 too; r2^-1 -> r1
-# has only a weak reverse, so no pair; the duplicated r0 -> r2 stays twice.
+# r2^-1 -> r1 and r0 -> r2 have only weak reverses, so no pair.
+GOLDEN_RULES_WEAK = "r0\tr2\t0.7\nr0\tr1\t0.9\nr2^-1\tr1\t0.9\nr1\tr0\t0.95\nr1^-1\tr2\t0.6\nr2\tr0\t0.3\n"
+GOLDEN_PAIRS_WEAK = GOLDEN_HEADER + (
+    "equivalence,r0,r1,0.200000,,\r\n"
+    "others,r0,r2,,0.200000,0.250000\r\n"
+    "others,r2,r1,,0.500000,0.450000\r\n"
+    "others,r1,r2,,0.100000,0.450000\r\n"
+    "others,r2,r0,,0.500000,0.250000\r\n"
+)
+# A list of rules, unlike a rules file, may repeat one: the equivalence pair
+# r0 <-> r1 absorbs the weak r1 -> r0 too, and the repeated r0 -> r2 stays twice.
 GOLDEN_RULES_REPEATED = (
     "r1\tr0\t0.5\nr0\tr2\t0.7\nr0\tr1\t0.9\nr2^-1\tr1\t0.9\n"
     "r1\tr0\t0.95\nr0\tr2\t0.7\nr1^-1\tr2\t0.6\nr2\tr0\t0.3\n"
@@ -187,9 +204,9 @@ GOLDEN_PAIRS_REPEATED = GOLDEN_HEADER + (
     [
         (GOLDEN_RULES, GOLDEN_PAIRS),
         ("", GOLDEN_HEADER),
-        (GOLDEN_RULES_REPEATED, GOLDEN_PAIRS_REPEATED),
+        (GOLDEN_RULES_WEAK, GOLDEN_PAIRS_WEAK),
     ],
-    ids=["every-class", "no-rules", "duplicates-and-weak-reverses"],
+    ids=["every-class", "no-rules", "weak-reverses"],
 )
 def test_analyze_relation_pairs_golden(data_dir, tmp_path, rules, expected):
     vocab = load_dataset(data_dir).vocab
@@ -205,6 +222,17 @@ def test_analyze_relation_pairs_golden(data_dir, tmp_path, rules, expected):
             "--ents", str(rules_path), "--out", str(out)]
     assert main(argv) == 0
     assert (out / "relation_pairs.csv").read_bytes() == expected.encode()
+
+
+def test_relation_pairs_golden_of_a_list_with_repeated_rules(data_dir, tmp_path):
+    vocab = load_dataset(data_dir).vocab
+    names = [vocab.relations.name(k) for k in range(len(vocab.relations))]
+    rel = np.array([GOLDEN_RELATIONS[name] for name in names])
+    ids = vocab.relations.id
+    rules = [Entailment(ids(p.removesuffix("^-1")), p.endswith("^-1"), ids(q), float(c))
+             for p, q, c in (line.split("\t") for line in GOLDEN_RULES_REPEATED.splitlines())]
+    write_pair_diagnostics_csv(*pair_residuals(rel, rules, 0.8), vocab, tmp_path / "pairs.csv")
+    assert (tmp_path / "pairs.csv").read_bytes() == GOLDEN_PAIRS_REPEATED.encode()
 
 
 def test_analyze_normalizes_only_the_labeled_rows(data_dir, tmp_path, monkeypatch):
@@ -1021,6 +1049,24 @@ def test_public_api_resolves_and_covers_the_readme():
     assert documented and documented <= set(kgec.__all__)
 
 
+def test_package_exports_exactly_the_readme_block():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"from kgec import \(([^)]*)\)", readme)
+    assert set(kgec.__all__) == {name.strip() for name in block.split(",")} - {""}
+    exported = {name for name, value in vars(kgec).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == set(kgec.__all__)
+    # The names the package no longer exports stay importable from their modules.
+    for module, names in {
+        "data": ["Dataset", "Entailment", "KnownIndex", "Triple", "Vocab", "load_triples"],
+        "evaluation": ["EvalResult", "filtered_rank", "paired_ttest"],
+        "mining": ["MinedRule"],
+        "model": ["ModelParams", "init_params", "load_checkpoint", "save_checkpoint"],
+        "objective": ["LossBreakdown"],
+    }.items():
+        for name in names:
+            assert getattr(importlib.import_module(f"kgec.{module}"), name).__module__ == f"kgec.{module}"
+
+
 def test_readme_commands_parse():
     # Every `kgec ...` line of the README's command block, with its `\`
     # continuations joined, must parse, so a renamed flag cannot leave it stale.
@@ -1260,6 +1306,30 @@ def test_analyze_refuses_to_overwrite_an_input(data_dir, tmp_path, capsys, flag,
     argv = ["analyze", "--data", str(data_dir), "--checkpoint", str(checkpoint), "--out", str(out), flag, str(victim)]
     _assert_refused(argv, victim, capsys)
     assert list(out.iterdir()) == [victim]
+
+
+@pytest.mark.parametrize("command", ["train", "analyze"])
+def test_a_repeated_rule_line_is_refused_before_any_output(tmp_path, capsys, command):
+    # The planted rules with their first line given again, which would count that rule twice.
+    data = Path(__file__).resolve().parent / "golden" / "data"
+    lines = (data / "rules.tsv").read_text().splitlines(keepends=True)
+    rules = tmp_path / "rules.tsv"
+    rules.write_text("".join(lines + lines[:1]))
+    out = tmp_path / "out"
+    argv = [command, "--data", str(data), "--ents", str(rules), "--out", str(out)]
+    if command == "train":  # a small run, should the rules be accepted
+        argv += ["--config", str(data.parent / "golden.cfg")]
+    else:
+        dataset = load_dataset(data)
+        checkpoint = tmp_path / "model.kgec"
+        save_checkpoint(init_params(dataset.n_entities, dataset.n_relations, 4, seed=0), checkpoint)
+        argv += ["--checkpoint", str(checkpoint)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"kgec {command}: error: {rules}:{len(lines) + 1}: repeated rule: line 1 gives the same premise and conclusion"
+    )
+    assert not out.exists()
 
 
 def test_mine_refuses_a_forward_premise_ending_in_the_inverse_suffix(tmp_path, capsys):

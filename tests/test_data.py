@@ -476,6 +476,27 @@ class TestEntailments:
         assert exc.type is ParseError
         assert str(exc.value) == f"{path}:2: confidence is not a number: 'high'"
 
+    @pytest.mark.parametrize(
+        "first, repeat",
+        [("r0\tr1\t0.9", "r0\tr1\t0.9"), ("r0\tr1\t0.9", "r0\tr1\t0.5"), ("r1^-1\tr1\t0.9", "r1^-1\tr1\t1")],
+        ids=["same-confidence", "other-confidence", "inverted"],
+    )
+    def test_a_repeated_rule_names_both_lines(self, tmp_path, first, repeat):
+        # Two lines of one rule would weigh its penalty by the sum of their confidences.
+        path = tmp_path / "ents.tsv"
+        path.write_text(f"{first}\nr1\tr0\t0.9\n\n{repeat}\n")
+        with pytest.raises(ValueError) as exc:
+            load_entailments(path, make_vocab(0, 2))
+        assert str(exc.value) == f"{path}:4: repeated rule: line 1 gives the same premise and conclusion"
+
+    def test_rules_that_differ_only_in_sign_or_direction_are_no_repeat(self, tmp_path):
+        path = tmp_path / "ents.tsv"
+        path.write_text("r0\tr1\t0.9\nr0^-1\tr1\t0.9\nr1\tr0\t0.9\nr1^-1\tr0\t0.9\n")
+        ents = load_entailments(path, make_vocab(0, 2))
+        assert [(e.premise_rel, e.premise_inverted, e.conclusion_rel) for e in ents] == [
+            (0, False, 1), (0, True, 1), (1, False, 0), (1, True, 0)
+        ]
+
     def test_unknown_relation(self, tmp_path):
         vocab = make_vocab(0, 1)
         path = tmp_path / "ents.tsv"
