@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import kgec.objective
 from kgec.data import Entailment
-from kgec.model import ModelParams, init_params, real_view
+from kgec.model import ModelParams, init_params, real_dot, real_view
 from kgec.objective import (
     RuleArrays,
     _grad_block,
@@ -348,11 +349,32 @@ def kernel_instances(draw):
     return params, batch, pack_entailments(rules), mu, eta
 
 
-def assert_close(got, want, name):
-    """Entrywise |got - want| <= 1e-12 * max |want|: the kernel reassociates
-    the oracle's sums, so only rounding may differ."""
-    scale = np.max(np.abs(want), initial=0.0)
+def assert_close(got, want, name, scale=None):
+    """Entrywise |got - want| <= 1e-12 * scale, by default max |want|: the
+    kernel reassociates the oracle's sums, so only rounding may differ."""
+    if scale is None:
+        scale = np.max(np.abs(want), initial=0.0)
     assert np.all(np.abs(got - want) <= 1e-12 * scale), name
+
+
+def term_magnitudes(params, heads, rels, tails, labels, rules, mu, eta, ent_ids, rel_ids):
+    """The largest sum of |term| over the terms that ``oracle_scatter_gradients``
+    adds into one real component of the entity rows ``ent_ids``, and of the
+    relation rows ``rel_ids``. Rounding in a reassociated sum is bounded
+    relative to these, not to the sum itself, which the terms of a positive
+    and of its negative can cancel to far below them."""
+    h, r, t = params.ent[heads], params.rel[rels], params.ent[tails]
+    dphi = expit(-labels * real_dot(r, np.conj(h) * t))[:, None]
+    ent = np.zeros((params.ent.shape[0], 2 * params.d))
+    rel = np.zeros((params.rel.shape[0], 2 * params.d))
+    for table, rows, partial in ((ent, heads, np.conj(r) * t), (ent, tails, h * r), (rel, rels, np.conj(h) * t)):
+        np.add.at(table, rows, np.abs(real_view(partial)) * dphi)
+    _, rule_grads = oracle_rule_penalty(params.rel, rules)
+    rule_ids = np.concatenate([rules.premise, rules.conclusion])
+    np.add.at(rel, rule_ids, mu * np.abs(real_view(rule_grads.astype(complex))))
+    ent += 2.0 * eta * np.abs(real_view(params.ent))
+    rel += 2.0 * eta * np.abs(real_view(params.rel))
+    return ent[ent_ids].max(initial=0.0), rel[rel_ids].max(initial=0.0)
 
 
 def blocked_segment_sums(ids, rows, cols, weights, step):
@@ -373,15 +395,17 @@ class TestScatterKernel:
     def test_matches_scatter_oracle(self, instance):
         params, batch, rules, mu, eta = instance
         got_loss, got = loss_and_gradient_arrays(params, *batch, rules, mu, eta)
-        want_loss, want = oracle_scatter_gradients(params, *labelled_batch(*batch), rules, mu, eta)
+        labelled = labelled_batch(*batch)
+        want_loss, want = oracle_scatter_gradients(params, *labelled, rules, mu, eta)
         assert got_loss.entailment_penalty == want_loss.entailment_penalty
         assert got_loss.l2 == want_loss.l2
         for name in ("logistic", "total"):
             assert_close(getattr(got_loss, name), getattr(want_loss, name), name)
         np.testing.assert_array_equal(got.ent_ids, want.ent_ids)
         np.testing.assert_array_equal(got.rel_ids, want.rel_ids)
-        assert_close(got.ent, want.ent, "ent")
-        assert_close(got.rel, want.rel, "rel")
+        ent_scale, rel_scale = term_magnitudes(params, *labelled, rules, mu, eta, want.ent_ids, want.rel_ids)
+        assert_close(got.ent, want.ent, "ent", ent_scale)
+        assert_close(got.rel, want.rel, "rel", rel_scale)
 
     @settings(max_examples=300, deadline=None)
     @given(
