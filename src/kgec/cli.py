@@ -205,17 +205,24 @@ def cmd_train(args) -> None:
 def _load_model_and_data(args):
     """The checkpoint and the dataset, which must have the checkpoint's shape,
     with ids from the vocabulary dumps the sidecar names (found by file name
-    in the checkpoint's directory), or else, with a warning, from the data."""
+    in the checkpoint's directory), each holding one name per row, or else,
+    with a warning, from the data."""
     params, sidecar = load_checkpoint(args.checkpoint)
     keys = ("entity_vocab", "relation_vocab")
     dumps = [sidecar.get(key) for key in keys] if isinstance(sidecar, dict) else None
     if dumps is None or any(type(dump) not in (str, type(None)) for dump in dumps):
         raise ValueError(f"{args.checkpoint}.manifest.json: vocab paths must be strings or null")
     directory = Path(args.checkpoint).parent
-    vocab = None if None in dumps else Vocab(*(IdMap.load(directory / Path(dump).name) for dump in dumps))
+    paths = [None if dump is None else directory / Path(dump).name for dump in dumps]
+    vocab = None if None in paths else Vocab(*map(IdMap.load, paths))
     if vocab is None:
         logger.warning("%s: the sidecar names no vocabulary dumps; ids follow the order of first "
                        "appearance in %s", args.checkpoint, Path(args.data, "train.txt"))
+    else:  # a dump short of names would otherwise fail naming a split line
+        tables = (vocab.entities, params.n_entities), (vocab.relations, params.n_relations)
+        for path, (names, rows) in zip(paths, tables):
+            if len(names) != rows:
+                raise ValueError(f"{path}: {len(names)} names, but the checkpoint has {rows} rows")
     dataset = load_dataset(args.data, vocab)
     if dataset.n_entities != params.n_entities or dataset.n_relations != params.n_relations:
         raise ValueError(

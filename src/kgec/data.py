@@ -40,16 +40,8 @@ logger = logging.getLogger(__name__)
 _INVERSE_SUFFIX = "^-1"
 
 
-class ParseError(ValueError):
-    """A data file line does not match the expected format."""
-
-
 class VocabularyError(ValueError):
     """A name cannot be resolved against a fixed vocabulary."""
-
-
-class RangeError(ValueError):
-    """A numeric field falls outside its allowed range."""
 
 
 @contextmanager
@@ -138,14 +130,14 @@ def read_tsv(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]
 
     Only the line terminator (LF or CRLF) is removed, so fields keep any
     other whitespace. A line with another number of fields raises
-    :class:`ParseError` naming the file and line.
+    ValueError naming the file and line.
     """
     for lineno, line in read_lines(path):
         if not line:
             continue
         fields = line.split("\t")
         if len(fields) != n_fields:
-            raise ParseError(
+            raise ValueError(
                 f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
                 f"got {len(fields)}"
             )
@@ -204,12 +196,10 @@ class Entailment:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.confidence <= 1.0:
-            raise RangeError(
-                f"entailment confidence must lie in (0, 1], got {self.confidence}"
-            )
+            raise ValueError(f"entailment confidence must lie in (0, 1], got {self.confidence}")
         bad = min(self.premise_rel, self.conclusion_rel)
         if bad < 0:  # it would index the relation table from the end
-            raise RangeError(f"entailment names an unknown relation: id {bad} is negative")
+            raise ValueError(f"entailment names an unknown relation: id {bad} is negative")
         if not self.premise_inverted and self.premise_rel == self.conclusion_rel:
             raise ValueError(
                 "premise and conclusion name the same signed relation "
@@ -351,7 +341,7 @@ def load_entailments(path: str | Path, vocab: Vocab) -> list[Entailment]:
             try:
                 confidence = float(conf_text)
             except ValueError:
-                raise ParseError(f"confidence is not a number: {conf_text!r}") from None
+                raise ValueError(f"confidence is not a number: {conf_text!r}") from None
             entailments.append(Entailment(premise, inverted, conclusion, confidence))
         except ValueError as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from None

@@ -13,7 +13,6 @@ triples are removed, except the gold entity itself.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -154,17 +153,17 @@ def load_rank_dump(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a rank dump back as (triples, ranks): an (N, 3) int64 array of
     (head, rel, tail) ids and an (N, 2) one of (head_rank, tail_rank) rows."""
     rows: list[tuple[int, ...]] = []
-    reader = csv.reader(line for _, line in read_lines(path))
-    header = next(reader, None)
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1].split(",")
     if header != _RANK_DUMP_HEADER:
         raise ValueError(f"{path}: not a rank dump (bad header {header})")
-    for row in reader:
+    for lineno, line in lines:
         try:
-            h, r, t, hr, tr = (int(x) for x in row)
+            h, r, t, hr, tr = (int(x) for x in line.split(","))
             if min(hr, tr) < 1:
                 raise ValueError(f"ranks must be at least 1, got {hr} and {tr}")
         except ValueError as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         rows.append((h, r, t, hr, tr))
     table = np.asarray(rows, dtype=np.int64).reshape(-1, 5)
     return table[:, :3], table[:, 3:]
@@ -180,7 +179,9 @@ def significance_report(dump_a: str | Path, dump_b: str | Path) -> dict[str, flo
     triples_a, ranks_a = load_rank_dump(dump_a)
     triples_b, ranks_b = load_rank_dump(dump_b)
     if not np.array_equal(triples_a, triples_b):
-        raise ValueError("rank dumps cover different test triples")
+        raise ValueError(f"{dump_b}: covers different test triples than {dump_a}")
+    if not len(triples_a):  # paired_ttest would fail naming neither dump
+        raise ValueError(f"{dump_a}: holds no ranks")
     ranks_a, ranks_b = (ranks.T.ravel().astype(float) for ranks in (ranks_a, ranks_b))
     report = {"mrr": paired_ttest(1.0 / ranks_a, 1.0 / ranks_b)}
     for k in HITS_AT:

@@ -221,7 +221,7 @@ def loss_and_gradient_arrays(
     rules: RuleArrays,
     mu: float,
     eta: float,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> tuple[LossBreakdown, SparseGrads]:
     """Batch loss and its exact gradient over the touched parameter rows.
 
@@ -235,16 +235,16 @@ def loss_and_gradient_arrays(
     terms alone. Raises IndexError unless every entity and relation id,
     rules' included, is in range.
 
-    The gradient rows are written into a new array, or into the head of
-    ``out``, a C-contiguous (n + m, d) array of the parameters' dtype; the
-    returned gradients are then views of it, valid until its next use.
+    The gradient rows are written into the head of ``out``, a C-contiguous
+    (n + m, d) array of the parameters' dtype, and the returned gradients are
+    views of it, valid until its next use.
     """
     b, k = replacement.shape
     n, m, d = params.n_entities, params.n_relations, params.d
     row_rels = np.concatenate([rels, rules.premise, rules.conclusion])
     _check_ids(np.concatenate([heads, tails, replacement.ravel()]), n, "entity")
     _check_ids(row_rels, m, "relation")
-    if out is not None and (out.shape != (n + m, d) or out.dtype != params.ent.dtype or not out.flags.c_contiguous):
+    if out.shape != (n + m, d) or out.dtype != params.ent.dtype or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous ({n + m}, {d}) {params.ent.dtype} array")
 
     # Rows of q, in the order of the segment sum's entries: the head, tail
@@ -273,8 +273,7 @@ def loss_and_gradient_arrays(
     cols = np.concatenate([np.arange(own), partials.ravel()])
     unique, indptr, columns, data = _segment_sum(row_ids, cols, weights)
     split = np.searchsorted(unique, n)
-    g = np.empty((unique.size, d), q.dtype) if out is None else out[: unique.size]
-    ent_ids, g_ent, rel_ids, g_rel = unique[:split], g[:split], unique[split:] - n, g[split:]
+    ent_ids, g_ent, rel_ids, g_rel = unique[:split], out[:split], unique[split:] - n, out[split : unique.size]
 
     # Per table, the block sums of the L2 term and of the norm, added in block order.
     l2 = sq_norm = 0.0

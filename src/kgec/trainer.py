@@ -54,6 +54,7 @@ class TrainConfig:
     project: bool = True
 
     def __post_init__(self) -> None:
+        # Each check reads one field, so parse_config checks a value on its line.
         if self.d < 1:
             raise ValueError("d must be at least 1")
         if self.neg_ratio < 1:
@@ -92,7 +93,7 @@ def parse_config(path: str | Path) -> TrainConfig:
 
     Lines starting with ``#`` and blank lines are ignored. Keys must match
     TrainConfig field names, each at most once; values are cast to the field
-    type. Errors name the file, and the line where there is one.
+    type and checked on their own line. Errors name the file and the line.
     """
     values: dict = {}
     for lineno, line in read_lines(path):
@@ -109,12 +110,10 @@ def parse_config(path: str | Path) -> TrainConfig:
             raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
         try:
             values[key] = _cast_field(key, value)
+            TrainConfig(**{key: values[key]})
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    try:
-        return TrainConfig(**values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return TrainConfig(**values)
 
 
 def write_config(config: TrainConfig, path: str | Path) -> None:

@@ -11,7 +11,7 @@ import pytest
 
 from kgec.data import Dataset, IdMap, Triple, Vocab, read_json, sha256_file, write_tsv
 from kgec.model import score_all_tails
-from kgec.objective import SparseGrads
+from kgec.objective import SparseGrads, loss_and_gradient_arrays
 
 from oracles import grow_id, oracle_sq_norm
 
@@ -61,6 +61,18 @@ def triple_scores(params, heads, rels, tails) -> np.ndarray:
     """Scores of the triples (heads[i], rels[i], tails[i]), read off the
     (B, n) matrix that ``score_all_tails`` computes."""
     return score_all_tails(params, params.ent[heads], params.rel[rels])[np.arange(len(heads)), tails]
+
+
+def gradient_buffer(params) -> np.ndarray:
+    """An (n + m, d) array of the parameters' dtype, like the one ``train``
+    makes once and every step's gradient rows are written into."""
+    return np.empty((params.n_entities + params.n_relations, params.d), params.ent.dtype)
+
+
+def loss_and_gradients(params, *args):
+    """``loss_and_gradient_arrays(params, *args)`` into a new :func:`gradient_buffer`,
+    so each call's gradients stay valid after the next."""
+    return loss_and_gradient_arrays(params, *args, out=gradient_buffer(params))
 
 
 def sparse_grads(ent_ids, ent, rel_ids, rel) -> SparseGrads:

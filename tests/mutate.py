@@ -511,6 +511,13 @@ MUTANTS = [
         CLI_TESTS,
     ),
     Mutant(
+        "vocab-dump-name-count-unchecked",
+        "src/kgec/cli.py",
+        "            if len(names) != rows:\n",
+        "            if False:\n",
+        ("tests/test_input_contracts.py",),
+    ),
+    Mutant(
         "grid-tie-takes-later-point",
         "src/kgec/cli.py",
         "if valid_mrr > best_mrr:",
@@ -735,10 +742,31 @@ MUTANTS = [
         ("tests/test_cli.py::test_bad_input_fails_naming_the_file",),
     ),
     Mutant(
+        "parse_config-checks-values-after-the-loop",
+        "src/kgec/trainer.py",
+        "            TrainConfig(**{key: values[key]})\n",
+        "",
+        ("tests/test_cli.py::test_bad_input_fails_naming_the_file",),
+    ),
+    Mutant(
         "load_rank_dump-error-drops-line-number",
         "src/kgec/evaluation.py",
-        'raise ValueError(f"{path}:{reader.line_num}: {exc}")',
+        'raise ValueError(f"{path}:{lineno}: {exc}")',
         'raise ValueError(f"{path}: {exc}")',
+        ("tests/test_cli.py::test_bad_input_fails_naming_the_file",),
+    ),
+    Mutant(
+        "significance-other-triples-names-no-file",
+        "src/kgec/evaluation.py",
+        'raise ValueError(f"{dump_b}: covers different test triples than {dump_a}")',
+        'raise ValueError("rank dumps cover different test triples")',
+        ("tests/test_evaluation.py::TestRankDumps",),
+    ),
+    Mutant(
+        "significance-empty-dumps-accepted",
+        "src/kgec/evaluation.py",
+        '        raise ValueError(f"{dump_a}: holds no ranks")\n',
+        "        pass\n",
         ("tests/test_cli.py::test_bad_input_fails_naming_the_file",),
     ),
     Mutant(

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from kgec import objective
-from kgec.data import IdMap, ParseError, Triple, Vocab, VocabularyError
+from kgec.data import IdMap, Triple, Vocab, VocabularyError
 from kgec.model import _check_ids, head_partial, real_dot, real_view, rel_partial, tail_partial
 from kgec.objective import (
     LossBreakdown,
@@ -496,7 +496,7 @@ def oracle_load_triples(path, vocab=None, grow=True):
             continue
         fields = line.split("\t")
         if len(fields) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+            raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
         head_name, rel_name, tail_name = fields
         try:
             triples.append((entity(head_name), relation(rel_name), entity(tail_name)))

@@ -28,10 +28,10 @@ from kgec.data import (
 from kgec.evaluation import evaluate, filtered_rank
 from kgec.mining import mine_entailments
 from kgec.model import ModelParams, init_params, save_checkpoint
-from kgec.objective import loss_and_gradient_arrays, pack_entailments, rule_penalty
+from kgec.objective import pack_entailments, rule_penalty
 from kgec.trainer import TrainConfig, parse_config, train
 
-from conftest import make_vocab, names_of, random_dataset, triple_scores, wn18_train_path
+from conftest import loss_and_gradients, make_vocab, names_of, random_dataset, triple_scores, wn18_train_path
 from oracles import central_difference, oracle_filtered_rank, oracle_mine, slack_grid_minimum
 from test_objective import random_instance
 
@@ -53,10 +53,10 @@ def test_c01_gradient_matches_finite_differences():
     with report("C01 gradient correctness vs central differences", 10.0):
         params, batch, rules = random_instance(seed=2024, n=6, m=3, d=4, n_triples=20)
         mu, eta = 0.7, 0.01
-        _, grads = loss_and_gradient_arrays(params, *batch, rules, mu, eta)
+        _, grads = loss_and_gradients(params, *batch, rules, mu, eta)
 
         def loss():
-            return loss_and_gradient_arrays(params, *batch, rules, mu, eta)[0].total
+            return loss_and_gradients(params, *batch, rules, mu, eta)[0].total
 
         worst = 0.0
         blocks = (

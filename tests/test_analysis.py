@@ -21,7 +21,7 @@ from kgec.analysis import (
     write_heatmap_csv,
     write_purity_csv,
 )
-from kgec.data import Entailment, ParseError
+from kgec.data import Entailment
 from kgec.model import ModelParams, init_params
 
 from conftest import make_vocab
@@ -345,7 +345,7 @@ class TestTypeLabelIO:
         path = tmp_path / "types.tsv"
         path.write_text("e0\n")
         message = f"{path}:1: expected 2 tab-separated fields, got 1"
-        with pytest.raises(ParseError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_type_labels(path, vocab)
 
 

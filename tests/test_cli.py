@@ -426,7 +426,7 @@ def test_train_rejects_a_negative_seed_before_writing(data_dir, config_file, tmp
     "flags, file, message",
     [
         (["--seed", "-1"], None, "seed must be non-negative, got -1"),
-        (["--config", "{file}"], "d = 0\n", "{file}: d must be at least 1"),
+        (["--config", "{file}"], "d = 0\n", "{file}:1: d must be at least 1"),
         (["--config", "{file}"], "d = 8\nd = 0\n", "{file}:2: repeated config key 'd'"),
         (["--grid", "--grid-file", "{file}"], '{"depth": [2]}', "{file}: unknown grid key 'depth'"),
         (["--grid", "--grid-file", "{file}"], '{"l2_full": [false]}',
@@ -945,7 +945,9 @@ def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys,
         ("bad.cfg", "seed = 0\nd = abc\n", "train --data {data} --config {file} --out {out}",
          ":2: bad int value for d: 'abc'"),
         ("bad.cfg", "d = 0\n", "train --data {data} --config {file} --out {out}",
-         ": d must be at least 1"),
+         ":1: d must be at least 1"),
+        ("bad.cfg", "# a run\n\nd = 16\neta = 0.01\nneg_ratio = 2\nlr = nan\nmu = 1\n",
+         "train --data {data} --config {file} --out {out}", ":6: lr must be positive and finite"),
         ("grid.json", '{"d": [4], "depth": [2]}',
          "train --data {data} --config {config} --grid --grid-file {file} --out {out}",
          ": unknown grid key 'depth'"),
@@ -970,6 +972,11 @@ def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys,
         ("ranks.csv", "head,rel,tail,head_rank,tail_rank\n0,0,1,1,1\n0,0,1,0,2\n",
          "significance --ranks-a {file} --ranks-b {file}",
          ":3: ranks must be at least 1, got 0 and 2"),
+        ("ranks.csv", b"head,rel,tail,head_rank,tail_rank\r\n0,0,1,1,1\r\n0,0,1,1,5\r,2\r\n",
+         "significance --ranks-a {file} --ranks-b {file}",
+         ":3: too many values to unpack (expected 5)"),
+        ("ranks.csv", "head,rel,tail,head_rank,tail_rank\n", "significance --ranks-a {file} --ranks-b {file}",
+         ": holds no ranks"),
         ("train.txt", b"a\tr\tb\nc\tr\xff\td\n", "mine --train-file {file} --out {out}",
          ":2: 'utf-8' codec can't decode byte 0xff in position 3"),
         ("bad.cfg", b"d = 8\nlr = 0.\xff\n", "train --data {data} --config {file} --out {out}",
@@ -981,9 +988,9 @@ def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys,
          "train --data {data} --config {config} --grid --out {out}",
          ": expected a JSON object mapping grid points to numbers"),
     ],
-    ids=["config-cast", "config-value", "grid-key", "grid-cast", "grid-empty", "grid-string",
-         "grid-number", "grid-shape", "rank-dump",
-         "rank-dump-rank", "tsv-utf8", "config-utf8", "rank-dump-utf8", "grid-state-shape"],
+    ids=["config-cast", "config-value", "config-value-line", "grid-key", "grid-cast", "grid-empty",
+         "grid-string", "grid-number", "grid-shape", "rank-dump", "rank-dump-rank", "rank-dump-cr",
+         "rank-dump-empty", "tsv-utf8", "config-utf8", "rank-dump-utf8", "grid-state-shape"],
 )
 def test_bad_input_fails_naming_the_file(
     data_dir, config_file, tmp_path, capsys, name, content, command, message

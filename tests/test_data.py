@@ -19,8 +19,6 @@ from kgec.data import (
     Entailment,
     IdMap,
     KnownIndex,
-    ParseError,
-    RangeError,
     Triple,
     Vocab,
     VocabularyError,
@@ -78,23 +76,23 @@ class TestLoadTriples:
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("a\tp\n")
-        with pytest.raises(ParseError, match="1"):
+        with pytest.raises(ValueError, match="1"):
             load_triples(path)
         for read, _, n_fields in TSV_READERS:
             path.write_text("a\tp\tb\tc\n")
-            with pytest.raises(ParseError, match=_field_count_error(path, 1, n_fields, 4)):
+            with pytest.raises(ValueError, match=_field_count_error(path, 1, n_fields, 4)):
                 read(path)
 
     def test_malformed_line_later_in_file(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("a\tp\tb\nx\ty\n")
-        with pytest.raises(ParseError, match="2"):
+        with pytest.raises(ValueError, match="2"):
             load_triples(path)
         # Blank lines are skipped but still counted, with either terminator.
         for read, line, n_fields in TSV_READERS:
             for eol in ("\n", "\r\n"):
                 path.write_text(f"{line}{eol}{eol}x{eol}")
-                with pytest.raises(ParseError, match=_field_count_error(path, 3, n_fields, 1)):
+                with pytest.raises(ValueError, match=_field_count_error(path, 3, n_fields, 1)):
                     read(path)
         # A byte that is not UTF-8 names its file and line, also in a vocabulary dump.
         not_utf8 = re.escape(f"{path}:2: 'utf-8' codec can't decode byte 0xff")
@@ -398,7 +396,7 @@ class TestCollectorPause:
         "text,error",
         [
             ("a\tp\tb\na\tp\tc\n", None),
-            ("a\tp\tb\nx\ty\na\tp\tc\n", ParseError),
+            ("a\tp\tb\nx\ty\na\tp\tc\n", ValueError),
             ("a\tp\tb\na\tp\tzzz\na\tp\tc\n", VocabularyError),
         ],
         ids=["loads", "parse-error", "vocabulary-error"],
@@ -462,18 +460,18 @@ class TestEntailments:
         vocab = make_vocab(0, 2)
         path = tmp_path / "ents.tsv"
         path.write_text("r0\tr1\t1.5\n")
-        with pytest.raises(RangeError):
+        with pytest.raises(ValueError):
             load_entailments(path, vocab)
         path.write_text("r0\tr1\t0\n")
-        with pytest.raises(RangeError):
+        with pytest.raises(ValueError):
             load_entailments(path, vocab)
 
     def test_non_number_confidence_names_the_line(self, tmp_path):
         path = tmp_path / "ents.tsv"
         path.write_text("r0\tr1\t0.5\nr1\tr0\thigh\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ValueError) as exc:
             load_entailments(path, make_vocab(0, 2))
-        assert exc.type is ParseError
+        assert exc.type is ValueError
         assert str(exc.value) == f"{path}:2: confidence is not a number: 'high'"
 
     @pytest.mark.parametrize(
@@ -514,7 +512,7 @@ class TestEntailments:
     def test_negative_relation_id_rejected(self, premise, inverted, conclusion):
         # pair_residuals and rule_deltas would read it as a row from the end.
         bad = min(premise, conclusion)
-        with pytest.raises(RangeError, match=f"unknown relation: id {bad} is negative"):
+        with pytest.raises(ValueError, match=f"unknown relation: id {bad} is negative"):
             Entailment(premise, inverted, conclusion, 0.9)
 
     def test_write_read_round_trip(self, tmp_path):

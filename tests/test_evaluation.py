@@ -517,5 +517,6 @@ class TestRankDumps:
         dump_b = tmp_path / "b.csv"
         write_rank_dump(dataset.test, result, dump_a)
         write_rank_dump(dataset.test[::-1], result, dump_b)
-        with pytest.raises(ValueError, match="different test triples"):
+        with pytest.raises(ValueError, match="different test triples") as exc:
             significance_report(dump_a, dump_b)
+        assert str(exc.value) == f"{dump_b}: covers different test triples than {dump_a}"

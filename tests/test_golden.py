@@ -3,12 +3,19 @@ one recorded in ``tests/golden/digests.json``.
 
 ``tests/golden/data`` is ``bench/gen.py --workload planted --seed 3`` without
 its checkpoint, with the first 45 lines of its ``test.txt`` moved to
-``valid.txt``, since a sweep needs validation triples. The steps below run
-``cli.main`` in one process, with relative paths inside a copy of
-``tests/golden``: mine; train with the rules (stored at 32 bits) and a plain
-run (at 64); a two-point ``--grid-file`` sweep, with the rules and two more
-whose premise is inverted, and its resume; ``eval --dump-ranks`` of both
-runs; ``analyze --types --ents``; ``significance``. Each step's exit code,
+``valid.txt``, since a sweep needs validation triples. ``train.txt`` ends in
+21 more lines: relations ``q0`` and ``q1`` on ten entity pairs, five of them
+shared, so that ``q0 -> q1`` and ``q1 -> q0`` have a PCA confidence of
+exactly 0.5, mine's ``--min-conf``; and an entity whose name holds a CR
+inside and at its end. The steps below run ``cli.main`` in one process, with
+relative paths inside a copy of ``tests/golden``: mine; train with the rules
+(stored at 32 bits) and a plain run (at 64); a four-point ``--grid-file``
+sweep, with the rules and two more whose premise is inverted, and its
+resume, in which each ``lr`` trains the same model whether validated at its
+last epoch (``eval_every`` 20) or not at all (30), so the best point ties;
+``eval --dump-ranks`` of both runs; ``analyze --types --ents`` with the
+mined rules, and ``analyze --ents`` with the inverted ones, of which
+``r8^-1 -> r8`` is an inversion pair; ``significance``. Each step's exit code,
 stdout and stderr, and the SHA-256 of every file left in the copy, inputs
 included, are compared with the record. Only ``manifest.json``'s ``created``
 time is masked.
@@ -52,6 +59,8 @@ STEPS = [
     ["eval", "--data", "data", "--checkpoint", "runs/plain/checkpoint.kgec", "--out", "evals/plain", "--dump-ranks"],
     ["analyze", "--data", "data", "--checkpoint", "runs/aer/checkpoint.kgec", "--types", "data/types.tsv",
      "--ents", "mined/rules.tsv", "--thresh", "0.5", "--out", "analysis"],
+    ["analyze", "--data", "data", "--checkpoint", "runs/grid/checkpoint.kgec", "--ents", "inverted_rules.tsv",
+     "--thresh", "0.5", "--out", "analysis_inverted"],
     ["significance", "--ranks-a", "evals/aer/ranks.csv", "--ranks-b", "evals/plain/ranks.csv", "--out", "significance.csv"],
 ]
 

@@ -24,7 +24,7 @@ from kgec.objective import (
 )
 from kgec.trainer import _corrupt_batch
 
-from conftest import triple_scores
+from conftest import gradient_buffer, loss_and_gradients, triple_scores
 from oracles import (
     central_difference,
     labelled_batch,
@@ -56,7 +56,7 @@ NO_RULES = pack_entailments([])
 
 def data_terms(params, *positives, corruptions=(), eta=0.0):
     """The kernel on (h, r, t) positives and their corruptions, without rules."""
-    return loss_and_gradient_arrays(
+    return loss_and_gradients(
         params, *batch_of(*positives, corruptions=corruptions), NO_RULES, 0.0, eta
     )
 
@@ -247,13 +247,13 @@ class TestLossAndGradient:
     def test_entailment_rows_included_even_without_batch_hits(self):
         params = init_params(5, 4, 4, seed=0)
         rules = pack_entailments([Entailment(2, False, 3, 0.9)])
-        _, grads = loss_and_gradient_arrays(params, *batch_of((0, 0, 1)), rules, 1.0, 0.0)
+        _, grads = loss_and_gradients(params, *batch_of((0, 0, 1)), rules, 1.0, 0.0)
         assert set(grads.rel_ids.tolist()) == {0, 2, 3}
 
     def test_total_matches_independent_reassembly(self):
         params, batch, rules = random_instance(seed=4)
         mu, eta = 0.7, 0.01
-        breakdown, grads = loss_and_gradient_arrays(params, *batch, rules, mu, eta)
+        breakdown, grads = loss_and_gradients(params, *batch, rules, mu, eta)
         heads, rels, tails, labels = labelled_batch(*batch)
         scores = [oracle_score(params, h, r, t) for h, r, t in zip(heads, rels, tails)]
         logistic = float(np.logaddexp(0.0, -labels * scores).sum())
@@ -271,10 +271,10 @@ class TestLossAndGradient:
     def test_matches_central_finite_differences(self):
         params, batch, rules = random_instance(seed=1)
         mu, eta = 0.7, 0.01
-        _, grads = loss_and_gradient_arrays(params, *batch, rules, mu, eta)
+        _, grads = loss_and_gradients(params, *batch, rules, mu, eta)
 
         def loss():
-            return loss_and_gradient_arrays(params, *batch, rules, mu, eta)[0].total
+            return loss_and_gradients(params, *batch, rules, mu, eta)[0].total
 
         worst = 0.0
         blocks = (
@@ -297,7 +297,7 @@ class TestLossAndGradient:
         params.re_r[0] = params.re_r[1] = [0.4, -0.2]
         params.im_r[0] = params.im_r[1] = [0.1, 0.1]
         rules = pack_entailments([Entailment(0, False, 1, 1.0)])
-        _, grads = loss_and_gradient_arrays(params, *batch_of(), rules, 5.0, 0.0)
+        _, grads = loss_and_gradients(params, *batch_of(), rules, 5.0, 0.0)
         np.testing.assert_array_equal(grads.rel.real, 0.0)
         np.testing.assert_array_equal(grads.rel.imag, 0.0)
 
@@ -394,7 +394,7 @@ class TestScatterKernel:
     @given(kernel_instances())
     def test_matches_scatter_oracle(self, instance):
         params, batch, rules, mu, eta = instance
-        got_loss, got = loss_and_gradient_arrays(params, *batch, rules, mu, eta)
+        got_loss, got = loss_and_gradients(params, *batch, rules, mu, eta)
         labelled = labelled_batch(*batch)
         want_loss, want = oracle_scatter_gradients(params, *labelled, rules, mu, eta)
         assert got_loss.entailment_penalty == want_loss.entailment_penalty
@@ -483,7 +483,7 @@ class TestBlockedKernel:
         params, batch, rules, mu, eta = instance
         want_loss, want = oracle_row_buffer_kernel(params, *batch, rules, mu, eta)
         with mock.patch.object(kgec.objective, "_BLOCK_BYTES", block_bytes):
-            got_loss, got = loss_and_gradient_arrays(params, *batch, rules, mu, eta)
+            got_loss, got = loss_and_gradients(params, *batch, rules, mu, eta)
         for name in ("ent_ids", "rel_ids", "ent", "rel"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
         assert got_loss.logistic == want_loss.logistic
@@ -507,7 +507,7 @@ class TestBlockedKernel:
         heads, rels, tails = rng.integers(n, size=b), rng.integers(4, size=b), rng.integers(n, size=b)
         batch = (heads, rels, tails, *_corrupt_batch(heads, tails, k, n, rng))
         peaks = []
-        for kernel in (loss_and_gradient_arrays, oracle_row_buffer_kernel):
+        for kernel in (loss_and_gradients, oracle_row_buffer_kernel):
             kernel(params, *batch, NO_RULES, 0.0, 0.01)  # warm-up: lazy imports and caches
             tracemalloc.start()
             try:
@@ -519,28 +519,30 @@ class TestBlockedKernel:
         assert peaks[0] <= peaks[1] - row_buffer / 2, (peaks, row_buffer)
 
     def test_peak_memory_grows_by_no_batch_sized_temporary(self, monkeypatch):
-        # Beyond q, the (5B, d) matrix of rows the segment sum reads, and the
-        # returned gradient, the kernel holds arrays of one block of
-        # positives, or of one id per row. Doubling B from 5,000 to 10,000
-        # must then add less than half of one (5,000, d) complex array.
-        # Each part holds its own blocks, so the part count is fixed.
+        # Beyond q, the (5B, d) matrix of rows the segment sum reads, the
+        # kernel holds arrays of one block of positives, or of one id per
+        # row; the gradient goes into a buffer made before, as in training.
+        # Doubling B from 5,000 to 10,000 must then add less than half of
+        # one (5,000, d) complex array. Each part holds its own blocks, so
+        # the part count is fixed.
         monkeypatch.setattr(kgec.objective, "_WORKERS", 2)
         n, k, d = 50_000, 1, 128
         rng = np.random.default_rng(0)
         params = init_params(n, 4, d, seed=0)
+        buffer = gradient_buffer(params)
         extra = []
         for b in (5_000, 10_000):
             heads, rels, tails = rng.integers(n, size=b), rng.integers(4, size=b), rng.integers(n, size=b)
             batch = (heads, rels, tails, *_corrupt_batch(heads, tails, k, n, rng))
-            loss_and_gradient_arrays(params, *batch, NO_RULES, 0.0, 0.01)  # warm-up
+            loss_and_gradient_arrays(params, *batch, NO_RULES, 0.0, 0.01, out=buffer)  # warm-up
             tracemalloc.start()
             try:
-                _, grads = loss_and_gradient_arrays(params, *batch, NO_RULES, 0.0, 0.01)
+                loss_and_gradient_arrays(params, *batch, NO_RULES, 0.0, 0.01, out=buffer)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             q = 5 * b * d * params.ent.itemsize
-            extra.append(peak - q - grads.ent.nbytes - grads.rel.nbytes)
+            extra.append(peak - q)
         half_row_block = 5_000 * d * params.ent.itemsize / 2
         assert extra[1] - extra[0] < half_row_block, (extra, half_row_block)
 
@@ -560,7 +562,7 @@ def blocked_pass_instance(seed, b, rules=True):
 
 class TestBlockedPass:
     """The gradient rows, their L2 term and their norm come from one pass
-    over blocks of touched rows, written into a new array or a given buffer."""
+    over blocks of touched rows, written into the head of a given buffer."""
 
     @pytest.mark.parametrize("eta", [0.0, 0.03])
     @pytest.mark.parametrize("rules", [True, False])
@@ -570,7 +572,7 @@ class TestBlockedPass:
         monkeypatch.setattr(kgec.objective, "_WORKERS", workers)
         params, batch, packed = blocked_pass_instance(seed=workers, b=15, rules=rules)
         want_loss, want = oracle_row_buffer_kernel(params, *batch, packed, 0.5, eta)
-        got_loss, got = loss_and_gradient_arrays(params, *batch, packed, 0.5, eta)
+        got_loss, got = loss_and_gradients(params, *batch, packed, 0.5, eta)
         assert got.ent_ids.size > 9 and got.rel_ids.size > 6  # several blocks per table
         for name in ("ent_ids", "rel_ids", "ent", "rel"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
@@ -581,7 +583,7 @@ class TestBlockedPass:
     def test_carried_norm_is_sq_norm_of_the_rows(self, block_bytes, monkeypatch):
         monkeypatch.setattr(kgec.objective, "_BLOCK_BYTES", block_bytes)
         params, batch, packed = blocked_pass_instance(seed=7, b=30)
-        _, grads = loss_and_gradient_arrays(params, *batch, packed, 0.5, 0.03)
+        _, grads = loss_and_gradients(params, *batch, packed, 0.5, 0.03)
         sq = oracle_sq_norm(grads.ent) + oracle_sq_norm(grads.rel)
         assert grads.sq_norm == sq
         assert grads.clip_global_norm_(1e-3) == math.sqrt(sq)  # the norm before clipping
@@ -589,14 +591,15 @@ class TestBlockedPass:
 
     def test_a_reused_buffer_gives_the_fresh_array_results(self, monkeypatch):
         # The second step touches fewer rows than the first, so the buffer
-        # holds stale rows past its head; none may leak into the result.
+        # holds stale rows past its head; none may leak into the result,
+        # which must be the one a zeroed buffer gives.
         monkeypatch.setattr(kgec.objective, "_BLOCK_BYTES", 3 * 3 * 16)
         params, big, packed = blocked_pass_instance(seed=1, b=30)
         _, small, _ = blocked_pass_instance(seed=2, b=3)
         buffer = np.full((params.n_entities + params.n_relations, params.d), np.nan, complex)
         _, first = loss_and_gradient_arrays(params, *big, packed, 0.5, 0.03, out=buffer)
         touched = first.ent_ids.size + first.rel_ids.size
-        want_loss, want = loss_and_gradient_arrays(params, *small, packed, 0.5, 0.03)
+        want_loss, want = loss_and_gradient_arrays(params, *small, packed, 0.5, 0.03, out=np.zeros_like(buffer))
         got_loss, got = loss_and_gradient_arrays(params, *small, packed, 0.5, 0.03, out=buffer)
         assert got.ent_ids.size + got.rel_ids.size < touched
         assert np.shares_memory(got.ent, buffer) and np.shares_memory(got.rel, buffer)
@@ -627,7 +630,7 @@ class TestOneSegmentSum:
 
         monkeypatch.setattr(kgec.objective, "_segment_sum", counting)
         params, batch, rules = random_instance(seed=2)
-        loss_and_gradient_arrays(params, *batch, rules, 0.7, 0.01)
+        loss_and_gradients(params, *batch, rules, 0.7, 0.01)
         assert len(calls) == 1
 
     def test_no_rule_work_without_rules(self, monkeypatch):
@@ -636,7 +639,7 @@ class TestOneSegmentSum:
 
         monkeypatch.setattr(kgec.objective, "rule_penalty", refuse)
         params, batch, _ = random_instance(seed=2)
-        breakdown, grads = loss_and_gradient_arrays(params, *batch, NO_RULES, 0.7, 0.01)
+        breakdown, grads = loss_and_gradients(params, *batch, NO_RULES, 0.7, 0.01)
         assert breakdown.entailment_penalty == 0.0
         assert set(grads.rel_ids.tolist()) == set(batch[1].tolist())
 
@@ -652,7 +655,7 @@ class TestOneSegmentSum:
         batch = (heads, rels, tails, *_corrupt_batch(heads, tails, k, n, rng))
         rules = pack_entailments([Entailment(7, False, 3, 0.9), Entailment(5, True, 0, 0.6)])
         want_loss, want = oracle_row_buffer_kernel(params, *batch, rules, 1.0, 0.01)
-        got_loss, got = loss_and_gradient_arrays(params, *batch, rules, 1.0, 0.01)
+        got_loss, got = loss_and_gradients(params, *batch, rules, 1.0, 0.01)
         assert got.rel_ids.max() >= n
         for name in ("ent_ids", "rel_ids", "ent", "rel"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)

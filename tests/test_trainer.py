@@ -27,7 +27,7 @@ from kgec.trainer import (
 from kgec.evaluation import evaluate
 from kgec.data import build_known_index
 
-from conftest import make_vocab, sparse_grads, triple_scores
+from conftest import loss_and_gradients, make_vocab, sparse_grads, triple_scores
 from oracles import labelled_batch, oracle_adagrad_step, oracle_corrupt_batch, sample_negatives
 
 
@@ -639,10 +639,9 @@ class TestBlockLoopsInParts:
         heads, rels, tails = rng.integers(n, size=b), rng.integers(m, size=b), rng.integers(n, size=b)
         corrupt_head, replacement = _corrupt_batch(heads, tails, k, n, rng)
         rules = pack_entailments([Entailment(i, False, i + 3, 0.9) for i in range(3)])
-        from kgec.objective import loss_and_gradient_arrays
 
         before = params.copy()
-        _, grads = loss_and_gradient_arrays(
+        _, grads = loss_and_gradients(
             params, heads, rels, tails, corrupt_head, replacement, rules, 1.0, 0.01
         )
         assert grads.clip_global_norm_(1.0) > 1.0
