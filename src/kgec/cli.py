@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import logging
 import sys
@@ -33,8 +32,7 @@ from .data import load_triples, read_json, sha256_file
 from .evaluation import evaluate, significance_report, write_metrics_csv, write_rank_dump
 from .mining import mine_entailments, write_rules
 from .model import load_checkpoint, save_checkpoint
-from .trainer import TrainConfig, parse_config, train, write_config, write_training_log
-from .trainer import _FIELD_TYPES, _cast_field
+from .trainer import GRID, TrainConfig, grid_configs, parse_config, train, write_config, write_training_log
 
 logger = logging.getLogger("kgec.cli")  # not "__main__" under python -m kgec.cli
 
@@ -42,15 +40,6 @@ logger = logging.getLogger("kgec.cli")  # not "__main__" under python -m kgec.cl
 _RUN_OUTPUTS = ("checkpoint.kgec", "log.csv", "entities.txt", "relations.txt")
 # Every file `train` writes in --out.
 _TRAIN_FILES = (*_RUN_OUTPUTS, "checkpoint.kgec.manifest.json", "config.cfg", "manifest.json", "grid_state.json")
-
-# Hyperparameter grid swept by `train --grid`, selected on validation MRR.
-GRID = {
-    "d": (100, 150, 200),
-    "eta": (0.001, 0.003, 0.01, 0.03, 0.1),
-    "neg_ratio": (2, 10),
-    "lr": (0.01, 0.05, 0.1, 0.5, 1.0),
-    "mu": tuple(10.0**k for k in range(-5, 6)),
-}
 
 
 def _resolve_config(name_or_path: str) -> Path:
@@ -113,28 +102,6 @@ def _write_outputs(dataset, config, params, log, out_dir, precision, inputs):
         fh.write("\n")
 
 
-def _grid_configs(base: TrainConfig, grid: dict, source: str) -> list[TrainConfig]:
-    """Every combination of the grid's value lists over ``base``, cast as in a
-    config file; a grid that is not an object, an unknown key, a value that
-    is not a list, an empty value list or a bad value raises ValueError
-    naming ``source``."""
-    try:
-        if not isinstance(grid, dict):
-            raise ValueError("expected a JSON object mapping config keys to value lists")
-        keys = sorted(grid)
-        for key in keys:
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"unknown grid key {key!r}")
-            if not isinstance(grid[key], (list, tuple)):
-                raise ValueError(f"grid key {key!r} needs a list of values, got {grid[key]!r}")
-            if not grid[key]:
-                raise ValueError(f"grid key {key!r} has no values")
-        combos = itertools.product(*([_cast_field(k, v) for v in grid[k]] for k in keys))
-        return [dataclasses.replace(base, **dict(zip(keys, combo))) for combo in combos]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{source}: {exc}") from None
-
-
 def _grid_key(config: TrainConfig) -> str:
     return json.dumps(dataclasses.asdict(config), sort_keys=True)
 
@@ -155,7 +122,7 @@ def cmd_train(args) -> None:
     overrides = {"seed": args.seed, "mu": args.mu, "project": False if args.no_projection else None}
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     grid = (read_json(args.grid_file) if args.grid_file else GRID) if args.grid else {}
-    candidates = _grid_configs(config, grid, args.grid_file or "the default grid")
+    candidates = grid_configs(config, grid, args.grid_file or "the default grid")
     inputs = {str(path): sha256_file(path) for path in input_paths}  # the bytes read below
     # A sweep resumes only on the inputs its state records, compared as
     # contents, not paths, and checked before the data is read.

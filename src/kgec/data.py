@@ -72,7 +72,7 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+def read_lines(path: str | Path, final_lf: bool = False) -> Iterator[tuple[int, str]]:
     """Yield ``(lineno, line)`` for each line of a UTF-8 text file.
 
     Only the LF or CRLF terminator is removed; a lone CR stays in the line.
@@ -80,10 +80,15 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     The file is read and decoded in one pass. A file that is not UTF-8 is
     decoded again line by line, so its lines up to the first bad one are
     yielded as before and that line raises ValueError naming the file and
-    line, with the error of that line alone.
+    line, with the error of that line alone. ``final_lf`` is for files kgec
+    wrote, which end every line: one with text after its last LF was cut
+    short, and raises ValueError naming the file and its last line.
     """
     with open(path, "rb") as fh:
         data = fh.read().removeprefix(codecs.BOM_UTF8)
+    if final_lf and data and not data.endswith(b"\n"):
+        lineno = data.count(b"\n") + 1
+        raise ValueError(f"{path}:{lineno}: the file ends inside this line, so it was cut short")
     try:
         lines = data.decode("utf-8").replace("\r\n", "\n").split("\n")
     except UnicodeDecodeError:
@@ -242,10 +247,11 @@ class IdMap:
         """Read a dump written by :meth:`save`; as in :func:`read_tsv`, only
         the LF or CRLF terminator is removed, and a blank line is an empty name.
         A repeated name raises ValueError naming the file and line, since it
-        would shift the id of every later name."""
+        would shift the id of every later name, and so does a cut last line
+        (:func:`read_lines` with ``final_lf``), which would shorten a name."""
         idmap = cls()
         ids = idmap._name_to_id
-        for lineno, name in read_lines(path):
+        for lineno, name in read_lines(path, final_lf=True):
             idx = ids.setdefault(name, lineno - 1)
             if idx != lineno - 1:
                 raise ValueError(f"{path}:{lineno}: name {name!r} repeats line {idx + 1}")

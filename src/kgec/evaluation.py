@@ -151,9 +151,11 @@ def write_rank_dump(
 
 def load_rank_dump(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a rank dump back as (triples, ranks): an (N, 3) int64 array of
-    (head, rel, tail) ids and an (N, 2) one of (head_rank, tail_rank) rows."""
+    (head, rel, tail) ids and an (N, 2) one of (head_rank, tail_rank) rows.
+    A dump whose last line has no break was cut, maybe inside a rank, and
+    raises ValueError naming it (:func:`read_lines` with ``final_lf``)."""
     rows: list[tuple[int, ...]] = []
-    lines = read_lines(path)
+    lines = read_lines(path, final_lf=True)
     header = next(lines, (1, ""))[1].split(",")
     if header != _RANK_DUMP_HEADER:
         raise ValueError(f"{path}: not a rank dump (bad header {header})")

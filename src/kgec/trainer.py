@@ -11,6 +11,7 @@ arithmetic in any part, so results do not depend on the thread count.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -124,6 +125,38 @@ def write_config(config: TrainConfig, path: str | Path) -> None:
             if isinstance(value, bool):
                 value = "true" if value else "false"
             fh.write(f"{f.name} = {value}\n")
+
+
+# Hyperparameter grid swept by `train --grid`, selected on validation MRR.
+GRID = {
+    "d": (100, 150, 200),
+    "eta": (0.001, 0.003, 0.01, 0.03, 0.1),
+    "neg_ratio": (2, 10),
+    "lr": (0.01, 0.05, 0.1, 0.5, 1.0),
+    "mu": tuple(10.0**k for k in range(-5, 6)),
+}
+
+
+def grid_configs(base: TrainConfig, grid: dict, source: str) -> list[TrainConfig]:
+    """Every combination of the grid's value lists over ``base``, cast as in a
+    config file; a grid that is not an object, an unknown key, a value that
+    is not a list, an empty value list or a bad value raises ValueError
+    naming ``source``."""
+    try:
+        if not isinstance(grid, dict):
+            raise ValueError("expected a JSON object mapping config keys to value lists")
+        keys = sorted(grid)
+        for key in keys:
+            if key not in _FIELD_TYPES:
+                raise ValueError(f"unknown grid key {key!r}")
+            if not isinstance(grid[key], (list, tuple)):
+                raise ValueError(f"grid key {key!r} needs a list of values, got {grid[key]!r}")
+            if not grid[key]:
+                raise ValueError(f"grid key {key!r} has no values")
+        combos = itertools.product(*([_cast_field(k, v) for v in grid[k]] for k in keys))
+        return [dataclasses.replace(base, **dict(zip(keys, combo))) for combo in combos]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 @dataclass

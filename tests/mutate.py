@@ -792,6 +792,34 @@ MUTANTS = [
         ("tests/test_evaluation.py::TestRankDumps",),
     ),
     Mutant(
+        "load_rank_dump-accepts-a-cut-dump",
+        "src/kgec/evaluation.py",
+        "lines = read_lines(path, final_lf=True)",
+        "lines = read_lines(path)",
+        ("tests/test_cli.py::test_bad_input_fails_naming_the_file",),
+    ),
+    Mutant(
+        "IdMap.load-accepts-a-cut-dump",
+        "src/kgec/data.py",
+        "for lineno, name in read_lines(path, final_lf=True):",
+        "for lineno, name in read_lines(path):",
+        DATA_TESTS,
+    ),
+    Mutant(
+        "grid_configs-unknown-key-accepted",
+        "src/kgec/trainer.py",
+        'raise ValueError(f"unknown grid key {key!r}")',
+        "pass",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "grid_configs-empty-value-list-accepted",
+        "src/kgec/trainer.py",
+        'raise ValueError(f"grid key {key!r} has no values")',
+        "pass",
+        CLI_TESTS,
+    ),
+    Mutant(
         "load_checkpoint-precision-flag-not-checked",
         "src/kgec/model.py",
         'raise ValueError(f"{path}: unsupported precision flag {precision}")',

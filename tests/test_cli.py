@@ -977,6 +977,8 @@ def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys,
          ":3: too many values to unpack (expected 5)"),
         ("ranks.csv", "head,rel,tail,head_rank,tail_rank\n", "significance --ranks-a {file} --ranks-b {file}",
          ": holds no ranks"),
+        ("ranks.csv", b"head,rel,tail,head_rank,tail_rank\r\n0,0,1,1,1\r\n0,0,1,1,1",
+         "significance --ranks-a {file} --ranks-b {file}", ":3: the file ends inside this line, so it was cut short"),
         ("train.txt", b"a\tr\tb\nc\tr\xff\td\n", "mine --train-file {file} --out {out}",
          ":2: 'utf-8' codec can't decode byte 0xff in position 3"),
         ("bad.cfg", b"d = 8\nlr = 0.\xff\n", "train --data {data} --config {file} --out {out}",
@@ -990,7 +992,7 @@ def test_checkpoint_of_another_shape_fails_naming_it(data_dir, tmp_path, capsys,
     ],
     ids=["config-cast", "config-value", "config-value-line", "grid-key", "grid-cast", "grid-empty",
          "grid-string", "grid-number", "grid-shape", "rank-dump", "rank-dump-rank", "rank-dump-cr",
-         "rank-dump-empty", "tsv-utf8", "config-utf8", "rank-dump-utf8", "grid-state-shape"],
+         "rank-dump-empty", "rank-dump-cut", "tsv-utf8", "config-utf8", "rank-dump-utf8", "grid-state-shape"],
 )
 def test_bad_input_fails_naming_the_file(
     data_dir, config_file, tmp_path, capsys, name, content, command, message
@@ -1127,6 +1129,20 @@ def test_only_objective_imports_concurrent_futures():
             if any(name.split(".")[0] == "concurrent" for name in names):
                 importers.append(path.name)
     assert importers == ["objective.py"]
+
+
+def test_cli_imports_no_private_name_from_kgec():
+    # A rule cli needs, such as how a config value is cast, lives public in
+    # the module that owns it; a private import would split it over two.
+    tree = ast.parse(Path(kgec.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "kgec")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []
 
 
 def test_cli_import_does_not_load_scipy_stats():

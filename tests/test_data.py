@@ -31,6 +31,7 @@ from kgec.data import (
     triple_array,
     write_entailments,
 )
+from kgec.trainer import parse_config
 
 from conftest import id_map, make_vocab, names_of, random_dataset, wn18_train_path, write_triples
 from oracles import oracle_load_triples, oracle_read_lines
@@ -307,6 +308,24 @@ class TestVocab:
         rel.write_text("\nr\n\n")
         with pytest.raises(ValueError, match=re.escape(f"{rel}:3: name '' repeats line 1")):
             IdMap.load(rel)
+
+    @pytest.mark.parametrize("names, cut, last", [(["p0", "q1"], 1, 2), (["p0", "q1"], 2, 2),
+                                                  (["p0", "q\r"], 1, 2), (["p0"], 1, 1)],
+                             ids=["lf", "inside-a-name", "crlf-lf", "one-name"])
+    def test_a_dump_cut_inside_a_line_fails_naming_its_last_line(self, tmp_path, names, cut, last):
+        # kgec ends every line of a dump, so a dump without a final LF was cut,
+        # and reading it would shorten its last name ("q1" to "q").
+        path = tmp_path / "rel.txt"
+        id_map(*names).save(path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{last}: the file ends inside this line")):
+            IdMap.load(path)
+        # Users write splits, rules, types and configs, which may end without a break.
+        for read, line, _ in TSV_READERS:
+            path.write_text(line)
+            read(path)
+        path.write_text("d = 4")
+        assert parse_config(path).d == 4
 
     def test_ids_dense_and_stable(self, tmp_path):
         # Ids are dense in first-seen order; names read before a map grows

@@ -14,8 +14,8 @@ line, the field and the value of the corruption. The catalogue:
   non-negative;
 - a repeated config key or JSON key, or a repeated name in a vocab dump;
 - a repeated rule line;
-- a truncated checkpoint, sidecar, grid file or sweep state, or a vocab dump
-  that lost its last lines;
+- a truncated checkpoint, sidecar, grid file or sweep state, a vocab dump
+  that lost its last lines, or a vocab or rank dump cut inside a line;
 - an output path equal to an input.
 
 Every case asserts that the command exits 1 with one stderr line, which names
@@ -212,11 +212,18 @@ def truncated(draw, path: Path) -> None:
 
 
 def lines_lost(draw, path: Path) -> None:
-    """The file cut after a drawn number of its lines, fewer than all. A cut
-    inside a vocab dump's last name keeps the number of names, and still
-    fails naming the split line that gives the lost one, not the dump."""
+    """The file cut after a drawn number of its lines, fewer than all."""
     lines = path.read_bytes().split(b"\n")[:-1]
     rewrite(path, b"".join(line + b"\n" for line in lines[: draw(st.integers(0, len(lines) - 1))]))
+
+
+def cut_inside_a_line(draw, path: Path) -> int:
+    """The file cut at a drawn byte that ends no line, maybe inside a CRLF,
+    naming the line it now ends in: a cut name or rank could read as whole."""
+    raw = path.read_bytes()
+    end = draw(st.sampled_from([at for at in range(1, len(raw)) if raw[at - 1] != ord("\n")]))
+    rewrite(path, raw[:end])
+    return raw.count(b"\n", 0, end) + 1
 
 
 def json_not_utf8(draw, path: Path) -> None:
@@ -295,7 +302,8 @@ CASES = {
                              ("unknown", unknown_name((0, 1, 2))))},
     **{f"{name}-{dump}-{kind}": Case(argv, dump, corrupt)
        for name, argv in (("eval", EVAL), ("analyze", ANALYZE)) for dump in RUN_FILES
-       for kind, corrupt in (("utf8", not_utf8()), ("repeated", repeated_name), ("truncated", lines_lost))},
+       for kind, corrupt in (("utf8", not_utf8()), ("repeated", repeated_name), ("truncated", lines_lost),
+                             ("cut", cut_inside_a_line))},
     **{f"{name}-{file}-{kind}": Case(argv, file, corrupt)
        for name, argv in (("eval", EVAL), ("analyze", ANALYZE))
        for file, kinds in (("run/checkpoint.kgec", (("truncated", truncated),)),
@@ -314,7 +322,7 @@ CASES = {
                                  "out/purity_real.csv", copy_of("data/types.tsv")),
     **{f"significance-{ranks}-{kind}": Case(SIGNIFICANCE, ranks, corrupt) for ranks in ("ranks_a.csv", "ranks_b.csv")
        for kind, corrupt in (("fields", wrong_field_count(first=2, sep=b",")), ("utf8", not_utf8(first=2)),
-                             ("rank", bad_number((3, 4), first=2, sep=b",")))},
+                             ("rank", bad_number((3, 4), first=2, sep=b",")), ("cut", cut_inside_a_line))},
     "significance-out-is-input": Case(SIGNIFICANCE[:-1] + ("ranks_a.csv",), "ranks_a.csv", as_it_is),
 }
 
