@@ -28,7 +28,7 @@ from .analysis import (
     write_purity_csv,
 )
 from .data import IdMap, Vocab, atomic_write, build_known_index, load_dataset, load_entailments
-from .data import load_triples, read_json, sha256_file
+from .data import load_triples, read_json, sha256_file, write_json
 from .evaluation import evaluate, significance_report, write_metrics_csv, write_rank_dump
 from .mining import mine_entailments, write_rules
 from .model import load_checkpoint, save_checkpoint
@@ -97,9 +97,7 @@ def _write_outputs(dataset, config, params, log, out_dir, precision, inputs):
                 "config": {**dataclasses.asdict(config), "checkpoint_precision": precision},
                 "inputs": inputs, "outputs": [str(out_dir / name) for name in _RUN_OUTPUTS],
                 "created": datetime.now(timezone.utc).isoformat()}
-    with atomic_write(out_dir / "manifest.json", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _grid_key(config: TrainConfig) -> str:
@@ -163,8 +161,7 @@ def cmd_train(args) -> None:
             best_mrr = valid_mrr
             _write_outputs(dataset, candidate, params, log, out_dir, args.precision, inputs)
         state[key] = valid_mrr
-        with atomic_write(state_path, encoding="utf-8") as fh:
-            json.dump({**state, "inputs": inputs}, fh, indent=2, sort_keys=True)
+        write_json(state_path, {**state, "inputs": inputs})
         print(f"grid point valid_mrr={valid_mrr:.4f} {key}")
     print(f"grid done; best valid MRR {best_mrr:.4f} -> {out_dir / 'checkpoint.kgec'}")
 

@@ -1,8 +1,9 @@
 """Triple datasets, vocabularies, entailment constraints, the membership
 index used by the filtered evaluation protocol, and how kgec reads and writes
 files: every output is replaced atomically through :func:`atomic_write`, CSV
-outputs through :func:`write_csv`, text inputs through :func:`read_lines`,
-JSON inputs through :func:`read_json`, and :func:`sha256_file` hashes a file.
+outputs through :func:`write_csv`, JSON outputs through :func:`write_json`,
+text inputs through :func:`read_lines`, JSON inputs, as text, through
+:func:`read_json`, and :func:`sha256_file` hashes a file.
 
 File formats (all UTF-8, tab-separated):
   triples:      head<TAB>relation<TAB>tail, one per line
@@ -23,7 +24,6 @@ from __future__ import annotations
 import codecs
 import csv
 import hashlib
-import io
 import json
 import logging
 import os
@@ -77,12 +77,12 @@ def read_lines(path: str | Path, final_lf: bool = False) -> Iterator[tuple[int, 
 
     Only the LF or CRLF terminator is removed; a lone CR stays in the line.
     One byte-order mark (U+FEFF) at the very start of the file is dropped.
-    The file is read and decoded in one pass. A file that is not UTF-8 is
-    decoded again line by line, so its lines up to the first bad one are
-    yielded as before and that line raises ValueError naming the file and
-    line, with the error of that line alone. ``final_lf`` is for files kgec
-    wrote, which end every line: one with text after its last LF was cut
-    short, and raises ValueError naming the file and its last line.
+    The file is read and decoded in one pass. In a file that is not UTF-8,
+    the lines before the first bad one are yielded, and that line raises
+    ValueError naming the file and line, with the error its bytes alone
+    give. ``final_lf`` is for files kgec wrote, which end every line: one
+    with text after its last LF was cut short, and raises ValueError naming
+    the file and its last line.
     """
     with open(path, "rb") as fh:
         data = fh.read().removeprefix(codecs.BOM_UTF8)
@@ -90,36 +90,42 @@ def read_lines(path: str | Path, final_lf: bool = False) -> Iterator[tuple[int, 
         lineno = data.count(b"\n") + 1
         raise ValueError(f"{path}:{lineno}: the file ends inside this line, so it was cut short")
     try:
-        lines = data.decode("utf-8").replace("\r\n", "\n").split("\n")
-    except UnicodeDecodeError:
-        for lineno, raw in enumerate(io.BytesIO(data), start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            yield lineno, line.removesuffix("\n").removesuffix("\r")
-        return
+        text, error = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:  # decode the lines before the bad one
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        text, error = data[:start].decode("utf-8"), UnicodeDecodeError(
+            "utf-8", data[start:], exc.start - start, exc.end - start, exc.reason)
+    lines = text.replace("\r\n", "\n").split("\n")
     if lines[-1]:  # a last line with no LF loses one CR too
         lines[-1] = lines[-1].removesuffix("\r")
     else:  # the empty text after the final LF is no line
         lines.pop()
     yield from enumerate(lines, start=1)
+    if error:
+        raise ValueError(f"{path}:{len(lines) + 1}: {error}")
 
 
 def _unique_keys(pairs: list) -> dict:
     keys = [key for key, _ in pairs]
-    if len(set(keys)) < len(keys):  # json.load would keep the last value
+    if len(set(keys)) < len(keys):  # json.loads would keep the last value
         raise ValueError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
     return dict(pairs)
 
 
 def read_json(path: str | Path):
-    """Parse a JSON file; a malformed one raises ValueError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-        except ValueError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    """Parse a JSON file, read as text by :func:`read_lines`; a malformed one raises ValueError naming it."""
+    text = "\n".join(line for _, line in read_lines(path))
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Replace ``path`` atomically by ``obj`` as JSON: two-space indents, sorted keys, a final LF."""
+    with atomic_write(path, encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def sha256_file(path: str | Path) -> str:

@@ -16,7 +16,6 @@ view of the arrays, which interleaves real and imaginary parts.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -26,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import atomic_write, read_json
+from .data import atomic_write, read_json, write_json
 
 CHECKPOINT_MAGIC = b"KGEC1"
 _HEADER = struct.Struct("<4I")  # n, m, d, precision bits
@@ -211,9 +210,7 @@ def save_checkpoint(
         "entity_vocab": entity_vocab_path,
         "relation_vocab": relation_vocab_path,
     }
-    with atomic_write(str(path) + ".manifest.json", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    write_json(str(path) + ".manifest.json", sidecar)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:

@@ -84,8 +84,8 @@ MUTANTS = [
     Mutant(
         "read_lines-no-line-by-line-fallback",
         "src/kgec/data.py",
-        "    except UnicodeDecodeError:\n",
-        '    except UnicodeDecodeError as exc:\n        raise ValueError(f"{path}: {exc}") from None\n',
+        'UnicodeDecodeError(\n            "utf-8", data[start:], exc.start - start, exc.end - start, exc.reason)',
+        "exc",  # the whole file's error: its position counts from the file's first byte
         DATA_TESTS,
     ),
     Mutant(
@@ -499,8 +499,15 @@ MUTANTS = [
     Mutant(
         "read_json-repeated-key-takes-the-last",
         "src/kgec/data.py",
-        "json.load(fh, object_pairs_hook=_unique_keys)",
-        "json.load(fh)",
+        "json.loads(text, object_pairs_hook=_unique_keys)",
+        "json.loads(text)",
+        DATA_TESTS,
+    ),
+    Mutant(
+        "read_json-bypasses-read_lines",
+        "src/kgec/data.py",
+        'text = "\\n".join(line for _, line in read_lines(path))',
+        'text = open(path, encoding="utf-8").read()',
         DATA_TESTS,
     ),
     Mutant(
@@ -552,8 +559,8 @@ MUTANTS = [
     Mutant(
         "grid-state-records-no-inputs",
         "src/kgec/cli.py",
-        'json.dump({**state, "inputs": inputs}, fh',
-        "json.dump(state, fh",
+        'write_json(state_path, {**state, "inputs": inputs})',
+        "write_json(state_path, state)",
         CLI_TESTS,
     ),
     Mutant(
@@ -593,9 +600,9 @@ MUTANTS = [
     ),
     Mutant(
         "manifest-written-in-place",
-        "src/kgec/cli.py",
-        'with atomic_write(out_dir / "manifest.json", encoding="utf-8") as fh:',
-        'with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:',
+        "src/kgec/data.py",
+        'with atomic_write(path, encoding="utf-8") as fh:\n        json.dump(',
+        'with open(path, "w", encoding="utf-8") as fh:\n        json.dump(',
         CLI_TESTS,
     ),
     Mutant(
@@ -772,8 +779,8 @@ MUTANTS = [
     Mutant(
         "read_lines-fallback-error-drops-line-number",
         "src/kgec/data.py",
-        'raise ValueError(f"{path}:{lineno}: {exc}")',
-        'raise ValueError(f"{path}: {exc}")',
+        'raise ValueError(f"{path}:{len(lines) + 1}: {error}")',
+        'raise ValueError(f"{path}: {error}")',
         DATA_TESTS,
     ),
     # Error paths: each mutant deletes one check.

@@ -666,9 +666,9 @@ def _partial_json_dump(obj, fh, **kwargs):
 
 
 def _crash_in_sidecar(params, path, monkeypatch):
-    import kgec.model
+    import kgec.data
 
-    monkeypatch.setattr(kgec.model.json, "dump", _partial_json_dump)
+    monkeypatch.setattr(kgec.data.json, "dump", _partial_json_dump)
     save_checkpoint(params, path)
 
 
@@ -1131,6 +1131,24 @@ def test_only_objective_imports_concurrent_futures():
     assert importers == ["objective.py"]
 
 
+def test_only_data_reads_and_writes_json_and_only_data_and_model_open_files():
+    # kgec.data owns how files are decoded and written: read_json reads JSON
+    # as text through read_lines, write_json writes it atomically, and
+    # load_checkpoint opens the one binary input. cli._grid_key's json.dumps
+    # builds a key string, not a file.
+    json_io, openers = set(), set()
+    for path in sorted(Path(kgec.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name) and node.func.id == "open":
+                openers.add(path.name)
+            elif ast.unparse(node.func) in ("json.dump", "json.load", "json.loads"):
+                json_io.add(path.name)
+    assert json_io == {"data.py"}
+    assert openers == {"data.py", "model.py"}
+
+
 def test_cli_imports_no_private_name_from_kgec():
     # A rule cli needs, such as how a config value is cast, lives public in
     # the module that owns it; a private import would split it over two.
@@ -1250,6 +1268,45 @@ def test_a_sweep_without_a_manifest_resumes_only_on_the_inputs_its_state_records
     assert main(argv_b) == 1
     assert capsys.readouterr().err.startswith(f"kgec train: error: {out / 'grid_state.json'}: expected ")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _prefix_byte_order_mark(path):
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
+def test_a_sweep_reads_a_grid_file_that_starts_with_a_byte_order_mark(data_dir, config_file, tmp_path):
+    argv = _grid_argv(data_dir, config_file, tmp_path, {"d": [2, 4]})
+    _prefix_byte_order_mark(tmp_path / "grid.json")
+    assert main(argv) == 0
+    assert len(_grid_points(tmp_path / "grid")) == 2
+
+
+def test_a_sweep_resumes_from_a_state_that_starts_with_a_byte_order_mark(
+    data_dir, config_file, tmp_path, capsys, monkeypatch
+):
+    argv = _grid_argv(data_dir, config_file, tmp_path, {"d": [2, 4]})
+    out = tmp_path / "grid"
+    assert main(argv) == 0
+    _prefix_byte_order_mark(out / "grid_state.json")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    calls = _counting_train(monkeypatch)
+    assert main(argv) == 0  # every point is done
+    assert calls == [] and "grid point" not in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_eval_reads_a_sidecar_that_starts_with_a_byte_order_mark(data_dir, config_file, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--config", str(config_file), "--out", str(run)]) == 0
+    outs = [tmp_path / "plain", tmp_path / "marked"]
+    for out in outs:
+        capsys.readouterr()
+        argv = ["eval", "--data", str(data_dir), "--checkpoint", str(run / "checkpoint.kgec"), "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""  # the sidecar's vocab dumps are read, with no warning
+        _prefix_byte_order_mark(run / "checkpoint.kgec.manifest.json")
+    assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
 
 
 def test_a_single_run_refuses_an_out_that_holds_a_sweep(data_dir, config_file, tmp_path, capsys, monkeypatch):

@@ -278,6 +278,33 @@ class TestReadJson:
         assert read_json(path) == json.loads(text)
         assert list(read_json(path)) == ["b", "a", "B"]
 
+    # JSON inputs are text inputs (read_lines): one byte-order mark is
+    # dropped, CRLF reads as LF, and a bad byte is named by its line.
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        text = '{\n  "d": [4, 8],\n  "lr": [0.5]\n}\n'
+        path = tmp_path / "grid.json"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_json(path) == json.loads(text)
+
+    def test_a_crlf_file_reads_as_its_lf_form(self, tmp_path):
+        # Malformed too: the error counts the characters of the LF form.
+        path = tmp_path / "grid.json"
+        valid, malformed = '{\n  "a": {"b": [1, 2.5]},\n  "c": "x y"\n}\n', '{\n  "a": 1,\n  "b": 2\n  "c": 3\n}\n'
+        outcomes = []
+        for text in (valid, malformed):
+            for newline in ("\r\n", "\n"):
+                path.write_bytes(text.replace("\n", newline).encode())
+                outcomes.append(_outcome(lambda: read_json(path)))
+        error = (ValueError, f"{path}: invalid JSON: Expecting ',' delimiter: line 4 column 3 (char 23)")
+        assert outcomes == [json.loads(valid)] * 2 + [error] * 2
+
+    def test_a_bad_byte_is_named_by_its_line(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_bytes(b'{\n  "a": 1,\n  "b\xff": 2\n}\n')
+        with pytest.raises(ValueError) as info:
+            read_json(path)
+        assert str(info.value) == f"{path}:3: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"
+
 
 class TestVocab:
     def test_dump_and_load_round_trip(self, tmp_path):

@@ -226,10 +226,11 @@ def cut_inside_a_line(draw, path: Path) -> int:
     return raw.count(b"\n", 0, end) + 1
 
 
-def json_not_utf8(draw, path: Path) -> None:
+def json_not_utf8(draw, path: Path) -> int:
     raw = path.read_bytes()
     at = draw(st.integers(0, len(raw)))
     rewrite(path, raw[:at] + b"\xff" + raw[at:])
+    return raw.count(b"\n", 0, at) + 1
 
 
 def json_repeated_key(draw, path: Path) -> None:
